@@ -11,9 +11,7 @@ database and outputs them as forgeries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from .hilbert import DensityOp
 from .money import Banknote, MoneyScheme, WorldHandle
@@ -23,8 +21,6 @@ from .synth import (
     TrialEngine,
     VerifierSpec,
     acceptance_of,
-    build_pq,
-    max_acceptance,
     synthesize,
 )
 
@@ -254,43 +250,6 @@ def bad_query_probe(scheme: MoneyScheme, cfg: AttackConfig, stream) -> int:
     return int(bool({x for x, _ in pairs} & (secret - set(d))))
 
 
-def _true_accept_prob(scheme, note: Banknote, world: WorldHandle) -> float:
-    """Exact acceptance probability of the true verifier on a note.
-
-    All schemes verify with commuting per-qubit projectors, so the
-    probability is Tr(Pi rho) for the product projector; querying the
-    oracle classically here does not disturb the note.
-    """
-    from .synth import embed_unitary
-    from .money import _basis_proj, _conjugate_proj
-
-    positions = scheme.verify_positions(note.serial)
-    answers = {x: world._bit(x) for x in positions}
-    n = scheme.profile.m
-    pi = np.eye(1 << n, dtype=np.complex128)
-    name = scheme.profile.name
-    if name == "hash-tag":
-        for i in range(n):
-            z = answers[scheme._pos(note.serial[0], i)]
-            pi = pi @ embed_unitary(_basis_proj(z), [i], n)
-    elif name == "conjugate":
-        (s,) = note.serial
-        for i in range(n):
-            proj = _conjugate_proj(answers[scheme._pos(s, i, 0)],
-                                   answers[scheme._pos(s, i, 1)])
-            pi = pi @ embed_unitary(proj, [i], n)
-    elif name == "counterexample":
-        s, s_inner = note.serial
-        pi = pi @ embed_unitary(_basis_proj(answers[scheme._wrap_pos(s)]), [0], n)
-        for i in range(scheme.inner_m):
-            proj = _conjugate_proj(answers[scheme._inner_pos(s_inner, i, 0)],
-                                   answers[scheme._inner_pos(s_inner, i, 1)])
-            pi = pi @ embed_unitary(proj, [1 + i], n)
-    else:
-        raise AttackError(f"no exact acceptance rule for scheme {name!r}")
-    return float(np.trace(pi @ note.state.matrix).real)
-
-
 def simulation_gap_probe(scheme: MoneyScheme, cfg: AttackConfig, stream):
     """Per-run (Pr[true accepts rho_t], Pr[sim accepts rho_t]) on the
     post-test-phase note, both computed exactly given the sampled world."""
@@ -298,7 +257,7 @@ def simulation_gap_probe(scheme: MoneyScheme, cfg: AttackConfig, stream):
     kp = scheme.key_gen(world, stream.split("keygen"))
     note = scheme.mint(kp.sk, world, stream.split("mint"))
     note, d, _ = test_phase(scheme, kp.pk, note, world, cfg, stream.split("t"))
-    p_true = _true_accept_prob(scheme, note, world)
+    p_true = scheme.accept_prob(note, world)
     spec = build_sim_verifier(scheme, kp.pk, note.serial, d)
     p_sim = acceptance_of(spec, note.state)
     return p_true, p_sim

@@ -35,7 +35,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verifier", help="verifier description (JSON file)")
     p.add_argument("--a", type=float, help="acceptance guarantee (default 0.5)")
     p.add_argument("--b", type=float, help="promise threshold (default 0.9)")
-    p.add_argument("--backend", choices=("trial", "eigen"))
     p.add_argument("--n-alternations", type=int, dest="n_alternations")
     p.add_argument("--t-trials", type=int, dest="t_trials")
     _add_common(p)
@@ -49,8 +48,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override the test-phase bound (scaled run)")
     p.add_argument("--n-updates", type=int, dest="n_updates",
                    help="override the update count (scaled run)")
-    p.add_argument("--scaled", action="store_true", default=None,
-                   help="tag the run as using scaled parameters")
     p.add_argument("--variant", choices=("classical_mint", "quantum_mint"))
     p.add_argument("--workers", type=int, help="worker pool size")
     _add_common(p)

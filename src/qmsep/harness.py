@@ -116,7 +116,6 @@ def cmd_synth(cfg: dict) -> dict:
     b = float(cfg.get("b", 0.9))
     trials = int(cfg.get("trials", 20))
     seed = int(cfg.get("seed", 0))
-    backend = cfg.get("backend", "trial")
     n_alt = cfg.get("n_alternations")
     t_tr = cfg.get("t_trials")
     params = SynthesisParams.default(
@@ -143,7 +142,6 @@ def cmd_synth(cfg: dict) -> dict:
         accs.append(acceptance_of(spec, res.state))
     report = {
         "verifier": {"m": spec.m, "k": spec.k},
-        "requested_backend": backend,
         "params": {"a": a, "b": b,
                    "n_alternations": params.n_alternations,
                    "t_trials": params.t_trials,

@@ -17,6 +17,8 @@ import numpy as np
 STRUCT_TOL = 1e-9    # structural invariants: norms, hermiticity, idempotence
 UNITARY_TOL = 1e-6   # admission threshold for user-supplied unitaries
 
+HADAMARD = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2)
+
 
 def qubit_cap() -> int:
     return int(os.environ.get("QMSEP_QUBIT_CAP", "22"))
@@ -149,6 +151,29 @@ class Projector:
 
     def complement(self) -> "Projector":
         return Projector(np.eye(self.dim) - self.matrix)
+
+
+def index_bits(index, n: int, qubits) -> int:
+    """The listed qubits of an n-qubit basis index, read big-endian.
+
+    index may also be a numpy integer array, read element-wise.
+    """
+    out = 0
+    for q in qubits:
+        out = (out << 1) | ((index >> (n - 1 - q)) & 1)
+    return out
+
+
+def embed_unitary(g: np.ndarray, qubit_axes, n: int) -> np.ndarray:
+    """Embed a gate on the given qubit axes into the full 2^n matrix."""
+    t = len(qubit_axes)
+    dim = 1 << n
+    m = np.eye(dim, dtype=np.complex128).reshape((2,) * n + (dim,))
+    m = np.moveaxis(m, qubit_axes, range(t))
+    shape = m.shape
+    m = (g @ m.reshape(1 << t, -1)).reshape(shape)
+    m = np.moveaxis(m, range(t), qubit_axes)
+    return m.reshape(dim, dim)
 
 
 def _apply_matrix(amps: np.ndarray, layout: RegisterLayout, mat: np.ndarray,

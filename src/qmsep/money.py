@@ -1,14 +1,21 @@
-"""Oracle-aided public-key quantum money: interface and three toy schemes.
+"""Oracle-aided public-key quantum money as lists of per-qubit checks.
 
-All schemes verify with classical oracle queries and projective note
-measurements, so valid notes are perfectly correct and perfectly reusable.
+A scheme is the list checks(serial) of one (basis, bit) pair per note qubit.
+bit is an oracle position; basis is None (the computational basis) or an
+oracle position.  Qubit i of a valid note is |R(bit)>, with H applied when
+R(basis) = 1.  Verification queries each check's positions classically, in
+check order (basis first), and measures qubit i with the projector onto
+that state, so valid notes are perfectly correct and perfectly reusable.
+MoneyScheme derives everything else from the list: the verifier's query
+positions, mint, verify, the verifier simulated from a partial database D
+(an unknown position becomes a fresh |+> ancilla), and the exact acceptance
+probability of a note.  The three toy schemes differ only in their checks:
 
-hash-tag     banknote = |R(s||1) ... R(s||m)> (classical basis state).
-conjugate    qubit i prepared in basis R(s||i||0) holding bit R(s||i||1).
-counterexample  wraps conjugate: mint makes one quantum query on a uniform
-             serial superposition, measures the serial s, and attaches the
-             bit R(s) to an inner conjugate banknote; verification checks
-             h = R(s) plus the inner checks.
+hash-tag        [(None, R(s||i))]
+conjugate       [(R(s||i||0), R(s||i||1))]
+counterexample  [(None, R(s))] + the conjugate checks of a second serial s';
+                mint learns R(s) with one quantum query on a uniform serial
+                superposition whose serial register it then measures.
 """
 
 from __future__ import annotations
@@ -19,13 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import DensityOp, RegisterLayout
+from .hilbert import HADAMARD, DensityOp, RegisterLayout, embed_unitary, index_bits
 from .oracle import ORACLE_L_CAP, OracleError, TruthTable, sample_oracle
-from .synth import VerifierSpec, embed_unitary
+from .synth import VerifierSpec
 
-_H = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2)
 _CH = np.eye(4, dtype=np.complex128)
-_CH[2:, 2:] = _H  # controlled-H, control qubit first
+_CH[2:, 2:] = HADAMARD  # controlled-H, control qubit first
 
 
 class MoneyError(ValueError):
@@ -144,37 +150,30 @@ def _measure_qubit(rho: np.ndarray, n: int, qubit: int, proj: np.ndarray, rng):
     return hit, rho2
 
 
-def _basis_proj(bit: int) -> np.ndarray:
-    p = np.zeros((2, 2), dtype=np.complex128)
-    p[bit, bit] = 1.0
-    return p
-
-
 def _conjugate_proj(basis: int, bit: int) -> np.ndarray:
     vec = np.zeros(2, dtype=np.complex128)
     vec[bit] = 1.0
     if basis:
-        vec = _H @ vec
+        vec = HADAMARD @ vec
     return np.outer(vec, vec.conj())
 
 
-def _flip_ans_perm(n: int, ans_qubit: int, pred) -> np.ndarray:
-    """Permutation flipping the answer qubit where pred(basis index) holds."""
-    dim = 1 << n
-    shift = n - 1 - ans_qubit
-    u = np.zeros((dim, dim), dtype=np.complex128)
-    for src in range(dim):
-        dst = src ^ (1 << shift) if pred(src) else src
-        u[dst, src] = 1.0
-    return u
-
-
-def _qbit(idx: int, n: int, q: int) -> int:
-    return (idx >> (n - 1 - q)) & 1
+# the four check projectors, [basis][bit]: shared by every caller, never
+# written; a lookup costs far less than building one per measured qubit
+_CHECK_PROJ = [[_conjugate_proj(b, z) for z in (0, 1)] for b in (0, 1)]
 
 
 class MoneyScheme:
+    """A scheme given by its per-qubit checks; subclasses define checks()
+    and the serial width s_bits, and may draw more than one serial."""
+
     profile: SchemeProfile
+    s_bits: int
+    serials = 1  # serials drawn per note
+
+    def checks(self, serial) -> list:
+        """One (basis, bit) pair of oracle positions per note qubit."""
+        raise NotImplementedError
 
     def key_gen(self, world: WorldHandle, stream) -> KeyPair:
         return KeyPair(sk="", pk="")
@@ -183,16 +182,77 @@ class MoneyScheme:
         return RegisterLayout((("M", self.profile.m),))
 
     def verify_positions(self, serial) -> list:
-        raise NotImplementedError
+        """The positions verify queries, in query order."""
+        return [x for check in self.checks(serial) for x in check if x is not None]
 
     def mint(self, sk, world, stream) -> Banknote:
-        raise NotImplementedError
+        serial = tuple(int(stream.integers(0, 1 << self.s_bits))
+                       for _ in range(self.serials))
+        # a quantum mint learns the first check's bit with a quantum query;
+        # its serial register is measured at once, so sampling s first is
+        # equivalent
+        quantum = self.profile.mint_query_mode == "quantum"
+        mat = np.array([[1.0]], dtype=np.complex128)
+        for i, (basis, bit) in enumerate(self.checks(serial)):
+            b = 0 if basis is None else world.query(basis, "mint")
+            z = world.query(bit, "mint", quantum=quantum and i == 0)
+            mat = np.kron(mat, _CHECK_PROJ[b][z])
+        return Banknote(serial=serial, state=DensityOp(self.note_layout(), mat))
 
     def verify(self, pk, note: Banknote, world: WorldHandle, stream):
-        raise NotImplementedError
+        m = self.profile.m
+        rho = note.state.matrix
+        ok = True
+        for i, (basis, bit) in enumerate(self.checks(note.serial)):
+            b = 0 if basis is None else world.query(basis, "ver")
+            proj = _CHECK_PROJ[b][world.query(bit, "ver")]
+            hit, rho = _measure_qubit(rho, m, i, proj, stream)
+            ok = ok and bool(hit)
+        return ok, Banknote(note.serial, DensityOp(self.note_layout(), rho))
 
     def sim_verifier(self, pk, serial, d: dict) -> VerifierSpec:
-        raise NotImplementedError
+        """The verifier with oracle answers taken from d.
+
+        Each position d lacks becomes an ancilla in |+>, allocated in query
+        order; qubit i is then rotated into its check's basis and the answer
+        qubit (last) flips when every note qubit holds its check's bit.
+        """
+        m = self.profile.m
+        checks = self.checks(serial)
+        anc = {}  # unknown position -> ancilla qubit
+        for x in self.verify_positions(serial):
+            if x not in d:
+                anc.setdefault(x, m + len(anc))
+        n = m + len(anc) + 1
+        v = np.eye(1 << n, dtype=np.complex128)
+        for a in anc.values():
+            v = embed_unitary(HADAMARD, [a], n) @ v
+        for i, (basis, _) in enumerate(checks):
+            if basis in anc:
+                v = embed_unitary(_CH, [anc[basis], i], n) @ v
+            elif basis is not None and d[basis] == 1:
+                v = embed_unitary(HADAMARD, [i], n) @ v
+        idx = np.arange(1 << n)
+        holds = np.ones(1 << n, dtype=bool)
+        for i, (_, bit) in enumerate(checks):
+            want = index_bits(idx, n, [anc[bit]]) if bit in anc else d[bit]
+            holds &= index_bits(idx, n, [i]) == want
+        v = v[np.where(holds, idx ^ 1, idx)]
+        return VerifierSpec(m=m, k=len(anc) + 1, v_hat=v, ans_index=n - 1)
+
+    def accept_prob(self, note: Banknote, world: WorldHandle) -> float:
+        """Exact probability that verify accepts note.
+
+        The checks' projectors commute, so this is Tr(Pi rho) for their
+        product.  The oracle is read without recording a query.
+        """
+        m = self.profile.m
+        pi = np.eye(1 << m, dtype=np.complex128)
+        for i, (basis, bit) in enumerate(self.checks(note.serial)):
+            b = 0 if basis is None else world._bit(basis)
+            proj = _CHECK_PROJ[b][world._bit(bit)]
+            pi = pi @ embed_unitary(proj, [i], m)
+        return float(np.trace(pi @ note.state.matrix).real)
 
 
 class HashTagScheme(MoneyScheme):
@@ -211,59 +271,15 @@ class HashTagScheme(MoneyScheme):
     def _pos(self, s: int, i: int) -> int:
         return (s << self.tag_bits) | i
 
-    def verify_positions(self, serial) -> list:
+    def checks(self, serial) -> list:
         (s,) = serial
-        return [self._pos(s, i) for i in range(self.profile.m)]
+        return [(None, self._pos(s, i)) for i in range(self.profile.m)]
 
-    def mint(self, sk, world, stream) -> Banknote:
-        s = int(stream.integers(0, 1 << self.s_bits))
-        bits = [world.query(self._pos(s, i), "mint") for i in range(self.profile.m)]
-        idx = 0
-        for b in bits:
-            idx = (idx << 1) | b
-        dim = 1 << self.profile.m
-        mat = np.zeros((dim, dim), dtype=np.complex128)
-        mat[idx, idx] = 1.0
-        return Banknote(serial=(s,), state=DensityOp(self.note_layout(), mat))
-
-    def verify(self, pk, note: Banknote, world: WorldHandle, stream):
-        (s,) = note.serial
-        m = self.profile.m
-        rho = note.state.matrix
-        ok = True
-        for i in range(m):
-            z = world.query(self._pos(s, i), "ver")
-            hit, rho = _measure_qubit(rho, m, i, _basis_proj(z), stream)
-            ok = ok and bool(hit)
-        return ok, Banknote(note.serial, DensityOp(self.note_layout(), rho))
-
-    def sim_verifier(self, pk, serial, d: dict) -> VerifierSpec:
-        (s,) = serial
-        m = self.profile.m
-        known = {}
-        unknown = []
-        for i in range(m):
-            pos = self._pos(s, i)
-            if pos in d:
-                known[i] = d[pos]
-            else:
-                unknown.append(i)
-        u_cnt = len(unknown)
-        n = m + u_cnt + 1
-        anc_of = {i: m + j for j, i in enumerate(unknown)}
-        v = np.eye(1 << n, dtype=np.complex128)
-        for i in unknown:
-            v = embed_unitary(_H, [anc_of[i]], n) @ v
-
-        def pred(idx):
-            for i in range(m):
-                want = known[i] if i in known else _qbit(idx, n, anc_of[i])
-                if _qbit(idx, n, i) != want:
-                    return False
-            return True
-
-        v = _flip_ans_perm(n, n - 1, pred) @ v
-        return VerifierSpec(m=m, k=u_cnt + 1, v_hat=v, ans_index=n - 1)
+    # bound in each class body: perfbench/tracer.py spans the methods it
+    # finds in a scheme class's own __dict__
+    mint = MoneyScheme.mint
+    verify = MoneyScheme.verify
+    sim_verifier = MoneyScheme.sim_verifier
 
 
 class ConjugateScheme(MoneyScheme):
@@ -282,73 +298,21 @@ class ConjugateScheme(MoneyScheme):
     def _pos(self, s: int, i: int, b: int) -> int:
         return (s << self.tag_bits) | (i << 1) | b
 
-    def verify_positions(self, serial) -> list:
+    def checks(self, serial) -> list:
         (s,) = serial
-        return [self._pos(s, i, b) for i in range(self.profile.m) for b in (0, 1)]
+        return [(self._pos(s, i, 0), self._pos(s, i, 1))
+                for i in range(self.profile.m)]
 
-    def mint(self, sk, world, stream) -> Banknote:
-        s = int(stream.integers(0, 1 << self.s_bits))
-        mat = np.array([[1.0]], dtype=np.complex128)
-        for i in range(self.profile.m):
-            basis = world.query(self._pos(s, i, 0), "mint")
-            bit = world.query(self._pos(s, i, 1), "mint")
-            mat = np.kron(mat, _conjugate_proj(basis, bit))
-        return Banknote(serial=(s,), state=DensityOp(self.note_layout(), mat))
-
-    def verify(self, pk, note: Banknote, world: WorldHandle, stream):
-        (s,) = note.serial
-        m = self.profile.m
-        rho = note.state.matrix
-        ok = True
-        for i in range(m):
-            basis = world.query(self._pos(s, i, 0), "ver")
-            bit = world.query(self._pos(s, i, 1), "ver")
-            hit, rho = _measure_qubit(rho, m, i, _conjugate_proj(basis, bit), stream)
-            ok = ok and bool(hit)
-        return ok, Banknote(note.serial, DensityOp(self.note_layout(), rho))
-
-    def sim_verifier(self, pk, serial, d: dict) -> VerifierSpec:
-        (s,) = serial
-        m = self.profile.m
-        anc = []
-        basis_src = {}
-        bit_src = {}
-        for i in range(m):
-            pb = self._pos(s, i, 0)
-            pv = self._pos(s, i, 1)
-            basis_src[i] = ("known", d[pb]) if pb in d else ("anc", len(anc))
-            if pb not in d:
-                anc.append(("basis", i))
-            bit_src[i] = ("known", d[pv]) if pv in d else ("anc", len(anc))
-            if pv not in d:
-                anc.append(("bit", i))
-        n = m + len(anc) + 1
-        v = np.eye(1 << n, dtype=np.complex128)
-        for j in range(len(anc)):
-            v = embed_unitary(_H, [m + j], n) @ v
-        for i in range(m):
-            kind, val = basis_src[i]
-            if kind == "known":
-                if val == 1:
-                    v = embed_unitary(_H, [i], n) @ v
-            else:
-                v = embed_unitary(_CH, [m + val, i], n) @ v
-
-        def pred(idx):
-            for i in range(m):
-                kind, val = bit_src[i]
-                want = val if kind == "known" else _qbit(idx, n, m + val)
-                if _qbit(idx, n, i) != want:
-                    return False
-            return True
-
-        v = _flip_ans_perm(n, n - 1, pred) @ v
-        return VerifierSpec(m=m, k=len(anc) + 1, v_hat=v, ans_index=n - 1)
+    mint = MoneyScheme.mint
+    verify = MoneyScheme.verify
+    sim_verifier = MoneyScheme.sim_verifier
 
 
 class CounterexampleScheme(MoneyScheme):
     """Quantum-mint wrapper: serial from a measured quantum query, note
     carries the bit R(s) plus an inner conjugate banknote."""
+
+    serials = 2  # s for the wrapped bit, s' for the inner note
 
     def __init__(self, l: int = 6, m: int = 2):
         inner_tags = 2 * m
@@ -369,90 +333,15 @@ class CounterexampleScheme(MoneyScheme):
     def _inner_pos(self, s: int, i: int, b: int) -> int:
         return (s << self.tag_bits) | (1 + (i << 1) + b)
 
-    def verify_positions(self, serial) -> list:
+    def checks(self, serial) -> list:
         s, s_inner = serial
-        out = [self._wrap_pos(s)]
-        out += [self._inner_pos(s_inner, i, b)
-                for i in range(self.inner_m) for b in (0, 1)]
-        return out
+        return [(None, self._wrap_pos(s))] + [
+            (self._inner_pos(s_inner, i, 0), self._inner_pos(s_inner, i, 1))
+            for i in range(self.inner_m)]
 
-    def mint(self, sk, world, stream) -> Banknote:
-        # one quantum query on the uniform serial superposition, then the
-        # serial register is measured; sampling s first is equivalent
-        s = int(stream.integers(0, 1 << self.s_bits))
-        h = world.query(self._wrap_pos(s), "mint", quantum=True)
-        s_inner = int(stream.integers(0, 1 << self.s_bits))
-        inner_mat = np.array([[1.0]], dtype=np.complex128)
-        for i in range(self.inner_m):
-            basis = world.query(self._inner_pos(s_inner, i, 0), "mint")
-            bit = world.query(self._inner_pos(s_inner, i, 1), "mint")
-            inner_mat = np.kron(inner_mat, _conjugate_proj(basis, bit))
-        h_mat = np.zeros((2, 2), dtype=np.complex128)
-        h_mat[h, h] = 1.0
-        mat = np.kron(h_mat, inner_mat)
-        return Banknote(serial=(s, s_inner),
-                        state=DensityOp(self.note_layout(), mat))
-
-    def verify(self, pk, note: Banknote, world: WorldHandle, stream):
-        s, s_inner = note.serial
-        n = self.profile.m
-        rho = note.state.matrix
-        want_h = world.query(self._wrap_pos(s), "ver")
-        hit, rho = _measure_qubit(rho, n, 0, _basis_proj(want_h), stream)
-        ok = bool(hit)
-        for i in range(self.inner_m):
-            basis = world.query(self._inner_pos(s_inner, i, 0), "ver")
-            bit = world.query(self._inner_pos(s_inner, i, 1), "ver")
-            hit, rho = _measure_qubit(rho, n, 1 + i,
-                                      _conjugate_proj(basis, bit), stream)
-            ok = ok and bool(hit)
-        return ok, Banknote(note.serial, DensityOp(self.note_layout(), rho))
-
-    def sim_verifier(self, pk, serial, d: dict) -> VerifierSpec:
-        s, s_inner = serial
-        m = self.profile.m  # note qubits: h at 0, inner at 1..m-1
-        anc = []
-        wrap_pos = self._wrap_pos(s)
-        h_src = ("known", d[wrap_pos]) if wrap_pos in d else ("anc", len(anc))
-        if wrap_pos not in d:
-            anc.append(("h", 0))
-        basis_src = {}
-        bit_src = {}
-        for i in range(self.inner_m):
-            pb = self._inner_pos(s_inner, i, 0)
-            pv = self._inner_pos(s_inner, i, 1)
-            basis_src[i] = ("known", d[pb]) if pb in d else ("anc", len(anc))
-            if pb not in d:
-                anc.append(("basis", i))
-            bit_src[i] = ("known", d[pv]) if pv in d else ("anc", len(anc))
-            if pv not in d:
-                anc.append(("bit", i))
-        n = m + len(anc) + 1
-        v = np.eye(1 << n, dtype=np.complex128)
-        for j in range(len(anc)):
-            v = embed_unitary(_H, [m + j], n) @ v
-        for i in range(self.inner_m):
-            kind, val = basis_src[i]
-            if kind == "known":
-                if val == 1:
-                    v = embed_unitary(_H, [1 + i], n) @ v
-            else:
-                v = embed_unitary(_CH, [m + val, 1 + i], n) @ v
-
-        def pred(idx):
-            kind, val = h_src
-            want = val if kind == "known" else _qbit(idx, n, m + val)
-            if _qbit(idx, n, 0) != want:
-                return False
-            for i in range(self.inner_m):
-                kind, val = bit_src[i]
-                want = val if kind == "known" else _qbit(idx, n, m + val)
-                if _qbit(idx, n, 1 + i) != want:
-                    return False
-            return True
-
-        v = _flip_ans_perm(n, n - 1, pred) @ v
-        return VerifierSpec(m=m, k=len(anc) + 1, v_hat=v, ans_index=n - 1)
+    mint = MoneyScheme.mint
+    verify = MoneyScheme.verify
+    sim_verifier = MoneyScheme.sim_verifier
 
 
 SCHEMES = {

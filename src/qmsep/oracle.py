@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .streams import Stream
+from .hilbert import embed_unitary, index_bits
 
 ORACLE_L_CAP = 6
 PRUNE_TOL = 1e-14
@@ -68,17 +68,6 @@ class ClassicalDB:
         return {x for x, _ in self.entries}
 
 
-@dataclass(frozen=True)
-class FourierDB:
-    entries: tuple  # strictly increasing positions with Fourier value 1^
-
-    def __post_init__(self):
-        ent = tuple(int(x) for x in self.entries)
-        if list(ent) != sorted(set(ent)):
-            raise OracleError("Fourier database positions must be sorted and distinct")
-        object.__setattr__(self, "entries", ent)
-
-
 def sample_oracle(l: int, rng) -> TruthTable:
     if l > ORACLE_L_CAP:
         raise OracleError(f"l = {l} exceeds cap {ORACLE_L_CAP}")
@@ -93,8 +82,7 @@ def _dr_dict(dr: tuple) -> dict:
 class OracleWorld:
     """Sparse pure state over (plain registers, F, D_R, D_A)."""
 
-    def __init__(self, mode: str, l: int, n_plain: int, amps: dict,
-                 trace: tuple = ()):
+    def __init__(self, mode: str, l: int, n_plain: int, amps: dict):
         if mode not in ("purified", "compressed"):
             raise OracleError(f"unknown mode {mode!r}")
         if l > ORACLE_L_CAP:
@@ -103,7 +91,6 @@ class OracleWorld:
         self.l = l
         self.n_plain = n_plain
         self.amps = amps
-        self.trace = trace
 
     # -- construction -----------------------------------------------------
 
@@ -118,10 +105,9 @@ class OracleWorld:
     def compressed_init(cls, l: int, n_plain: int = 0) -> "OracleWorld":
         return cls("compressed", l, n_plain, {(0, (), (), ()): 1.0 + 0.0j})
 
-    def _with(self, amps: dict, trace_row: dict | None = None) -> "OracleWorld":
+    def _with(self, amps: dict) -> "OracleWorld":
         amps = {k: a for k, a in amps.items() if abs(a) > PRUNE_TOL}
-        trace = self.trace + ((trace_row,) if trace_row else ())
-        return OracleWorld(self.mode, self.l, self.n_plain, amps, trace)
+        return OracleWorld(self.mode, self.l, self.n_plain, amps)
 
     # -- generic helpers ---------------------------------------------------
 
@@ -136,27 +122,14 @@ class OracleWorld:
                 total += np.conj(a) * b
         return complex(total)
 
-    def _bits(self, plain: int, qubits) -> int:
-        out = 0
-        for q in qubits:
-            out = (out << 1) | ((plain >> (self.n_plain - 1 - q)) & 1)
-        return out
-
     def _set_bit(self, plain: int, qubit: int, value: int) -> int:
         mask = 1 << (self.n_plain - 1 - qubit)
         return (plain | mask) if value else (plain & ~mask)
 
     def _check_fresh(self, a_qubit: int):
         for (plain, _, _, _), amp in self.amps.items():
-            if abs(amp) > STRUCT_TOL and self._bits(plain, [a_qubit]):
+            if abs(amp) > STRUCT_TOL and index_bits(plain, self.n_plain, [a_qubit]):
                 raise OracleError(f"answer qubit {a_qubit} is not fresh |0>")
-
-    def _trace_row(self, kind: str):
-        weights = {}
-        for (plain, *_), amp in self.amps.items():
-            weights[plain] = weights.get(plain, 0.0) + abs(amp) ** 2
-        return {"step": len(self.trace), "kind": kind,
-                "branch_weights": {str(k): round(v, 12) for k, v in weights.items()}}
 
     # -- plain-register circuit operations ---------------------------------
 
@@ -167,7 +140,7 @@ class OracleWorld:
             raise OracleError("gate dimension does not match target count")
         groups = {}
         for (plain, f, dr, da), amp in self.amps.items():
-            sub = self._bits(plain, qubits)
+            sub = index_bits(plain, self.n_plain, qubits)
             base = plain
             for q in qubits:
                 base = self._set_bit(base, q, 0)
@@ -193,7 +166,7 @@ class OracleWorld:
             qubits = list(range(self.n_plain))
         probs = {}
         for (plain, *_), amp in self.amps.items():
-            v = self._bits(plain, qubits)
+            v = index_bits(plain, self.n_plain, qubits)
             probs[v] = probs.get(v, 0.0) + abs(amp) ** 2
         values = sorted(probs)
         weights = np.array([probs[v] for v in values])
@@ -201,7 +174,7 @@ class OracleWorld:
         value = values[int(rng.choice(len(values), p=weights))]
         norm = math.sqrt(probs[value])
         out = {k: a / norm for k, a in self.amps.items()
-               if self._bits(k[0], qubits) == value}
+               if index_bits(k[0], self.n_plain, qubits) == value}
         return value, self._with(out)
 
     def plain_distribution(self) -> dict:
@@ -231,11 +204,11 @@ class OracleWorld:
             raise OracleError("quantum queries act on the purified view")
         out = {}
         for (plain, f, dr, da), amp in self.amps.items():
-            x = self._bits(plain, q_qubits)
-            y = self._bits(plain, [a_qubit])
+            x = index_bits(plain, self.n_plain, q_qubits)
+            y = index_bits(plain, self.n_plain, [a_qubit])
             plain2 = self._set_bit(plain, a_qubit, y ^ f[x])
             out[(plain2, f, dr, da)] = out.get((plain2, f, dr, da), 0.0) + amp
-        return self._with(out, self._trace_row("quantum"))
+        return self._with(out)
 
     def apply_classical_query(self, q_qubits, a_qubit,
                               record: bool = False) -> "OracleWorld":
@@ -245,15 +218,14 @@ class OracleWorld:
         self._check_fresh(a_qubit)
         out = {}
         for (plain, f, dr, da), amp in self.amps.items():
-            x = self._bits(plain, q_qubits)
+            x = index_bits(plain, self.n_plain, q_qubits)
             z = f[x]
             plain2 = self._set_bit(plain, a_qubit, z)
             dr2 = dr + ((x, z),)
             da2 = da + ((x, z),) if record else da
             key = (plain2, f, dr2, da2)
             out[key] = out.get(key, 0.0) + amp
-        kind = "recorded" if record else "classical"
-        return self._with(out, self._trace_row(kind))
+        return self._with(out)
 
     def apply_db_query(self, q_qubits, a_qubit, db: str = "dr") -> "OracleWorld":
         """U_D: answer from the chosen database, recording the pair into it.
@@ -268,7 +240,7 @@ class OracleWorld:
         for (plain, f, dr, da), amp in self.amps.items():
             store = dr if db == "dr" else da
             known = _dr_dict(store)
-            x = self._bits(plain, q_qubits)
+            x = index_bits(plain, self.n_plain, q_qubits)
             if x in known:
                 answers = ((known[x], amp),)
             else:
@@ -279,7 +251,7 @@ class OracleWorld:
                 dr2, da2 = (store2, da) if db == "dr" else (dr, store2)
                 key = (plain2, f, dr2, da2)
                 out[key] = out.get(key, 0.0) + a
-        return self._with(out, self._trace_row("db"))
+        return self._with(out)
 
     def compressed_classical_query(self, q_qubits, a_qubit,
                                    record: bool = False) -> "OracleWorld":
@@ -290,7 +262,7 @@ class OracleWorld:
         out = {}
         for (plain, df, dr, da), amp in self.amps.items():
             known = _dr_dict(dr)
-            x = self._bits(plain, q_qubits)
+            x = index_bits(plain, self.n_plain, q_qubits)
             if x in known:
                 branches = ((known[x], df, amp),)
             elif x not in df:
@@ -306,8 +278,7 @@ class OracleWorld:
                 da2 = da + ((x, z),) if record else da
                 key = (plain2, df2, dr2, da2)
                 out[key] = out.get(key, 0.0) + a
-        kind = "recorded" if record else "classical"
-        return self._with(out, self._trace_row(kind))
+        return self._with(out)
 
     def compressed_quantum_query(self, q_qubits, a_qubit) -> "OracleWorld":
         """Quantum query in the compressed view via Decomp, U_Q, Comp."""
@@ -338,7 +309,7 @@ class OracleWorld:
                         sign = -sign  # |1^> = (|0> - |1>)/sqrt(2)
                 key = (plain, tuple(f), dr, da)
                 out[key] = out.get(key, 0.0) + sign * scale
-        return OracleWorld("purified", self.l, self.n_plain, out, self.trace)
+        return OracleWorld("purified", self.l, self.n_plain, out)
 
     def comp(self) -> "OracleWorld":
         """Inverse of decomp: rotate non-D_R positions to the Fourier basis."""
@@ -363,7 +334,7 @@ class OracleWorld:
                 key = (plain, df, dr, da)
                 out[key] = out.get(key, 0.0) + sign * scale
         amps = {k: a for k, a in out.items() if abs(a) > PRUNE_TOL}
-        return OracleWorld("compressed", self.l, self.n_plain, amps, self.trace)
+        return OracleWorld("compressed", self.l, self.n_plain, amps)
 
     # -- observables ----------------------------------------------------------
 
@@ -380,7 +351,7 @@ class OracleWorld:
             raise OracleError("bad-query weight is defined on the compressed view")
         total = 0.0
         for (plain, df, _, _), amp in self.amps.items():
-            if self._bits(plain, q_qubits) in df:
+            if index_bits(plain, self.n_plain, q_qubits) in df:
                 total += abs(amp) ** 2
         return float(total)
 
@@ -399,9 +370,6 @@ class OracleWorld:
             vec[idx] += amp
         return vec
 
-    def trace_rows(self) -> list:
-        return [dict(r) for r in self.trace]
-
 
 class SampledExecutor:
     """Dense circuit execution against one sampled truth table.
@@ -419,14 +387,7 @@ class SampledExecutor:
         self.state[0] = 1.0
         self.db = []
 
-    def _bits(self, idx: int, qubits) -> int:
-        out = 0
-        for q in qubits:
-            out = (out << 1) | ((idx >> (self.n_plain - 1 - q)) & 1)
-        return out
-
     def apply_gate(self, u: np.ndarray, qubits):
-        from .synth import embed_unitary
         axes = list(qubits)
         self.state = embed_unitary(u, axes, self.n_plain) @ self.state
 
@@ -437,7 +398,7 @@ class SampledExecutor:
         for idx in range(d):
             if abs(self.state[idx]) == 0:
                 continue
-            x = self._bits(idx, q_qubits)
+            x = index_bits(idx, self.n_plain, q_qubits)
             out[idx ^ (self.table(x) << shift)] += self.state[idx]
         self.state = out
 
@@ -448,13 +409,14 @@ class SampledExecutor:
             w = abs(amp) ** 2
             if w == 0:
                 continue
-            probs.setdefault(self._bits(idx, q_qubits), 0.0)
-            probs[self._bits(idx, q_qubits)] += w
+            probs.setdefault(index_bits(idx, self.n_plain, q_qubits), 0.0)
+            probs[index_bits(idx, self.n_plain, q_qubits)] += w
         values = sorted(probs)
         weights = np.array([probs[v] for v in values])
         weights = weights / weights.sum()
         x = values[int(rng.choice(len(values), p=weights))]
-        keep = np.array([self._bits(i, q_qubits) == x for i in range(len(self.state))])
+        keep = np.array([index_bits(i, self.n_plain, q_qubits) == x
+                         for i in range(len(self.state))])
         self.state = np.where(keep, self.state, 0.0)
         self.state = self.state / np.linalg.norm(self.state)
         z = self.table(x)

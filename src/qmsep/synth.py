@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hilbert import (
+    HADAMARD,
     STRUCT_TOL,
     UNITARY_TOL,
     DensityOp,
@@ -28,12 +29,12 @@ from .hilbert import (
     Projector,
     QState,
     RegisterLayout,
+    embed_unitary,
     max_entangled,
     measure_projective,
     partial_trace,
 )
 
-_H = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2)
 _T = np.diag([1.0, np.exp(1j * np.pi / 4)]).astype(np.complex128)
 _CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
@@ -42,18 +43,6 @@ _CNOT = np.array(
 
 class SynthError(ValueError):
     pass
-
-
-def embed_unitary(g: np.ndarray, qubit_axes, n: int) -> np.ndarray:
-    """Embed a gate on the given qubit axes into the full 2^n matrix."""
-    t = len(qubit_axes)
-    dim = 1 << n
-    m = np.eye(dim, dtype=np.complex128).reshape((2,) * n + (dim,))
-    m = np.moveaxis(m, qubit_axes, range(t))
-    shape = m.shape
-    m = (g @ m.reshape(1 << t, -1)).reshape(shape)
-    m = np.moveaxis(m, range(t), qubit_axes)
-    return m.reshape(dim, dim)
 
 
 @dataclass(frozen=True)
@@ -95,7 +84,7 @@ class VerifierSpec:
             name = gate["name"]
             targets = [int(t) for t in gate["targets"]]
             if name == "H":
-                g = _H
+                g = HADAMARD
             elif name == "T":
                 g = _T
             elif name == "CNOT":

@@ -6,7 +6,6 @@ import pytest
 from qmsep.attack import (
     AttackConfig,
     AttackError,
-    _true_accept_prob,
     bad_query_probe,
     build_sim_verifier,
     make_world,
@@ -194,7 +193,7 @@ def test_true_accept_prob_is_one_on_fresh_notes():
         scheme = make_scheme(name)
         cfg = scaled_cfg(scheme)
         world, kp, note = prepared(scheme, 23, cfg)
-        assert abs(_true_accept_prob(scheme, note, world) - 1.0) < 1e-9
+        assert abs(scheme.accept_prob(note, world) - 1.0) < 1e-9
 
 
 def test_bad_query_probe_is_binary():

@@ -2,9 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
-from qmsep.hilbert import DensityOp, RegisterLayout
+from qmsep.hilbert import DensityOp, RegisterLayout, haar_unitary
 from qmsep.money import (
     Banknote,
     ConjugateScheme,
@@ -17,6 +19,7 @@ from qmsep.money import (
 )
 from qmsep.oracle import TruthTable
 from qmsep.streams import Stream
+from qmsep.synth import acceptance_of
 
 
 def sampled_world(scheme, seed):
@@ -190,6 +193,52 @@ def test_sim_verifier_empty_database_uniform_answers(name):
     # every oracle answer simulated uniformly: each of the m checks
     # passes with probability 1/2 on the true note
     want = 2.0 ** -scheme.profile.m
+    assert abs(acceptance_of(spec, note.state) - want) < 1e-9
+
+
+@pytest.mark.parametrize("name", ["hash-tag", "conjugate", "counterexample"])
+def test_sim_verifier_full_database_matches_true_acceptance(name):
+    scheme = make_scheme(name)
+    dm = 1 << scheme.profile.m
+    for seed in range(5):
+        world, kp, note = mint_note(scheme, 100 + seed)
+        before = len(world.dr)
+        scheme.verify(kp.pk, note, world, Stream(seed))
+        queried = [x for x, _ in world.dr[before:]]
+        assert queried == scheme.verify_positions(note.serial)
+        spec = scheme.sim_verifier(kp.pk, note.serial, dict(world.dr))
+        assert spec.k == 1
+        # a Haar-random mixed state: a Haar pure state on note (x) copy,
+        # with the copy traced out
+        a = haar_unitary(dm * dm, Stream(seed).gen)[:, 0].reshape(dm, dm)
+        rho = DensityOp(note.state.layout, a @ a.conj().T)
+        want = scheme.accept_prob(Banknote(note.serial, rho), world)
+        assert abs(acceptance_of(spec, rho) - want) < 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(["hash-tag", "conjugate", "counterexample"]),
+       seed=st.integers(0, 2 ** 16), data=st.data())
+def test_sim_verifier_partial_database_acceptance(name, seed, data):
+    """On a valid note each qubit passes the simulated check with
+    probability 1 if basis and bit are known (basis None counts as known),
+    1/2 if the bit is not, and 3/4 if only the basis is unknown."""
+    scheme = make_scheme(name)
+    world, kp, note = mint_note(scheme, seed)
+    scheme.verify(kp.pk, note, world, Stream(seed))
+    full = dict(world.dr)
+    positions = scheme.verify_positions(note.serial)
+    keep = data.draw(st.lists(st.booleans(), min_size=len(positions),
+                              max_size=len(positions)))
+    d = {x: full[x] for x, k in zip(positions, keep) if k}
+    spec = scheme.sim_verifier(kp.pk, note.serial, d)
+    assert spec.k == 1 + len(positions) - len(d)
+    want = 1.0
+    for basis, bit in scheme.checks(note.serial):
+        if bit not in d:
+            want *= 0.5
+        elif basis is not None and basis not in d:
+            want *= 0.75
     assert abs(acceptance_of(spec, note.state) - want) < 1e-9
 
 

@@ -16,7 +16,6 @@ from qmsep.harness import (
 from qmsep.hilbert import haar_unitary
 from qmsep.oracle import (
     ClassicalDB,
-    FourierDB,
     OracleError,
     OracleWorld,
     SampledExecutor,
@@ -50,14 +49,6 @@ def test_classical_db_consistency():
     assert db.positions() == {0, 3}
     with pytest.raises(OracleError):
         ClassicalDB(((3, 1), (3, 0)))
-
-
-def test_fourier_db_sorted_distinct():
-    FourierDB((0, 2, 3))
-    with pytest.raises(OracleError):
-        FourierDB((2, 0))
-    with pytest.raises(OracleError):
-        FourierDB((1, 1))
 
 
 def test_sample_oracle_reproducible_and_sized():
