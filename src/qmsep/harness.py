@@ -13,7 +13,7 @@ import io
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .oracle import OracleWorld, TruthTable, SampledExecutor, sample_oracle
 from .streams import Stream
 from .synth import (
     SynthesisParams,
+    TrialEngine,
     VerifierSpec,
     acceptance_of,
     max_acceptance,
@@ -133,7 +134,6 @@ def cmd_synth(cfg: dict) -> dict:
     succ = 0
     accs = []
     fallbacks = 0
-    from .synth import TrialEngine
     engine = TrialEngine(spec, params)
     for i in range(trials):
         res = synthesize(spec, params, stream.split(i), engine=engine)

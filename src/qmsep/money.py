@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hilbert import HADAMARD, DensityOp, RegisterLayout, embed_unitary, index_bits
-from .oracle import ORACLE_L_CAP, OracleError, TruthTable, sample_oracle
+from .oracle import ORACLE_L_CAP, TruthTable, sample_oracle
 from .synth import VerifierSpec
 
 _CH = np.eye(4, dtype=np.complex128)

@@ -2,38 +2,47 @@
 
 A verifier is a unitary V on m input qubits plus k fresh ancillas followed
 by a measurement of one answer qubit.  Acceptance is governed by the
-projector pair P1 = I (x) |0^k><0^k| and Q1 = V^dag (|1><1|_ans (x) I) V;
-the best achievable acceptance is the top eigenvalue of P1 Q1 P1.
+projector pair P1 = I (x) |0^k><0^k| and Q1 = V^dag (|1><1|_ans (x) I) V.
+By Jordan's lemma everything synthesis does happens inside range(P1), where
+P1 Q1 P1 is the 2^m x 2^m operator A = Vp^dag Pi_ans Vp, with Vp the
+K = |0^k> columns of V.  acceptance_of reads A; max_acceptance and the
+trial engine read its eigendecomposition.
+
+The eigen backend returns the best acceptance, A's top eigenvalue, and as
+witness the normalized projector onto A's top eigenspace, so the witness
+does not depend on which degenerate eigenvectors the eigen solver returns.
 
 The trial backend prepares a maximally entangled input, alternates coherent
-Q/P measurements N times while unitarily tracking (last outcome, agreement
-count) in a compact counter register, and post-selects on the threshold
-test.  Conditioned on the test passing, the reduced state on the input
-register is accepted with probability at least the configured guarantee.
+Q/P measurements N times while tracking (last outcome, agreement count) in
+a compact counter register, and post-selects on the threshold test.  Within
+the Jordan block of each eigenvalue p of A every measurement repeats the
+previous outcome with probability p, so the engine is closed form (see
+TrialEngine).  Conditioned on the test passing, the reduced state on the
+input register is accepted with probability at least the configured
+guarantee.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .hilbert import (
     HADAMARD,
-    STRUCT_TOL,
     UNITARY_TOL,
     DensityOp,
-    HilbertError,
     Projector,
     QState,
     RegisterLayout,
     embed_unitary,
-    max_entangled,
     measure_projective,
-    partial_trace,
 )
+
+# eigenvalues of A this close to the top one span the eigen witness
+TOP_TOL = 1e-9
 
 _T = np.diag([1.0, np.exp(1j * np.pi / 4)]).astype(np.complex128)
 _CNOT = np.array(
@@ -147,15 +156,9 @@ class SynthesisParams:
         return math.ceil(self.n_alternations * (self.a + self.b))
 
 
-@dataclass(frozen=True)
-class TrialResult:
-    success: bool
-    state: QState
-    est_count: int
-    accept_prob_of_reduced: float
-
-
 def build_pq(spec: VerifierSpec):
+    """The full 2^(m+k)-dimensional projector pair (P1, Q1): the reference
+    that reduced_operator and the trial engine are tested against."""
     n = spec.m + spec.k
     dim = 1 << n
     idx = np.arange(dim)
@@ -168,32 +171,34 @@ def build_pq(spec: VerifierSpec):
     return p1, q1
 
 
-def _mk_layout(spec: VerifierSpec) -> RegisterLayout:
-    regs = [("M", spec.m)]
-    if spec.k:
-        regs.append(("K", spec.k))
-    return RegisterLayout(tuple(regs))
+def reduced_operator(spec: VerifierSpec) -> np.ndarray:
+    """A = Vp^dag Pi_ans Vp: P1 Q1 P1 on range(P1), in the basis |i>|0^k>."""
+    n = spec.m + spec.k
+    accept_rows = ((np.arange(1 << n) >> (n - 1 - spec.ans_index)) & 1) == 1
+    w = spec.v_hat[accept_rows, ::1 << spec.k]
+    return w.conj().T @ w
+
+
+def _spectrum(spec: VerifierSpec):
+    """A's eigenvalues (ascending, clipped to [0, 1]) and eigenvectors."""
+    vals, vecs = np.linalg.eigh(reduced_operator(spec))
+    return np.clip(vals, 0.0, 1.0), vecs
+
+
+def _input_state(spec: VerifierSpec, mat: np.ndarray) -> DensityOp:
+    return DensityOp(RegisterLayout((("M", spec.m),)), mat)
 
 
 def acceptance_of(spec: VerifierSpec, rho_m: DensityOp) -> float:
-    """Tr(Q1 (rho (x) |0^k><0^k|)) for a state on the input register."""
-    _, q1 = build_pq(spec)
-    dm = 1 << spec.m
-    dk = 1 << spec.k
-    full = np.zeros((dm * dk, dm * dk), dtype=np.complex128)
-    full[::dk, ::dk] = rho_m.matrix  # K pinned to |0^k>
-    return float(np.trace(q1.matrix @ full).real)
+    """Tr(Q1 (rho (x) |0^k><0^k|)) = Tr(A rho) for a state on the input register."""
+    return float(np.trace(reduced_operator(spec) @ rho_m.matrix).real)
 
 
 def max_acceptance(spec: VerifierSpec):
-    p1, q1 = build_pq(spec)
-    h = p1.matrix @ q1.matrix @ p1.matrix
-    vals, vecs = np.linalg.eigh(h)
-    value = float(min(max(vals[-1], 0.0), 1.0))
-    top = vecs[:, -1]
-    state = QState(_mk_layout(spec), top)
-    witness = partial_trace(state, ["M"])
-    return value, witness
+    """A's top eigenvalue, and the normalized projector onto its eigenspace."""
+    vals, vecs = _spectrum(spec)
+    top = vecs[:, vals >= vals[-1] - TOP_TOL]
+    return float(vals[-1]), _input_state(spec, top @ top.conj().T / top.shape[1])
 
 
 def alternating_sample(p1: Projector, q1: Projector, start: QState, n: int,
@@ -209,173 +214,79 @@ def alternating_sample(p1: Projector, q1: Projector, start: QState, n: int,
     return bits
 
 
+def _binomial_pmf(n: int, p: np.ndarray) -> np.ndarray:
+    """pmf[b, c] = Pr[Binomial(n, p[b]) = c], in log space so that no
+    binomial coefficient overflows at large n."""
+    c = np.arange(n + 1)
+    log_comb = np.array([math.lgamma(n + 1) - math.lgamma(x + 1)
+                         - math.lgamma(n - x + 1) for x in range(n + 1)])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        hits = np.where(c > 0, c * np.log(p)[:, None], 0.0)
+        misses = np.where(c < n, (n - c) * np.log1p(-p)[:, None], 0.0)
+    return np.exp(log_comb + hits + misses)
+
+
 class TrialEngine:
-    """Deterministic part of the trial subroutine.
+    """The trial subroutine in closed form.
 
     The evolution (entangled init, N coherent Q/P alternations with a
     compact (last outcome, agreement count) record) is fixed given
     (spec, params); only the final threshold test is random.  The engine
-    runs the evolution once and exposes the joint (last bit, count)
-    distribution plus the post-success state, so repeated trials reduce to
-    Bernoulli draws.
+    exposes the joint (last bit, count) distribution and the post-success
+    state, so repeated trials reduce to draws from joint.
 
-    Recording an outcome decoheres the measured branches, so the state
-    conditioned on a (last bit, count) value is a mixture over outcome
-    histories; the engine therefore tracks per-(y, count) density blocks.
-    It does so in the joint invariant-subspace basis of (P1, Q1), where
-    both measurements are block diagonal and the entangled initial state
-    splits into one term per subspace, which makes the evolution exact at
-    2x2-block cost.
+    The maximally entangled input splits into one term per eigenvector a_b
+    of A, with weight 2^-m, and each term stays in its Jordan block.  In the
+    block of overlap p_b every Q or P measurement repeats the previous
+    outcome with probability p_b, independently, so with y0 = 1 the count c
+    after 2N measurements is Binomial(2N, p_b), and the last outcome is 1
+    exactly when c is even.  Hence joint[y, c] is the mean over b of
+    Binom(2N, p_b)(c) [y = (c even)].  A last P outcome of 1 leaves the
+    block's term in a_b (x) |0^k>, and the counter and the entangled copy
+    decohere distinct blocks, so the success state on the input register is
+    sum_b w_b |a_b><a_b| / sum_b w_b, where w_b = Pr_b[c >= T, c even].
     """
 
     def __init__(self, spec: VerifierSpec, params: SynthesisParams):
-        from .jordan import jordan_decompose
-
         self.spec = spec
         self.params = params
-        p1, q1 = build_pq(spec)
-        self.p1, self.q1 = p1, q1
-        n_alt = params.n_alternations
+        n_out = 2 * params.n_alternations
         self.threshold = params.threshold
         # the counter register width the construction would occupy
-        self.cnt_qubits = 1 + math.ceil(math.log2(2 * n_alt + 1))
-        c_cap = 2 * n_alt + 1
-        dm = 1 << spec.m
-        dk = 1 << spec.k
-        dmk = dm * dk
-
-        blocks = [b for b in jordan_decompose(p1, q1).blocks if b.v is not None]
-        if len(blocks) != dm:
-            raise SynthError("range(P1) rank mismatch in block decomposition")
-        nb = len(blocks)
-        vs = np.zeros((nb, dmk), dtype=np.complex128)
-        u2s = np.zeros((nb, dmk), dtype=np.complex128)
-        gq = np.zeros((nb, 2, 2), dtype=np.complex128)
-        gp = np.zeros((nb, 2, 2), dtype=np.complex128)
-        gp[:, 0, 0] = 1.0  # P projects onto v within every block
-        for i, blk in enumerate(blocks):
-            vs[i] = blk.v
-            if blk.dim == 2:
-                c = np.vdot(blk.v, blk.w)
-                res = blk.w - c * blk.v
-                s = np.linalg.norm(res)
-                u2s[i] = res / s
-                wb = np.array([c, s])
-                gq[i] = np.outer(wb, wb.conj())
-            elif blk.p == 1.0:
-                gq[i, 0, 0] = 1.0
-            # p == 0 one-dim blocks: Q acts as zero, gq stays 0
-        self._vs, self._u2s = vs, u2s
-
-        # rho[b, y, c] is an unnormalized 2x2 density block
-        rho = np.zeros((nb, 2, c_cap, 2, 2), dtype=np.complex128)
-        rho[:, 1, 0, 0, 0] = 1.0 / dm  # y_0 = 1 convention
-        for _ in range(n_alt):
-            rho = self._step(gq, rho)
-            rho = self._step(gp, rho)
-        self.rho = rho
-        joint = np.einsum("bycii->yc", rho).real
-        joint = np.clip(joint, 0.0, None)
+        self.cnt_qubits = 1 + math.ceil(math.log2(n_out + 1))
+        p, self._vecs = _spectrum(spec)
+        pmf = _binomial_pmf(n_out, p)
+        c = np.arange(n_out + 1)
+        even = c % 2 == 0
+        mean = pmf.mean(axis=0)
+        joint = np.stack([np.where(even, 0.0, mean), np.where(even, mean, 0.0)])
         self.joint = joint / joint.sum()
         self.p_success = float(self.joint[1, self.threshold:].sum())
-        self._dm, self._dk, self._c_cap = dm, dk, c_cap
+        self._weights = pmf[:, even & (c >= self.threshold)].sum(axis=1)
 
-    @staticmethod
-    def _step(g: np.ndarray, rho: np.ndarray) -> np.ndarray:
-        a = np.einsum("bij,bycjk->bycik", g, rho)      # g rho
-        r1 = np.einsum("bycik,bkj->bycij", a, g)       # g rho g
-        rg = np.einsum("bycik,bkj->bycij", rho, g)     # rho g
-        r0 = rho - a - rg + r1                         # (1-g) rho (1-g)
-        out = np.zeros_like(rho)
-        # outcome 1: count bumps when the previous bit was 1
-        out[:, 1, 1:] += r1[:, 1, :-1]
-        out[:, 1, :] += r1[:, 0, :]
-        # outcome 0: count bumps when the previous bit was 0
-        out[:, 0, 1:] += r0[:, 0, :-1]
-        out[:, 0, :] += r0[:, 1, :]
-        return out
-
-    def _select(self, success: bool) -> np.ndarray:
-        mask = np.zeros((2, self._c_cap), dtype=bool)
-        mask[1, self.threshold:] = True
-        if not success:
-            mask = ~mask
-        sel = self.rho * mask[None, :, :, None, None]
-        weight = np.einsum("bycii->", sel).real
-        if weight < 1e-15:
+    def rho_m(self) -> DensityOp:
+        """Input-register state conditioned on the test passing."""
+        if self.p_success < 1e-15:
             raise SynthError("conditioning on a zero-probability test branch")
-        return sel / weight
-
-    def rho_mk(self, success: bool = True) -> np.ndarray:
-        """Post-test state on the verifier registers (aux traced out)."""
-        sel = np.einsum("bycij->bij", self._select(success))
-        basis = np.stack([self._vs, self._u2s], axis=2)  # (b, dmk, 2)
-        return np.einsum("bpi,bij,bqj->pq", basis, sel, basis.conj())
-
-    def rho_m(self, success: bool = True) -> DensityOp:
-        full = self.rho_mk(success)
-        dm, dk = self._dm, self._dk
-        red = full.reshape(dm, dk, dm, dk)
-        mat = np.einsum("ikjk->ij", red)
-        return DensityOp(RegisterLayout((("M", self.spec.m),)), mat)
-
-    def post_test_density(self, success: bool = True) -> DensityOp:
-        """Post-test state on [M, K, Aux] (counter traced out)."""
-        sel = np.einsum("bycij->bij", self._select(success))
-        basis = np.stack([self._vs, self._u2s], axis=2)
-        dm, dk = self._dm, self._dk
-        dmk = dm * dk
-        # aux holds the conjugate of each block's input-register direction
-        aux = self._vs[:, ::dk].conj()
-        out = np.zeros((dmk * dm, dmk * dm), dtype=np.complex128)
-        for b in range(basis.shape[0]):
-            mk = basis[b] @ sel[b] @ basis[b].conj().T
-            out += np.kron(mk, np.outer(aux[b], aux[b].conj()))
-        regs = [("M", self.spec.m)]
-        if self.spec.k:
-            regs.append(("K", self.spec.k))
-        regs.append(("Aux", self.spec.m))
-        return DensityOp(RegisterLayout(tuple(regs)), out)
+        w = self._weights
+        mat = (self._vecs * w) @ self._vecs.conj().T / w.sum()
+        return _input_state(self.spec, mat)
 
     def sample(self, rng):
         """Measure (last bit, count); returns (success, y, count)."""
         flat = self.joint.reshape(-1)
         pick = rng.choice(len(flat), p=flat)
-        y, c = divmod(int(pick), self._c_cap)
+        y, c = divmod(int(pick), self.joint.shape[1])
         return (y == 1 and c >= self.threshold), y, c
 
 
-def purify(rho: DensityOp, env_name: str = "E") -> QState:
-    """A purification of rho with an environment register of matching size."""
-    vals, vecs = np.linalg.eigh(rho.matrix)
-    vals = np.clip(vals, 0.0, None)
-    d = rho.matrix.shape[0]
-    n_env = max(1, (d - 1).bit_length())
-    amps = np.zeros((d, 1 << n_env), dtype=np.complex128)
-    amps[:, :d] = vecs * np.sqrt(vals)[None, :]  # sum_i sqrt(l_i) |e_i>|i>
-    layout = RegisterLayout(rho.layout.registers + ((env_name, n_env),))
-    psi = amps.reshape(-1)
-    return QState(layout, psi / np.linalg.norm(psi))
-
-
-def run_trial(spec: VerifierSpec, params: SynthesisParams, rng,
-              engine: TrialEngine | None = None) -> TrialResult:
-    if params.backend != "trial":
-        raise SynthError("run_trial requires the trial backend")
-    if engine is None:
-        engine = TrialEngine(spec, params)
-    success, _, count = engine.sample(rng)
-    state = purify(engine.post_test_density(success))
-    rho = engine.rho_m(success)
-    return TrialResult(success=success, state=state, est_count=count,
-                       accept_prob_of_reduced=acceptance_of(spec, rho))
-
-
-def run_trial_destructive(spec: VerifierSpec, params: SynthesisParams, rng):
-    """Trial variant measuring every outcome destructively.
+def run_trial_destructive(spec: VerifierSpec, params: SynthesisParams,
+                          rng) -> bool:
+    """One trial on the full [M, K, Aux] state, measuring every outcome
+    destructively; returns whether the threshold test passes.
 
     Measuring the outcome record early commutes with the threshold test, so
-    the success statistics must match the coherent engine; used as a
+    the success statistics must match the closed-form engine; used as a
     consistency check.
     """
     p1, q1 = build_pq(spec)
@@ -393,18 +304,12 @@ def run_trial_destructive(spec: VerifierSpec, params: SynthesisParams, rng):
     mk = ["M", "K"] if spec.k else ["M"]
     prev = 1
     count = 0
-    last = 1
     for _ in range(params.n_alternations):
         for pi in (q1, p1):
             outcome, state, _ = measure_projective(state, pi, rng, mk)
-            if outcome == prev:
-                count += 1
+            count += int(outcome == prev)
             prev = outcome
-            last = outcome
-    success = last == 1 and count >= params.threshold
-    rho = partial_trace(state, ["M"])
-    return TrialResult(success=success, state=state, est_count=count,
-                       accept_prob_of_reduced=acceptance_of(spec, rho))
+    return prev == 1 and count >= params.threshold
 
 
 @dataclass(frozen=True)
@@ -426,10 +331,9 @@ def synthesize(spec: VerifierSpec, params: SynthesisParams, rng,
     for attempt in range(1, params.t_trials + 1):
         success, _, _ = engine.sample(rng)
         if success:
-            return SynthesisResult(state=engine.rho_m(True), fallback=False,
+            return SynthesisResult(state=engine.rho_m(), fallback=False,
                                    backend="trial", attempts=attempt)
     dm = 1 << spec.m
-    layout = RegisterLayout((("M", spec.m),))
-    mixed = DensityOp(layout, np.eye(dm, dtype=np.complex128) / dm)
+    mixed = _input_state(spec, np.eye(dm, dtype=np.complex128) / dm)
     return SynthesisResult(state=mixed, fallback=True, backend="trial",
                            attempts=params.t_trials)

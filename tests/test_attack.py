@@ -175,6 +175,23 @@ def test_run_attack_trial_backend_smoke():
     assert isinstance(tr.success, bool)
 
 
+@pytest.mark.parametrize("name", ["hash-tag", "conjugate", "counterexample"])
+def test_run_attack_trial_backend_every_scheme(name):
+    # t_max = 1 draws t = 0, so the update phase synthesizes against the
+    # empty database too: 512 dimensions for counterexample
+    scheme = make_scheme(name)
+    cfg = AttackConfig.default(
+        scheme, epsilon=0.1, t_max=1, n_updates=3,
+        synth_params=SynthesisParams.default(scheme.profile.m))
+    tr = run_attack(scheme, cfg, Stream(29))
+    assert tr.t_drawn == 0 and tr.db_sizes[0] == 0
+    assert tr.success == (tr.accept1 and tr.accept2)
+    dm = 1 << scheme.profile.m
+    for phi in tr.forged_pair:
+        assert phi.matrix.shape == (dm, dm)
+        phi.check()
+
+
 def test_run_attack_deterministic_given_seed():
     scheme = make_scheme("conjugate")
     cfg = scaled_cfg(scheme, t_max=5, n_updates=4)

@@ -197,6 +197,20 @@ def test_sim_verifier_empty_database_uniform_answers(name):
 
 
 @pytest.mark.parametrize("name", ["hash-tag", "conjugate", "counterexample"])
+def test_sim_verifier_empty_database_witness_is_maximally_mixed(name):
+    # A is a multiple of the identity at an empty database, so the canonical
+    # eigen witness is I / 2^m, whatever eigenvectors the solver returns
+    from qmsep.synth import max_acceptance
+    scheme = make_scheme(name)
+    _, kp, note = mint_note(scheme, 73)
+    spec = scheme.sim_verifier(kp.pk, note.serial, {})
+    val, witness = max_acceptance(spec)
+    dm = 1 << scheme.profile.m
+    assert abs(val - 1.0 / dm) < 1e-12
+    assert np.abs(witness.matrix - np.eye(dm) / dm).max() < 1e-12
+
+
+@pytest.mark.parametrize("name", ["hash-tag", "conjugate", "counterexample"])
 def test_sim_verifier_full_database_matches_true_acceptance(name):
     scheme = make_scheme(name)
     dm = 1 << scheme.profile.m

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from qmsep.hilbert import DensityOp, Projector, QState, RegisterLayout, haar_unitary, partial_trace
+from qmsep.hilbert import DensityOp, Projector, QState, RegisterLayout, haar_unitary
+from qmsep.money import make_scheme
 from qmsep.streams import Stream
 from qmsep.synth import (
     SynthError,
@@ -16,10 +17,9 @@ from qmsep.synth import (
     build_pq,
     embed_unitary,
     max_acceptance,
+    reduced_operator,
     derived_n_alternations,
     derived_t_trials,
-    purify,
-    run_trial,
     run_trial_destructive,
     synthesize,
 )
@@ -83,6 +83,16 @@ def test_build_pq_q1_idempotent_random():
     assert np.abs(q1.matrix @ q1.matrix - q1.matrix).max() < 1e-9
 
 
+def test_reduced_operator_is_p1_q1_p1_on_range_p1():
+    stream = Stream(4)
+    for k in (0, 1, 2):
+        spec = random_spec(2, k, stream)
+        p1, q1 = build_pq(spec)
+        dk = 1 << k
+        full = p1.matrix @ q1.matrix @ p1.matrix
+        assert np.abs(reduced_operator(spec) - full[::dk, ::dk]).max() < 1e-12
+
+
 # ------------------------------------------------------------ max_acceptance
 
 
@@ -117,6 +127,36 @@ def test_max_acceptance_witness_attains_value():
     spec = random_spec(2, 1, Stream(8))
     val, witness = max_acceptance(spec)
     assert abs(acceptance_of(spec, witness) - val) < 1e-9
+
+
+def _permuted_input(spec, perm):
+    """The verifier V (P (x) I): input basis state |i> enters as |perm[i]>."""
+    dm = 1 << spec.m
+    p = np.eye(dm)[:, perm]
+    v = spec.v_hat @ np.kron(p, np.eye(1 << spec.k))
+    return VerifierSpec(m=spec.m, k=spec.k, v_hat=v, ans_index=spec.ans_index), p
+
+
+def test_max_acceptance_witness_is_canonical_under_input_permutation():
+    # A = U diag(0.9, 0.9, 0.3, 0.1) U^dag has a 2-fold top eigenspace:
+    # a rotation on M, then a rotation of the answer ancilla by d_i
+    stream = Stream(9)
+    u = haar_unitary(4, stream.gen)
+    d = np.array([0.9, 0.9, 0.3, 0.1])
+    rot = np.zeros((8, 8), dtype=np.complex128)
+    for i, di in enumerate(d):
+        c, s = math.sqrt(1 - di), math.sqrt(di)
+        rot[2 * i:2 * i + 2, 2 * i:2 * i + 2] = [[c, -s], [s, c]]
+    spec = VerifierSpec(m=2, k=1, v_hat=rot @ np.kron(u.conj().T, np.eye(2)),
+                        ans_index=2)
+    val, rho = max_acceptance(spec)
+    assert abs(val - 0.9) < 1e-12
+    top = u[:, :2]
+    assert np.abs(rho.matrix - top @ top.conj().T / 2).max() < 1e-12
+    for perm in ([1, 0, 2, 3], [3, 2, 0, 1], [2, 3, 1, 0]):
+        permuted, p = _permuted_input(spec, perm)
+        _, rho_p = max_acceptance(permuted)
+        assert np.abs(rho_p.matrix - p.T @ rho.matrix @ p).max() < 1e-12
 
 
 # --------------------------------------------------------------- parameters
@@ -219,7 +259,7 @@ def small_params(n_alt=10, t=16, a=0.5, b=0.9):
 def test_engine_accept_all_succeeds_always():
     engine = TrialEngine(accept_all_spec(), small_params())
     assert abs(engine.p_success - 1.0) < 1e-9
-    rho = engine.rho_m(True)
+    rho = engine.rho_m()
     assert abs(acceptance_of(accept_all_spec(), rho) - 1.0) < 1e-9
 
 
@@ -233,15 +273,18 @@ def test_engine_counter_register_width():
     assert engine.cnt_qubits == 1 + math.ceil(math.log2(21))
 
 
-def _chain_success_prob(spec, params):
+def _chain_success(spec, params):
     """Independent oracle: evolve the per-block (state, last bit, count)
-    Markov chain classically using the block overlaps."""
+    Markov chain classically using the block overlaps.  Returns the success
+    probability and the unnormalized success state on the input register
+    (a last P outcome of 1 leaves each block in its v direction)."""
     from qmsep.jordan import jordan_decompose
     p1, q1 = build_pq(spec)
     dm = 1 << spec.m
     blocks = [b for b in jordan_decompose(p1, q1).blocks if b.v is not None]
     n = params.n_alternations
     total = 0.0
+    state = np.zeros((dm, dm), dtype=np.complex128)
     for blk in blocks:
         p = blk.p
         # states: 0 = current vector aligned with v-side, 1 = orthogonal
@@ -264,19 +307,47 @@ def _chain_success_prob(spec, params):
                         key = (nside, bit, ncnt)
                         new[key] = new.get(key, 0.0) + w * q
                 dist = new
-        total += sum(w for (side, last, cnt), w in dist.items()
-                     if last == 1 and cnt >= params.threshold)
-    return total
+        mass = sum(w for (side, last, cnt), w in dist.items()
+                   if last == 1 and cnt >= params.threshold)
+        v = blk.v[::1 << spec.k]
+        total += mass
+        state += mass * np.outer(v, v.conj())
+    return total, state
 
 
 def test_engine_matches_markov_chain_oracle():
     stream = Stream(17)
-    for i in range(5):
-        spec = random_spec(2, 1, stream)
-        params = small_params(n_alt=int(stream.integers(4, 12)))
+    cases = [(random_spec(2, 1, stream),
+              small_params(n_alt=int(stream.integers(4, 12))))
+             for _ in range(5)]
+    # the conjugate verifier at an empty database (k = 5, dimension 128);
+    # a low threshold keeps its success probability away from 0
+    scheme = make_scheme("conjugate")
+    cases.append((scheme.sim_verifier("", (3,), {}),
+                  small_params(n_alt=8, a=0.1, b=0.3)))
+    for spec, params in cases:
         engine = TrialEngine(spec, params)
-        want = _chain_success_prob(spec, params)
+        want, state = _chain_success(spec, params)
         assert abs(engine.p_success - want) < 1e-6
+        assert abs(engine.p_success - want) <= 1e-9 * want + 1e-15
+        assert np.abs(engine.rho_m().matrix - state / want).max() < 1e-9
+
+
+def test_engine_joint_finite_at_large_alternation_count():
+    # binomial coefficients of 2N = 4000 overflow a float
+    stream = Stream(19)
+    n_alt = 2000
+    for spec in (accept_all_spec(), reject_all_spec(), random_spec(2, 1, stream)):
+        engine = TrialEngine(spec, small_params(n_alt=n_alt))
+        assert engine.joint.shape == (2, 2 * n_alt + 1)
+        assert np.isfinite(engine.joint).all()
+        assert abs(engine.joint.sum() - 1.0) < 1e-12
+        # the count is a mixture of Binomial(2N, p) over A's eigenvalues
+        p1, q1 = build_pq(spec)
+        vals = np.linalg.eigvalsh(p1.matrix @ q1.matrix @ p1.matrix)
+        p_mean = np.sort(vals)[-(1 << spec.m):].mean()
+        mean_count = engine.joint.sum(axis=0) @ np.arange(2 * n_alt + 1)
+        assert abs(mean_count - 2 * n_alt * p_mean) < 1e-8 * n_alt
 
 
 def test_engine_agrees_with_destructive_trial():
@@ -285,23 +356,9 @@ def test_engine_agrees_with_destructive_trial():
     params = small_params(n_alt=8, t=16)
     engine = TrialEngine(spec, params)
     n = 500
-    hits = sum(run_trial_destructive(spec, params, stream.split(i)).success
+    hits = sum(run_trial_destructive(spec, params, stream.split(i))
                for i in range(n))
     assert abs(hits / n - engine.p_success) <= 0.07  # 3 sigma at n = 500
-
-
-def test_run_trial_success_state_is_purification():
-    stream = Stream(29)
-    spec = good_spec(2, 1, stream)
-    params = small_params(n_alt=8)
-    engine = TrialEngine(spec, params)
-    res = run_trial(spec, params, stream, engine=engine)
-    res.state.check_norm()
-    rho = partial_trace(res.state, ["M"])
-    if res.success:
-        assert res.est_count >= params.threshold
-        assert abs(res.accept_prob_of_reduced
-                   - acceptance_of(spec, rho)) < 1e-9
 
 
 def test_trial_success_rate_lower_bound_exact():
@@ -378,13 +435,3 @@ def test_verifier_json_unknown_gate():
             {"m": 1, "k": 0, "ans_index": 0,
              "gates": [{"name": "ZZ", "targets": [0]}]}))
 
-
-def test_purify_recovers_density():
-    stream = Stream(43)
-    mat = stream.normal(size=(4, 4)) + 1j * stream.normal(size=(4, 4))
-    mat = mat @ mat.conj().T
-    mat /= np.trace(mat).real
-    rho = DensityOp(RegisterLayout((("M", 2),)), mat)
-    psi = purify(rho)
-    back = partial_trace(psi, ["M"])
-    assert np.abs(back.matrix - mat).max() < 1e-9
