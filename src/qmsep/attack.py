@@ -96,7 +96,7 @@ class AttackTranscript:
     j_drawn: int
     db_sizes: list
     databases: list            # database snapshots (dict copies, deduplicated)
-    update_accepts: list
+    update_accept_probs: list  # exact acceptance of each round's note
     forged_pair: tuple
     bad_query_counts: list
     discovered_secret_pairs: int  # telescoped key_gen/mint discoveries
@@ -142,6 +142,7 @@ class _SynthCache:
         self.cache = {}
 
     def state_for(self, d: dict, rng) -> DensityOp:
+        """The synthesized state for d; only the trial backend reads rng."""
         key = frozenset(d.items())
         if self.params.backend == "eigen":
             # deterministic given the database; safe to memoize outright
@@ -159,31 +160,52 @@ class _SynthCache:
 def update_phase(scheme, pk, serial, world, d0: dict, cfg: AttackConfig,
                  stream, cache: _SynthCache | None = None,
                  secret_positions: set | None = None):
+    """N rounds of synthesizing a note against D and merging what the true
+    verifier reveals; returns (databases, per-round exact acceptance
+    probabilities, bad-query counts, discovered secret pairs, cache).
+
+    verify queries every position of verify_positions(serial), so a round
+    can learn a pair or make a bad query only while D lacks one of them;
+    once D has them all, rounds run no verifier.  With the eigen backend
+    synthesis is deterministic, so from then on every round has the same
+    database, state and probability, and they are filled in at once.
+    """
     if cache is None:
         cache = _SynthCache(scheme, pk, serial, cfg.synth_params)
+    eigen = cfg.synth_params.backend == "eigen"
+    needed = set(scheme.verify_positions(serial))
     databases = [dict(d0)]
-    accepts = []
+    probs = []
     bad_counts = []
     discovered = 0
     d = dict(d0)
     for k in range(cfg.n_updates):
-        sigma = cache.state_for(d, stream.split(("synth", k)))
-        note = Banknote(serial, sigma)
-        known = set(d)
-        ok, _, pairs = _verify_collecting(scheme, pk, note, world,
-                                          stream.split(("upd", k)))
-        accepts.append(bool(ok))
+        complete = needed <= d.keys()
+        if complete and eigen:
+            rest = cfg.n_updates - k
+            note = Banknote(serial, cache.state_for(d, None))
+            probs += [scheme.accept_prob(note, world)] * rest
+            databases += [databases[-1]] * rest
+            if secret_positions is not None:
+                bad_counts += [0] * rest
+            break
+        rng = None if eigen else stream.split(("synth", k))
+        note = Banknote(serial, cache.state_for(d, rng))
+        pairs = []
+        if not complete:
+            _, _, pairs = _verify_collecting(scheme, pk, note, world,
+                                             stream.split(("upd", k)))
         new_pairs = {x: z for x, z in pairs if x not in d}
         if secret_positions is not None:
             bad_counts.append(len({x for x, _ in pairs}
-                                  & (secret_positions - known)))
+                                  & (secret_positions - d.keys())))
             discovered += len(set(new_pairs) & secret_positions)
         d.update(new_pairs)
-        if new_pairs:
-            databases.append(dict(d))
-        else:
-            databases.append(databases[-1])
-    return databases, accepts, bad_counts, discovered, cache
+        # read after the verification, so a lazy world has already drawn
+        # every bit it reads
+        probs.append(scheme.accept_prob(note, world))
+        databases.append(dict(d) if new_pairs else databases[-1])
+    return databases, probs, bad_counts, discovered, cache
 
 
 def synthesize_phase(scheme, pk, serial, databases, cfg: AttackConfig, stream,
@@ -212,7 +234,7 @@ def run_attack(scheme: MoneyScheme, cfg: AttackConfig, stream) -> AttackTranscri
 
     note, d0, t = test_phase(scheme, kp.pk, note, world, cfg, stream.split("t"))
     cache = _SynthCache(scheme, kp.pk, note.serial, cfg.synth_params)
-    databases, accepts, bad_counts, discovered, cache = update_phase(
+    databases, probs, bad_counts, discovered, cache = update_phase(
         scheme, kp.pk, note.serial, world, d0, cfg, stream.split("u"),
         cache=cache, secret_positions=secret)
     j, phi1, phi2 = synthesize_phase(scheme, kp.pk, note.serial, databases,
@@ -229,7 +251,7 @@ def run_attack(scheme: MoneyScheme, cfg: AttackConfig, stream) -> AttackTranscri
         t_drawn=t, j_drawn=j,
         db_sizes=[len(db) for db in databases],
         databases=snapshots,
-        update_accepts=accepts,
+        update_accept_probs=probs,
         forged_pair=(phi1, phi2),
         bad_query_counts=bad_counts,
         discovered_secret_pairs=discovered,

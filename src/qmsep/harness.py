@@ -187,8 +187,6 @@ def _attack_trial(args):
     extras = {
         "bad_query_total": sum(tr.bad_query_counts),
         "discovered_secret_pairs": tr.discovered_secret_pairs,
-        "update_accept_rate": (sum(tr.update_accepts) / len(tr.update_accepts)
-                               if tr.update_accepts else None),
     }
     return idx, row, extras
 

@@ -135,19 +135,24 @@ class WorldHandle:
 
 
 def _measure_qubit(rho: np.ndarray, n: int, qubit: int, proj: np.ndarray, rng):
-    """Projective binary measurement {proj, 1-proj} of one qubit of rho."""
-    p_full = embed_unitary(proj, [qubit], n)
-    p1 = float(np.trace(p_full @ rho).real)
+    """Projective binary measurement {proj, 1-proj} of one qubit of rho.
+
+    The 2x2 operator acts on the qubit's axis of rho, reshaped to
+    (2^qubit, 2, rest) for the rows and (rest, 2, 2^(n-qubit-1)) for the
+    columns, so no 2^n x 2^n projector is built.
+    """
+    dim = 1 << n
+    rows = rho.reshape(1 << qubit, 2, -1)
+    p_rho = (proj @ rows).reshape(dim, dim)
+    p1 = float(np.trace(p_rho).real)
     p1 = min(max(p1, 0.0), 1.0)
     hit = 1 if rng.random() < p1 else 0
     if hit:
-        rho2 = p_full @ rho @ p_full
-        rho2 = rho2 / p1
+        op, left, norm = proj, p_rho, p1
     else:
-        q_full = np.eye(1 << n) - p_full
-        rho2 = q_full @ rho @ q_full
-        rho2 = rho2 / max(1.0 - p1, 1e-300)
-    return hit, rho2
+        op, left, norm = np.eye(2) - proj, rho - p_rho, max(1.0 - p1, 1e-300)
+    cols = left.reshape(-1, 2, 1 << (n - qubit - 1))
+    return hit, (op.T @ cols).reshape(dim, dim) / norm
 
 
 def _conjugate_proj(basis: int, bit: int) -> np.ndarray:

@@ -262,6 +262,10 @@ class TrialEngine:
         joint = np.stack([np.where(even, 0.0, mean), np.where(even, mean, 0.0)])
         self.joint = joint / joint.sum()
         self.p_success = float(self.joint[1, self.threshold:].sum())
+        # what Generator.choice(p=joint) builds on every call: the same
+        # draws from the same random stream
+        self._cdf = self.joint.reshape(-1).cumsum()
+        self._cdf /= self._cdf[-1]
         self._weights = pmf[:, even & (c >= self.threshold)].sum(axis=1)
 
     def rho_m(self) -> DensityOp:
@@ -274,9 +278,8 @@ class TrialEngine:
 
     def sample(self, rng):
         """Measure (last bit, count); returns (success, y, count)."""
-        flat = self.joint.reshape(-1)
-        pick = rng.choice(len(flat), p=flat)
-        y, c = divmod(int(pick), self.joint.shape[1])
+        pick = int(self._cdf.searchsorted(rng.random(), side="right"))
+        y, c = divmod(pick, self.joint.shape[1])
         return (y == 1 and c >= self.threshold), y, c
 
 

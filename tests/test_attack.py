@@ -6,6 +6,7 @@ import pytest
 from qmsep.attack import (
     AttackConfig,
     AttackError,
+    _SynthCache,
     bad_query_probe,
     build_sim_verifier,
     make_world,
@@ -18,7 +19,7 @@ from qmsep.attack import (
 )
 from qmsep.attack import test_phase as learn_phase
 learn_phase.__test__ = False
-from qmsep.money import make_scheme
+from qmsep.money import Banknote, make_scheme
 from qmsep.streams import Stream
 from qmsep.synth import SynthesisParams
 
@@ -115,7 +116,7 @@ def test_update_phase_monotone_and_saturates():
     cfg = scaled_cfg(scheme, t_max=1, n_updates=8)  # start from empty D
     world, kp, note = prepared(scheme, 5, cfg)
     secret = world.positions_touched_by("keygen", "mint")
-    dbs, accepts, bad, disc, _ = update_phase(
+    dbs, probs, bad, disc, _ = update_phase(
         scheme, kp.pk, note.serial, world, {}, cfg, Stream(5),
         secret_positions=secret)
     sets = [set(db.items()) for db in dbs]
@@ -124,8 +125,65 @@ def test_update_phase_monotone_and_saturates():
     # the first true verification reveals every tag position; afterwards
     # synthesis against the full database always passes
     assert len(dbs[-1]) == scheme.profile.m
-    assert all(accepts[1:])
+    assert len(probs) == 8
+    assert all(abs(p - 1.0) < 1e-12 for p in probs[1:])
     assert disc <= scheme.profile.q_prime
+
+
+def _update_phase_reference(scheme, pk, serial, world, d0, cfg, stream,
+                            secret):
+    """Every round synthesizes, runs the true verifier and then takes the
+    exact acceptance of its note, whether or not D can still grow."""
+    cache = _SynthCache(scheme, pk, serial, cfg.synth_params)
+    databases, probs, bad_counts, discovered = [dict(d0)], [], [], 0
+    d = dict(d0)
+    for k in range(cfg.n_updates):
+        note = Banknote(serial, cache.state_for(d, stream.split(("synth", k))))
+        known = set(d)
+        before = len(world.dr)
+        scheme.verify(pk, note, world, stream.split(("upd", k)))
+        pairs = world.dr[before:]
+        new_pairs = {x: z for x, z in pairs if x not in d}
+        bad_counts.append(len({x for x, _ in pairs} & (secret - known)))
+        discovered += len(set(new_pairs) & secret)
+        d.update(new_pairs)
+        probs.append(scheme.accept_prob(note, world))
+        databases.append(dict(d))
+    return databases, probs, bad_counts, discovered
+
+
+def _after_verifications(scheme, cfg, seed, t):
+    """A world, key pair and note after mint and t true verifications, and
+    the database those verifications revealed."""
+    world, kp, note = prepared(scheme, seed, cfg)
+    secret = world.positions_touched_by("keygen", "mint")
+    before = len(world.dr)
+    for i in range(t):
+        _, note = scheme.verify(kp.pk, note, world, Stream(seed).split(i))
+    return world, kp, note, dict(world.dr[before:]), secret
+
+
+@pytest.mark.parametrize("backend", ["eigen", "trial"])
+@pytest.mark.parametrize("t", [0, 2])
+@pytest.mark.parametrize("name", ["hash-tag", "conjugate", "counterexample"])
+def test_update_phase_matches_verify_every_round_reference(name, t, backend):
+    scheme = make_scheme(name)
+    cfg = scaled_cfg(scheme, n_updates=6, synth_params=SynthesisParams.default(
+        scheme.profile.m, backend=backend))
+    world, kp, note, d0, secret = _after_verifications(scheme, cfg, 31, t)
+    before = len(world.dr)
+    dbs, probs, bad, disc, _ = update_phase(
+        scheme, kp.pk, note.serial, world, d0, cfg, Stream(37),
+        secret_positions=secret)
+    grew = len(world.dr) - before
+    world, kp, note, d0, secret = _after_verifications(scheme, cfg, 31, t)
+    ref = _update_phase_reference(scheme, kp.pk, note.serial, world, d0, cfg,
+                                  Stream(37), secret)
+    assert (dbs, probs, bad, disc) == ref
+    # the first verification completes D; no later round verifies
+    positions = scheme.verify_positions(note.serial)
+    assert set(dbs[1]) >= set(positions)
+    assert grew == (0 if t else len(positions))
 
 
 def test_synthesize_phase_single_database():
@@ -151,7 +209,7 @@ def test_run_attack_transcript_shape(name):
     assert 0 <= tr.j_drawn < 5
     assert len(tr.db_sizes) == 6
     assert all(a <= b for a, b in zip(tr.db_sizes, tr.db_sizes[1:]))
-    assert len(tr.update_accepts) == 5
+    assert len(tr.update_accept_probs) == 5
     assert tr.success == (tr.accept1 and tr.accept2)
     for a, b in zip(tr.databases, tr.databases[1:]):
         assert set(a.items()) <= set(b.items())

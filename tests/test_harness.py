@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -144,6 +145,25 @@ def test_cmd_attack_deterministic_and_worker_independent(tmp_path):
     s1 = json.loads((tmp_path / "a.csv.summary.json").read_text())
     s2 = json.loads((tmp_path / "b.csv.summary.json").read_text())
     assert s1 == s2
+
+
+# sha256 of rows_to_csv + the sorted summary JSON, 24 trials from seed 400;
+# any change to what the attack computes or prints changes them
+ATTACK_DIGESTS = {
+    "hash-tag": ({}, "a0f1225f7223fa0305979d08932c99a0ec713b22bbdff62e80fca311c80bdc28"),
+    "conjugate": ({}, "6c7e788357fcc4825523c05bf9f23ba54e21876503c8208d56fc6768e22f5e73"),
+    "counterexample": ({"t_max": 16, "n_updates": 30},
+                       "81d3b4a5fb82fe98e421998bd8bac7f649eecb8a9f331f24ed6e1a0c678d1460"),
+}
+
+
+@pytest.mark.parametrize("name", list(ATTACK_DIGESTS))
+def test_attack_output_is_byte_identical(name):
+    overrides, want = ATTACK_DIGESTS[name]
+    rows, summary = attack_rows({"scheme": name, "trials": 24, "seed": 400,
+                                 "workers": 1, **overrides})
+    text = rows_to_csv(rows) + json.dumps(summary, indent=2, sort_keys=True)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == want
 
 
 def test_attack_rows_requires_scheme():

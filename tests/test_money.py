@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from qmsep.hilbert import DensityOp, RegisterLayout, haar_unitary
+from qmsep.hilbert import DensityOp, RegisterLayout, embed_unitary, haar_unitary
 from qmsep.money import (
     Banknote,
     ConjugateScheme,
@@ -14,6 +14,7 @@ from qmsep.money import (
     HashTagScheme,
     MoneyError,
     WorldHandle,
+    _measure_qubit,
     make_scheme,
     reuse_loop,
 )
@@ -132,6 +133,40 @@ def test_verify_query_accounting(name):
     pairs = world.dr[before:]
     assert len(pairs) == scheme.profile.q
     assert {x for x, _ in pairs} == set(scheme.verify_positions(note.serial))
+
+
+class _FixedDraw:
+    """An rng whose random() is fixed, to force a measurement outcome."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self):
+        return self.value
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_measure_qubit_matches_embedded_projector(m):
+    dm = 1 << m
+    gen = Stream(m).gen
+    for qubit in range(m):
+        a = haar_unitary(dm * dm, gen)[:, 0].reshape(dm, dm)
+        rho = a @ a.conj().T
+        # a complex rank-1 projector, so a transposed operator shows
+        v = haar_unitary(2, gen)[:, 0]
+        proj = np.outer(v, v.conj())
+        p_full = embed_unitary(proj, [qubit], m)
+        p1 = float(np.trace(p_full @ rho).real)
+        # random() = 0 always hits; the float below 1 always misses
+        for hit, draw in ((1, 0.0), (0, np.nextafter(1.0, 0.0))):
+            op = p_full if hit else np.eye(dm) - p_full
+            want = op @ rho @ op / (p1 if hit else 1.0 - p1)
+            got_hit, got = _measure_qubit(rho, m, qubit, proj, _FixedDraw(draw))
+            assert got_hit == hit
+            assert np.abs(got - want).max() < 1e-12
+        # the outcome flips where the draw crosses p1
+        assert _measure_qubit(rho, m, qubit, proj, _FixedDraw(p1 - 1e-12))[0] == 1
+        assert _measure_qubit(rho, m, qubit, proj, _FixedDraw(p1 + 1e-12))[0] == 0
 
 
 def test_conjugate_tampered_qubit_accepts_half():

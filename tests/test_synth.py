@@ -350,6 +350,22 @@ def test_engine_joint_finite_at_large_alternation_count():
         assert abs(mean_count - 2 * n_alt * p_mean) < 1e-8 * n_alt
 
 
+def test_engine_sample_draws_as_generator_choice():
+    # sample must consume the stream exactly as Generator.choice(p=joint)
+    stream = Stream(29)
+    specs = [random_spec(2, 1, stream),
+             make_scheme("conjugate").sim_verifier("", (3,), {})]
+    for spec in specs:
+        engine = TrialEngine(spec, small_params(n_alt=8, a=0.1, b=0.3))
+        flat = engine.joint.reshape(-1)
+        for seed in range(50):
+            got, ref = Stream(seed), Stream(seed)
+            for _ in range(32):
+                _, y, c = engine.sample(got)
+                pick = ref.choice(len(flat), p=flat)
+                assert (y, c) == divmod(int(pick), engine.joint.shape[1])
+
+
 def test_engine_agrees_with_destructive_trial():
     stream = Stream(23)
     spec = good_spec(2, 1, stream)
