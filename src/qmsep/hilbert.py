@@ -9,19 +9,15 @@ touches a subset of registers embeds itself by name.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
+QUBIT_CAP = 22       # widest register layout a dense state may have
 STRUCT_TOL = 1e-9    # structural invariants: norms, hermiticity, idempotence
 UNITARY_TOL = 1e-6   # admission threshold for user-supplied unitaries
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2)
-
-
-def qubit_cap() -> int:
-    return int(os.environ.get("QMSEP_QUBIT_CAP", "22"))
 
 
 class HilbertError(ValueError):
@@ -40,9 +36,9 @@ class RegisterLayout:
             raise HilbertError(f"duplicate register names in {names}")
         if any(w < 1 for _, w in regs):
             raise HilbertError("register widths must be >= 1")
-        if self.total_qubits > qubit_cap():
+        if self.total_qubits > QUBIT_CAP:
             raise HilbertError(
-                f"layout needs {self.total_qubits} qubits, cap is {qubit_cap()}")
+                f"layout needs {self.total_qubits} qubits, cap is {QUBIT_CAP}")
 
     @property
     def total_qubits(self) -> int:
@@ -51,16 +47,6 @@ class RegisterLayout:
     @property
     def dim(self) -> int:
         return 1 << self.total_qubits
-
-    @property
-    def names(self):
-        return tuple(n for n, _ in self.registers)
-
-    def width(self, name: str) -> int:
-        for n, w in self.registers:
-            if n == name:
-                return w
-        raise HilbertError(f"unknown register {name!r}")
 
     def axes(self, names) -> list:
         """Global qubit axes occupied by the named registers, in order."""
@@ -78,9 +64,6 @@ class RegisterLayout:
             o, w = offsets[name]
             out.extend(range(o, o + w))
         return out
-
-    def subdim(self, names) -> int:
-        return 1 << len(self.axes(names))
 
 
 @dataclass(frozen=True)
@@ -149,9 +132,6 @@ class Projector:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def complement(self) -> "Projector":
-        return Projector(np.eye(self.dim) - self.matrix)
-
 
 def index_bits(index, n: int, qubits) -> int:
     """The listed qubits of an n-qubit basis index, read big-endian.
@@ -164,52 +144,32 @@ def index_bits(index, n: int, qubits) -> int:
     return out
 
 
-def embed_unitary(g: np.ndarray, qubit_axes, n: int) -> np.ndarray:
-    """Embed a gate on the given qubit axes into the full 2^n matrix."""
+def embed_unitary(g: np.ndarray, qubit_axes, n: int, x: np.ndarray) -> np.ndarray:
+    """E(g) x, where E(g) applies gate g to the listed qubit axes of n
+    qubits and the identity elsewhere.
+
+    x is a 2^n vector or a matrix with 2^n rows.  g acts on the axes of x's
+    qubit-tensor view, so E(g) itself is never built; pass the identity to
+    get E(g) as a matrix.
+    """
     t = len(qubit_axes)
-    dim = 1 << n
-    m = np.eye(dim, dtype=np.complex128).reshape((2,) * n + (dim,))
-    m = np.moveaxis(m, qubit_axes, range(t))
-    shape = m.shape
-    m = (g @ m.reshape(1 << t, -1)).reshape(shape)
-    m = np.moveaxis(m, range(t), qubit_axes)
-    return m.reshape(dim, dim)
-
-
-def _apply_matrix(amps: np.ndarray, layout: RegisterLayout, mat: np.ndarray,
-                  targets) -> np.ndarray:
-    """Apply mat to the named target registers, identity elsewhere."""
-    axes = layout.axes(targets)
-    n = layout.total_qubits
-    t = len(axes)
-    if mat.shape != (1 << t, 1 << t):
-        raise HilbertError(
-            f"matrix dim {mat.shape[0]} does not match target width {t} qubits")
-    tensor = amps.reshape((2,) * n)
-    tensor = np.moveaxis(tensor, axes, range(t))
-    flat = tensor.reshape(1 << t, -1)
-    flat = mat @ flat
-    tensor = flat.reshape((2,) * n)
-    tensor = np.moveaxis(tensor, range(t), axes)
-    return tensor.reshape(-1)
-
-
-def apply_on(state: QState, u: np.ndarray, targets) -> QState:
-    u = np.asarray(u, dtype=np.complex128)
-    d = u.shape[0]
-    if np.abs(u.conj().T @ u - np.eye(d)).max() > UNITARY_TOL:
-        raise HilbertError("matrix is not unitary within tolerance")
-    out = _apply_matrix(state.amplitudes, state.layout, u, targets)
-    return QState(state.layout, out).check_norm()
+    if g.shape != (1 << t, 1 << t):
+        raise HilbertError(f"gate of shape {g.shape} cannot act on {t} qubits")
+    tensor = np.moveaxis(x.reshape((2,) * n + x.shape[1:]), qubit_axes, range(t))
+    shape = tensor.shape
+    tensor = (g @ tensor.reshape(1 << t, -1)).reshape(shape)
+    return np.moveaxis(tensor, range(t), qubit_axes).reshape(x.shape)
 
 
 def apply_projector(state: QState, pi: Projector, targets=None) -> np.ndarray:
     """Pi|psi> as a raw (unnormalized) amplitude vector."""
+    layout = state.layout
     if targets is None:
-        if pi.dim != state.layout.dim:
+        if pi.dim != layout.dim:
             raise HilbertError("projector dimension mismatch")
         return pi.matrix @ state.amplitudes
-    return _apply_matrix(state.amplitudes, state.layout, pi.matrix, targets)
+    return embed_unitary(pi.matrix, layout.axes(targets), layout.total_qubits,
+                         state.amplitudes)
 
 
 def max_entangled(dim_per_side: int, names=("M", "Aux")) -> QState:
@@ -267,20 +227,19 @@ def measure_coherently(state: QState, pi: Projector, outcome_register: str,
                        targets=None) -> QState:
     """Pi (x) X + (I-Pi) (x) I onto a fresh |0> outcome qubit."""
     layout = state.layout
-    if layout.width(outcome_register) != 1:
+    out_axes = layout.axes(outcome_register)
+    if len(out_axes) != 1:
         raise HilbertError("outcome register must be a single qubit")
     n = layout.total_qubits
-    axis = layout.axes(outcome_register)[0]
+    axis = out_axes[0]
     tensor = state.amplitudes.reshape((2,) * n)
     tensor = np.moveaxis(tensor, axis, n - 1)
     if np.abs(tensor[..., 1]).max() > STRUCT_TOL:
         raise HilbertError("outcome qubit is not fresh |0>")
     flat0 = np.moveaxis(tensor, n - 1, axis).reshape(-1)
     if targets is None:
-        tnames = [nm for nm, _ in layout.registers if nm != outcome_register]
-    else:
-        tnames = targets
-    proj = _apply_matrix(flat0, layout, pi.matrix, tnames)
+        targets = [nm for nm, _ in layout.registers if nm != outcome_register]
+    proj = embed_unitary(pi.matrix, layout.axes(targets), n, flat0)
     rest = flat0 - proj
     # outcome qubit: Pi branch flips to |1>, complement stays |0>
     pt = np.moveaxis(proj.reshape((2,) * n), axis, n - 1)
@@ -290,13 +249,6 @@ def measure_coherently(state: QState, pi: Projector, outcome_register: str,
     out[..., 0] = rt[..., 0]
     out = np.moveaxis(out, n - 1, axis).reshape(-1)
     return QState(layout, out).check_norm()
-
-
-def trace_distance(a: DensityOp, b: DensityOp) -> float:
-    if a.matrix.shape != b.matrix.shape:
-        raise HilbertError("trace_distance: dimension mismatch")
-    sv = np.linalg.svd(a.matrix - b.matrix, compute_uv=False)
-    return float(0.5 * sv.sum())
 
 
 def haar_unitary(dim: int, rng) -> np.ndarray:

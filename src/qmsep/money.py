@@ -231,12 +231,12 @@ class MoneyScheme:
         n = m + len(anc) + 1
         v = np.eye(1 << n, dtype=np.complex128)
         for a in anc.values():
-            v = embed_unitary(HADAMARD, [a], n) @ v
+            v = embed_unitary(HADAMARD, [a], n, v)
         for i, (basis, _) in enumerate(checks):
             if basis in anc:
-                v = embed_unitary(_CH, [anc[basis], i], n) @ v
+                v = embed_unitary(_CH, [anc[basis], i], n, v)
             elif basis is not None and d[basis] == 1:
-                v = embed_unitary(HADAMARD, [i], n) @ v
+                v = embed_unitary(HADAMARD, [i], n, v)
         idx = np.arange(1 << n)
         holds = np.ones(1 << n, dtype=bool)
         for i, (_, bit) in enumerate(checks):
@@ -249,15 +249,15 @@ class MoneyScheme:
         """Exact probability that verify accepts note.
 
         The checks' projectors commute, so this is Tr(Pi rho) for their
-        product.  The oracle is read without recording a query.
+        product Pi, applied to rho one qubit at a time.  The oracle is read
+        without recording a query.
         """
         m = self.profile.m
-        pi = np.eye(1 << m, dtype=np.complex128)
+        rho = note.state.matrix
         for i, (basis, bit) in enumerate(self.checks(note.serial)):
             b = 0 if basis is None else world._bit(basis)
-            proj = _CHECK_PROJ[b][world._bit(bit)]
-            pi = pi @ embed_unitary(proj, [i], m)
-        return float(np.trace(pi @ note.state.matrix).real)
+            rho = embed_unitary(_CHECK_PROJ[b][world._bit(bit)], [i], m, rho)
+        return float(np.trace(rho).real)
 
 
 class HashTagScheme(MoneyScheme):

@@ -160,23 +160,6 @@ class OracleWorld:
                 out[key] = out.get(key, 0.0) + new[sub]
         return self._with(out)
 
-    def measure_plain(self, rng, qubits=None):
-        """Destructively measure plain qubits; returns (value, world)."""
-        if qubits is None:
-            qubits = list(range(self.n_plain))
-        probs = {}
-        for (plain, *_), amp in self.amps.items():
-            v = index_bits(plain, self.n_plain, qubits)
-            probs[v] = probs.get(v, 0.0) + abs(amp) ** 2
-        values = sorted(probs)
-        weights = np.array([probs[v] for v in values])
-        weights = weights / weights.sum()
-        value = values[int(rng.choice(len(values), p=weights))]
-        norm = math.sqrt(probs[value])
-        out = {k: a / norm for k, a in self.amps.items()
-               if index_bits(k[0], self.n_plain, qubits) == value}
-        return value, self._with(out)
-
     def plain_distribution(self) -> dict:
         probs = {}
         for (plain, *_), amp in self.amps.items():
@@ -388,8 +371,7 @@ class SampledExecutor:
         self.db = []
 
     def apply_gate(self, u: np.ndarray, qubits):
-        axes = list(qubits)
-        self.state = embed_unitary(u, axes, self.n_plain) @ self.state
+        self.state = embed_unitary(u, list(qubits), self.n_plain, self.state)
 
     def quantum_query(self, q_qubits, a_qubit):
         d = len(self.state)

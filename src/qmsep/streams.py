@@ -48,8 +48,5 @@ class Stream:
     def choice(self, *args, **kwargs):
         return self.gen.choice(*args, **kwargs)
 
-    def shuffle(self, x):
-        return self.gen.shuffle(x)
-
     def __repr__(self):
         return f"Stream(seed={self.seed}, path={self.path})"

@@ -70,8 +70,6 @@ class VerifierSpec:
         d = 1 << (self.m + self.k)
         if v.shape != (d, d):
             raise SynthError(f"v_hat shape {v.shape}, expected {(d, d)}")
-        if np.abs(v.conj().T @ v - np.eye(d)).max() > UNITARY_TOL:
-            raise SynthError("v_hat is not unitary within tolerance")
         object.__setattr__(self, "v_hat", v)
 
     def to_json(self) -> str:
@@ -107,7 +105,9 @@ class VerifierSpec:
                 g = np.array([complex(re, im) for re, im in flat]).reshape(d, d)
             else:
                 raise SynthError(f"unknown gate {name!r}")
-            v = embed_unitary(g, targets, n) @ v
+            v = embed_unitary(g, targets, n, v)
+        if np.abs(v.conj().T @ v - np.eye(1 << n)).max() > UNITARY_TOL:
+            raise SynthError("v_hat is not unitary within tolerance")
         return cls(m=m, k=k, v_hat=v, ans_index=int(obj["ans_index"]))
 
 

@@ -102,6 +102,27 @@ def test_test_phase_covers_verifier_positions():
             assert set(d) == set(scheme.verify_positions(note.serial))
 
 
+@pytest.mark.parametrize("name", ["hash-tag", "conjugate", "counterexample"])
+def test_test_phase_verifies_once(name):
+    """The first verification completes D, so however large t is, the true
+    verifier runs once and the valid note comes back unchanged."""
+    scheme = make_scheme(name)
+    cfg = scaled_cfg(scheme, t_max=8)
+    ts = set()
+    for seed in range(12):
+        world, kp, note = prepared(scheme, 200 + seed, cfg)
+        before = len(world.dr)
+        post, d, t = learn_phase(scheme, kp.pk, note, world, cfg, Stream(seed))
+        if t == 0:
+            continue
+        ts.add(t)
+        positions = scheme.verify_positions(note.serial)
+        assert [x for x, _ in world.dr[before:]] == positions
+        assert d == dict(world.dr[before:])
+        assert np.abs(post.state.matrix - note.state.matrix).max() < 1e-12
+    assert max(ts) >= 2
+
+
 def test_build_sim_verifier_rejects_inconsistent_pairs():
     scheme = make_scheme("hash-tag")
     with pytest.raises(Exception):

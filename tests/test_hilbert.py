@@ -7,14 +7,14 @@ from qmsep.hilbert import (
     Projector,
     QState,
     RegisterLayout,
-    apply_on,
+    embed_unitary,
     haar_unitary,
     max_entangled,
     measure_coherently,
     measure_projective,
     partial_trace,
-    trace_distance,
 )
+from qmsep.harness import _matrix_td
 from qmsep.streams import Stream
 
 H = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2)
@@ -32,6 +32,14 @@ def basis_state(layout, idx):
     a = np.zeros(layout.dim, dtype=np.complex128)
     a[idx] = 1.0
     return QState(layout, a)
+
+
+def _sub(idx, n, axes):
+    """The listed qubits of an n-qubit basis index, read big-endian."""
+    out = 0
+    for a in axes:
+        out = (out << 1) | ((idx >> (n - 1 - a)) & 1)
+    return out
 
 
 def random_state(layout, stream):
@@ -90,7 +98,13 @@ def test_max_entangled_basis_invariance(dim):
         assert np.linalg.norm(rot @ psi.amplitudes - psi.amplitudes) < 1e-9
 
 
-# ---------------------------------------------------------------- apply_on
+# ----------------------------------------------------------- embed_unitary
+
+
+def apply_on(psi, g, targets):
+    lay = psi.layout
+    out = embed_unitary(g, lay.axes(targets), lay.total_qubits, psi.amplitudes)
+    return QState(lay, out).check_norm()
 
 
 def test_apply_h_on_zero():
@@ -104,14 +118,11 @@ def test_apply_identity_is_noop():
     assert np.allclose(out.amplitudes, psi.amplitudes)
 
 
-def test_apply_rejects_non_unitary():
-    with pytest.raises(HilbertError):
-        apply_on(basis_state(qubits(1), 0), np.array([[1, 0], [0, 2.0]]), "R")
-
-
 def test_apply_rejects_dimension_mismatch():
     with pytest.raises(HilbertError):
         apply_on(basis_state(qubits(2), 0), H, "R")
+    with pytest.raises(HilbertError):
+        embed_unitary(np.eye(2, 4), [0], 2, np.eye(4))
 
 
 def test_fourier_conjugation_swaps_cnot_direction():
@@ -130,6 +141,31 @@ def test_apply_on_subset_register():
     assert np.allclose(psi.amplitudes, [1 / np.sqrt(2), 1 / np.sqrt(2), 0, 0])
 
 
+def _kron_embedding(g, axes, n):
+    """E(g) by index loops: entry (i, j) is g[i_axes, j_axes] when i and j
+    agree off the listed axes, else 0."""
+    dim = 1 << n
+    rest = [a for a in range(n) if a not in axes]
+    e = np.zeros((dim, dim), dtype=np.complex128)
+    for i in range(dim):
+        for j in range(dim):
+            if _sub(i, n, rest) == _sub(j, n, rest):
+                e[i, j] = g[_sub(i, n, axes), _sub(j, n, axes)]
+    return e
+
+
+@pytest.mark.parametrize("axes", [[0], [2], [1, 3], [3, 0], [2, 0, 3]])
+def test_embed_unitary_is_the_big_endian_embedding(axes):
+    n = 4
+    stream = Stream(40 + len(axes))
+    g = haar_unitary(1 << len(axes), stream.gen)
+    e = _kron_embedding(g, axes, n)
+    assert np.abs(embed_unitary(g, axes, n, np.eye(1 << n)) - e).max() < 1e-12
+    x = stream.normal(size=(1 << n, 3)) + 1j * stream.normal(size=(1 << n, 3))
+    assert np.abs(embed_unitary(g, axes, n, x) - e @ x).max() < 1e-12
+    assert np.abs(embed_unitary(g, axes, n, x[:, 0]) - e @ x[:, 0]).max() < 1e-12
+
+
 # ------------------------------------------------------------ partial trace
 
 
@@ -138,17 +174,10 @@ def _pt_oracle(amps, n, keep_axes):
     other = [a for a in range(n) if a not in keep_axes]
     dk = 1 << len(keep_axes)
     rho = np.zeros((dk, dk), dtype=np.complex128)
-
-    def sub(idx, axes):
-        out = 0
-        for a in axes:
-            out = (out << 1) | ((idx >> (n - 1 - a)) & 1)
-        return out
-
     for i in range(1 << n):
         for j in range(1 << n):
-            if sub(i, other) == sub(j, other):
-                rho[sub(i, keep_axes), sub(j, keep_axes)] += \
+            if _sub(i, n, other) == _sub(j, n, other):
+                rho[_sub(i, n, keep_axes), _sub(j, n, keep_axes)] += \
                     amps[i] * np.conj(amps[j])
     return rho
 
@@ -268,8 +297,8 @@ def test_measure_coherently_traced_equals_dephasing():
     out = measure_coherently(psi, pi, "Y", targets=["A"])
     got = partial_trace(out, "A").matrix
     rho = np.outer(base, base.conj())
-    want = pi.matrix @ rho @ pi.matrix \
-        + pi.complement().matrix @ rho @ pi.complement().matrix
+    rest = np.eye(4) - pi.matrix
+    want = pi.matrix @ rho @ pi.matrix + rest @ rho @ rest
     assert np.abs(got - want).max() < 1e-9
 
 
@@ -295,20 +324,12 @@ def test_coherent_vs_projective_outcome_distribution():
 
 
 def test_trace_distance_examples():
-    lay = qubits(1)
-    z0 = DensityOp(lay, np.diag([1.0, 0]).astype(np.complex128))
-    z1 = DensityOp(lay, np.diag([0, 1.0]).astype(np.complex128))
-    plus = DensityOp(lay, np.full((2, 2), 0.5, dtype=np.complex128))
-    assert trace_distance(z0, z0) == 0.0
-    assert abs(trace_distance(z0, z1) - 1.0) < 1e-12
-    assert abs(trace_distance(z0, plus) - 1 / np.sqrt(2)) < 1e-12
-
-
-def test_trace_distance_dimension_mismatch():
-    a = DensityOp(qubits(1), np.eye(2) / 2)
-    b = DensityOp(qubits(2), np.eye(4) / 4)
-    with pytest.raises(HilbertError):
-        trace_distance(a, b)
+    z0 = np.diag([1.0, 0]).astype(np.complex128)
+    z1 = np.diag([0, 1.0]).astype(np.complex128)
+    plus = np.full((2, 2), 0.5, dtype=np.complex128)
+    assert _matrix_td(z0, z0) == 0.0
+    assert abs(_matrix_td(z0, z1) - 1.0) < 1e-12
+    assert abs(_matrix_td(z0, plus) - 1 / np.sqrt(2)) < 1e-12
 
 
 # -------------------------------------------------------------- validators

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import json
 
 import numpy as np
@@ -155,7 +157,7 @@ def test_measure_qubit_matches_embedded_projector(m):
         # a complex rank-1 projector, so a transposed operator shows
         v = haar_unitary(2, gen)[:, 0]
         proj = np.outer(v, v.conj())
-        p_full = embed_unitary(proj, [qubit], m)
+        p_full = embed_unitary(proj, [qubit], m, np.eye(dm))
         p1 = float(np.trace(p_full @ rho).real)
         # random() = 0 always hits; the float below 1 always misses
         for hit, draw in ((1, 0.0), (0, np.nextafter(1.0, 0.0))):
@@ -302,6 +304,45 @@ def test_sim_verifier_eigen_witness_fools_true_verifier():
     forged = Banknote(note.serial, witness)
     ok, _ = scheme.verify(kp.pk, forged, world, Stream(82))
     assert ok
+
+
+def _sim_verifiers_over_subsets(name):
+    """sim_verifier at every subset of verify_positions, for 3 serials whose
+    answer bits come from a fixed generator."""
+    scheme = make_scheme(name)
+    rng = np.random.default_rng(12345)
+    for _ in range(3):
+        serial = tuple(int(rng.integers(0, 1 << scheme.s_bits))
+                       for _ in range(scheme.serials))
+        pos = list(dict.fromkeys(scheme.verify_positions(serial)))
+        bits = {x: int(rng.integers(0, 2)) for x in pos}
+        for r in range(len(pos) + 1):
+            for sub in itertools.combinations(pos, r):
+                yield scheme.sim_verifier("", serial, {x: bits[x] for x in sub})
+
+
+# sha256 of the concatenated v_hat bytes, recorded while each gate was a
+# dense 2^n x 2^n product: applying gates to the rows changes no byte
+SIM_VERIFIER_SHA256 = {
+    "hash-tag": "4bd9a3a9fbb694bd0aa3564257aa9eb16ed95a21a141da46776e4436ae33b1ad",
+    "conjugate": "99ad79f0a1b120077e9f3bd8ea965fa62cf7c81f1073df7dc86d563ed277cb83",
+    "counterexample": "952c65dba4d582f38ef583e08d3c4c7b7e3aabf9aa1bb458cc1a36284515b605",
+}
+
+
+@pytest.mark.parametrize("name", ["hash-tag", "conjugate", "counterexample"])
+def test_sim_verifier_bytes_are_pinned(name):
+    h = hashlib.sha256()
+    for spec in _sim_verifiers_over_subsets(name):
+        h.update(spec.v_hat.tobytes())
+    assert h.hexdigest() == SIM_VERIFIER_SHA256[name]
+
+
+@pytest.mark.parametrize("name", ["hash-tag", "conjugate", "counterexample"])
+def test_sim_verifier_is_unitary_on_every_subset(name):
+    for spec in _sim_verifiers_over_subsets(name):
+        v = spec.v_hat
+        assert np.abs(v.conj().T @ v - np.eye(len(v))).max() < 1e-12
 
 
 # ------------------------------------------------------------ serialization

@@ -31,7 +31,7 @@ X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 def accept_all_spec(m=1):
     """Accepts every input: flips a fresh ancilla to |1> and measures it."""
     n = m + 1
-    v = embed_unitary(X, [m], n)
+    v = embed_unitary(X, [m], n, np.eye(1 << n))
     return VerifierSpec(m=m, k=1, v_hat=v, ans_index=m)
 
 
@@ -451,3 +451,11 @@ def test_verifier_json_unknown_gate():
             {"m": 1, "k": 0, "ans_index": 0,
              "gates": [{"name": "ZZ", "targets": [0]}]}))
 
+
+
+def test_verifier_json_rejects_non_unitary_gate():
+    scaled = [[2.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]  # diag(2, 1)
+    with pytest.raises(SynthError):
+        VerifierSpec.from_json(json.dumps(
+            {"m": 1, "k": 0, "ans_index": 0,
+             "gates": [{"name": "U", "targets": [0], "matrix": scaled}]}))
