@@ -335,12 +335,10 @@ def comp_decomp_check(l: int, n_queries: int, stream) -> float:
     """|| Comp Decomp |psi> - |psi> || on a reachable compressed state."""
     ops = random_program(l, n_queries, stream)
     w = run_compressed(l, l + n_queries, ops)
-    w2 = w.decomp().comp()
-    diff = 0.0
-    keys = set(w.amps) | set(w2.amps)
-    for k in keys:
-        diff += abs(w.amps.get(k, 0.0) - w2.amps.get(k, 0.0)) ** 2
-    return math.sqrt(diff)
+    # label by label: the expansion |a|^2 + |b|^2 - 2 Re<a|b> would cancel
+    # a 1e-16 distance to about 1e-8
+    a, b = w.aligned(w.decomp().comp())
+    return float(np.linalg.norm(a - b))
 
 
 def recording_error_check(l: int, n_queries: int, stream,
@@ -363,7 +361,7 @@ def recording_error_check(l: int, n_queries: int, stream,
     alpha = w.bad_query_weight(q_qubits)
     true_w = w.compressed_classical_query(q_qubits, a_qubit)
     sim_w = w.apply_db_query(q_qubits, a_qubit, db="dr")
-    ip = abs(true_w.inner(sim_w))
+    ip = abs(np.vdot(*true_w.aligned(sim_w)))
     td = math.sqrt(max(0.0, 1.0 - ip * ip))
     decrement = w.pair_count_expectation() - true_w.pair_count_expectation()
     if skip_df_deletion:
@@ -388,12 +386,16 @@ def recorded_query_monotone_check(l: int, n_queries: int, stream):
 
 def cmd_oracle_check(cfg: dict) -> dict:
     l = int(cfg.get("l", 2))
-    if l > 3:
-        raise HarnessError("exact-equivalence mode needs l <= 3")
     n_queries = int(cfg.get("queries", 4))
     trials = int(cfg.get("trials", 10))
     seed = int(cfg.get("seed", 0))
     mc_samples = int(cfg.get("mc_samples", 0))
+    if not 1 <= l <= 3:
+        raise HarnessError("oracle-check needs 1 <= l <= 3 (exact mode "
+                           "enumerates 2^(2^l) truth tables)")
+    if n_queries < 1 or trials < 1 or mc_samples < 0:
+        raise HarnessError("oracle-check needs queries >= 1, trials >= 1 "
+                           "and mc_samples >= 0")
     stream = Stream(seed)
 
     worst = {"equivalence_td": 0.0, "comp_decomp": 0.0,

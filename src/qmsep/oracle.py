@@ -7,26 +7,31 @@ non-|0^> Fourier positions.  Classical queries copy their answer into an
 append-only database register D_R (and optionally D_A for the recording
 variant); quantum queries XOR the oracle bit into an answer qubit.
 
-The joint state is stored sparsely as a map from structured basis labels
-(plain-register index, F content, D_R content, D_A content) to amplitudes.
-Plain registers are ordinary qubits (big-endian, qubit 0 most significant);
-the database contents are tuples.  This is a faithful encoding of the
-fixed-capacity slot registers: every reachable basis state of those
-registers corresponds to exactly one label, so inner products, reduced
-densities, and unitarity are preserved.
+An OracleWorld holds one entry per basis label in parallel arrays: `plain`
+(plain-register index, big-endian, qubit 0 most significant), `fb` (F, or
+D_F in the compressed view, as a bitmask whose bit p is oracle position p),
+`rec` (an interned (D_R, D_A) record id) and `amp`.  Every reachable basis
+state of the fixed-capacity slot registers is exactly one label, so inner
+products, reduced densities, and unitarity are preserved.  Compression is
+Zhandry's Fourier transform on each output register, for 1-bit outputs H on
+every position D_R does not pin: `decomp` and `comp` set (or clear) F's D_R
+positions and apply H to each free position axis of a (plain, D_R, D_A) ×
+2^(2^l) block.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import embed_unitary, index_bits
+from .hilbert import HADAMARD, embed_unitary, index_bits
 
-ORACLE_L_CAP = 6
+ORACLE_L_CAP = 6   # sampled truth tables
+WORLD_L_CAP = 4    # OracleWorld: 2^(2^l) purified labels, 2^l-bit F masks
+KEY_BITS = 62      # (rec, fb, plain) packed into one int64 sort key
 PRUNE_TOL = 1e-14
 STRUCT_TOL = 1e-9
 
@@ -75,61 +80,137 @@ def sample_oracle(l: int, rng) -> TruthTable:
     return TruthTable(l, bits)
 
 
-def _dr_dict(dr: tuple) -> dict:
-    return {x: z for x, z in dr}
+class _Records:
+    """(D_R, D_A) contents as a trie of appends, shared by a world and the
+    worlds derived from it.  Record 0 is ((), ()); any other record has a key
+    128 parent + 8x + 4z + flag: it appends (x, z) to the D_R (flag 1)
+    and/or D_A (flag 2) of its parent.  A world's labels share one history
+    of queries, so equal contents have equal ids.  Row r of `masks` holds
+    D_R's known-position and known-value masks, then D_A's."""
+
+    def __init__(self):
+        self.masks = np.zeros((1, 4), dtype=np.int64)
+        self._keys, self._ids = np.zeros((2, 0), dtype=np.int64)  # keys sorted
+
+    def extend(self, rec, x, z, flag: int) -> np.ndarray:
+        """Ids of the records that append (x, z) to rec's databases named by
+        flag.  Steps stay below 128 because x < 2^WORLD_L_CAP = 16."""
+        keys, inv = np.unique(128 * rec + 8 * x + 4 * z + flag, return_inverse=True)
+        pos = np.searchsorted(self._keys, keys)
+        hit = np.append(self._keys, -1)[pos] == keys
+        ids = np.append(self._ids, 0)[pos]
+        new = keys[~hit]
+        ids[~hit] = len(self.masks) + np.arange(len(new))
+        self._keys = np.insert(self._keys, pos[~hit], new)
+        self._ids = np.insert(self._ids, pos[~hit], ids[~hit])
+        parent, step = new >> 7, new & 127
+        rows, bit, z = self.masks[parent], 1 << (step >> 3), (step >> 2) & 1
+        for c, on in ((0, step & 1 == 1), (2, step & 2 == 2)):
+            rows[on, c] |= bit[on]
+            rows[on, c + 1] = (rows[on, c + 1] & ~bit[on]) | (z[on] * bit[on])
+        self.masks = np.concatenate([self.masks, rows])
+        return ids[inv]
+
+    def intern(self, dr, da) -> int:
+        """Id of the record that appends dr's pairs to D_R, then da's to D_A."""
+        r = np.zeros(1, dtype=np.int64)
+        for x, z, flag in [(x, z, 1) for x, z in dr] + [(x, z, 2) for x, z in da]:
+            r = self.extend(r, np.array([x]), np.array([z]), flag)
+        return int(r[0])
+
+    def contents(self, r: int) -> tuple:
+        """(D_R, D_A) of record r, as tuples of (x, z) pairs."""
+        steps = []
+        while r:
+            r, step = divmod(int(self._keys[self._ids == r][0]), 128)
+            steps.insert(0, step)
+        return tuple(tuple((s >> 3, (s >> 2) & 1) for s in steps if s & flag)
+                     for flag in (1, 2))
+
+
+class _Labels(Mapping):
+    """Read-only {(plain, F or D_F, D_R, D_A): amp} view of a world; its
+    length is the label count, and the tuples are built on first lookup."""
+
+    def __init__(self, world: "OracleWorld"):
+        self._w, self._d = world, None
+
+    def __len__(self):
+        return len(self._w.amp)
+
+    def __iter__(self):
+        return iter(self._dict())
+
+    def __getitem__(self, label):
+        return self._dict()[label]
+
+    def _dict(self) -> dict:
+        if self._d is None:
+            w, bits = self._w, range(self._w.n_pos)
+            fs = [tuple((f >> p) & 1 for p in bits) if w.mode == "purified"
+                  else tuple(p for p in bits if (f >> p) & 1) for f in w.fb.tolist()]
+            dbs = {r: w.records.contents(r) for r in set(w.rec.tolist())}
+            self._d = {(p, f, *dbs[r]): a for p, f, r, a in zip(
+                w.plain.tolist(), fs, w.rec.tolist(), w.amp.tolist())}
+        return self._d
 
 
 class OracleWorld:
     """Sparse pure state over (plain registers, F, D_R, D_A)."""
 
-    def __init__(self, mode: str, l: int, n_plain: int, amps: dict):
+    def __init__(self, mode: str, l: int, n_plain: int, amps, records=None):
+        """amps is a dict from tuple labels to amplitudes, or a
+        (plain, fb, rec, amp) tuple of arrays whose rec ids index records."""
         if mode not in ("purified", "compressed"):
             raise OracleError(f"unknown mode {mode!r}")
-        if l > ORACLE_L_CAP:
-            raise OracleError(f"l = {l} exceeds cap {ORACLE_L_CAP}")
-        self.mode = mode
-        self.l = l
-        self.n_plain = n_plain
-        self.amps = amps
+        if l > WORLD_L_CAP or n_plain + (1 << l) > KEY_BITS:
+            raise OracleError(f"OracleWorld needs l <= {WORLD_L_CAP} and n_plain + "
+                              f"2^l <= {KEY_BITS}; got l = {l}, n_plain = {n_plain}")
+        self.mode, self.l, self.n_plain, self.n_pos = mode, l, n_plain, 1 << l
+        if isinstance(amps, dict):
+            records = _Records()
+            amps = list(zip(*[(p, sum(b << i for i, b in enumerate(f)) if mode == "purified"
+                               else sum(1 << i for i in f), records.intern(dr, da), a)
+                              for (p, f, dr, da), a in amps.items()])) or [()] * 4
+        self.records = records
+        self.plain, self.fb, self.rec = (np.asarray(c, dtype=np.int64) for c in amps[:3])
+        self.amp = np.asarray(amps[3], dtype=np.complex128)
+        self.amps = _Labels(self)
 
     # -- construction -----------------------------------------------------
 
     @classmethod
     def purified_init(cls, l: int, n_plain: int = 0) -> "OracleWorld":
-        n_pos = 1 << l
-        amp = 2.0 ** (-n_pos / 2)
-        amps = {(0, f, (), ()): amp for f in itertools.product((0, 1), repeat=n_pos)}
-        return cls("purified", l, n_plain, amps)
+        return cls.compressed_init(l, n_plain).decomp()  # an empty database
 
     @classmethod
     def compressed_init(cls, l: int, n_plain: int = 0) -> "OracleWorld":
         return cls("compressed", l, n_plain, {(0, (), (), ()): 1.0 + 0.0j})
 
-    def _with(self, amps: dict) -> "OracleWorld":
-        amps = {k: a for k, a in amps.items() if abs(a) > PRUNE_TOL}
-        return OracleWorld(self.mode, self.l, self.n_plain, amps)
+    def _with(self, plain, fb, rec, amp, mode=None) -> "OracleWorld":
+        k = np.abs(amp) > PRUNE_TOL
+        return OracleWorld(mode or self.mode, self.l, self.n_plain,
+                           (plain[k], fb[k], rec[k], amp[k]), self.records)
 
-    # -- generic helpers ---------------------------------------------------
+    def _key(self, plain, fb, rec) -> np.ndarray:
+        """One int64 per label, equal exactly when the labels are."""
+        shift = self.n_pos + self.n_plain
+        if len(self.records.masks) > 1 << (KEY_BITS - shift):
+            raise OracleError("too many database records to pack labels in int64")
+        return (rec << shift) | (fb << self.n_plain) | plain
 
-    def norm2(self) -> float:
-        return float(sum(abs(a) ** 2 for a in self.amps.values()))
-
-    def inner(self, other: "OracleWorld") -> complex:
-        total = 0.0 + 0.0j
-        for k, a in self.amps.items():
-            b = other.amps.get(k)
-            if b is not None:
-                total += np.conj(a) * b
-        return complex(total)
-
-    def _set_bit(self, plain: int, qubit: int, value: int) -> int:
-        mask = 1 << (self.n_plain - 1 - qubit)
-        return (plain | mask) if value else (plain & ~mask)
-
-    def _check_fresh(self, a_qubit: int):
-        for (plain, _, _, _), amp in self.amps.items():
-            if abs(amp) > STRUCT_TOL and index_bits(plain, self.n_plain, [a_qubit]):
-                raise OracleError(f"answer qubit {a_qubit} is not fresh |0>")
+    def aligned(self, other: "OracleWorld"):
+        """Both worlds' amplitudes over the union of their labels; `other`
+        must derive from the same start, so that its records are ours."""
+        if other.records is not self.records:
+            raise OracleError("worlds from different starts share no records")
+        ka = self._key(self.plain, self.fb, self.rec)
+        kb = self._key(other.plain, other.fb, other.rec)
+        keys = np.union1d(ka, kb)
+        a, b = np.zeros((2, len(keys)), dtype=np.complex128)
+        a[np.searchsorted(keys, ka)] = self.amp
+        b[np.searchsorted(keys, kb)] = other.amp
+        return a, b
 
     # -- plain-register circuit operations ---------------------------------
 
@@ -138,45 +219,32 @@ class OracleWorld:
         u = np.asarray(u, dtype=np.complex128)
         if u.shape != (1 << t, 1 << t):
             raise OracleError("gate dimension does not match target count")
-        groups = {}
-        for (plain, f, dr, da), amp in self.amps.items():
-            sub = index_bits(plain, self.n_plain, qubits)
-            base = plain
-            for q in qubits:
-                base = self._set_bit(base, q, 0)
-            vec = groups.setdefault((base, f, dr, da),
-                                    np.zeros(1 << t, dtype=np.complex128))
-            vec[sub] += amp
-        out = {}
-        for (base, f, dr, da), vec in groups.items():
-            new = u @ vec
-            for sub in range(1 << t):
-                if abs(new[sub]) <= PRUNE_TOL:
-                    continue
-                plain = base
-                for pos, q in enumerate(qubits):
-                    plain = self._set_bit(plain, q, (sub >> (t - 1 - pos)) & 1)
-                key = (plain, f, dr, da)
-                out[key] = out.get(key, 0.0) + new[sub]
-        return self._with(out)
+        sub = np.arange(1 << t)
+        spread = sum(((sub >> (t - 1 - i)) & 1) << (self.n_plain - 1 - q)
+                     for i, q in enumerate(qubits))
+        base = self.plain & ~int(spread[-1])
+        _, first, inv = np.unique(self._key(base, self.fb, self.rec),
+                                  return_index=True, return_inverse=True)
+        block = np.zeros((len(first), 1 << t), dtype=np.complex128)
+        block[inv, index_bits(self.plain, self.n_plain, qubits)] = self.amp
+        return self._with((base[first, None] | spread).ravel(),
+                          np.repeat(self.fb[first], 1 << t),
+                          np.repeat(self.rec[first], 1 << t), (block @ u.T).ravel())
 
     def plain_distribution(self) -> dict:
-        probs = {}
-        for (plain, *_), amp in self.amps.items():
-            probs[plain] = probs.get(plain, 0.0) + abs(amp) ** 2
-        return probs
+        values, inv = np.unique(self.plain, return_inverse=True)
+        probs = np.bincount(inv, np.abs(self.amp) ** 2)
+        return dict(zip(values.tolist(), probs.tolist()))
 
     def reduced_density_plain(self) -> np.ndarray:
-        groups = {}
-        for (plain, f, dr, da), amp in self.amps.items():
-            groups.setdefault((f, dr, da), {})[plain] = amp
+        _, row = np.unique(self._key(0, self.fb, self.rec), return_inverse=True)
         d = 1 << self.n_plain
         rho = np.zeros((d, d), dtype=np.complex128)
-        for vec in groups.values():
-            items = list(vec.items())
-            for i, ai in items:
-                for j, aj in items:
-                    rho[i, j] += ai * np.conj(aj)
+        for chunk in np.unique(row >> 8):  # 256 groups at a time bound memory
+            k = row >> 8 == chunk
+            vec = np.zeros((256, d), dtype=np.complex128)
+            vec[row[k] & 255, self.plain[k]] = self.amp[k]
+            rho += vec.T @ vec.conj()
         return rho
 
     # -- query unitaries ----------------------------------------------------
@@ -185,83 +253,65 @@ class OracleWorld:
         """U_Q: |x>|y>|f> -> |x>|y xor f(x)>|f>."""
         if self.mode != "purified":
             raise OracleError("quantum queries act on the purified view")
-        out = {}
-        for (plain, f, dr, da), amp in self.amps.items():
-            x = index_bits(plain, self.n_plain, q_qubits)
-            y = index_bits(plain, self.n_plain, [a_qubit])
-            plain2 = self._set_bit(plain, a_qubit, y ^ f[x])
-            out[(plain2, f, dr, da)] = out.get((plain2, f, dr, da), 0.0) + amp
-        return self._with(out)
+        x = index_bits(self.plain, self.n_plain, q_qubits)
+        flip = ((self.fb >> x) & 1) << (self.n_plain - 1 - a_qubit)
+        return self._with(self.plain ^ flip, self.fb, self.rec, self.amp)
+
+    def _answer(self, x, a_qubit, known, z_known, fb_free, sign,
+                flag: int) -> "OracleWorld":
+        """Answer each label's query at x into the fresh answer qubit and
+        append (x, z) to D_R (flag 1), D_A (flag 2) or both (flag 3).  Where
+        `known`, z is z_known; elsewhere both answers appear with amplitude
+        1/sqrt(2), the z = 1 one times sign, on D_F mask fb_free.  Colliding
+        output labels are summed."""
+        shift = self.n_plain - 1 - a_qubit
+        if np.any((self.plain >> shift) & 1 & (np.abs(self.amp) > STRUCT_TOL)):
+            raise OracleError(f"answer qubit {a_qubit} is not fresh |0>")
+        k, u = np.flatnonzero(known), np.flatnonzero(~known)
+        idx = np.concatenate([k, u, u])
+        z = np.concatenate([z_known[k], np.zeros_like(u), np.ones_like(u)])
+        keys, inv = np.unique(self._key(
+            (self.plain[idx] & ~(1 << shift)) | (z << shift),
+            np.concatenate([self.fb[k], fb_free[u], fb_free[u]]),
+            self.records.extend(self.rec[idx], x[idx], z, flag)), return_inverse=True)
+        half = self.amp / math.sqrt(2)
+        amp = np.concatenate([self.amp[k], half[u], (half * sign)[u]])
+        n, f = self.n_plain, self.n_pos  # unpack the labels from their keys
+        return self._with(keys & ((1 << n) - 1), (keys >> n) & ((1 << f) - 1),
+                          keys >> (n + f),
+                          np.bincount(inv, amp.real) + 1j * np.bincount(inv, amp.imag))
 
     def apply_classical_query(self, q_qubits, a_qubit,
                               record: bool = False) -> "OracleWorld":
         """U_C (record=False) / U_R (record=True) on the purified view."""
         if self.mode != "purified":
             raise OracleError("classical queries here act on the purified view")
-        self._check_fresh(a_qubit)
-        out = {}
-        for (plain, f, dr, da), amp in self.amps.items():
-            x = index_bits(plain, self.n_plain, q_qubits)
-            z = f[x]
-            plain2 = self._set_bit(plain, a_qubit, z)
-            dr2 = dr + ((x, z),)
-            da2 = da + ((x, z),) if record else da
-            key = (plain2, f, dr2, da2)
-            out[key] = out.get(key, 0.0) + amp
-        return self._with(out)
+        x = index_bits(self.plain, self.n_plain, q_qubits)
+        return self._answer(x, a_qubit, np.ones(len(x), dtype=bool),
+                            (self.fb >> x) & 1, self.fb, 1, 1 + 2 * record)
 
     def apply_db_query(self, q_qubits, a_qubit, db: str = "dr") -> "OracleWorld":
         """U_D: answer from the chosen database, recording the pair into it.
-
-        With db="dr" this is the U_D' variant that simulates the oracle with
-        D_R; it never touches F / D_F.
-        """
+        With db="dr" this is U_D', which simulates the oracle with D_R and
+        never touches F / D_F."""
         if db not in ("dr", "da"):
             raise OracleError("db must be 'dr' or 'da'")
-        self._check_fresh(a_qubit)
-        out = {}
-        for (plain, f, dr, da), amp in self.amps.items():
-            store = dr if db == "dr" else da
-            known = _dr_dict(store)
-            x = index_bits(plain, self.n_plain, q_qubits)
-            if x in known:
-                answers = ((known[x], amp),)
-            else:
-                answers = ((0, amp / math.sqrt(2)), (1, amp / math.sqrt(2)))
-            for z, a in answers:
-                plain2 = self._set_bit(plain, a_qubit, z)
-                store2 = store + ((x, z),)
-                dr2, da2 = (store2, da) if db == "dr" else (dr, store2)
-                key = (plain2, f, dr2, da2)
-                out[key] = out.get(key, 0.0) + a
-        return self._with(out)
+        m = self.records.masks[self.rec][:, (0, 1) if db == "dr" else (2, 3)]
+        x = index_bits(self.plain, self.n_plain, q_qubits)
+        return self._answer(x, a_qubit, (m[:, 0] >> x) & 1 == 1, (m[:, 1] >> x) & 1,
+                            self.fb, 1, 1 if db == "dr" else 2)
 
     def compressed_classical_query(self, q_qubits, a_qubit,
                                    record: bool = False) -> "OracleWorld":
         """The compressed-view classical query (three-case unitary)."""
         if self.mode != "compressed":
             raise OracleError("compressed query requires compressed mode")
-        self._check_fresh(a_qubit)
-        out = {}
-        for (plain, df, dr, da), amp in self.amps.items():
-            known = _dr_dict(dr)
-            x = index_bits(plain, self.n_plain, q_qubits)
-            if x in known:
-                branches = ((known[x], df, amp),)
-            elif x not in df:
-                branches = tuple((z, df, amp / math.sqrt(2)) for z in (0, 1))
-            else:
-                df2 = tuple(p for p in df if p != x)
-                # the removed position carries Fourier value 1^: phase (-1)^z
-                branches = tuple((z, df2, amp * ((-1) ** z) / math.sqrt(2))
-                                 for z in (0, 1))
-            for z, df2, a in branches:
-                plain2 = self._set_bit(plain, a_qubit, z)
-                dr2 = dr + ((x, z),)
-                da2 = da + ((x, z),) if record else da
-                key = (plain2, df2, dr2, da2)
-                out[key] = out.get(key, 0.0) + a
-        return self._with(out)
+        m = self.records.masks[self.rec]
+        x = index_bits(self.plain, self.n_plain, q_qubits)
+        # a position leaving D_F carries Fourier value 1^: phase (-1)^z
+        return self._answer(x, a_qubit, (m[:, 0] >> x) & 1 == 1, (m[:, 1] >> x) & 1,
+                            self.fb & ~(1 << x), 1 - 2 * ((self.fb >> x) & 1),
+                            1 + 2 * record)
 
     def compressed_quantum_query(self, q_qubits, a_qubit) -> "OracleWorld":
         """Quantum query in the compressed view via Decomp, U_Q, Comp."""
@@ -269,55 +319,39 @@ class OracleWorld:
 
     # -- view changes --------------------------------------------------------
 
+    def _hadamard(self, mode: str) -> "OracleWorld":
+        """XOR each label's recorded D_R values into fb, then apply H to
+        every position D_R leaves free, one (plain, rec) group per row."""
+        m = self.records.masks[self.rec]
+        _, first, inv = np.unique(self._key(self.plain, 0, self.rec),
+                                  return_index=True, return_inverse=True)
+        block = np.zeros((len(first), 1 << self.n_pos), dtype=np.complex128)
+        block[inv, self.fb ^ m[:, 1]] = self.amp
+        for p in range(self.n_pos):  # axis n_pos-1-p holds position p
+            rows = np.flatnonzero((m[first, 0] >> p) & 1 == 0)
+            block[rows] = embed_unitary(HADAMARD, [self.n_pos - 1 - p], self.n_pos,
+                                        block[rows].T).T
+        g, f = np.nonzero(np.abs(block) > PRUNE_TOL)
+        return self._with(self.plain[first][g], f, self.rec[first][g],
+                          block[g, f], mode)
+
     def decomp(self) -> "OracleWorld":
         """Fill the truth table register from (D_F, D_R)."""
         if self.mode != "compressed":
             raise OracleError("decomp requires compressed mode")
-        n_pos = 1 << self.l
-        out = {}
-        for (plain, df, dr, da), amp in self.amps.items():
-            known = _dr_dict(dr)
-            if set(df) & set(known):
-                raise OracleError("D_F overlaps D_R positions")
-            free = [p for p in range(n_pos) if p not in known]
-            scale = amp * 2.0 ** (-len(free) / 2)
-            for bits in itertools.product((0, 1), repeat=len(free)):
-                f = [0] * n_pos
-                sign = 1
-                for p, z in known.items():
-                    f[p] = z
-                for p, b in zip(free, bits):
-                    f[p] = b
-                    if p in df and b == 1:
-                        sign = -sign  # |1^> = (|0> - |1>)/sqrt(2)
-                key = (plain, tuple(f), dr, da)
-                out[key] = out.get(key, 0.0) + sign * scale
-        return OracleWorld("purified", self.l, self.n_plain, out)
+        if np.any(self.fb & self.records.masks[self.rec, 0]):
+            raise OracleError("D_F overlaps D_R positions")
+        return self._hadamard("purified")
 
     def comp(self) -> "OracleWorld":
         """Inverse of decomp: rotate non-D_R positions to the Fourier basis."""
         if self.mode != "purified":
             raise OracleError("comp requires purified mode")
-        n_pos = 1 << self.l
-        out = {}
-        for (plain, f, dr, da), amp in self.amps.items():
-            known = _dr_dict(dr)
-            for p, z in known.items():
-                if f[p] != z:
-                    raise OracleError(
-                        "state outside the valid subspace: F disagrees with D_R")
-            free = [p for p in range(n_pos) if p not in known]
-            scale = amp * 2.0 ** (-len(free) / 2)
-            for bits in itertools.product((0, 1), repeat=len(free)):
-                sign = 1
-                for p, b in zip(free, bits):
-                    if f[p] == 1 and b == 1:
-                        sign = -sign
-                df = tuple(p for p, b in zip(free, bits) if b == 1)
-                key = (plain, df, dr, da)
-                out[key] = out.get(key, 0.0) + sign * scale
-        amps = {k: a for k, a in out.items() if abs(a) > PRUNE_TOL}
-        return OracleWorld("compressed", self.l, self.n_plain, amps)
+        m = self.records.masks[self.rec]
+        if np.any(self.fb & m[:, 0] != m[:, 1]):
+            raise OracleError(
+                "state outside the valid subspace: F disagrees with D_R")
+        return self._hadamard("compressed")
 
     # -- observables ----------------------------------------------------------
 
@@ -325,33 +359,15 @@ class OracleWorld:
         """Tr(O rho) for O = sum |D_F| |D_F><D_F|."""
         if self.mode != "compressed":
             raise OracleError("pair count is defined on the compressed view")
-        return float(sum(abs(a) ** 2 * len(df)
-                         for (_, df, _, _), a in self.amps.items()))
+        size = sum((self.fb >> p) & 1 for p in range(self.n_pos))
+        return float(np.sum(np.abs(self.amp) ** 2 * size))
 
     def bad_query_weight(self, q_qubits) -> float:
         """Weight of branches whose pending query position lies in D_F."""
         if self.mode != "compressed":
             raise OracleError("bad-query weight is defined on the compressed view")
-        total = 0.0
-        for (plain, df, _, _), amp in self.amps.items():
-            if index_bits(plain, self.n_plain, q_qubits) in df:
-                total += abs(amp) ** 2
-        return float(total)
-
-    def f_vector(self) -> np.ndarray:
-        """Dense amplitude vector of F alone (requires unentangled F)."""
-        if self.mode != "purified":
-            raise OracleError("f_vector requires purified mode")
-        n_pos = 1 << self.l
-        vec = np.zeros(1 << n_pos, dtype=np.complex128)
-        for (plain, f, dr, da), amp in self.amps.items():
-            if plain != 0 or dr != () or da != ():
-                raise OracleError("F is entangled with other registers")
-            idx = 0
-            for b in f:
-                idx = (idx << 1) | b
-            vec[idx] += amp
-        return vec
+        x = index_bits(self.plain, self.n_plain, q_qubits)
+        return float(np.sum(np.abs(self.amp[(self.fb >> x) & 1 == 1]) ** 2))
 
 
 class SampledExecutor:
@@ -366,49 +382,30 @@ class SampledExecutor:
     def __init__(self, table: TruthTable, n_plain: int):
         self.table = table
         self.n_plain = n_plain
-        self.state = np.zeros(1 << n_plain, dtype=np.complex128)
-        self.state[0] = 1.0
+        self.idx = np.arange(1 << n_plain)
+        self.state = (self.idx == 0).astype(np.complex128)
         self.db = []
 
     def apply_gate(self, u: np.ndarray, qubits):
         self.state = embed_unitary(u, list(qubits), self.n_plain, self.state)
 
     def quantum_query(self, q_qubits, a_qubit):
-        d = len(self.state)
+        bits = np.array(self.table.bits)[index_bits(self.idx, self.n_plain, q_qubits)]
         out = np.zeros_like(self.state)
-        shift = self.n_plain - 1 - a_qubit
-        for idx in range(d):
-            if abs(self.state[idx]) == 0:
-                continue
-            x = index_bits(idx, self.n_plain, q_qubits)
-            out[idx ^ (self.table(x) << shift)] += self.state[idx]
+        out[self.idx ^ (bits << (self.n_plain - 1 - a_qubit))] = self.state
         self.state = out
 
     def classical_query(self, q_qubits, a_qubit, rng):
         # measure the query register, then answer from the table
-        probs = {}
-        for idx, amp in enumerate(self.state):
-            w = abs(amp) ** 2
-            if w == 0:
-                continue
-            probs.setdefault(index_bits(idx, self.n_plain, q_qubits), 0.0)
-            probs[index_bits(idx, self.n_plain, q_qubits)] += w
-        values = sorted(probs)
-        weights = np.array([probs[v] for v in values])
-        weights = weights / weights.sum()
-        x = values[int(rng.choice(len(values), p=weights))]
-        keep = np.array([index_bits(i, self.n_plain, q_qubits) == x
-                         for i in range(len(self.state))])
-        self.state = np.where(keep, self.state, 0.0)
-        self.state = self.state / np.linalg.norm(self.state)
+        xs = index_bits(self.idx, self.n_plain, q_qubits)
+        probs = np.bincount(xs, np.abs(self.state) ** 2)
+        values = np.flatnonzero(probs > 0)
+        weights = probs[values] / probs[values].sum()
+        x = int(values[int(rng.choice(len(values), p=weights))])
+        state = np.where(xs == x, self.state, 0.0)
         z = self.table(x)
-        if z:
-            shift = self.n_plain - 1 - a_qubit
-            out = np.zeros_like(self.state)
-            for idx in range(len(self.state)):
-                if abs(self.state[idx]) > 0:
-                    out[idx ^ (1 << shift)] += self.state[idx]
-            self.state = out
+        flip = self.idx ^ (z << (self.n_plain - 1 - a_qubit))
+        self.state = (state / np.linalg.norm(state))[flip]
         self.db.append((x, z))
 
     def measure_all(self, rng) -> int:

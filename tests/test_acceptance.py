@@ -207,6 +207,16 @@ def test_criterion_05_oracle_representation_equivalence():
     assert time.monotonic() - t0 < 120
 
 
+def test_criterion_05_oracle_equivalence_at_l3():
+    """Companion to criterion 5 at l = 3, the largest size exact mode
+    allows (256 truth tables): every oracle-check property holds on two
+    4-query programs, in a few seconds."""
+    t0 = time.monotonic()
+    rep = cmd_oracle_check({"l": 3, "queries": 4, "trials": 2, "seed": 557})
+    assert all(rep["checks"].values()) and rep["ok"]
+    assert time.monotonic() - t0 < 20
+
+
 def test_criterion_06_recording_error_bound():
     """On 100 random pre-query states (l = 2), replacing a real classical
     query by a recorded-database lookup moves the state by at most

@@ -217,6 +217,15 @@ def test_cmd_oracle_check_rejects_large_l():
         cmd_oracle_check({"l": 4, "queries": 2})
 
 
+def test_cmd_oracle_check_monte_carlo_draws_are_pinned():
+    # criterion 5's seed, first 2000 samples: mc_tv moves in steps of 1/2000
+    # when the draws change; the 1e-12 tolerance only absorbs rounding in the
+    # exact distribution
+    rep = cmd_oracle_check({"l": 2, "queries": 3, "trials": 1, "seed": 556,
+                            "mc_samples": 2000})
+    assert rep["mc_tv"] == pytest.approx(0.06408659389153842, abs=1e-12)
+
+
 # ------------------------------------------------------------------- CLI
 
 
@@ -226,6 +235,17 @@ def test_cli_oracle_check_exit_zero(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert json.loads(out)["ok"]
+
+
+@pytest.mark.parametrize("flag,value", [("--l", "0"), ("--l", "4"), ("--queries", "0"),
+                                        ("--trials", "0"), ("--mc-samples", "-1")])
+def test_cli_oracle_check_rejects_bad_input(flag, value, capsys):
+    args = {"--l": "1", "--queries": "2", "--trials": "1", "--mc-samples": "0"}
+    args[flag] = value
+    rc = cli.main(["oracle-check", *[x for kv in args.items() for x in kv]])
+    assert rc == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "oracle-check needs" in out.err
 
 
 def test_cli_attack_writes_csv(tmp_path, capsys):

@@ -2,6 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracle_reference as ref
 
 from qmsep.harness import (
     recording_error_check,
@@ -20,6 +24,7 @@ from qmsep.oracle import (
     OracleWorld,
     SampledExecutor,
     TruthTable,
+    WORLD_L_CAP,
     sample_oracle,
 )
 from qmsep.streams import Stream
@@ -70,8 +75,8 @@ def test_sample_oracle_bit_frequency():
 
 def test_purified_init_l1_uniform():
     w = OracleWorld.purified_init(1)
-    vec = w.f_vector()
-    assert np.allclose(vec, [0.5] * 4)
+    assert set(w.amps) == {(0, f, (), ()) for f in ((0, 0), (0, 1), (1, 0), (1, 1))}
+    assert np.allclose(list(w.amps.values()), [0.5] * 4)
     # <Z_i> = 0 at every oracle position
     for pos in range(2):
         exp = sum(abs(a) ** 2 * (1 - 2 * f[pos]) for (_, f, _, _), a in w.amps.items())
@@ -363,7 +368,83 @@ def test_interposed_recorded_query_monotone():
 def test_unitarity_of_query_operations():
     stream = Stream(93)
     ops = random_program(2, 4, stream)
-    w = run_compressed(2, 7, ops)
-    assert abs(w.norm2() - 1.0) < 1e-9
-    pu = run_purified(2, 7, ops)
-    assert abs(pu.norm2() - 1.0) < 1e-9
+    for w in (run_compressed(2, 7, ops), run_purified(2, 7, ops)):
+        assert abs(sum(abs(a) ** 2 for a in w.amps.values()) - 1.0) < 1e-9
+
+
+# ------------------------------------------- array world against reference
+
+
+def _same(world, want):
+    """The array-backed result equals the reference map label by label."""
+    assert ref.max_label_gap(dict(world.amps), want) <= 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(l=st.sampled_from([1, 2, 3]), data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
+def test_array_world_matches_reference(l, data, seed):
+    """Every operation of a random program, in both views, equals the
+    enumerating reference label by label; Comp(Decomp(w)) = w at the end."""
+    n_queries = data.draw(st.integers(1, 2 if l == 3 else 3))
+    stream = Stream(seed)
+    ops = random_program(l, n_queries, stream)
+    n = l + n_queries + 1
+    co = OracleWorld.compressed_init(l, n)
+    pu = OracleWorld.purified_init(l, n)
+    for i, (kind, arg, target) in enumerate(ops):
+        if kind == "gate":
+            _same(co.apply_plain_gate(arg, target),
+                  ref.apply_plain_gate(dict(co.amps), n, arg, target))
+            _same(pu.apply_plain_gate(arg, target),
+                  ref.apply_plain_gate(dict(pu.amps), n, arg, target))
+            co = co.apply_plain_gate(arg, target)
+            pu = pu.apply_plain_gate(arg, target)
+        elif kind == "quantum":
+            dec = co.decomp()
+            _same(dec, ref.decomp(dict(co.amps), l))
+            out = dec.apply_quantum_query(arg, target)
+            _same(out, ref.apply_quantum_query(dict(dec.amps), n, arg, target))
+            _same(out.comp(), ref.comp(dict(out.amps), l))
+            _same(pu.apply_quantum_query(arg, target),
+                  ref.apply_quantum_query(dict(pu.amps), n, arg, target))
+            co = out.comp()
+            pu = pu.apply_quantum_query(arg, target)
+        else:
+            rec = i % 2 == 1
+            _same(co.compressed_classical_query(arg, target, record=rec),
+                  ref.compressed_classical_query(dict(co.amps), n, arg, target, rec))
+            _same(pu.apply_classical_query(arg, target, record=rec),
+                  ref.apply_classical_query(dict(pu.amps), n, arg, target, rec))
+            for db in ("dr", "da"):
+                _same(co.apply_db_query(arg, target, db=db),
+                      ref.apply_db_query(dict(co.amps), n, arg, target, db))
+            co = co.compressed_classical_query(arg, target, record=rec)
+            pu = pu.apply_classical_query(arg, target, record=rec)
+    _same(co.decomp().comp(), dict(co.amps))
+
+
+def test_world_size_guard_raises_before_allocating():
+    for build in (OracleWorld.purified_init, OracleWorld.compressed_init):
+        with pytest.raises(OracleError):
+            build(WORLD_L_CAP + 1)
+        with pytest.raises(OracleError):
+            build(2, 62 - 4 + 1)  # n_plain + 2^l = 63 bits: no room in the keys
+    with pytest.raises(OracleError):
+        OracleWorld("purified", 5, 0, {})
+
+
+def test_amps_view_is_read_only_with_label_count():
+    w = run_compressed(2, 6, random_program(2, 3, Stream(74)))
+    assert len(w.amps) == len(w.amp) == len(dict(w.amps))
+    with pytest.raises(TypeError):
+        w.amps[next(iter(w.amps))] = 0.0
+
+
+def test_aligned_needs_a_common_start():
+    # two runs of one program start from separate record tables
+    ops = random_program(2, 3, Stream(75))
+    w = run_compressed(2, 6, ops)
+    a, b = w.aligned(w.decomp().comp())
+    assert abs(np.vdot(a, b) - 1.0) <= 1e-9
+    with pytest.raises(OracleError):
+        w.aligned(run_compressed(2, 6, ops))
