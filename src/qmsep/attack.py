@@ -17,9 +17,9 @@ from .hilbert import DensityOp
 from .money import Banknote, MoneyScheme, WorldHandle
 from .oracle import ClassicalDB
 from .synth import (
+    ReducedVerifier,
     SynthesisParams,
     TrialEngine,
-    VerifierSpec,
     acceptance_of,
     synthesize,
 )
@@ -133,12 +133,13 @@ def test_phase(scheme, pk, note, world, cfg: AttackConfig, stream):
     return note, d, t
 
 
-def build_sim_verifier(scheme, pk, serial, d) -> VerifierSpec:
-    """d may be a dict or a sequence of (x, z) pairs; inconsistent pairs
-    (same position, different bits) are rejected."""
+def build_sim_verifier(scheme, pk, serial, d) -> ReducedVerifier:
+    """The verifier simulated from d, as the operator A synthesis reads; no
+    circuit is built.  d may be a dict or a sequence of (x, z) pairs;
+    inconsistent pairs (same position, different bits) are rejected."""
     if not isinstance(d, dict):
         d = ClassicalDB(tuple(d)).as_dict()
-    return scheme.sim_verifier(pk, serial, d)
+    return scheme.sim_operator(serial, d)
 
 
 class _SynthCache:

@@ -17,12 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attack import AttackConfig, derived_params, run_attack
+from .attack import AttackConfig, AttackError, derived_params, run_attack
 from .hilbert import haar_unitary
-from .money import make_scheme
+from .money import MoneyError, make_scheme
 from .oracle import OracleWorld, TruthTable, SampledExecutor, sample_oracle
 from .streams import Stream
 from .synth import (
+    SynthError,
     SynthesisParams,
     TrialEngine,
     VerifierSpec,
@@ -36,6 +37,12 @@ from .synth import (
 CSV_HEADER = "# qmsep-csv v1"
 CSV_COLUMNS = ("scheme", "variant", "seed", "eps", "t_max", "N",
                "t_drawn", "j_drawn", "accept1", "accept2", "success", "db_sizes")
+
+# widest note the attack accepts: its 2^m x 2^m density matrix is 1 MB at 8
+NOTE_QUBIT_CAP = 8
+# widest plain register oracle-check accepts: reduced_density_plain returns
+# a 2^n x 2^n matrix, 16 MB at 10
+PLAIN_QUBIT_CAP = 10
 
 
 class HarnessError(ValueError):
@@ -113,16 +120,21 @@ def cmd_synth(cfg: dict) -> dict:
         raise HarnessError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}") from exc
+    except (KeyError, TypeError, ValueError) as exc:  # SynthError is a ValueError
+        raise HarnessError(f"{path}: bad verifier: {exc!r}") from exc
     a = float(cfg.get("a", 0.5))
     b = float(cfg.get("b", 0.9))
     trials = int(cfg.get("trials", 20))
     seed = int(cfg.get("seed", 0))
     n_alt = cfg.get("n_alternations")
     t_tr = cfg.get("t_trials")
-    params = SynthesisParams.default(
-        spec.m, a=a, b=b, backend="trial",
-        n_alternations=int(n_alt) if n_alt is not None else None,
-        t_trials=int(t_tr) if t_tr is not None else None)
+    try:
+        params = SynthesisParams.default(
+            spec.m, a=a, b=b, backend="trial",
+            n_alternations=int(n_alt) if n_alt is not None else None,
+            t_trials=int(t_tr) if t_tr is not None else None)
+    except SynthError as exc:
+        raise HarnessError(str(exc)) from exc
 
     max_acc, _ = max_acceptance(spec)
     eigen_state = synthesize(spec, SynthesisParams(a, b, params.n_alternations,
@@ -209,11 +221,19 @@ def attack_rows(cfg: dict):
     variant = cfg.get("variant")
     workers = int(cfg.get("workers") or os.cpu_count() or 1)
 
-    scheme = make_scheme(name, l=l, m=m)
-    probe_cfg = AttackConfig.default(scheme, epsilon=eps, variant=variant,
-                                     t_max=t_max, n_updates=n_updates)
-    derived = derived_params(scheme.profile, eps, probe_cfg.delta_r,
-                         probe_cfg.variant)
+    if m < 1:
+        raise HarnessError("attack needs m >= 1")
+    try:
+        scheme = make_scheme(name, l=l, m=m)
+        probe_cfg = AttackConfig.default(scheme, epsilon=eps, variant=variant,
+                                         t_max=t_max, n_updates=n_updates)
+        derived = derived_params(scheme.profile, eps, probe_cfg.delta_r,
+                                 probe_cfg.variant)
+    except (MoneyError, AttackError) as exc:
+        raise HarnessError(str(exc)) from exc
+    if scheme.profile.m > NOTE_QUBIT_CAP:
+        raise HarnessError(f"{name} at m = {m} has {scheme.profile.m}-qubit "
+                           f"notes; the cap is {NOTE_QUBIT_CAP}")
     jobs = [(name, l, m, eps, t_max, n_updates, variant, seed + i, i)
             for i in range(trials)]
     if workers > 1 and trials > 1:
@@ -396,6 +416,10 @@ def cmd_oracle_check(cfg: dict) -> dict:
     if n_queries < 1 or trials < 1 or mc_samples < 0:
         raise HarnessError("oracle-check needs queries >= 1, trials >= 1 "
                            "and mc_samples >= 0")
+    if l + n_queries + 1 > PLAIN_QUBIT_CAP:
+        raise HarnessError(f"oracle-check needs l + queries + 1 <= "
+                           f"{PLAIN_QUBIT_CAP} (a 2^n-square plain density "
+                           f"matrix)")
     stream = Stream(seed)
 
     worst = {"equivalence_td": 0.0, "comp_decomp": 0.0,

@@ -8,8 +8,9 @@ check order (basis first), and measures qubit i with the projector onto
 that state, so valid notes are perfectly correct and perfectly reusable.
 MoneyScheme derives everything else from the list: the verifier's query
 positions, mint, verify, the verifier simulated from a partial database D
-(an unknown position becomes a fresh |+> ancilla), and the exact acceptance
-probability of a note.  The three toy schemes differ only in their checks:
+(an unknown position becomes a fresh |+> ancilla) as a circuit and as the
+2^m x 2^m operator synthesis reads, and the exact acceptance probability of
+a note.  The three toy schemes differ only in their checks:
 
 hash-tag        [(None, R(s||i))]
 conjugate       [(R(s||i||0), R(s||i||1))]
@@ -28,7 +29,7 @@ import numpy as np
 
 from .hilbert import HADAMARD, DensityOp, RegisterLayout, embed_unitary, index_bits
 from .oracle import ORACLE_L_CAP, TruthTable, sample_oracle
-from .synth import VerifierSpec
+from .synth import ReducedVerifier, VerifierSpec
 
 _CH = np.eye(4, dtype=np.complex128)
 _CH[2:, 2:] = HADAMARD  # controlled-H, control qubit first
@@ -166,6 +167,10 @@ def _conjugate_proj(basis: int, bit: int) -> np.ndarray:
 # the four check projectors, [basis][bit]: shared by every caller, never
 # written; a lookup costs far less than building one per measured qubit
 _CHECK_PROJ = [[_conjugate_proj(b, z) for z in (0, 1)] for b in (0, 1)]
+# a check averaged over an unknown position: over its bit, whatever the
+# basis, and over its basis alone, for a known bit z
+_HALF_I = np.eye(2, dtype=np.complex128) / 2
+_EITHER_BASIS = [(_CHECK_PROJ[0][z] + _CHECK_PROJ[1][z]) / 2 for z in (0, 1)]
 
 
 class MoneyScheme:
@@ -244,6 +249,32 @@ class MoneyScheme:
             holds &= index_bits(idx, n, [i]) == want
         v = v[np.where(holds, idx ^ 1, idx)]
         return VerifierSpec(m=m, k=len(anc) + 1, v_hat=v, ans_index=n - 1)
+
+    def sim_operator(self, serial, d: dict) -> ReducedVerifier:
+        """A = P1 Q1 P1 of sim_verifier(serial, d) on range(P1), from the
+        checks alone.
+
+        The ancillas make each unknown position a uniform bit, so A is the
+        mean of the checks' projector product over the unknown bits.  When
+        no position is shared by two checks that mean factors into one 2x2
+        operator per check: its projector when d knows both positions, I/2
+        when d lacks the bit, and the mean over both bases when d lacks
+        only the basis.
+        """
+        positions = self.verify_positions(serial)
+        if len(set(positions)) < len(positions):
+            raise MoneyError("sim_operator needs checks that share no position")
+        a = np.ones((1, 1), dtype=np.complex128)
+        for basis, bit in self.checks(serial):
+            if bit not in d:
+                f = _HALF_I
+            elif basis is None or basis in d:
+                f = _CHECK_PROJ[0 if basis is None else d[basis]][d[bit]]
+            else:
+                f = _EITHER_BASIS[d[bit]]
+            a = np.kron(a, f)
+        unknown = sum(x not in d for x in positions)
+        return ReducedVerifier(m=self.profile.m, k=unknown + 1, a=a)
 
     def accept_prob(self, note: Banknote, world: WorldHandle) -> float:
         """Exact probability that verify accepts note.

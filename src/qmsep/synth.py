@@ -6,7 +6,9 @@ projector pair P1 = I (x) |0^k><0^k| and Q1 = V^dag (|1><1|_ans (x) I) V.
 By Jordan's lemma everything synthesis does happens inside range(P1), where
 P1 Q1 P1 is the 2^m x 2^m operator A = Vp^dag Pi_ans Vp, with Vp the
 K = |0^k> columns of V.  acceptance_of reads A; max_acceptance and the
-trial engine read its eigendecomposition.
+trial engine read its eigendecomposition.  A verifier is either the circuit
+(VerifierSpec, which computes A from V) or a ReducedVerifier that carries
+A itself, as the attack's simulated verifier does.
 
 The eigen backend returns the best acceptance, A's top eigenvalue, and as
 witness the normalized projector onto A's top eigenspace, so the witness
@@ -43,6 +45,8 @@ from .hilbert import (
 
 # eigenvalues of A this close to the top one span the eigen witness
 TOP_TOL = 1e-9
+# widest verifier circuit from_json builds: V is 2^n x 2^n, 16 MB at n = 10
+SPEC_QUBIT_CAP = 10
 
 _T = np.diag([1.0, np.exp(1j * np.pi / 4)]).astype(np.complex128)
 _CNOT = np.array(
@@ -72,6 +76,13 @@ class VerifierSpec:
             raise SynthError(f"v_hat shape {v.shape}, expected {(d, d)}")
         object.__setattr__(self, "v_hat", v)
 
+    def reduced(self) -> np.ndarray:
+        """A = Vp^dag Pi_ans Vp: P1 Q1 P1 on range(P1), in the basis |i>|0^k>."""
+        n = self.m + self.k
+        accept_rows = ((np.arange(1 << n) >> (n - 1 - self.ans_index)) & 1) == 1
+        w = self.v_hat[accept_rows, ::1 << self.k]
+        return w.conj().T @ w
+
     def to_json(self) -> str:
         flat = [[float(z.real), float(z.imag)] for z in self.v_hat.reshape(-1)]
         return json.dumps({
@@ -86,6 +97,8 @@ class VerifierSpec:
         obj = json.loads(text)
         m, k = int(obj["m"]), int(obj["k"])
         n = m + k
+        if n > SPEC_QUBIT_CAP:
+            raise SynthError(f"m + k = {n} exceeds cap {SPEC_QUBIT_CAP}")
         v = np.eye(1 << n, dtype=np.complex128)
         for gate in obj.get("gates", []):
             name = gate["name"]
@@ -111,8 +124,22 @@ class VerifierSpec:
         return cls(m=m, k=k, v_hat=v, ans_index=int(obj["ans_index"]))
 
 
+@dataclass(frozen=True)
+class ReducedVerifier:
+    """A verifier given by its operator A alone.  k is the ancilla count of
+    the circuit A stands for; nothing here is built at that size."""
+    m: int
+    k: int
+    a: np.ndarray
+
+    def reduced(self) -> np.ndarray:
+        return self.a
+
+
 def derived_n_alternations(m: int, a: float, b: float) -> int:
     """The subroutine's alternation count (log base 2)."""
+    if not 0 < a < b <= 1:
+        raise SynthError("need 0 < a < b <= 1")
     gap2 = (b - a) ** 2
     n1 = (3 * a + b) / gap2 * (m + 2 - math.log2(b - a))
     n2 = 16 * b / gap2
@@ -158,7 +185,7 @@ class SynthesisParams:
 
 def build_pq(spec: VerifierSpec):
     """The full 2^(m+k)-dimensional projector pair (P1, Q1): the reference
-    that reduced_operator and the trial engine are tested against."""
+    that VerifierSpec.reduced and the trial engine are tested against."""
     n = spec.m + spec.k
     dim = 1 << n
     idx = np.arange(dim)
@@ -171,30 +198,22 @@ def build_pq(spec: VerifierSpec):
     return p1, q1
 
 
-def reduced_operator(spec: VerifierSpec) -> np.ndarray:
-    """A = Vp^dag Pi_ans Vp: P1 Q1 P1 on range(P1), in the basis |i>|0^k>."""
-    n = spec.m + spec.k
-    accept_rows = ((np.arange(1 << n) >> (n - 1 - spec.ans_index)) & 1) == 1
-    w = spec.v_hat[accept_rows, ::1 << spec.k]
-    return w.conj().T @ w
-
-
-def _spectrum(spec: VerifierSpec):
+def _spectrum(spec: VerifierSpec | ReducedVerifier):
     """A's eigenvalues (ascending, clipped to [0, 1]) and eigenvectors."""
-    vals, vecs = np.linalg.eigh(reduced_operator(spec))
+    vals, vecs = np.linalg.eigh(spec.reduced())
     return np.clip(vals, 0.0, 1.0), vecs
 
 
-def _input_state(spec: VerifierSpec, mat: np.ndarray) -> DensityOp:
+def _input_state(spec: VerifierSpec | ReducedVerifier, mat: np.ndarray) -> DensityOp:
     return DensityOp(RegisterLayout((("M", spec.m),)), mat)
 
 
-def acceptance_of(spec: VerifierSpec, rho_m: DensityOp) -> float:
+def acceptance_of(spec: VerifierSpec | ReducedVerifier, rho_m: DensityOp) -> float:
     """Tr(Q1 (rho (x) |0^k><0^k|)) = Tr(A rho) for a state on the input register."""
-    return float(np.trace(reduced_operator(spec) @ rho_m.matrix).real)
+    return float(np.trace(spec.reduced() @ rho_m.matrix).real)
 
 
-def max_acceptance(spec: VerifierSpec):
+def max_acceptance(spec: VerifierSpec | ReducedVerifier):
     """A's top eigenvalue, and the normalized projector onto its eigenspace."""
     vals, vecs = _spectrum(spec)
     top = vecs[:, vals >= vals[-1] - TOP_TOL]
@@ -247,7 +266,8 @@ class TrialEngine:
     sum_b w_b |a_b><a_b| / sum_b w_b, where w_b = Pr_b[c >= T, c even].
     """
 
-    def __init__(self, spec: VerifierSpec, params: SynthesisParams):
+    def __init__(self, spec: VerifierSpec | ReducedVerifier,
+                 params: SynthesisParams):
         self.spec = spec
         self.params = params
         n_out = 2 * params.n_alternations
@@ -323,7 +343,7 @@ class SynthesisResult:
     attempts: int
 
 
-def synthesize(spec: VerifierSpec, params: SynthesisParams, rng,
+def synthesize(spec: VerifierSpec | ReducedVerifier, params: SynthesisParams, rng,
                engine: TrialEngine | None = None) -> SynthesisResult:
     if params.backend == "eigen":
         _, witness = max_acceptance(spec)

@@ -19,6 +19,7 @@ from qmsep.attack import (
 )
 from qmsep.attack import test_phase as learn_phase
 learn_phase.__test__ = False
+from qmsep.harness import NOTE_QUBIT_CAP
 from qmsep.money import Banknote, make_scheme
 from qmsep.streams import Stream
 from qmsep.synth import SynthesisParams
@@ -257,7 +258,7 @@ def test_run_attack_trial_backend_smoke():
 @pytest.mark.parametrize("name", ["hash-tag", "conjugate", "counterexample"])
 def test_run_attack_trial_backend_every_scheme(name):
     # t_max = 1 draws t = 0, so the update phase synthesizes against the
-    # empty database too: 512 dimensions for counterexample
+    # empty database too
     scheme = make_scheme(name)
     cfg = AttackConfig.default(
         scheme, epsilon=0.1, t_max=1, n_updates=3,
@@ -268,6 +269,24 @@ def test_run_attack_trial_backend_every_scheme(name):
     dm = 1 << scheme.profile.m
     for phi in tr.forged_pair:
         assert phi.matrix.shape == (dm, dm)
+        phi.check()
+
+
+@pytest.mark.parametrize("backend", ["eigen", "trial"])
+@pytest.mark.parametrize("name", ["hash-tag", "conjugate", "counterexample"])
+def test_run_attack_at_note_cap_from_empty_database(name, backend):
+    # the simulated verifier at an empty database would be a circuit on
+    # 17 (hash-tag) to 25 (conjugate) qubits; synthesis needs only its 2^m x
+    # 2^m operator
+    m = NOTE_QUBIT_CAP - (name == "counterexample")  # one more note qubit
+    scheme = make_scheme(name, m=m)
+    assert scheme.profile.m == NOTE_QUBIT_CAP
+    cfg = AttackConfig.default(
+        scheme, epsilon=0.1, t_max=1, n_updates=2,
+        synth_params=SynthesisParams.default(scheme.profile.m, backend=backend))
+    tr = run_attack(scheme, cfg, Stream(31))
+    assert tr.db_sizes[0] == 0
+    for phi in tr.forged_pair:
         phi.check()
 
 

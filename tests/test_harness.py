@@ -7,6 +7,7 @@ from qmsep import cli
 from qmsep.harness import (
     CSV_COLUMNS,
     CSV_HEADER,
+    NOTE_QUBIT_CAP,
     HarnessError,
     SummaryStats,
     recording_error_check,
@@ -238,7 +239,8 @@ def test_cli_oracle_check_exit_zero(capsys):
 
 
 @pytest.mark.parametrize("flag,value", [("--l", "0"), ("--l", "4"), ("--queries", "0"),
-                                        ("--trials", "0"), ("--mc-samples", "-1")])
+                                        ("--queries", "9"), ("--trials", "0"),
+                                        ("--mc-samples", "-1")])
 def test_cli_oracle_check_rejects_bad_input(flag, value, capsys):
     args = {"--l": "1", "--queries": "2", "--trials": "1", "--mc-samples": "0"}
     args[flag] = value
@@ -255,6 +257,38 @@ def test_cli_attack_writes_csv(tmp_path, capsys):
                    "--workers", "1", "--out", str(out)])
     assert rc == 0
     assert out.read_text().startswith(CSV_HEADER)
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--l", "7"), ("--m", "0"), ("--m", str(NOTE_QUBIT_CAP + 1)), ("--eps", "2"),
+    ("--t-max", "0"), ("--n-updates", "0")])
+def test_cli_attack_rejects_bad_input(flag, value, capsys):
+    rc = cli.main(["attack", "--scheme", "hash-tag", "--workers", "1", flag, value])
+    assert rc == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("qmsep: ")
+
+
+@pytest.mark.parametrize("verifier", [
+    {"m": 1, "k": 0, "ans_index": 0, "gates": [{"name": "X", "targets": [0]}]},
+    {"m": 1, "k": 0, "gates": []},
+    {"m": 1, "k": 0, "ans_index": 0, "gates": [{"name": "H", "targets": [3]}]},
+    {"m": 20, "k": 20, "ans_index": 0}])
+def test_cli_synth_rejects_bad_verifier(tmp_path, verifier, capsys):
+    path = tmp_path / "v.json"
+    path.write_text(json.dumps(verifier))
+    rc = cli.main(["synth", "--verifier", str(path), "--trials", "1"])
+    assert rc == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "bad verifier" in out.err
+
+
+@pytest.mark.parametrize("flags", [["--a", "0.9", "--b", "0.5"], ["--b", "1.5"],
+                                   ["--n-alternations", "0"]])
+def test_cli_synth_rejects_bad_params(tmp_path, flags, capsys):
+    rc = cli.main(["synth", "--verifier", write_spec(tmp_path, [X_GATE]), *flags])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("qmsep: ")
 
 
 def test_cli_synth_reads_config(tmp_path, capsys):

@@ -307,8 +307,8 @@ def test_sim_verifier_eigen_witness_fools_true_verifier():
 
 
 def _sim_verifiers_over_subsets(name):
-    """sim_verifier at every subset of verify_positions, for 3 serials whose
-    answer bits come from a fixed generator."""
+    """(sim_verifier, sim_operator) at every subset of verify_positions, for
+    3 serials whose answer bits come from a fixed generator."""
     scheme = make_scheme(name)
     rng = np.random.default_rng(12345)
     for _ in range(3):
@@ -318,7 +318,9 @@ def _sim_verifiers_over_subsets(name):
         bits = {x: int(rng.integers(0, 2)) for x in pos}
         for r in range(len(pos) + 1):
             for sub in itertools.combinations(pos, r):
-                yield scheme.sim_verifier("", serial, {x: bits[x] for x in sub})
+                d = {x: bits[x] for x in sub}
+                yield (scheme.sim_verifier("", serial, d),
+                       scheme.sim_operator(serial, d))
 
 
 # sha256 of the concatenated v_hat bytes, recorded while each gate was a
@@ -333,16 +335,32 @@ SIM_VERIFIER_SHA256 = {
 @pytest.mark.parametrize("name", ["hash-tag", "conjugate", "counterexample"])
 def test_sim_verifier_bytes_are_pinned(name):
     h = hashlib.sha256()
-    for spec in _sim_verifiers_over_subsets(name):
+    for spec, _ in _sim_verifiers_over_subsets(name):
         h.update(spec.v_hat.tobytes())
     assert h.hexdigest() == SIM_VERIFIER_SHA256[name]
 
 
 @pytest.mark.parametrize("name", ["hash-tag", "conjugate", "counterexample"])
 def test_sim_verifier_is_unitary_on_every_subset(name):
-    for spec in _sim_verifiers_over_subsets(name):
+    for spec, _ in _sim_verifiers_over_subsets(name):
         v = spec.v_hat
         assert np.abs(v.conj().T @ v - np.eye(len(v))).max() < 1e-12
+
+
+@pytest.mark.parametrize("name", ["hash-tag", "conjugate", "counterexample"])
+def test_sim_operator_is_the_circuits_reduced_operator(name):
+    for spec, op in _sim_verifiers_over_subsets(name):
+        assert (op.m, op.k) == (spec.m, spec.k)
+        assert np.abs(op.a - spec.reduced()).max() < 1e-12
+
+
+def test_sim_operator_rejects_a_shared_position():
+    class Shared(HashTagScheme):
+        def checks(self, serial):
+            return [(None, 5), (5, 6)]
+
+    with pytest.raises(MoneyError, match="share"):
+        Shared(m=2).sim_operator((0,), {})
 
 
 # ------------------------------------------------------------ serialization

@@ -8,6 +8,7 @@ from qmsep.hilbert import DensityOp, Projector, QState, RegisterLayout, haar_uni
 from qmsep.money import make_scheme
 from qmsep.streams import Stream
 from qmsep.synth import (
+    SPEC_QUBIT_CAP,
     SynthError,
     SynthesisParams,
     TrialEngine,
@@ -17,7 +18,6 @@ from qmsep.synth import (
     build_pq,
     embed_unitary,
     max_acceptance,
-    reduced_operator,
     derived_n_alternations,
     derived_t_trials,
     run_trial_destructive,
@@ -90,7 +90,7 @@ def test_reduced_operator_is_p1_q1_p1_on_range_p1():
         p1, q1 = build_pq(spec)
         dk = 1 << k
         full = p1.matrix @ q1.matrix @ p1.matrix
-        assert np.abs(reduced_operator(spec) - full[::dk, ::dk]).max() < 1e-12
+        assert np.abs(spec.reduced() - full[::dk, ::dk]).max() < 1e-12
 
 
 # ------------------------------------------------------------ max_acceptance
@@ -174,6 +174,9 @@ def test_params_validation():
         SynthesisParams(a=0.9, b=0.5, n_alternations=10, t_trials=10)
     with pytest.raises(SynthError):
         SynthesisParams(a=0.5, b=0.9, n_alternations=0, t_trials=10)
+    for a, b in ((0.9, 0.5), (0.5, 0.5)):  # b - a <= 0 enters a log and a division
+        with pytest.raises(SynthError):
+            SynthesisParams.default(2, a=a, b=b)
     p = SynthesisParams.default(2)
     assert p.threshold == math.ceil(90 * 1.4)
 
@@ -443,6 +446,13 @@ def test_verifier_json_gate_list():
     # |0> input: Bell state, accepts with probability 1/2
     assert abs(acceptance_of(spec, DensityOp(
         RegisterLayout((("M", 1),)), np.diag([1.0, 0]))) - 0.5) < 1e-12
+
+
+@pytest.mark.parametrize("m,k", [(20, 20), (1, SPEC_QUBIT_CAP)])
+def test_verifier_json_rejects_width_above_cap(m, k):
+    # raised before the 2^(m+k)-square identity is allocated
+    with pytest.raises(SynthError, match="exceeds cap"):
+        VerifierSpec.from_json(json.dumps({"m": m, "k": k, "ans_index": 0}))
 
 
 def test_verifier_json_unknown_gate():
