@@ -39,7 +39,7 @@ def shrink_factor(delta_r: float, epsilon: float) -> float:
 
 def derived_params(profile, epsilon: float, delta_r: float, variant: str) -> dict:
     """Parameter values the analysis prescribes, before any scaling."""
-    ell = profile.q_prime  # oracle queries made by key_gen + mint
+    ell = profile.q_prime  # oracle queries made by mint
     g = shrink_factor(delta_r, epsilon)
     if variant == "classical_mint":
         t_max = math.ceil(ell / epsilon)
@@ -80,6 +80,8 @@ class AttackConfig:
         if variant is None:
             variant = ("quantum_mint" if profile.mint_query_mode == "quantum"
                        else "classical_mint")
+        if variant == "quantum_mint" and profile.mint_query_mode != "quantum":
+            raise AttackError("quantum_mint variant needs a quantum-mint scheme")
         derived = derived_params(profile, epsilon, delta_r, variant)
         scaled = t_max is not None or n_updates is not None
         if synth_params is None:
@@ -99,21 +101,21 @@ class AttackTranscript:
     update_accept_probs: list  # exact acceptance of each round's note
     forged_pair: tuple
     bad_query_counts: list
-    discovered_secret_pairs: int  # telescoped key_gen/mint discoveries
+    discovered_secret_pairs: int  # telescoped mint discoveries
     accept1: bool = False
     accept2: bool = False
     success: bool = False
 
 
-def _verify_collecting(scheme, pk, note, world, stream):
+def _verify_collecting(scheme, note, world, stream):
     """Run verify; returns (accept, post_note, pairs observed)."""
     before = len(world.dr)
-    ok, post = scheme.verify(pk, note, world, stream)
+    ok, post = scheme.verify(note, world, stream)
     pairs = world.dr[before:]
     return ok, post, pairs
 
 
-def test_phase(scheme, pk, note, world, cfg: AttackConfig, stream):
+def test_phase(scheme, note, world, cfg: AttackConfig, stream):
     """Re-verify the honest note up to t times; returns (note, D, t).
 
     As in update_phase, a verification runs only while D lacks one of
@@ -127,13 +129,13 @@ def test_phase(scheme, pk, note, world, cfg: AttackConfig, stream):
     for i in range(t):
         if needed <= d.keys():
             break
-        _, note, pairs = _verify_collecting(scheme, pk, note, world,
+        _, note, pairs = _verify_collecting(scheme, note, world,
                                             stream.split(("test", i)))
         d.update(dict(pairs))
     return note, d, t
 
 
-def build_sim_verifier(scheme, pk, serial, d) -> ReducedVerifier:
+def build_sim_verifier(scheme, serial, d) -> ReducedVerifier:
     """The verifier simulated from d, as the operator A synthesis reads; no
     circuit is built.  d may be a dict or a sequence of (x, z) pairs;
     inconsistent pairs (same position, different bits) are rejected."""
@@ -145,9 +147,8 @@ def build_sim_verifier(scheme, pk, serial, d) -> ReducedVerifier:
 class _SynthCache:
     """Memoizes synthesis against a fixed database (per attack run)."""
 
-    def __init__(self, scheme, pk, serial, params: SynthesisParams):
+    def __init__(self, scheme, serial, params: SynthesisParams):
         self.scheme = scheme
-        self.pk = pk
         self.serial = serial
         self.params = params
         self.cache = {}
@@ -158,17 +159,17 @@ class _SynthCache:
         if self.params.backend == "eigen":
             # deterministic given the database; safe to memoize outright
             if key not in self.cache:
-                spec = build_sim_verifier(self.scheme, self.pk, self.serial, d)
+                spec = build_sim_verifier(self.scheme, self.serial, d)
                 self.cache[key] = synthesize(spec, self.params, rng).state
             return self.cache[key]
         if key not in self.cache:
-            spec = build_sim_verifier(self.scheme, self.pk, self.serial, d)
+            spec = build_sim_verifier(self.scheme, self.serial, d)
             self.cache[key] = (spec, TrialEngine(spec, self.params))
         spec, engine = self.cache[key]
         return synthesize(spec, self.params, rng, engine=engine).state
 
 
-def update_phase(scheme, pk, serial, world, d0: dict, cfg: AttackConfig,
+def update_phase(scheme, serial, world, d0: dict, cfg: AttackConfig,
                  stream, cache: _SynthCache | None = None,
                  secret_positions: set | None = None):
     """N rounds of synthesizing a note against D and merging what the true
@@ -182,7 +183,7 @@ def update_phase(scheme, pk, serial, world, d0: dict, cfg: AttackConfig,
     database, state and probability, and they are filled in at once.
     """
     if cache is None:
-        cache = _SynthCache(scheme, pk, serial, cfg.synth_params)
+        cache = _SynthCache(scheme, serial, cfg.synth_params)
     eigen = cfg.synth_params.backend == "eigen"
     needed = set(scheme.verify_positions(serial))
     databases = [dict(d0)]
@@ -204,7 +205,7 @@ def update_phase(scheme, pk, serial, world, d0: dict, cfg: AttackConfig,
         note = Banknote(serial, cache.state_for(d, rng))
         pairs = []
         if not complete:
-            _, _, pairs = _verify_collecting(scheme, pk, note, world,
+            _, _, pairs = _verify_collecting(scheme, note, world,
                                              stream.split(("upd", k)))
         new_pairs = {x: z for x, z in pairs if x not in d}
         if secret_positions is not None:
@@ -219,10 +220,10 @@ def update_phase(scheme, pk, serial, world, d0: dict, cfg: AttackConfig,
     return databases, probs, bad_counts, discovered, cache
 
 
-def synthesize_phase(scheme, pk, serial, databases, cfg: AttackConfig, stream,
+def synthesize_phase(scheme, serial, databases, cfg: AttackConfig, stream,
                      cache: _SynthCache | None = None):
     if cache is None:
-        cache = _SynthCache(scheme, pk, serial, cfg.synth_params)
+        cache = _SynthCache(scheme, serial, cfg.synth_params)
     j = int(stream.integers(0, cfg.n_updates))
     d_j = databases[j]
     phi1 = cache.state_for(d_j, stream.split(("forge", j, 1)))
@@ -235,24 +236,28 @@ def make_world(scheme: MoneyScheme, cfg: AttackConfig, stream) -> WorldHandle:
     return WorldHandle(kind, scheme.profile.l, stream=stream.split("world"))
 
 
-def run_attack(scheme: MoneyScheme, cfg: AttackConfig, stream) -> AttackTranscript:
-    if cfg.variant == "quantum_mint" and scheme.profile.mint_query_mode != "quantum":
-        raise AttackError("quantum_mint variant needs a quantum-mint scheme")
+def _mint_and_test(scheme: MoneyScheme, cfg: AttackConfig, stream):
+    """The opening every run shares: mint the honest note in a fresh world,
+    then run the test phase on it.  Returns (world, the positions mint
+    touched, note, D, t)."""
     world = make_world(scheme, cfg, stream)
-    kp = scheme.key_gen(world, stream.split("keygen"))
-    note = scheme.mint(kp.sk, world, stream.split("mint"))
-    secret = world.positions_touched_by("keygen", "mint")
+    note = scheme.mint(world, stream.split("mint"))
+    secret = world.positions_touched_by("mint")
+    note, d, t = test_phase(scheme, note, world, cfg, stream.split("t"))
+    return world, secret, note, d, t
 
-    note, d0, t = test_phase(scheme, kp.pk, note, world, cfg, stream.split("t"))
-    cache = _SynthCache(scheme, kp.pk, note.serial, cfg.synth_params)
+
+def run_attack(scheme: MoneyScheme, cfg: AttackConfig, stream) -> AttackTranscript:
+    world, secret, note, d0, t = _mint_and_test(scheme, cfg, stream)
+    cache = _SynthCache(scheme, note.serial, cfg.synth_params)
     databases, probs, bad_counts, discovered, cache = update_phase(
-        scheme, kp.pk, note.serial, world, d0, cfg, stream.split("u"),
+        scheme, note.serial, world, d0, cfg, stream.split("u"),
         cache=cache, secret_positions=secret)
-    j, phi1, phi2 = synthesize_phase(scheme, kp.pk, note.serial, databases,
+    j, phi1, phi2 = synthesize_phase(scheme, note.serial, databases,
                                      cfg, stream.split("s"), cache=cache)
-    ok1, _, _ = _verify_collecting(scheme, kp.pk, Banknote(note.serial, phi1),
+    ok1, _, _ = _verify_collecting(scheme, Banknote(note.serial, phi1),
                                    world, stream.split("v1"))
-    ok2, _, _ = _verify_collecting(scheme, kp.pk, Banknote(note.serial, phi2),
+    ok2, _, _ = _verify_collecting(scheme, Banknote(note.serial, phi2),
                                    world, stream.split("v2"))
     snapshots = [databases[0]]
     for db in databases[1:]:
@@ -271,26 +276,18 @@ def run_attack(scheme: MoneyScheme, cfg: AttackConfig, stream) -> AttackTranscri
 
 
 def bad_query_probe(scheme: MoneyScheme, cfg: AttackConfig, stream) -> int:
-    """After the test phase, does one more verification hit a key_gen/mint
+    """After the test phase, does one more verification hit a mint
     position the adversary has not learned?  Returns 0/1."""
-    world = make_world(scheme, cfg, stream)
-    kp = scheme.key_gen(world, stream.split("keygen"))
-    note = scheme.mint(kp.sk, world, stream.split("mint"))
-    secret = world.positions_touched_by("keygen", "mint")
-    note, d, _ = test_phase(scheme, kp.pk, note, world, cfg, stream.split("t"))
-    _, _, pairs = _verify_collecting(scheme, kp.pk, note, world,
-                                     stream.split("probe"))
+    world, secret, note, d, _ = _mint_and_test(scheme, cfg, stream)
+    _, _, pairs = _verify_collecting(scheme, note, world, stream.split("probe"))
     return int(bool({x for x, _ in pairs} & (secret - set(d))))
 
 
 def simulation_gap_probe(scheme: MoneyScheme, cfg: AttackConfig, stream):
     """Per-run (Pr[true accepts rho_t], Pr[sim accepts rho_t]) on the
     post-test-phase note, both computed exactly given the sampled world."""
-    world = make_world(scheme, cfg, stream)
-    kp = scheme.key_gen(world, stream.split("keygen"))
-    note = scheme.mint(kp.sk, world, stream.split("mint"))
-    note, d, _ = test_phase(scheme, kp.pk, note, world, cfg, stream.split("t"))
+    world, _, note, d, _ = _mint_and_test(scheme, cfg, stream)
     p_true = scheme.accept_prob(note, world)
-    spec = build_sim_verifier(scheme, kp.pk, note.serial, d)
+    spec = build_sim_verifier(scheme, note.serial, d)
     p_sim = acceptance_of(spec, note.state)
     return p_true, p_sim

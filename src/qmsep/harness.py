@@ -59,6 +59,8 @@ def load_config(path: str | None) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
+    except OSError as exc:
+        raise HarnessError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise HarnessError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
@@ -116,6 +118,8 @@ def cmd_synth(cfg: dict) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             spec = VerifierSpec.from_json(fh.read())
+    except OSError as exc:
+        raise HarnessError(f"cannot read verifier: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise HarnessError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "

@@ -3,8 +3,9 @@
 Index arithmetic is big-endian over the declared register order: the first
 register holds the most significant bits of the computational-basis index,
 and the first qubit inside a register is that register's most significant
-bit.  This ordering is the single source of truth; every operation that
-touches a subset of registers embeds itself by name.
+bit.  This ordering is the single source of truth: RegisterLayout.axes
+turns register names into qubit axes, and embed_unitary and partial_trace
+act on those axes.  Measurements on QState live in tests/reference.py.
 """
 
 from __future__ import annotations
@@ -77,16 +78,6 @@ class QState:
             raise HilbertError(
                 f"amplitude vector has shape {amps.shape}, layout dim {self.layout.dim}")
         object.__setattr__(self, "amplitudes", amps)
-
-    def check_norm(self) -> "QState":
-        n2 = float(np.vdot(self.amplitudes, self.amplitudes).real)
-        if abs(n2 - 1.0) > STRUCT_TOL:
-            raise HilbertError(f"state norm^2 = {n2}, not 1 within {STRUCT_TOL}")
-        return self
-
-    def density(self) -> "DensityOp":
-        a = self.amplitudes
-        return DensityOp(self.layout, np.outer(a, a.conj()))
 
 
 @dataclass(frozen=True)
@@ -161,29 +152,6 @@ def embed_unitary(g: np.ndarray, qubit_axes, n: int, x: np.ndarray) -> np.ndarra
     return np.moveaxis(tensor, range(t), qubit_axes).reshape(x.shape)
 
 
-def apply_projector(state: QState, pi: Projector, targets=None) -> np.ndarray:
-    """Pi|psi> as a raw (unnormalized) amplitude vector."""
-    layout = state.layout
-    if targets is None:
-        if pi.dim != layout.dim:
-            raise HilbertError("projector dimension mismatch")
-        return pi.matrix @ state.amplitudes
-    return embed_unitary(pi.matrix, layout.axes(targets), layout.total_qubits,
-                         state.amplitudes)
-
-
-def max_entangled(dim_per_side: int, names=("M", "Aux")) -> QState:
-    m = int(dim_per_side).bit_length() - 1
-    if dim_per_side < 2 or (1 << m) != dim_per_side:
-        raise HilbertError(f"dim_per_side {dim_per_side} is not a power of two >= 2")
-    layout = RegisterLayout(((names[0], m), (names[1], m)))
-    amps = np.zeros(layout.dim, dtype=np.complex128)
-    for i in range(dim_per_side):
-        amps[i * dim_per_side + i] = 1.0
-    amps /= np.sqrt(dim_per_side)
-    return QState(layout, amps)
-
-
 def partial_trace(state, keep) -> DensityOp:
     if isinstance(keep, str):
         keep = [keep]
@@ -207,48 +175,6 @@ def partial_trace(state, keep) -> DensityOp:
         tensor = tensor.reshape(dk, dt, dk, dt)
         rho = np.einsum("itjt->ij", tensor)
     return DensityOp(sub, rho)
-
-
-def measure_projective(state: QState, pi: Projector, rng, targets=None):
-    """Measure {Pi, I-Pi}; returns (outcome, post_state, prob_one)."""
-    proj = apply_projector(state, pi, targets)
-    prob_one = float(np.vdot(proj, proj).real)
-    prob_one = min(max(prob_one, 0.0), 1.0)
-    outcome = 1 if rng.random() < prob_one else 0
-    if outcome == 1:
-        post = proj / np.sqrt(prob_one)
-    else:
-        rest = state.amplitudes - proj
-        post = rest / np.sqrt(max(1.0 - prob_one, 0.0))
-    return outcome, QState(state.layout, post), prob_one
-
-
-def measure_coherently(state: QState, pi: Projector, outcome_register: str,
-                       targets=None) -> QState:
-    """Pi (x) X + (I-Pi) (x) I onto a fresh |0> outcome qubit."""
-    layout = state.layout
-    out_axes = layout.axes(outcome_register)
-    if len(out_axes) != 1:
-        raise HilbertError("outcome register must be a single qubit")
-    n = layout.total_qubits
-    axis = out_axes[0]
-    tensor = state.amplitudes.reshape((2,) * n)
-    tensor = np.moveaxis(tensor, axis, n - 1)
-    if np.abs(tensor[..., 1]).max() > STRUCT_TOL:
-        raise HilbertError("outcome qubit is not fresh |0>")
-    flat0 = np.moveaxis(tensor, n - 1, axis).reshape(-1)
-    if targets is None:
-        targets = [nm for nm, _ in layout.registers if nm != outcome_register]
-    proj = embed_unitary(pi.matrix, layout.axes(targets), n, flat0)
-    rest = flat0 - proj
-    # outcome qubit: Pi branch flips to |1>, complement stays |0>
-    pt = np.moveaxis(proj.reshape((2,) * n), axis, n - 1)
-    rt = np.moveaxis(rest.reshape((2,) * n), axis, n - 1)
-    out = np.empty_like(pt)
-    out[..., 1] = pt[..., 0]
-    out[..., 0] = rt[..., 0]
-    out = np.moveaxis(out, n - 1, axis).reshape(-1)
-    return QState(layout, out).check_norm()
 
 
 def haar_unitary(dim: int, rng) -> np.ndarray:

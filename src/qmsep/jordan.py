@@ -89,15 +89,3 @@ def jordan_decompose(p1: Projector, p2: Projector,
         raise JordanError("block dimensions exceed ambient dimension")
     return JordanDecomposition(tuple(blocks), n)
 
-
-def max_overlap(decomp: JordanDecomposition):
-    """Largest p over blocks carrying a v, with its v; ties keep block order."""
-    best = None
-    for b in decomp.blocks:
-        if b.v is None:
-            continue
-        if best is None or b.p > best.p:
-            best = b
-    if best is None:
-        raise JordanError("decomposition has no blocks with a v direction")
-    return best.p, best.v

@@ -21,7 +21,6 @@ counterexample  [(None, R(s))] + the conjugate checks of a second serial s';
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -56,23 +55,9 @@ class SchemeProfile:
 
 
 @dataclass(frozen=True)
-class KeyPair:
-    sk: str
-    pk: str
-
-
-@dataclass(frozen=True)
 class Banknote:
     serial: tuple
     state: DensityOp
-
-    def to_json(self) -> str:
-        mat = self.state.matrix
-        return json.dumps({
-            "serial": list(self.serial),
-            "matrix": [[float(z.real), float(z.imag)] for z in mat.reshape(-1)],
-            "qubits": self.state.layout.total_qubits,
-        })
 
 
 class WorldHandle:
@@ -106,7 +91,6 @@ class WorldHandle:
         self.dr = []                  # append-only classical query record
         self.classical_positions = {}  # caller -> set of positions
         self.quantum_positions = {}    # caller -> set of positions
-        self.query_counts = {}
 
     def _bit(self, x: int) -> int:
         if not (0 <= x < (1 << self.l)):
@@ -119,7 +103,6 @@ class WorldHandle:
 
     def query(self, x: int, caller: str, quantum: bool = False) -> int:
         z = self._bit(x)
-        self.query_counts[caller] = self.query_counts.get(caller, 0) + 1
         if quantum:
             self.quantum_positions.setdefault(caller, set()).add(x)
         else:
@@ -185,9 +168,6 @@ class MoneyScheme:
         """One (basis, bit) pair of oracle positions per note qubit."""
         raise NotImplementedError
 
-    def key_gen(self, world: WorldHandle, stream) -> KeyPair:
-        return KeyPair(sk="", pk="")
-
     def note_layout(self) -> RegisterLayout:
         return RegisterLayout((("M", self.profile.m),))
 
@@ -195,7 +175,7 @@ class MoneyScheme:
         """The positions verify queries, in query order."""
         return [x for check in self.checks(serial) for x in check if x is not None]
 
-    def mint(self, sk, world, stream) -> Banknote:
+    def mint(self, world, stream) -> Banknote:
         serial = tuple(int(stream.integers(0, 1 << self.s_bits))
                        for _ in range(self.serials))
         # a quantum mint learns the first check's bit with a quantum query;
@@ -209,7 +189,7 @@ class MoneyScheme:
             mat = np.kron(mat, _CHECK_PROJ[b][z])
         return Banknote(serial=serial, state=DensityOp(self.note_layout(), mat))
 
-    def verify(self, pk, note: Banknote, world: WorldHandle, stream):
+    def verify(self, note: Banknote, world: WorldHandle, stream):
         m = self.profile.m
         rho = note.state.matrix
         ok = True
@@ -221,7 +201,8 @@ class MoneyScheme:
         return ok, Banknote(note.serial, DensityOp(self.note_layout(), rho))
 
     def sim_verifier(self, pk, serial, d: dict) -> VerifierSpec:
-        """The verifier with oracle answers taken from d.
+        """The verifier with oracle answers taken from d.  pk is ignored:
+        perfbench/workloads.py still passes it, and ROADMAP item 1 drops it.
 
         Each position d lacks becomes an ancilla in |+>, allocated in query
         order; qubit i is then rotated into its check's basis and the answer
@@ -392,13 +373,3 @@ def make_scheme(name: str, l: int = 6, m: int = 2) -> MoneyScheme:
         raise MoneyError(f"unknown scheme {name!r}")
     return SCHEMES[name](l=l, m=m)
 
-
-def reuse_loop(scheme: MoneyScheme, pk, note: Banknote, world: WorldHandle,
-               count: int, stream) -> list:
-    if count < 1:
-        raise MoneyError("count must be >= 1")
-    accepts = []
-    for _ in range(count):
-        ok, note = scheme.verify(pk, note, world, stream)
-        accepts.append(bool(ok))
-    return accepts

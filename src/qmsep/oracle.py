@@ -69,9 +69,6 @@ class ClassicalDB:
     def as_dict(self) -> dict:
         return {x: z for x, z in self.entries}
 
-    def positions(self) -> set:
-        return {x for x, _ in self.entries}
-
 
 def sample_oracle(l: int, rng) -> TruthTable:
     if l > ORACLE_L_CAP:

@@ -21,7 +21,8 @@ the Jordan block of each eigenvalue p of A every measurement repeats the
 previous outcome with probability p, so the engine is closed form (see
 TrialEngine).  Conditioned on the test passing, the reduced state on the
 input register is accepted with probability at least the configured
-guarantee.
+guarantee.  A state-vector run of the same trial, measuring every outcome
+destructively, is the engine's test reference (tests/reference.py).
 """
 
 from __future__ import annotations
@@ -37,10 +38,8 @@ from .hilbert import (
     UNITARY_TOL,
     DensityOp,
     Projector,
-    QState,
     RegisterLayout,
     embed_unitary,
-    measure_projective,
 )
 
 # eigenvalues of A this close to the top one span the eigen witness
@@ -185,7 +184,8 @@ class SynthesisParams:
 
 def build_pq(spec: VerifierSpec):
     """The full 2^(m+k)-dimensional projector pair (P1, Q1): the reference
-    that VerifierSpec.reduced and the trial engine are tested against."""
+    that VerifierSpec.reduced and the trial engine are tested against, and
+    the pair the destructive trial in tests/reference.py measures."""
     n = spec.m + spec.k
     dim = 1 << n
     idx = np.arange(dim)
@@ -218,19 +218,6 @@ def max_acceptance(spec: VerifierSpec | ReducedVerifier):
     vals, vecs = _spectrum(spec)
     top = vecs[:, vals >= vals[-1] - TOP_TOL]
     return float(vals[-1]), _input_state(spec, top @ top.conj().T / top.shape[1])
-
-
-def alternating_sample(p1: Projector, q1: Projector, start: QState, n: int,
-                       rng, targets=None) -> list:
-    """Alternate destructive Q then P measurements n times; 2n outcome bits."""
-    start.check_norm()
-    state = start
-    bits = []
-    for _ in range(n):
-        for pi in (q1, p1):
-            outcome, state, _ = measure_projective(state, pi, rng, targets)
-            bits.append(outcome)
-    return bits
 
 
 def _binomial_pmf(n: int, p: np.ndarray) -> np.ndarray:
@@ -272,8 +259,6 @@ class TrialEngine:
         self.params = params
         n_out = 2 * params.n_alternations
         self.threshold = params.threshold
-        # the counter register width the construction would occupy
-        self.cnt_qubits = 1 + math.ceil(math.log2(n_out + 1))
         p, self._vecs = _spectrum(spec)
         pmf = _binomial_pmf(n_out, p)
         c = np.arange(n_out + 1)
@@ -301,38 +286,6 @@ class TrialEngine:
         pick = int(self._cdf.searchsorted(rng.random(), side="right"))
         y, c = divmod(pick, self.joint.shape[1])
         return (y == 1 and c >= self.threshold), y, c
-
-
-def run_trial_destructive(spec: VerifierSpec, params: SynthesisParams,
-                          rng) -> bool:
-    """One trial on the full [M, K, Aux] state, measuring every outcome
-    destructively; returns whether the threshold test passes.
-
-    Measuring the outcome record early commutes with the threshold test, so
-    the success statistics must match the closed-form engine; used as a
-    consistency check.
-    """
-    p1, q1 = build_pq(spec)
-    dm = 1 << spec.m
-    dk = 1 << spec.k
-    regs = [("M", spec.m)]
-    if spec.k:
-        regs.append(("K", spec.k))
-    regs.append(("Aux", spec.m))
-    layout = RegisterLayout(tuple(regs))
-    amps = np.zeros(layout.dim, dtype=np.complex128)
-    for i in range(dm):
-        amps[(i * dk) * dm + i] = 1.0 / math.sqrt(dm)
-    state = QState(layout, amps)
-    mk = ["M", "K"] if spec.k else ["M"]
-    prev = 1
-    count = 0
-    for _ in range(params.n_alternations):
-        for pi in (q1, p1):
-            outcome, state, _ = measure_projective(state, pi, rng, mk)
-            count += int(outcome == prev)
-            prev = outcome
-    return prev == 1 and count >= params.threshold
 
 
 @dataclass(frozen=True)

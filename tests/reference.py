@@ -1,0 +1,139 @@
+"""State-vector references behind the paper's measurement claims, which
+tests compare the library against and the CLI never runs: coherent vs
+destructive measurement, the alternating-measurement Markov law, the trial
+that synth.TrialEngine computes in closed form, and the best Jordan block.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from qmsep.hilbert import (
+    STRUCT_TOL,
+    HilbertError,
+    Projector,
+    QState,
+    RegisterLayout,
+    embed_unitary,
+)
+from qmsep.jordan import JordanDecomposition, JordanError
+from qmsep.synth import SynthesisParams, VerifierSpec, build_pq
+
+
+def check_norm(state: QState) -> QState:
+    n2 = float(np.vdot(state.amplitudes, state.amplitudes).real)
+    if abs(n2 - 1.0) > STRUCT_TOL:
+        raise HilbertError(f"state norm^2 = {n2}, not 1 within {STRUCT_TOL}")
+    return state
+
+
+def apply_projector(state: QState, pi: Projector, targets=None) -> np.ndarray:
+    """Pi|psi> as a raw (unnormalized) amplitude vector."""
+    layout = state.layout
+    if targets is None:
+        if pi.dim != layout.dim:
+            raise HilbertError("projector dimension mismatch")
+        return pi.matrix @ state.amplitudes
+    return embed_unitary(pi.matrix, layout.axes(targets), layout.total_qubits,
+                         state.amplitudes)
+
+
+def max_entangled(dim_per_side: int, names=("M", "Aux")) -> QState:
+    m = int(dim_per_side).bit_length() - 1
+    if dim_per_side < 2 or (1 << m) != dim_per_side:
+        raise HilbertError(f"dim_per_side {dim_per_side} is not a power of two >= 2")
+    layout = RegisterLayout(((names[0], m), (names[1], m)))
+    amps = np.zeros(layout.dim, dtype=np.complex128)
+    for i in range(dim_per_side):
+        amps[i * dim_per_side + i] = 1.0
+    amps /= np.sqrt(dim_per_side)
+    return QState(layout, amps)
+
+
+def measure_projective(state: QState, pi: Projector, rng, targets=None):
+    """Measure {Pi, I-Pi}; returns (outcome, post_state, prob_one)."""
+    proj = apply_projector(state, pi, targets)
+    prob_one = float(np.vdot(proj, proj).real)
+    prob_one = min(max(prob_one, 0.0), 1.0)
+    outcome = 1 if rng.random() < prob_one else 0
+    if outcome == 1:
+        post = proj / np.sqrt(prob_one)
+    else:
+        rest = state.amplitudes - proj
+        post = rest / np.sqrt(max(1.0 - prob_one, 0.0))
+    return outcome, QState(state.layout, post), prob_one
+
+
+def measure_coherently(state: QState, pi: Projector, outcome_register: str,
+                       targets=None) -> QState:
+    """Pi (x) X + (I-Pi) (x) I onto a fresh |0> outcome qubit."""
+    layout = state.layout
+    out_axes = layout.axes(outcome_register)
+    if len(out_axes) != 1:
+        raise HilbertError("outcome register must be a single qubit")
+    n = layout.total_qubits
+    axis = out_axes[0]
+    tensor = state.amplitudes.reshape((2,) * n)
+    tensor = np.moveaxis(tensor, axis, n - 1)
+    if np.abs(tensor[..., 1]).max() > STRUCT_TOL:
+        raise HilbertError("outcome qubit is not fresh |0>")
+    flat0 = np.moveaxis(tensor, n - 1, axis).reshape(-1)
+    if targets is None:
+        targets = [nm for nm, _ in layout.registers if nm != outcome_register]
+    proj = embed_unitary(pi.matrix, layout.axes(targets), n, flat0)
+    rest = flat0 - proj
+    # outcome qubit: Pi branch flips to |1>, complement stays |0>
+    pt = np.moveaxis(proj.reshape((2,) * n), axis, n - 1)
+    rt = np.moveaxis(rest.reshape((2,) * n), axis, n - 1)
+    out = np.empty_like(pt)
+    out[..., 1] = pt[..., 0]
+    out[..., 0] = rt[..., 0]
+    out = np.moveaxis(out, n - 1, axis).reshape(-1)
+    return check_norm(QState(layout, out))
+
+
+def alternating_sample(p1: Projector, q1: Projector, start: QState, n: int,
+                       rng, targets=None) -> list:
+    """Alternate destructive Q then P measurements n times; 2n outcome bits."""
+    check_norm(start)
+    state = start
+    bits = []
+    for _ in range(n):
+        for pi in (q1, p1):
+            outcome, state, _ = measure_projective(state, pi, rng, targets)
+            bits.append(outcome)
+    return bits
+
+
+def run_trial_destructive(spec: VerifierSpec, params: SynthesisParams,
+                          rng) -> bool:
+    """One trial on the full [M, Aux, K] state, measuring every outcome
+    destructively; returns whether the threshold test passes.
+
+    Measuring the outcome record early commutes with the threshold test, so
+    the success statistics must match synth.TrialEngine's closed form.  The
+    count is of outcomes that repeat the previous one, starting from 1.
+    """
+    p1, q1 = build_pq(spec)
+    start = max_entangled(1 << spec.m)
+    mk = ["M"]
+    if spec.k:  # the ancillas, fresh in |0^k>
+        mk.append("K")
+        start = QState(RegisterLayout(start.layout.registers + (("K", spec.k),)),
+                       np.kron(start.amplitudes, np.eye(1 << spec.k)[0]))
+    bits = alternating_sample(p1, q1, start, params.n_alternations, rng, mk)
+    count = sum(b == prev for prev, b in zip([1] + bits, bits))
+    return bits[-1] == 1 and count >= params.threshold
+
+
+def max_overlap(decomp: JordanDecomposition):
+    """Largest p over blocks carrying a v, with its v; ties keep block order."""
+    best = None
+    for b in decomp.blocks:
+        if b.v is None:
+            continue
+        if best is None or b.p > best.p:
+            best = b
+    if best is None:
+        raise JordanError("decomposition has no blocks with a v direction")
+    return best.p, best.v

@@ -13,6 +13,8 @@ import time
 import numpy as np
 import pytest
 
+from reference import alternating_sample
+
 from qmsep.attack import (
     AttackConfig,
     bad_query_probe,
@@ -37,7 +39,6 @@ from qmsep.synth import (
     TrialEngine,
     VerifierSpec,
     acceptance_of,
-    alternating_sample,
     build_pq,
     synthesize,
 )

@@ -34,7 +34,7 @@ def scaled_cfg(scheme, t_max=4, n_updates=6, **kw):
 
 
 def test_parameter_formulas_classical_variant():
-    scheme = make_scheme("conjugate")  # key_gen+mint make 4 queries
+    scheme = make_scheme("conjugate")  # mint makes 4 queries
     p = derived_params(scheme.profile, 0.1, 0.99, "classical_mint")
     g = 1 - math.sqrt(1 - 0.99 + 0.1)
     assert p["ell"] == 4
@@ -79,16 +79,15 @@ def test_config_validation():
 
 def prepared(scheme, seed, cfg):
     world = make_world(scheme, cfg, Stream(seed))
-    kp = scheme.key_gen(world, Stream(seed).split("kg"))
-    note = scheme.mint(kp.sk, world, Stream(seed).split("mint"))
-    return world, kp, note
+    note = scheme.mint(world, Stream(seed).split("mint"))
+    return world, note
 
 
 def test_test_phase_t_zero_learns_nothing():
     scheme = make_scheme("hash-tag")
     cfg = scaled_cfg(scheme, t_max=1)  # t drawn from {0}
-    world, kp, note = prepared(scheme, 3, cfg)
-    post, d, t = learn_phase(scheme, kp.pk, note, world, cfg, Stream(3))
+    world, note = prepared(scheme, 3, cfg)
+    post, d, t = learn_phase(scheme, note, world, cfg, Stream(3))
     assert t == 0 and d == {}
     assert np.abs(post.state.matrix - note.state.matrix).max() < 1e-12
 
@@ -97,8 +96,8 @@ def test_test_phase_covers_verifier_positions():
     scheme = make_scheme("hash-tag")
     cfg = scaled_cfg(scheme, t_max=8)
     for seed in range(10):
-        world, kp, note = prepared(scheme, 100 + seed, cfg)
-        _, d, t = learn_phase(scheme, kp.pk, note, world, cfg, Stream(seed))
+        world, note = prepared(scheme, 100 + seed, cfg)
+        _, d, t = learn_phase(scheme, note, world, cfg, Stream(seed))
         if t >= 1:
             assert set(d) == set(scheme.verify_positions(note.serial))
 
@@ -111,9 +110,9 @@ def test_test_phase_verifies_once(name):
     cfg = scaled_cfg(scheme, t_max=8)
     ts = set()
     for seed in range(12):
-        world, kp, note = prepared(scheme, 200 + seed, cfg)
+        world, note = prepared(scheme, 200 + seed, cfg)
         before = len(world.dr)
-        post, d, t = learn_phase(scheme, kp.pk, note, world, cfg, Stream(seed))
+        post, d, t = learn_phase(scheme, note, world, cfg, Stream(seed))
         if t == 0:
             continue
         ts.add(t)
@@ -127,7 +126,7 @@ def test_test_phase_verifies_once(name):
 def test_build_sim_verifier_rejects_inconsistent_pairs():
     scheme = make_scheme("hash-tag")
     with pytest.raises(Exception):
-        build_sim_verifier(scheme, "", (0,), [(3, 0), (3, 1)])
+        build_sim_verifier(scheme, (0,), [(3, 0), (3, 1)])
 
 
 # -------------------------------------------------------------- update phase
@@ -136,10 +135,10 @@ def test_build_sim_verifier_rejects_inconsistent_pairs():
 def test_update_phase_monotone_and_saturates():
     scheme = make_scheme("hash-tag")
     cfg = scaled_cfg(scheme, t_max=1, n_updates=8)  # start from empty D
-    world, kp, note = prepared(scheme, 5, cfg)
-    secret = world.positions_touched_by("keygen", "mint")
+    world, note = prepared(scheme, 5, cfg)
+    secret = world.positions_touched_by("mint")
     dbs, probs, bad, disc, _ = update_phase(
-        scheme, kp.pk, note.serial, world, {}, cfg, Stream(5),
+        scheme, note.serial, world, {}, cfg, Stream(5),
         secret_positions=secret)
     sets = [set(db.items()) for db in dbs]
     for a, b in zip(sets, sets[1:]):
@@ -152,18 +151,17 @@ def test_update_phase_monotone_and_saturates():
     assert disc <= scheme.profile.q_prime
 
 
-def _update_phase_reference(scheme, pk, serial, world, d0, cfg, stream,
-                            secret):
+def _update_phase_reference(scheme, serial, world, d0, cfg, stream, secret):
     """Every round synthesizes, runs the true verifier and then takes the
     exact acceptance of its note, whether or not D can still grow."""
-    cache = _SynthCache(scheme, pk, serial, cfg.synth_params)
+    cache = _SynthCache(scheme, serial, cfg.synth_params)
     databases, probs, bad_counts, discovered = [dict(d0)], [], [], 0
     d = dict(d0)
     for k in range(cfg.n_updates):
         note = Banknote(serial, cache.state_for(d, stream.split(("synth", k))))
         known = set(d)
         before = len(world.dr)
-        scheme.verify(pk, note, world, stream.split(("upd", k)))
+        scheme.verify(note, world, stream.split(("upd", k)))
         pairs = world.dr[before:]
         new_pairs = {x: z for x, z in pairs if x not in d}
         bad_counts.append(len({x for x, _ in pairs} & (secret - known)))
@@ -175,14 +173,14 @@ def _update_phase_reference(scheme, pk, serial, world, d0, cfg, stream,
 
 
 def _after_verifications(scheme, cfg, seed, t):
-    """A world, key pair and note after mint and t true verifications, and
+    """A world and note after mint and t true verifications, and
     the database those verifications revealed."""
-    world, kp, note = prepared(scheme, seed, cfg)
-    secret = world.positions_touched_by("keygen", "mint")
+    world, note = prepared(scheme, seed, cfg)
+    secret = world.positions_touched_by("mint")
     before = len(world.dr)
     for i in range(t):
-        _, note = scheme.verify(kp.pk, note, world, Stream(seed).split(i))
-    return world, kp, note, dict(world.dr[before:]), secret
+        _, note = scheme.verify(note, world, Stream(seed).split(i))
+    return world, note, dict(world.dr[before:]), secret
 
 
 @pytest.mark.parametrize("backend", ["eigen", "trial"])
@@ -192,14 +190,14 @@ def test_update_phase_matches_verify_every_round_reference(name, t, backend):
     scheme = make_scheme(name)
     cfg = scaled_cfg(scheme, n_updates=6, synth_params=SynthesisParams.default(
         scheme.profile.m, backend=backend))
-    world, kp, note, d0, secret = _after_verifications(scheme, cfg, 31, t)
+    world, note, d0, secret = _after_verifications(scheme, cfg, 31, t)
     before = len(world.dr)
     dbs, probs, bad, disc, _ = update_phase(
-        scheme, kp.pk, note.serial, world, d0, cfg, Stream(37),
+        scheme, note.serial, world, d0, cfg, Stream(37),
         secret_positions=secret)
     grew = len(world.dr) - before
-    world, kp, note, d0, secret = _after_verifications(scheme, cfg, 31, t)
-    ref = _update_phase_reference(scheme, kp.pk, note.serial, world, d0, cfg,
+    world, note, d0, secret = _after_verifications(scheme, cfg, 31, t)
+    ref = _update_phase_reference(scheme, note.serial, world, d0, cfg,
                                   Stream(37), secret)
     assert (dbs, probs, bad, disc) == ref
     # the first verification completes D; no later round verifies
@@ -211,10 +209,9 @@ def test_update_phase_matches_verify_every_round_reference(name, t, backend):
 def test_synthesize_phase_single_database():
     scheme = make_scheme("hash-tag")
     cfg = scaled_cfg(scheme, n_updates=1)
-    world, kp, note = prepared(scheme, 7, cfg)
-    dbs, *_ = update_phase(scheme, kp.pk, note.serial, world, {}, cfg, Stream(7))
-    j, phi1, phi2 = synthesize_phase(scheme, kp.pk, note.serial, dbs, cfg,
-                                     Stream(8))
+    world, note = prepared(scheme, 7, cfg)
+    dbs, *_ = update_phase(scheme, note.serial, world, {}, cfg, Stream(7))
+    j, phi1, phi2 = synthesize_phase(scheme, note.serial, dbs, cfg, Stream(8))
     assert j == 0
     assert np.abs(phi1.matrix - phi2.matrix).max() < 1e-12  # eigen backend
 
@@ -307,7 +304,7 @@ def test_true_accept_prob_is_one_on_fresh_notes():
     for name in ("hash-tag", "conjugate", "counterexample"):
         scheme = make_scheme(name)
         cfg = scaled_cfg(scheme)
-        world, kp, note = prepared(scheme, 23, cfg)
+        world, note = prepared(scheme, 23, cfg)
         assert abs(scheme.accept_prob(note, world) - 1.0) < 1e-9
 
 

@@ -261,7 +261,7 @@ def test_cli_attack_writes_csv(tmp_path, capsys):
 
 @pytest.mark.parametrize("flag,value", [
     ("--l", "7"), ("--m", "0"), ("--m", str(NOTE_QUBIT_CAP + 1)), ("--eps", "2"),
-    ("--t-max", "0"), ("--n-updates", "0")])
+    ("--t-max", "0"), ("--n-updates", "0"), ("--variant", "quantum_mint")])
 def test_cli_attack_rejects_bad_input(flag, value, capsys):
     rc = cli.main(["attack", "--scheme", "hash-tag", "--workers", "1", flag, value])
     assert rc == 2
@@ -299,6 +299,14 @@ def test_cli_synth_reads_config(tmp_path, capsys):
     assert rc == 0
     rep = json.loads(capsys.readouterr().out)
     assert abs(rep["max_acceptance"] - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("flag", ["--config", "--verifier"])
+def test_cli_synth_rejects_missing_file(tmp_path, flag, capsys):
+    rc = cli.main(["synth", flag, str(tmp_path / "missing.json")])
+    assert rc == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("qmsep: ")
 
 
 def test_cli_harness_error_exit_two(capsys):

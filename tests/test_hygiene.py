@@ -1,9 +1,12 @@
 """Source hygiene checks over src/qmsep."""
 
 import ast
+import importlib
 import pathlib
+import sys
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "qmsep"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "qmsep"
 
 
 def _unread_imports(tree: ast.Module) -> list:
@@ -32,3 +35,29 @@ def test_no_unread_imports_in_src():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         found += [f"{path.name}:{line} {name}" for line, name in _unread_imports(tree)]
     assert not found, "imported but never read: " + ", ".join(found)
+
+
+def test_benchmark_spans_resolve_and_restore():
+    """Every name perfbench/tracer.py spans exists, and uninstall puts back
+    every module attribute and class method that install replaced."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import tracer
+    finally:
+        sys.path.pop(0)
+    mods = {m: importlib.import_module(f"qmsep.{m}") for m in tracer.MODULES}
+    spaces = [mods[layer] if owner is None else getattr(mods[layer], owner, object)
+              for layer, owner, *_ in tracer._OWNER_SPANS]
+    missing = [span for ns, (*_, attr, span) in zip(spaces, tracer._OWNER_SPANS)
+               if attr not in vars(ns)]
+    assert not missing, "spanned names not found: " + ", ".join(missing)
+    before = [(ns, dict(vars(ns))) for ns in {*mods.values(), *spaces}]
+    t = tracer.Tracer()
+    try:
+        t.install()
+        assert any(vars(ns)[k] is not v for ns, snap in before for k, v in snap.items())
+    finally:
+        t.uninstall()
+    changed = [f"{getattr(ns, '__name__', ns)}.{k}" for ns, snap in before
+               for k, v in snap.items() if vars(ns).get(k) is not v]
+    assert not changed, "not restored: " + ", ".join(changed)

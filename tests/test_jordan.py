@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from reference import max_overlap
+
 from qmsep.hilbert import Projector, haar_unitary
-from qmsep.jordan import JordanError, jordan_decompose, max_overlap
+from qmsep.jordan import JordanError, jordan_decompose
 from qmsep.streams import Stream
 
 

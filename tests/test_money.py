@@ -1,6 +1,5 @@
 import hashlib
 import itertools
-import json
 
 import numpy as np
 import pytest
@@ -18,7 +17,6 @@ from qmsep.money import (
     WorldHandle,
     _measure_qubit,
     make_scheme,
-    reuse_loop,
 )
 from qmsep.oracle import TruthTable
 from qmsep.streams import Stream
@@ -32,9 +30,8 @@ def sampled_world(scheme, seed):
 def mint_note(scheme, seed):
     world = WorldHandle("lazy" if scheme.profile.mint_query_mode == "quantum"
                         else "sampled", scheme.profile.l, stream=Stream(seed))
-    kp = scheme.key_gen(world, Stream(seed).split("kg"))
-    note = scheme.mint(kp.sk, world, Stream(seed).split("mint"))
-    return world, kp, note
+    note = scheme.mint(world, Stream(seed).split("mint"))
+    return world, note
 
 
 # ------------------------------------------------------------------ profiles
@@ -56,12 +53,6 @@ def test_scheme_size_validation():
         make_scheme("no-such-scheme")
 
 
-def test_key_gen_is_trivial_for_public_schemes():
-    scheme = HashTagScheme()
-    kp = scheme.key_gen(sampled_world(scheme, 0), Stream(0))
-    assert kp.sk == "" and kp.pk == ""
-
-
 # -------------------------------------------------------------------- minting
 
 
@@ -69,7 +60,7 @@ def test_hash_tag_mint_matches_table():
     scheme = HashTagScheme(l=6, m=2)
     table = TruthTable(6, tuple(i % 2 for i in range(64)))
     world = WorldHandle("sampled", 6, table=table)
-    note = scheme.mint("", world, Stream(5))
+    note = scheme.mint(world, Stream(5))
     (s,) = note.serial
     want = (table(scheme._pos(s, 0)) << 1) | table(scheme._pos(s, 1))
     mat = note.state.matrix
@@ -80,7 +71,7 @@ def test_conjugate_mint_degenerate_bases_are_computational():
     scheme = ConjugateScheme(l=6, m=2)
     table = TruthTable(6, (0,) * 64)  # all bases and bits zero
     world = WorldHandle("sampled", 6, table=table)
-    note = scheme.mint("", world, Stream(5))
+    note = scheme.mint(world, Stream(5))
     assert abs(note.state.matrix[0, 0] - 1.0) < 1e-12
 
 
@@ -90,7 +81,7 @@ def test_counterexample_serials_uniform():
     stream = Stream(7)
     for i in range(1000):
         world = WorldHandle("lazy", 6, stream=stream.split(("w", i)))
-        note = scheme.mint("", world, stream.split(("m", i)))
+        note = scheme.mint(world, stream.split(("m", i)))
         counts[note.serial[0]] += 1
     _, p = stats.chisquare(counts)
     assert p > 0.01
@@ -98,7 +89,7 @@ def test_counterexample_serials_uniform():
 
 def test_counterexample_mint_uses_one_quantum_query():
     scheme = CounterexampleScheme(l=6, m=2)
-    world, _, _ = mint_note(scheme, 3)
+    world, _ = mint_note(scheme, 3)
     assert len(world.quantum_positions.get("mint", ())) == 1
     assert len(world.classical_positions.get("mint", ())) == 2 * scheme.inner_m
 
@@ -111,8 +102,8 @@ def test_fresh_notes_always_accept(name):
     scheme = make_scheme(name)
     stream = Stream(11)
     for i in range(200):
-        world, kp, note = mint_note(scheme, 1000 + i)
-        ok, post = scheme.verify(kp.pk, note, world, stream)
+        world, note = mint_note(scheme, 1000 + i)
+        ok, post = scheme.verify(note, world, stream)
         assert ok
         # projective verification: accepted notes are unchanged
         assert np.abs(post.state.matrix - note.state.matrix).max() < 1e-9
@@ -121,17 +112,19 @@ def test_fresh_notes_always_accept(name):
 @pytest.mark.parametrize("name", ["hash-tag", "conjugate", "counterexample"])
 def test_reuse_loop_ten_rounds(name):
     scheme = make_scheme(name)
-    world, kp, note = mint_note(scheme, 21)
-    accepts = reuse_loop(scheme, kp.pk, note, world, 10, Stream(21))
-    assert accepts == [True] * 10
+    world, note = mint_note(scheme, 21)
+    stream = Stream(21)
+    for _ in range(10):
+        ok, note = scheme.verify(note, world, stream)
+        assert ok
 
 
 @pytest.mark.parametrize("name", ["hash-tag", "conjugate", "counterexample"])
 def test_verify_query_accounting(name):
     scheme = make_scheme(name)
-    world, kp, note = mint_note(scheme, 31)
+    world, note = mint_note(scheme, 31)
     before = len(world.dr)
-    scheme.verify(kp.pk, note, world, Stream(31))
+    scheme.verify(note, world, Stream(31))
     pairs = world.dr[before:]
     assert len(pairs) == scheme.profile.q
     assert {x for x, _ in pairs} == set(scheme.verify_positions(note.serial))
@@ -177,13 +170,13 @@ def test_conjugate_tampered_qubit_accepts_half():
     n = 600
     stream = Stream(41)
     for i in range(n):
-        world, kp, note = mint_note(scheme, 5000 + i)
+        world, note = mint_note(scheme, 5000 + i)
         # replace qubit 0 with the maximally mixed state
         rho = note.state.matrix.reshape(2, 2, 2, 2)
         reduced = np.einsum("iaib->ab", rho)
         tampered = np.kron(np.eye(2) / 2, reduced)
         bad = Banknote(note.serial, DensityOp(note.state.layout, tampered))
-        ok, _ = scheme.verify(kp.pk, bad, world, stream)
+        ok, _ = scheme.verify(bad, world, stream)
         hits += int(ok)
     # first qubit passes with probability 1/2, second always
     p = hits / n
@@ -195,12 +188,12 @@ def test_counterexample_wrong_hash_bit_rejects():
     scheme = CounterexampleScheme(l=6, m=2)
     stream = Stream(51)
     for i in range(20):
-        world, kp, note = mint_note(scheme, 7000 + i)
+        world, note = mint_note(scheme, 7000 + i)
         mat = note.state.matrix
         x = np.kron(np.array([[0, 1], [1, 0]]), np.eye(mat.shape[0] // 2))
         flipped = Banknote(note.serial,
                            DensityOp(note.state.layout, x @ mat @ x))
-        ok, _ = scheme.verify(kp.pk, flipped, world, stream)
+        ok, _ = scheme.verify(flipped, world, stream)
         assert not ok
 
 
@@ -211,11 +204,11 @@ def test_counterexample_wrong_hash_bit_rejects():
 def test_sim_verifier_full_database_is_exact(name):
     from qmsep.synth import acceptance_of, max_acceptance
     scheme = make_scheme(name)
-    world, kp, note = mint_note(scheme, 61)
+    world, note = mint_note(scheme, 61)
     # learn every verification position by verifying once
-    scheme.verify(kp.pk, note, world, Stream(61))
+    scheme.verify(note, world, Stream(61))
     d = {x: z for x, z in world.dr}
-    spec = scheme.sim_verifier(kp.pk, note.serial, d)
+    spec = scheme.sim_verifier("", note.serial, d)
     assert abs(acceptance_of(spec, note.state) - 1.0) < 1e-9
     val, _ = max_acceptance(spec)
     assert abs(val - 1.0) < 1e-9
@@ -225,8 +218,8 @@ def test_sim_verifier_full_database_is_exact(name):
 def test_sim_verifier_empty_database_uniform_answers(name):
     from qmsep.synth import acceptance_of
     scheme = make_scheme(name)
-    world, kp, note = mint_note(scheme, 71)
-    spec = scheme.sim_verifier(kp.pk, note.serial, {})
+    world, note = mint_note(scheme, 71)
+    spec = scheme.sim_verifier("", note.serial, {})
     # every oracle answer simulated uniformly: each of the m checks
     # passes with probability 1/2 on the true note
     want = 2.0 ** -scheme.profile.m
@@ -239,8 +232,8 @@ def test_sim_verifier_empty_database_witness_is_maximally_mixed(name):
     # eigen witness is I / 2^m, whatever eigenvectors the solver returns
     from qmsep.synth import max_acceptance
     scheme = make_scheme(name)
-    _, kp, note = mint_note(scheme, 73)
-    spec = scheme.sim_verifier(kp.pk, note.serial, {})
+    _, note = mint_note(scheme, 73)
+    spec = scheme.sim_verifier("", note.serial, {})
     val, witness = max_acceptance(spec)
     dm = 1 << scheme.profile.m
     assert abs(val - 1.0 / dm) < 1e-12
@@ -252,12 +245,12 @@ def test_sim_verifier_full_database_matches_true_acceptance(name):
     scheme = make_scheme(name)
     dm = 1 << scheme.profile.m
     for seed in range(5):
-        world, kp, note = mint_note(scheme, 100 + seed)
+        world, note = mint_note(scheme, 100 + seed)
         before = len(world.dr)
-        scheme.verify(kp.pk, note, world, Stream(seed))
+        scheme.verify(note, world, Stream(seed))
         queried = [x for x, _ in world.dr[before:]]
         assert queried == scheme.verify_positions(note.serial)
-        spec = scheme.sim_verifier(kp.pk, note.serial, dict(world.dr))
+        spec = scheme.sim_verifier("", note.serial, dict(world.dr))
         assert spec.k == 1
         # a Haar-random mixed state: a Haar pure state on note (x) copy,
         # with the copy traced out
@@ -275,14 +268,14 @@ def test_sim_verifier_partial_database_acceptance(name, seed, data):
     probability 1 if basis and bit are known (basis None counts as known),
     1/2 if the bit is not, and 3/4 if only the basis is unknown."""
     scheme = make_scheme(name)
-    world, kp, note = mint_note(scheme, seed)
-    scheme.verify(kp.pk, note, world, Stream(seed))
+    world, note = mint_note(scheme, seed)
+    scheme.verify(note, world, Stream(seed))
     full = dict(world.dr)
     positions = scheme.verify_positions(note.serial)
     keep = data.draw(st.lists(st.booleans(), min_size=len(positions),
                               max_size=len(positions)))
     d = {x: full[x] for x, k in zip(positions, keep) if k}
-    spec = scheme.sim_verifier(kp.pk, note.serial, d)
+    spec = scheme.sim_verifier("", note.serial, d)
     assert spec.k == 1 + len(positions) - len(d)
     want = 1.0
     for basis, bit in scheme.checks(note.serial):
@@ -296,13 +289,13 @@ def test_sim_verifier_partial_database_acceptance(name, seed, data):
 def test_sim_verifier_eigen_witness_fools_true_verifier():
     from qmsep.synth import max_acceptance
     scheme = ConjugateScheme(l=6, m=2)
-    world, kp, note = mint_note(scheme, 81)
-    scheme.verify(kp.pk, note, world, Stream(81))
+    world, note = mint_note(scheme, 81)
+    scheme.verify(note, world, Stream(81))
     d = {x: z for x, z in world.dr}
-    spec = scheme.sim_verifier(kp.pk, note.serial, d)
+    spec = scheme.sim_verifier("", note.serial, d)
     _, witness = max_acceptance(spec)
     forged = Banknote(note.serial, witness)
-    ok, _ = scheme.verify(kp.pk, forged, world, Stream(82))
+    ok, _ = scheme.verify(forged, world, Stream(82))
     assert ok
 
 
@@ -363,26 +356,11 @@ def test_sim_operator_rejects_a_shared_position():
         Shared(m=2).sim_operator((0,), {})
 
 
-# ------------------------------------------------------------ serialization
-
-
-def test_banknote_json_round_trips_matrix():
-    scheme = HashTagScheme()
-    _, _, note = mint_note(scheme, 91)
-    obj = json.loads(note.to_json())
-    assert obj["serial"] == list(note.serial)
-    flat = np.array([complex(re, im) for re, im in obj["matrix"]])
-    assert np.abs(flat.reshape(note.state.matrix.shape)
-                  - note.state.matrix).max() < 1e-12
-    assert obj["qubits"] == scheme.profile.m
-
-
 def test_world_handle_query_bookkeeping():
     world = WorldHandle("sampled", 3, stream=Stream(1))
     z = world.query(5, "ver")
     assert world.dr == [(5, z)]
     assert world.positions_touched_by("ver") == {5}
-    assert world.query_counts["ver"] == 1
     world.query(6, "mint", quantum=True)
     assert world.dr == [(5, z)]  # quantum queries leave no classical record
     assert world.positions_touched_by("mint", "ver") == {5, 6}

@@ -51,7 +51,6 @@ def test_truth_table_validation_and_lookup():
 def test_classical_db_consistency():
     db = ClassicalDB(((3, 1), (3, 1), (0, 0)))
     assert db.as_dict() == {3: 1, 0: 0}
-    assert db.positions() == {0, 3}
     with pytest.raises(OracleError):
         ClassicalDB(((3, 1), (3, 0)))
 

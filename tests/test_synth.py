@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+from reference import alternating_sample, run_trial_destructive
+
 from qmsep.hilbert import DensityOp, Projector, QState, RegisterLayout, haar_unitary
 from qmsep.money import make_scheme
 from qmsep.streams import Stream
@@ -14,13 +16,11 @@ from qmsep.synth import (
     TrialEngine,
     VerifierSpec,
     acceptance_of,
-    alternating_sample,
     build_pq,
     embed_unitary,
     max_acceptance,
     derived_n_alternations,
     derived_t_trials,
-    run_trial_destructive,
     synthesize,
 )
 
@@ -271,11 +271,6 @@ def test_engine_reject_all_never_succeeds():
     assert engine.p_success < 1e-12
 
 
-def test_engine_counter_register_width():
-    engine = TrialEngine(accept_all_spec(), small_params(n_alt=10))
-    assert engine.cnt_qubits == 1 + math.ceil(math.log2(21))
-
-
 def _chain_success(spec, params):
     """Independent oracle: evolve the per-block (state, last bit, count)
     Markov chain classically using the block overlaps.  Returns the success
@@ -378,6 +373,16 @@ def test_engine_agrees_with_destructive_trial():
     hits = sum(run_trial_destructive(spec, params, stream.split(i))
                for i in range(n))
     assert abs(hits / n - engine.p_success) <= 0.07  # 3 sigma at n = 500
+
+
+def test_destructive_trial_counts_from_a_first_outcome_of_one():
+    # accept-all repeats every outcome, so the count reaches 2N, and passes
+    # a threshold of 2N, only when it starts from b_0 = 1
+    spec = accept_all_spec()
+    params = small_params(n_alt=10, a=0.95, b=1.0)
+    assert params.threshold == 20
+    assert abs(TrialEngine(spec, params).p_success - 1.0) < 1e-12
+    assert run_trial_destructive(spec, params, Stream(0))
 
 
 def test_trial_success_rate_lower_bound_exact():
