@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 from .hilbert import DensityOp
 from .money import Banknote, MoneyScheme, WorldHandle
-from .oracle import ClassicalDB
 from .synth import (
     ReducedVerifier,
     SynthesisParams,
@@ -135,12 +134,9 @@ def test_phase(scheme, note, world, cfg: AttackConfig, stream):
     return note, d, t
 
 
-def build_sim_verifier(scheme, serial, d) -> ReducedVerifier:
+def build_sim_verifier(scheme, serial, d: dict) -> ReducedVerifier:
     """The verifier simulated from d, as the operator A synthesis reads; no
-    circuit is built.  d may be a dict or a sequence of (x, z) pairs;
-    inconsistent pairs (same position, different bits) are rejected."""
-    if not isinstance(d, dict):
-        d = ClassicalDB(tuple(d)).as_dict()
+    circuit is built."""
     return scheme.sim_operator(serial, d)
 
 
@@ -174,7 +170,7 @@ def update_phase(scheme, serial, world, d0: dict, cfg: AttackConfig,
                  secret_positions: set | None = None):
     """N rounds of synthesizing a note against D and merging what the true
     verifier reveals; returns (databases, per-round exact acceptance
-    probabilities, bad-query counts, discovered secret pairs, cache).
+    probabilities, bad-query counts, discovered secret pairs).
 
     verify queries every position of verify_positions(serial), so a round
     can learn a pair or make a bad query only while D lacks one of them;
@@ -217,7 +213,7 @@ def update_phase(scheme, serial, world, d0: dict, cfg: AttackConfig,
         # every bit it reads
         probs.append(scheme.accept_prob(note, world))
         databases.append(dict(d) if new_pairs else databases[-1])
-    return databases, probs, bad_counts, discovered, cache
+    return databases, probs, bad_counts, discovered
 
 
 def synthesize_phase(scheme, serial, databases, cfg: AttackConfig, stream,
@@ -250,7 +246,7 @@ def _mint_and_test(scheme: MoneyScheme, cfg: AttackConfig, stream):
 def run_attack(scheme: MoneyScheme, cfg: AttackConfig, stream) -> AttackTranscript:
     world, secret, note, d0, t = _mint_and_test(scheme, cfg, stream)
     cache = _SynthCache(scheme, note.serial, cfg.synth_params)
-    databases, probs, bad_counts, discovered, cache = update_phase(
+    databases, probs, bad_counts, discovered = update_phase(
         scheme, note.serial, world, d0, cfg, stream.split("u"),
         cache=cache, secret_positions=secret)
     j, phi1, phi2 = synthesize_phase(scheme, note.serial, databases,

@@ -8,11 +8,12 @@ import sys
 
 from .harness import (
     HarnessError,
-    cmd_attack,
+    attack_rows,
     cmd_oracle_check,
     cmd_synth,
     load_config,
     merge_config,
+    rows_to_csv,
 )
 
 
@@ -62,38 +63,47 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _json(report: dict) -> str:
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+def write_outputs(outputs, out: str | None):
+    """Write each (suffix, text) output to out + suffix when out is given.
+    stdout gets the last output, the JSON report, and the others only when
+    out is not given."""
+    if out:
+        try:
+            for suffix, text in outputs:
+                with open(out + suffix, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+        except OSError as exc:
+            raise HarnessError(f"cannot write output: {exc}") from exc
+        outputs = outputs[-1:]
+    sys.stdout.write("".join(text for _, text in outputs))
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     flags = {k: v for k, v in vars(args).items()
              if k not in ("command", "config")}
     try:
         cfg = merge_config(load_config(args.config), flags)
-        if args.command == "synth":
-            report = cmd_synth(cfg)
-            text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-            if cfg.get("out"):
-                with open(cfg["out"], "w", encoding="utf-8") as fh:
-                    fh.write(text)
-            sys.stdout.write(text)
-            return 0
+        out = cfg.pop("out", None)
+        if not isinstance(out, (str, type(None))):
+            raise HarnessError(f"out must be a path, got {out!r}")
         if args.command == "attack":
-            csv_text, summary = cmd_attack(cfg)
-            if not cfg.get("out"):
-                sys.stdout.write(csv_text)
-            sys.stdout.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-            return 0
-        if args.command == "oracle-check":
-            report = cmd_oracle_check(cfg)
-            text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-            if cfg.get("out"):
-                with open(cfg["out"], "w", encoding="utf-8") as fh:
-                    fh.write(text)
-            sys.stdout.write(text)
-            return 0 if report["ok"] else 1
+            rows, report = attack_rows(cfg)
+            outputs = [("", rows_to_csv(rows)), (".summary.json", _json(report))]
+        else:
+            run = cmd_synth if args.command == "synth" else cmd_oracle_check
+            report = run(cfg)
+            outputs = [("", _json(report))]
+        write_outputs(outputs, out)
     except HarnessError as exc:
         sys.stderr.write(f"qmsep: {exc}\n")
         return 2
-    return 2
+    # only oracle-check's report carries a pass/fail verdict
+    return 0 if report.get("ok", True) else 1
 
 
 if __name__ == "__main__":

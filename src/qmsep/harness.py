@@ -2,18 +2,16 @@
 the three CLI commands (synth, attack, oracle-check).
 
 Every command is a pure function of (config, seed); attack trials fan out to
-a process pool and are re-sorted by trial index, so output bytes do not
-depend on scheduling.
+a process pool whose results come back in trial order, so output bytes do
+not depend on scheduling.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
-import io
 import json
 import math
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,19 +50,34 @@ class HarnessError(ValueError):
 # --------------------------------------------------------------------------
 # configuration and statistics
 
+# JSON type a config value must have, and its name in errors
+_KINDS = {int: (int, "an integer"), float: ((int, float), "a number"),
+          str: (str, "a string")}
 
-def load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
+
+def read_json(path: str, what: str, parse=json.loads):
+    """parse(text of the file at path).  An unreadable file, invalid JSON
+    and the KeyError, TypeError or ValueError parse raises on bad content
+    become HarnessError; what names the file's role in the message."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
+            text = fh.read()
     except OSError as exc:
-        raise HarnessError(f"cannot read config: {exc}") from exc
+        raise HarnessError(f"cannot read {what}: {exc}") from exc
+    try:
+        return parse(text)
     except json.JSONDecodeError as exc:
         raise HarnessError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}") from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        raise HarnessError(f"{path}: bad {what}: {exc!r}") from exc
+
+
+def load_config(path: str | None) -> dict:
+    if path is None:
+        return {}
+    cfg = read_json(path, "config")
     if not isinstance(cfg, dict):
         raise HarnessError(f"{path}: config must be a JSON object")
     return cfg
@@ -72,89 +85,77 @@ def load_config(path: str | None) -> dict:
 
 def merge_config(file_cfg: dict, flag_cfg: dict) -> dict:
     """Flags win over the config file; None flags mean 'not given'."""
-    out = dict(file_cfg)
-    for k, v in flag_cfg.items():
-        if v is not None:
-            out[k] = v
+    return {**file_cfg, **{k: v for k, v in flag_cfg.items() if v is not None}}
+
+
+def read_options(cfg: dict, command: str, table: dict) -> dict:
+    """Each key of table (key -> (type, default)) mapped to cfg's value, or
+    to its default when cfg has none.  A key outside table, or a value not
+    of its key's type, raises HarnessError naming the key."""
+    unknown = sorted(set(cfg) - set(table))
+    if unknown:
+        raise HarnessError(f"{command} takes no option {unknown[0]!r}")
+    out = {}
+    for key, (kind, default) in table.items():
+        value = cfg.get(key)
+        accepted, name = _KINDS[kind]
+        if value is None:
+            out[key] = default
+        elif isinstance(value, bool) or not isinstance(value, accepted):
+            raise HarnessError(f"{command} needs {key} to be {name}, "
+                               f"got {value!r}")
+        else:
+            out[key] = kind(value)
     return out
 
 
-@dataclass(frozen=True)
-class SummaryStats:
-    mean: float
-    stderr: float
-    count: int
-    wilson_low: float
-    wilson_high: float
-
-    @classmethod
-    def bernoulli(cls, successes: int, count: int, z: float = 1.959964) -> "SummaryStats":
-        if count < 1:
-            raise HarnessError("need at least one trial")
-        p = successes / count
-        se = math.sqrt(p * (1 - p) / count)
-        denom = 1 + z * z / count
-        centre = (p + z * z / (2 * count)) / denom
-        half = (z / denom) * math.sqrt(p * (1 - p) / count
-                                       + z * z / (4 * count * count))
-        low = min(max(centre - half, 0.0), 1.0)
-        high = min(max(centre + half, 0.0), 1.0)
-        return cls(mean=p, stderr=se, count=count,
-                   wilson_low=low, wilson_high=high)
-
-    def to_json(self) -> dict:
-        return {"mean": self.mean, "stderr": self.stderr, "count": self.count,
-                "wilson95": [self.wilson_low, self.wilson_high]}
+def bernoulli_summary(successes: int, count: int, z: float = 1.959964) -> dict:
+    """Mean, standard error, count and Wilson 95% interval of a success count."""
+    if count < 1:
+        raise HarnessError("need at least one trial")
+    p = successes / count
+    se = math.sqrt(p * (1 - p) / count)
+    denom = 1 + z * z / count
+    centre = (p + z * z / (2 * count)) / denom
+    half = (z / denom) * math.sqrt(p * (1 - p) / count
+                                   + z * z / (4 * count * count))
+    low = min(max(centre - half, 0.0), 1.0)
+    high = min(max(centre + half, 0.0), 1.0)
+    return {"mean": p, "stderr": se, "count": count, "wilson95": [low, high]}
 
 
 # --------------------------------------------------------------------------
 # synth command
 
+SYNTH_OPTIONS = {"verifier": (str, None), "a": (float, 0.5), "b": (float, 0.9),
+                 "trials": (int, 20), "seed": (int, 0),
+                 "n_alternations": (int, None), "t_trials": (int, None)}
+
 
 def cmd_synth(cfg: dict) -> dict:
-    path = cfg.get("verifier")
-    if path is None:
+    opt = read_options(cfg, "synth", SYNTH_OPTIONS)
+    if opt["verifier"] is None:
         raise HarnessError("synth needs --verifier FILE")
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            spec = VerifierSpec.from_json(fh.read())
-    except OSError as exc:
-        raise HarnessError(f"cannot read verifier: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise HarnessError(
-            f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
-            f"{exc.msg}") from exc
-    except (KeyError, TypeError, ValueError) as exc:  # SynthError is a ValueError
-        raise HarnessError(f"{path}: bad verifier: {exc!r}") from exc
-    a = float(cfg.get("a", 0.5))
-    b = float(cfg.get("b", 0.9))
-    trials = int(cfg.get("trials", 20))
-    seed = int(cfg.get("seed", 0))
-    n_alt = cfg.get("n_alternations")
-    t_tr = cfg.get("t_trials")
+    spec = read_json(opt["verifier"], "verifier", VerifierSpec.from_json)
+    a, b, trials = opt["a"], opt["b"], opt["trials"]
     try:
         params = SynthesisParams.default(
-            spec.m, a=a, b=b, backend="trial",
-            n_alternations=int(n_alt) if n_alt is not None else None,
-            t_trials=int(t_tr) if t_tr is not None else None)
+            spec.m, a=a, b=b, n_alternations=opt["n_alternations"],
+            t_trials=opt["t_trials"])
     except SynthError as exc:
         raise HarnessError(str(exc)) from exc
 
-    max_acc, _ = max_acceptance(spec)
-    eigen_state = synthesize(spec, SynthesisParams(a, b, params.n_alternations,
-                                                   params.t_trials, "eigen"),
-                             Stream(seed).split("eigen")).state
-    eigen_acc = acceptance_of(spec, eigen_state)
+    # the eigen backend's witness is max_acceptance's
+    max_acc, witness = max_acceptance(spec)
+    eigen_acc = acceptance_of(spec, witness)
 
-    stream = Stream(seed).split("trial")
-    succ = 0
+    stream = Stream(opt["seed"]).split("trial")
     accs = []
     fallbacks = 0
     engine = TrialEngine(spec, params)
     for i in range(trials):
         res = synthesize(spec, params, stream.split(i), engine=engine)
         fallbacks += int(res.fallback)
-        succ += int(not res.fallback)
         accs.append(acceptance_of(spec, res.state))
     report = {
         "verifier": {"m": spec.m, "k": spec.k},
@@ -167,7 +168,7 @@ def cmd_synth(cfg: dict) -> dict:
         "max_acceptance": max_acc,
         "eigen": {"acceptance": eigen_acc},
         "trial": {"runs": trials,
-                  "success_rate": SummaryStats.bernoulli(succ, trials).to_json(),
+                  "success_rate": bernoulli_summary(trials - fallbacks, trials),
                   "fallbacks": fallbacks,
                   "mean_acceptance": float(np.mean(accs)),
                   "acceptances": [float(x) for x in accs]},
@@ -181,7 +182,8 @@ def cmd_synth(cfg: dict) -> dict:
 
 
 def _attack_trial(args):
-    (name, l, m, eps, t_max, n_updates, variant, seed, idx) = args
+    """One trial's CSV row, bad-query total and discovered secret pairs."""
+    (name, l, m, eps, t_max, n_updates, variant, seed) = args
     scheme = make_scheme(name, l=l, m=m)
     cfg = AttackConfig.default(scheme, epsilon=eps, variant=variant,
                                t_max=t_max, n_updates=n_updates)
@@ -200,31 +202,26 @@ def _attack_trial(args):
         "success": int(tr.success),
         "db_sizes": ";".join(str(s) for s in tr.db_sizes),
     }
-    extras = {
-        "bad_query_total": sum(tr.bad_query_counts),
-        "discovered_secret_pairs": tr.discovered_secret_pairs,
-    }
-    return idx, row, extras
+    return row, sum(tr.bad_query_counts), tr.discovered_secret_pairs
+
+
+ATTACK_OPTIONS = {"scheme": (str, None), "l": (int, 6), "m": (int, 2),
+                  "eps": (float, 0.1), "trials": (int, 1), "seed": (int, 0),
+                  "t_max": (int, None), "n_updates": (int, None),
+                  "variant": (str, None), "workers": (int, None)}
 
 
 def attack_rows(cfg: dict):
-    name = cfg.get("scheme")
+    opt = read_options(cfg, "attack", ATTACK_OPTIONS)
+    name, l, m, eps = opt["scheme"], opt["l"], opt["m"], opt["eps"]
+    trials, seed, workers = opt["trials"], opt["seed"], opt["workers"]
+    t_max, n_updates, variant = opt["t_max"], opt["n_updates"], opt["variant"]
     if name is None:
         raise HarnessError("attack needs --scheme")
-    l = int(cfg.get("l", 6))
-    m = int(cfg.get("m", 2))
-    eps = float(cfg.get("eps", 0.1))
-    trials = int(cfg.get("trials", 1))
     if trials < 1:
         raise HarnessError("trials must be >= 1")
-    seed = int(cfg.get("seed", 0))
-    t_max = cfg.get("t_max")
-    n_updates = cfg.get("n_updates")
-    t_max = int(t_max) if t_max is not None else None
-    n_updates = int(n_updates) if n_updates is not None else None
-    variant = cfg.get("variant")
-    workers = int(cfg.get("workers") or os.cpu_count() or 1)
-
+    if workers is not None and workers < 1:
+        raise HarnessError("attack needs workers >= 1")
     if m < 1:
         raise HarnessError("attack needs m >= 1")
     try:
@@ -238,16 +235,16 @@ def attack_rows(cfg: dict):
     if scheme.profile.m > NOTE_QUBIT_CAP:
         raise HarnessError(f"{name} at m = {m} has {scheme.profile.m}-qubit "
                            f"notes; the cap is {NOTE_QUBIT_CAP}")
-    jobs = [(name, l, m, eps, t_max, n_updates, variant, seed + i, i)
+    workers = workers or os.cpu_count() or 1
+    jobs = [(name, l, m, eps, t_max, n_updates, variant, seed + i)
             for i in range(trials)]
     if workers > 1 and trials > 1:
+        # map yields results in job order, whatever the scheduling
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
             results = list(ex.map(_attack_trial, jobs))
     else:
         results = [_attack_trial(j) for j in jobs]
-    results.sort(key=lambda r: r[0])
-    rows = [r[1] for r in results]
-    extras = [r[2] for r in results]
+    rows, bad_totals, discovered = (list(c) for c in zip(*results))
     succ = sum(r["success"] for r in rows)
     summary = {
         "scheme": name,
@@ -258,36 +255,18 @@ def attack_rows(cfg: dict):
                         "n_updates": probe_cfg.n_updates,
                         "scaled": probe_cfg.scaled},
         "derived_formulas": derived,
-        "success": SummaryStats.bernoulli(succ, trials).to_json(),
+        "success": bernoulli_summary(succ, trials),
         "derived_success_lower_bound": derived["success_bound"],
-        "mean_bad_queries_per_run": float(np.mean(
-            [e["bad_query_total"] for e in extras])),
-        "mean_discovered_secret_pairs": float(np.mean(
-            [e["discovered_secret_pairs"] for e in extras])),
+        "mean_bad_queries_per_run": float(np.mean(bad_totals)),
+        "mean_discovered_secret_pairs": float(np.mean(discovered)),
     }
     return rows, summary
 
 
 def rows_to_csv(rows) -> str:
-    buf = io.StringIO()
-    buf.write(CSV_HEADER + "\n")
-    buf.write(",".join(CSV_COLUMNS) + "\n")
-    for row in rows:
-        buf.write(",".join(str(row[c]) for c in CSV_COLUMNS) + "\n")
-    return buf.getvalue()
-
-
-def cmd_attack(cfg: dict):
-    rows, summary = attack_rows(cfg)
-    csv_text = rows_to_csv(rows)
-    out = cfg.get("out")
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(csv_text)
-        with open(out + ".summary.json", "w", encoding="utf-8") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    return csv_text, summary
+    lines = [CSV_HEADER, ",".join(CSV_COLUMNS)]
+    lines += [",".join(str(row[c]) for c in CSV_COLUMNS) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 # --------------------------------------------------------------------------
@@ -306,28 +285,19 @@ def random_program(l: int, n_queries: int, stream):
     return ops
 
 
-def run_purified(l: int, n_plain: int, ops) -> OracleWorld:
-    w = OracleWorld.purified_init(l, n_plain)
-    for op in ops:
-        if op[0] == "gate":
-            w = w.apply_plain_gate(op[1], op[2])
-        elif op[0] == "quantum":
-            w = w.apply_quantum_query(op[1], op[2])
-        else:
-            w = w.apply_classical_query(op[1], op[2])
-    return w
+# the query methods of each OracleWorld view, (quantum, classical)
+_QUERY_METHODS = {"purified": ("apply_quantum_query", "apply_classical_query"),
+                  "compressed": ("compressed_quantum_query",
+                                 "compressed_classical_query")}
 
 
-def run_compressed(l: int, n_plain: int, ops) -> OracleWorld:
-    w = OracleWorld.compressed_init(l, n_plain)
-    for op in ops:
-        if op[0] == "gate":
-            w = w.apply_plain_gate(op[1], op[2])
-        elif op[0] == "quantum":
-            w = w.compressed_quantum_query(op[1], op[2])
-        else:
-            w = w.compressed_classical_query(op[1], op[2])
-    return w
+def run_world(world: OracleWorld, ops) -> OracleWorld:
+    """Run a random_program on world, with the query methods of its view."""
+    quantum, classical = _QUERY_METHODS[world.mode]
+    method = {"gate": "apply_plain_gate", "quantum": quantum, "classical": classical}
+    for kind, *args in ops:
+        world = getattr(world, method[kind])(*args)
+    return world
 
 
 def run_sampled_once(table: TruthTable, n_plain: int, ops, rng) -> int:
@@ -350,70 +320,73 @@ def equivalence_check(l: int, n_queries: int, stream) -> float:
     """Trace distance between purified and compressed plain reduced states."""
     ops = random_program(l, n_queries, stream)
     n_plain = l + n_queries
-    pu = run_purified(l, n_plain, ops)
-    co = run_compressed(l, n_plain, ops)
+    pu = run_world(OracleWorld.purified_init(l, n_plain), ops)
+    co = run_world(OracleWorld.compressed_init(l, n_plain), ops)
     return _matrix_td(pu.reduced_density_plain(), co.reduced_density_plain())
 
 
 def comp_decomp_check(l: int, n_queries: int, stream) -> float:
     """|| Comp Decomp |psi> - |psi> || on a reachable compressed state."""
     ops = random_program(l, n_queries, stream)
-    w = run_compressed(l, l + n_queries, ops)
+    w = run_world(OracleWorld.compressed_init(l, l + n_queries), ops)
     # label by label: the expansion |a|^2 + |b|^2 - 2 Re<a|b> would cancel
     # a 1e-16 distance to about 1e-8
     a, b = w.aligned(w.decomp().comp())
     return float(np.linalg.norm(a - b))
 
 
-def recording_error_check(l: int, n_queries: int, stream,
-                     skip_df_deletion: bool = False):
+def _pending_query(l: int, n_queries: int, stream):
+    """A compressed world after a random program, its query register
+    scrambled so the pending input is in superposition.  Returns (world,
+    query qubits, the fresh answer qubit)."""
+    ops = random_program(l, n_queries, stream)
+    n_plain = l + n_queries + 1
+    w = run_world(OracleWorld.compressed_init(l, n_plain), ops)
+    for q in range(l):
+        w = w.apply_plain_gate(haar_unitary(2, stream.gen), [q])
+    return w, list(range(l)), n_plain - 1
+
+
+def recording_error_check(l: int, n_queries: int, stream):
     """Compare the true classical query against answering from D_R alone.
 
     Returns (trace distance, 6 sqrt(alpha), |alpha - pair-count decrement|)
     with alpha the weight of branches whose pending input sits in D_F.
-    skip_df_deletion injects a fault into the decrement accounting, for
-    mutation testing.
     """
-    ops = random_program(l, n_queries, stream)
-    n_plain = l + n_queries + 1
-    w = run_compressed(l, n_plain, ops)
-    # scramble the query register so the pending input is in superposition
-    for q in range(l):
-        w = w.apply_plain_gate(haar_unitary(2, stream.gen), [q])
-    q_qubits = list(range(l))
-    a_qubit = n_plain - 1
+    w, q_qubits, a_qubit = _pending_query(l, n_queries, stream)
     alpha = w.bad_query_weight(q_qubits)
     true_w = w.compressed_classical_query(q_qubits, a_qubit)
     sim_w = w.apply_db_query(q_qubits, a_qubit, db="dr")
     ip = abs(np.vdot(*true_w.aligned(sim_w)))
     td = math.sqrt(max(0.0, 1.0 - ip * ip))
     decrement = w.pair_count_expectation() - true_w.pair_count_expectation()
-    if skip_df_deletion:
-        decrement = w.pair_count_expectation()  # fault: no post-query count
     return td, 6.0 * math.sqrt(max(alpha, 0.0)), abs(alpha - decrement)
 
 
 def recorded_query_monotone_check(l: int, n_queries: int, stream):
     """Bad-query weight of a pending query, with and without an interposed
     recorded query on the same register.  Returns (after, before)."""
-    ops = random_program(l, n_queries, stream)
-    n_plain = l + n_queries + 1
-    w = run_compressed(l, n_plain, ops)
-    for q in range(l):
-        w = w.apply_plain_gate(haar_unitary(2, stream.gen), [q])
-    q_qubits = list(range(l))
+    w, q_qubits, a_qubit = _pending_query(l, n_queries, stream)
     before = w.bad_query_weight(q_qubits)
-    w2 = w.compressed_classical_query(q_qubits, n_plain - 1, record=True)
-    after = w2.bad_query_weight(q_qubits)
-    return after, before
+    w2 = w.compressed_classical_query(q_qubits, a_qubit, record=True)
+    return w2.bad_query_weight(q_qubits), before
+
+
+# oracle-check's checks, each with the worst-case quantity it bounds by 1e-9
+ORACLE_CHECKS = (("equivalence_td", "equivalence_td"),
+                 ("comp_decomp", "comp_decomp"),
+                 ("recording_error_bound", "recording_error_slack"),
+                 ("recording_decrement", "recording_decrement_err"),
+                 ("bad_weight_monotone", "bad_weight_increase"))
+
+ORACLE_OPTIONS = {"l": (int, 2), "queries": (int, 4), "trials": (int, 10),
+                  "seed": (int, 0), "mc_samples": (int, 0)}
 
 
 def cmd_oracle_check(cfg: dict) -> dict:
-    l = int(cfg.get("l", 2))
-    n_queries = int(cfg.get("queries", 4))
-    trials = int(cfg.get("trials", 10))
-    seed = int(cfg.get("seed", 0))
-    mc_samples = int(cfg.get("mc_samples", 0))
+    opt = read_options(cfg, "oracle-check", ORACLE_OPTIONS)
+    l, n_queries, trials = opt["l"], opt["queries"], opt["trials"]
+    mc_samples = opt["mc_samples"]
     if not 1 <= l <= 3:
         raise HarnessError("oracle-check needs 1 <= l <= 3 (exact mode "
                            "enumerates 2^(2^l) truth tables)")
@@ -424,36 +397,22 @@ def cmd_oracle_check(cfg: dict) -> dict:
         raise HarnessError(f"oracle-check needs l + queries + 1 <= "
                            f"{PLAIN_QUBIT_CAP} (a 2^n-square plain density "
                            f"matrix)")
-    stream = Stream(seed)
+    stream = Stream(opt["seed"])
 
-    worst = {"equivalence_td": 0.0, "comp_decomp": 0.0,
-             "recording_error_slack": 0.0, "recording_decrement_err": 0.0,
-             "bad_weight_increase": 0.0}
+    worst = [0.0] * len(ORACLE_CHECKS)
     for i in range(trials):
-        worst["equivalence_td"] = max(
-            worst["equivalence_td"], equivalence_check(l, n_queries, stream.split(("eq", i))))
-        worst["comp_decomp"] = max(
-            worst["comp_decomp"], comp_decomp_check(l, n_queries, stream.split(("cd", i))))
+        eq = equivalence_check(l, n_queries, stream.split(("eq", i)))
+        cd = comp_decomp_check(l, n_queries, stream.split(("cd", i)))
         td, bound, err = recording_error_check(l, n_queries, stream.split(("aa", i)))
+        after, before = recorded_query_monotone_check(l, n_queries,
+                                                      stream.split(("ab", i)))
         # compare squared quantities: td <= bound up to rounding, without
         # the square root amplifying noise when alpha is at machine zero
-        worst["recording_error_slack"] = max(worst["recording_error_slack"],
-                                        td * td - bound * bound)
-        worst["recording_decrement_err"] = max(
-            worst["recording_decrement_err"], err)
-        after, before = recorded_query_monotone_check(l, n_queries, stream.split(("ab", i)))
-        worst["bad_weight_increase"] = max(
-            worst["bad_weight_increase"], after - before)
+        trial = (eq, cd, td * td - bound * bound, err, after - before)
+        worst = [max(w, t) for w, t in zip(worst, trial)]
 
-    worst = {k: float(v) for k, v in worst.items()}
-    checks = {
-        "equivalence_td": worst["equivalence_td"] <= 1e-9,
-        "comp_decomp": worst["comp_decomp"] <= 1e-9,
-        "recording_error_bound": worst["recording_error_slack"] <= 1e-9,
-        "recording_decrement": worst["recording_decrement_err"] <= 1e-9,
-        "bad_weight_monotone": worst["bad_weight_increase"] <= 1e-9,
-    }
-    checks = {k: bool(v) for k, v in checks.items()}
+    worst = {q: float(w) for (_, q), w in zip(ORACLE_CHECKS, worst)}
+    checks = {c: bool(worst[q] <= 1e-9) for c, q in ORACLE_CHECKS}
     report = {"l": l, "queries": n_queries, "trials": trials,
               "worst": worst, "checks": checks,
               "ok": all(checks.values())}
@@ -461,8 +420,7 @@ def cmd_oracle_check(cfg: dict) -> dict:
     if mc_samples > 0:
         ops = random_program(l, n_queries, stream.split("mc-prog"))
         n_plain = l + n_queries
-        pu = run_purified(l, n_plain, ops)
-        exact = pu.plain_distribution()
+        exact = run_world(OracleWorld.purified_init(l, n_plain), ops).plain_distribution()
         counts = {}
         mc = stream.split("mc")
         for i in range(mc_samples):

@@ -54,22 +54,6 @@ class TruthTable:
         return self.bits[x]
 
 
-@dataclass(frozen=True)
-class ClassicalDB:
-    entries: tuple  # ordered (x, z) pairs, duplicates allowed
-
-    def __post_init__(self):
-        ent = tuple((int(x), int(z)) for x, z in self.entries)
-        object.__setattr__(self, "entries", ent)
-        seen = {}
-        for x, z in ent:
-            if seen.setdefault(x, z) != z:
-                raise OracleError(f"inconsistent database: position {x}")
-
-    def as_dict(self) -> dict:
-        return {x: z for x, z in self.entries}
-
-
 def sample_oracle(l: int, rng) -> TruthTable:
     if l > ORACLE_L_CAP:
         raise OracleError(f"l = {l} exceeds cap {ORACLE_L_CAP}")

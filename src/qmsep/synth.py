@@ -99,9 +99,12 @@ class VerifierSpec:
         if n > SPEC_QUBIT_CAP:
             raise SynthError(f"m + k = {n} exceeds cap {SPEC_QUBIT_CAP}")
         v = np.eye(1 << n, dtype=np.complex128)
-        for gate in obj.get("gates", []):
+        for i, gate in enumerate(obj.get("gates", [])):
             name = gate["name"]
             targets = [int(t) for t in gate["targets"]]
+            if len(set(targets)) != len(targets) or not all(0 <= t < n for t in targets):
+                raise SynthError(f"gate {i} ({name!r}) has targets {targets}; they "
+                                 f"must be distinct qubits in [0, {n})")
             if name == "H":
                 g = HADAMARD
             elif name == "T":
@@ -292,7 +295,6 @@ class TrialEngine:
 class SynthesisResult:
     state: DensityOp
     fallback: bool
-    backend: str
     attempts: int
 
 
@@ -300,16 +302,14 @@ def synthesize(spec: VerifierSpec | ReducedVerifier, params: SynthesisParams, rn
                engine: TrialEngine | None = None) -> SynthesisResult:
     if params.backend == "eigen":
         _, witness = max_acceptance(spec)
-        return SynthesisResult(state=witness, fallback=False,
-                               backend="eigen", attempts=0)
+        return SynthesisResult(state=witness, fallback=False, attempts=0)
     if engine is None:
         engine = TrialEngine(spec, params)
     for attempt in range(1, params.t_trials + 1):
         success, _, _ = engine.sample(rng)
         if success:
             return SynthesisResult(state=engine.rho_m(), fallback=False,
-                                   backend="trial", attempts=attempt)
+                                   attempts=attempt)
     dm = 1 << spec.m
     mixed = _input_state(spec, np.eye(dm, dtype=np.complex128) / dm)
-    return SynthesisResult(state=mixed, fallback=True, backend="trial",
-                           attempts=params.t_trials)
+    return SynthesisResult(state=mixed, fallback=True, attempts=params.t_trials)

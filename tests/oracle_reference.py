@@ -6,6 +6,8 @@ operation produces, enumerating labels and, for decomp and comp, every sign
 pattern of the free positions.  They are slow and simple on purpose: the
 array-backed `qmsep.oracle.OracleWorld` is tested against them.  Structural
 checks (fresh answer qubits, D_F/D_R overlap) are not repeated here.
+
+keep_df_on_query seeds the fault the recording checks' mutation tests use.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import math
 import numpy as np
 
 from qmsep.hilbert import index_bits
-from qmsep.oracle import PRUNE_TOL
+from qmsep.oracle import PRUNE_TOL, OracleWorld
 
 
 def _pruned(amps: dict) -> dict:
@@ -164,3 +166,14 @@ def max_label_gap(a, b) -> float:
     """Largest |a[k] - b[k]| over both maps' labels, a missing label read as 0."""
     return max((abs(a.get(k, 0.0) - b.get(k, 0.0)) for k in set(a) | set(b)),
                default=0.0)
+
+
+def keep_df_on_query(monkeypatch):
+    """Seed a fault: a compressed classical query leaves its position in
+    D_F, instead of deleting it as the three-case unitary does."""
+    answer = OracleWorld._answer
+
+    def faulty(self, x, a_qubit, known, z_known, fb_free, sign, flag):
+        return answer(self, x, a_qubit, known, z_known, self.fb, sign, flag)
+
+    monkeypatch.setattr(OracleWorld, "_answer", faulty)

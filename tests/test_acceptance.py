@@ -15,6 +15,7 @@ import pytest
 
 from reference import alternating_sample
 
+from qmsep import cli
 from qmsep.attack import (
     AttackConfig,
     bad_query_probe,
@@ -25,7 +26,6 @@ from qmsep.harness import (
     recording_error_check,
     recorded_query_monotone_check,
     attack_rows,
-    cmd_attack,
     cmd_oracle_check,
     comp_decomp_check,
     equivalence_check,
@@ -298,11 +298,11 @@ def test_criterion_09_end_to_end_counterfeiting():
 
 def test_criterion_10_attack_output_determinism(tmp_path):
     """Two attack runs with identical seeds produce byte-identical CSVs."""
-    base = {"scheme": "hash-tag", "trials": 5, "seed": 77,
-            "t_max": 6, "n_updates": 4}
+    base = ["attack", "--scheme", "hash-tag", "--trials", "5", "--seed", "77",
+            "--t-max", "6", "--n-updates", "4"]
     out1, out2 = tmp_path / "r1.csv", tmp_path / "r2.csv"
-    cmd_attack({**base, "out": str(out1)})
-    cmd_attack({**base, "out": str(out2)})
+    assert cli.main([*base, "--out", str(out1)]) == 0
+    assert cli.main([*base, "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
     s1 = json.loads((tmp_path / "r1.csv.summary.json").read_text())
     s2 = json.loads((tmp_path / "r2.csv.summary.json").read_text())

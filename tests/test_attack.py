@@ -8,7 +8,6 @@ from qmsep.attack import (
     AttackError,
     _SynthCache,
     bad_query_probe,
-    build_sim_verifier,
     make_world,
     derived_params,
     run_attack,
@@ -123,12 +122,6 @@ def test_test_phase_verifies_once(name):
     assert max(ts) >= 2
 
 
-def test_build_sim_verifier_rejects_inconsistent_pairs():
-    scheme = make_scheme("hash-tag")
-    with pytest.raises(Exception):
-        build_sim_verifier(scheme, (0,), [(3, 0), (3, 1)])
-
-
 # -------------------------------------------------------------- update phase
 
 
@@ -137,7 +130,7 @@ def test_update_phase_monotone_and_saturates():
     cfg = scaled_cfg(scheme, t_max=1, n_updates=8)  # start from empty D
     world, note = prepared(scheme, 5, cfg)
     secret = world.positions_touched_by("mint")
-    dbs, probs, bad, disc, _ = update_phase(
+    dbs, probs, bad, disc = update_phase(
         scheme, note.serial, world, {}, cfg, Stream(5),
         secret_positions=secret)
     sets = [set(db.items()) for db in dbs]
@@ -192,7 +185,7 @@ def test_update_phase_matches_verify_every_round_reference(name, t, backend):
         scheme.profile.m, backend=backend))
     world, note, d0, secret = _after_verifications(scheme, cfg, 31, t)
     before = len(world.dr)
-    dbs, probs, bad, disc, _ = update_phase(
+    dbs, probs, bad, disc = update_phase(
         scheme, note.serial, world, d0, cfg, Stream(37),
         secret_positions=secret)
     grew = len(world.dr) - before

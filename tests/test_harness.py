@@ -3,17 +3,18 @@ import json
 
 import pytest
 
-from qmsep import cli
+import oracle_reference as ref
+
+from qmsep import cli, harness
 from qmsep.harness import (
     CSV_COLUMNS,
     CSV_HEADER,
     NOTE_QUBIT_CAP,
     HarnessError,
-    SummaryStats,
+    bernoulli_summary,
     recording_error_check,
     recorded_query_monotone_check,
     attack_rows,
-    cmd_attack,
     cmd_oracle_check,
     cmd_synth,
     comp_decomp_check,
@@ -50,16 +51,17 @@ def test_load_config_requires_object(tmp_path):
 
 
 def test_wilson_interval_reference_value():
-    s = SummaryStats.bernoulli(8, 10)
-    assert abs(s.mean - 0.8) < 1e-12
-    assert abs(s.wilson_low - 0.4901) < 5e-4
-    assert abs(s.wilson_high - 0.9433) < 5e-4
+    s = bernoulli_summary(8, 10)
+    assert abs(s["mean"] - 0.8) < 1e-12
+    assert abs(s["wilson95"][0] - 0.4901) < 5e-4
+    assert abs(s["wilson95"][1] - 0.9433) < 5e-4
     for k in range(11):
-        t = SummaryStats.bernoulli(k, 10)
-        assert -1e-12 <= t.wilson_low <= t.mean <= t.wilson_high + 1e-12
-        assert t.wilson_high <= 1 + 1e-12
+        t = bernoulli_summary(k, 10)
+        low, high = t["wilson95"]
+        assert -1e-12 <= low <= t["mean"] <= high + 1e-12
+        assert high <= 1 + 1e-12
     with pytest.raises(HarnessError):
-        SummaryStats.bernoulli(0, 0)
+        bernoulli_summary(0, 0)
 
 
 # ----------------------------------------------------------------- cmd_synth
@@ -73,6 +75,16 @@ def write_spec(tmp_path, gates, m=2, k=1, ans_index=2):
     p = tmp_path / "verifier.json"
     p.write_text(json.dumps({"m": m, "k": k, "ans_index": ans_index,
                              "gates": gates}))
+    return str(p)
+
+
+def config_file(tmp_path, value):
+    """A config dict written to a file, as --config's value; other values
+    pass through."""
+    if not isinstance(value, dict):
+        return value
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(value))
     return str(p)
 
 
@@ -135,17 +147,19 @@ def test_rows_to_csv_layout():
     assert lines[2].split(",")[0] == "hash-tag"
 
 
-def test_cmd_attack_deterministic_and_worker_independent(tmp_path):
-    base = {"scheme": "conjugate", "trials": 4, "seed": 11,
-            "t_max": 4, "n_updates": 3}
+def test_cmd_attack_deterministic_and_worker_independent(tmp_path, capsys):
+    base = ["attack", "--scheme", "conjugate", "--trials", "4", "--seed", "11",
+            "--t-max", "4", "--n-updates", "3"]
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
-    cmd_attack({**base, "workers": 1, "out": str(out1)})
-    cmd_attack({**base, "workers": 3, "out": str(out2)})
+    assert cli.main([*base, "--workers", "1", "--out", str(out1)]) == 0
+    assert cli.main([*base, "--workers", "3", "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
-    s1 = json.loads((tmp_path / "a.csv.summary.json").read_text())
-    s2 = json.loads((tmp_path / "b.csv.summary.json").read_text())
+    s1 = (tmp_path / "a.csv.summary.json").read_text()
+    s2 = (tmp_path / "b.csv.summary.json").read_text()
     assert s1 == s2
+    # with --out, stdout holds the two summaries and no CSV
+    assert capsys.readouterr().out == s1 + s2
 
 
 # sha256 of rows_to_csv + the sorted summary JSON, 24 trials from seed 400;
@@ -164,6 +178,37 @@ def test_attack_output_is_byte_identical(name):
     rows, summary = attack_rows({"scheme": name, "trials": 24, "seed": 400,
                                  "workers": 1, **overrides})
     text = rows_to_csv(rows) + json.dumps(summary, indent=2, sort_keys=True)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == want
+
+
+# sha256 of the stdout of `qmsep synth` and `qmsep oracle-check` at fixed
+# seeds; any change to what either command computes or prints changes them
+RY95 = {"name": "U", "targets": [2],
+        "matrix": [[0.05 ** 0.5, 0.0], [-(0.95 ** 0.5), 0.0],
+                   [0.95 ** 0.5, 0.0], [0.05 ** 0.5, 0.0]]}
+REPORT_DIGESTS = {
+    "synth": (["--trials", "12", "--seed", "21", "--t-trials", "2"],
+              "f595e2c9436cc8911f813cc6021e5b587e4054ba0331b1cad5569ed868fa247f"),
+    "oracle-check": (["--l", "2", "--queries", "3", "--trials", "2", "--seed", "7",
+                      "--mc-samples", "4000"],
+                     "6a871151a9f4507dc81e470030dc38143d423db0a44e5f7761cf65d736bc7153"),
+}
+
+
+@pytest.mark.parametrize("command", list(REPORT_DIGESTS))
+def test_report_output_is_byte_identical(command, tmp_path, capsys):
+    # Ry on the answer ancilla, then a CNOT from input qubit 0: A has
+    # eigenvalues 0.95 and 0.05, and 2 draws leave some trials falling back
+    flags, want = REPORT_DIGESTS[command]
+    if command == "synth":
+        gates = [RY95, {"name": "CNOT", "targets": [0, 2]},
+                 {"name": "H", "targets": [1]}, {"name": "T", "targets": [1]}]
+        flags = ["--verifier", write_spec(tmp_path, gates), *flags]
+    out = tmp_path / "report.json"
+    rc = cli.main([command, *flags, "--out", str(out)])
+    assert rc == 0
+    text = capsys.readouterr().out
+    assert out.read_text() == text
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == want
 
 
@@ -192,10 +237,10 @@ def test_recording_suites_direct():
     assert after <= before + 1e-9
 
 
-def test_recording_check_detects_seeded_fault():
+def test_recording_check_detects_seeded_fault(monkeypatch):
     # dropping the Fourier-slot cleanup breaks the exact decrement identity
-    errs = [recording_error_check(2, 2, Stream(50 + i), skip_df_deletion=True)[2]
-            for i in range(5)]
+    ref.keep_df_on_query(monkeypatch)
+    errs = [recording_error_check(2, 2, Stream(50 + i))[2] for i in range(5)]
     assert max(errs) > 1e-6
 
 
@@ -216,6 +261,29 @@ def test_cmd_oracle_check_l2_with_sampling():
 def test_cmd_oracle_check_rejects_large_l():
     with pytest.raises(HarnessError):
         cmd_oracle_check({"l": 4, "queries": 2})
+
+
+# worst-case quantity -> (check that bounds it, suite made to return a value
+# that puts only this quantity at 1)
+ORACLE_FAULTS = {
+    "equivalence_td": ("equivalence_td", "equivalence_check", 1.0),
+    "comp_decomp": ("comp_decomp", "comp_decomp_check", 1.0),
+    "recording_error_slack": ("recording_error_bound", "recording_error_check",
+                              (1.0, 0.0, 0.0)),
+    "recording_decrement_err": ("recording_decrement", "recording_error_check",
+                                (0.0, 0.0, 1.0)),
+    "bad_weight_increase": ("bad_weight_monotone", "recorded_query_monotone_check",
+                            (1.0, 0.0)),
+}
+
+
+@pytest.mark.parametrize("quantity", list(ORACLE_FAULTS))
+def test_cmd_oracle_check_fails_only_the_check_of_a_bad_quantity(quantity, monkeypatch):
+    check, suite, value = ORACLE_FAULTS[quantity]
+    monkeypatch.setattr(harness, suite, lambda *args: value)
+    rep = cmd_oracle_check({"l": 1, "queries": 1, "trials": 1})
+    assert rep["worst"][quantity] == 1.0 and not rep["ok"]
+    assert [c for c, ok in rep["checks"].items() if not ok] == [check]
 
 
 def test_cmd_oracle_check_monte_carlo_draws_are_pinned():
@@ -240,14 +308,17 @@ def test_cli_oracle_check_exit_zero(capsys):
 
 @pytest.mark.parametrize("flag,value", [("--l", "0"), ("--l", "4"), ("--queries", "0"),
                                         ("--queries", "9"), ("--trials", "0"),
-                                        ("--mc-samples", "-1")])
-def test_cli_oracle_check_rejects_bad_input(flag, value, capsys):
+                                        ("--mc-samples", "-1"),
+                                        ("--config", {"trails": 3}),
+                                        ("--config", {"seed": "x"})])
+def test_cli_oracle_check_rejects_bad_input(flag, value, tmp_path, capsys):
     args = {"--l": "1", "--queries": "2", "--trials": "1", "--mc-samples": "0"}
-    args[flag] = value
+    args[flag] = config_file(tmp_path, value)
     rc = cli.main(["oracle-check", *[x for kv in args.items() for x in kv]])
     assert rc == 2
     out = capsys.readouterr()
-    assert out.out == "" and "oracle-check needs" in out.err
+    named = next(iter(value)) if flag == "--config" else "oracle-check needs"
+    assert out.out == "" and named in out.err
 
 
 def test_cli_attack_writes_csv(tmp_path, capsys):
@@ -261,34 +332,56 @@ def test_cli_attack_writes_csv(tmp_path, capsys):
 
 @pytest.mark.parametrize("flag,value", [
     ("--l", "7"), ("--m", "0"), ("--m", str(NOTE_QUBIT_CAP + 1)), ("--eps", "2"),
-    ("--t-max", "0"), ("--n-updates", "0"), ("--variant", "quantum_mint")])
-def test_cli_attack_rejects_bad_input(flag, value, capsys):
-    rc = cli.main(["attack", "--scheme", "hash-tag", "--workers", "1", flag, value])
+    ("--t-max", "0"), ("--n-updates", "0"), ("--variant", "quantum_mint"),
+    ("--workers", "0"), ("--config", {"trails": 3}), ("--config", {"l": "x"}),
+    ("--config", {"trials": 2.5}), ("--config", {"out": 5}),
+    ("--out", "missing-dir/run.csv")])
+def test_cli_attack_rejects_bad_input(flag, value, tmp_path, capsys):
+    rc = cli.main(["attack", "--scheme", "hash-tag", "--workers", "1", flag,
+                   config_file(tmp_path, value)])
     assert rc == 2
     out = capsys.readouterr()
     assert out.out == "" and out.err.startswith("qmsep: ")
+    if flag in ("--workers", "--config"):
+        assert (next(iter(value)) if flag == "--config" else "workers") in out.err
 
 
-@pytest.mark.parametrize("verifier", [
-    {"m": 1, "k": 0, "ans_index": 0, "gates": [{"name": "X", "targets": [0]}]},
-    {"m": 1, "k": 0, "gates": []},
-    {"m": 1, "k": 0, "ans_index": 0, "gates": [{"name": "H", "targets": [3]}]},
-    {"m": 20, "k": 20, "ans_index": 0}])
-def test_cli_synth_rejects_bad_verifier(tmp_path, verifier, capsys):
+@pytest.mark.parametrize("verifier,reason", [
+    ({"m": 1, "k": 0, "ans_index": 0, "gates": [{"name": "X", "targets": [0]}]},
+     "unknown gate"),
+    ({"m": 1, "k": 0, "gates": []}, "ans_index"),
+    ({"m": 1, "k": 0, "ans_index": 0, "gates": [{"name": "H", "targets": [3]}]},
+     "gate 0 ('H') has targets [3]"),
+    ({"m": 20, "k": 20, "ans_index": 0}, "exceeds cap"),
+    ({"m": 2, "k": 1, "ans_index": 2, "gates": [{"name": "H", "targets": [-1]}]},
+     "gate 0 ('H') has targets [-1]"),
+    ({"m": 2, "k": 1, "ans_index": 2,
+      "gates": [X_GATE, {"name": "CNOT", "targets": [0, 0]}]},
+     "gate 1 ('CNOT') has targets [0, 0]"),
+    ({"m": 2, "k": 1, "ans_index": 2, "gates": [{"name": "H", "targets": [5]}]},
+     "gate 0 ('H') has targets [5]")], ids=[f"verifier{i}" for i in range(7)])
+def test_cli_synth_rejects_bad_verifier(tmp_path, verifier, reason, capsys):
     path = tmp_path / "v.json"
     path.write_text(json.dumps(verifier))
     rc = cli.main(["synth", "--verifier", str(path), "--trials", "1"])
     assert rc == 2
     out = capsys.readouterr()
-    assert out.out == "" and "bad verifier" in out.err
+    assert out.out == "" and "bad verifier" in out.err and reason in out.err
 
 
 @pytest.mark.parametrize("flags", [["--a", "0.9", "--b", "0.5"], ["--b", "1.5"],
-                                   ["--n-alternations", "0"]])
+                                   ["--n-alternations", "0"],
+                                   ["--config", {"trails": 3}],
+                                   ["--config", {"a": "x"}],
+                                   ["--config", {"workers": 2}]])
 def test_cli_synth_rejects_bad_params(tmp_path, flags, capsys):
-    rc = cli.main(["synth", "--verifier", write_spec(tmp_path, [X_GATE]), *flags])
+    rc = cli.main(["synth", "--verifier", write_spec(tmp_path, [X_GATE]),
+                   *[config_file(tmp_path, f) for f in flags]])
     assert rc == 2
-    assert capsys.readouterr().err.startswith("qmsep: ")
+    err = capsys.readouterr().err
+    assert err.startswith("qmsep: ")
+    if flags[0] == "--config":
+        assert next(iter(flags[1])) in err
 
 
 def test_cli_synth_reads_config(tmp_path, capsys):

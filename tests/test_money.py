@@ -90,8 +90,9 @@ def test_counterexample_serials_uniform():
 def test_counterexample_mint_uses_one_quantum_query():
     scheme = CounterexampleScheme(l=6, m=2)
     world, _ = mint_note(scheme, 3)
-    assert len(world.quantum_positions.get("mint", ())) == 1
-    assert len(world.classical_positions.get("mint", ())) == 2 * scheme.inner_m
+    classical = {x for x, _ in world.dr}  # only classical queries are recorded
+    assert len(classical) == 2 * scheme.inner_m
+    assert len(world.positions_touched_by("mint") - classical) == 1
 
 
 # ---------------------------------------------------------------- verifying

@@ -13,13 +13,11 @@ from qmsep.harness import (
     comp_decomp_check,
     equivalence_check,
     random_program,
-    run_compressed,
-    run_purified,
     run_sampled_once,
+    run_world,
 )
 from qmsep.hilbert import haar_unitary
 from qmsep.oracle import (
-    ClassicalDB,
     OracleError,
     OracleWorld,
     SampledExecutor,
@@ -46,13 +44,6 @@ def test_truth_table_validation_and_lookup():
     assert t(0) == 0 and t(1) == 1
     with pytest.raises(OracleError):
         TruthTable(2, (0, 1))
-
-
-def test_classical_db_consistency():
-    db = ClassicalDB(((3, 1), (3, 1), (0, 0)))
-    assert db.as_dict() == {3: 1, 0: 0}
-    with pytest.raises(OracleError):
-        ClassicalDB(((3, 1), (3, 0)))
 
 
 def test_sample_oracle_reproducible_and_sized():
@@ -260,7 +251,7 @@ def test_compressed_matches_conjugated_purified_query():
     stream = Stream(70)
     for rec in (False, True):
         ops = random_program(2, 3, stream.split(int(rec)))
-        w = run_compressed(2, 6, ops)
+        w = run_world(OracleWorld.compressed_init(2, 6), ops)
         a = w.compressed_classical_query([0, 1], 5, record=rec)
         b = w.decomp().apply_classical_query([0, 1], 5, record=rec).comp()
         keys = set(a.amps) | set(b.amps)
@@ -271,7 +262,7 @@ def test_compressed_matches_conjugated_purified_query():
 def test_disjointness_preserved_by_compressed_queries():
     stream = Stream(71)
     ops = random_program(2, 4, stream)
-    w = run_compressed(2, 7, ops)
+    w = run_world(OracleWorld.compressed_init(2, 7), ops)
     for rec in (False, True):
         out = w.compressed_classical_query([0, 1], 6, record=rec)
         for (_, df, dr, _) in out.amps:
@@ -297,7 +288,7 @@ def test_pair_count_examples_and_query_bound():
 def test_pair_count_monotone_under_classical_queries():
     stream = Stream(73)
     ops = random_program(2, 3, stream)
-    w = run_compressed(2, 6, ops)
+    w = run_world(OracleWorld.compressed_init(2, 6), ops)
     for q in (0, 1):
         w = w.apply_plain_gate(haar_unitary(2, stream.gen), [q])
     before = w.pair_count_expectation()
@@ -318,7 +309,7 @@ def test_sampled_monte_carlo_matches_purified():
     l, n_q = 2, 3
     ops = random_program(l, n_q, stream)
     n_plain = l + n_q
-    exact = run_purified(l, n_plain, ops).plain_distribution()
+    exact = run_world(OracleWorld.purified_init(l, n_plain), ops).plain_distribution()
     counts = {}
     n = 4000
     for i in range(n):
@@ -352,8 +343,9 @@ def test_recording_error_bound_and_exact_decrement():
         assert err <= 1e-9
 
 
-def test_recording_error_mutation_detected():
-    td, bound, err = recording_error_check(2, 3, Stream(91), skip_df_deletion=True)
+def test_recording_error_mutation_detected(monkeypatch):
+    ref.keep_df_on_query(monkeypatch)
+    td, bound, err = recording_error_check(2, 3, Stream(91))
     assert err > 1e-6
 
 
@@ -367,7 +359,8 @@ def test_interposed_recorded_query_monotone():
 def test_unitarity_of_query_operations():
     stream = Stream(93)
     ops = random_program(2, 4, stream)
-    for w in (run_compressed(2, 7, ops), run_purified(2, 7, ops)):
+    for start in (OracleWorld.compressed_init(2, 7), OracleWorld.purified_init(2, 7)):
+        w = run_world(start, ops)
         assert abs(sum(abs(a) ** 2 for a in w.amps.values()) - 1.0) < 1e-9
 
 
@@ -433,7 +426,7 @@ def test_world_size_guard_raises_before_allocating():
 
 
 def test_amps_view_is_read_only_with_label_count():
-    w = run_compressed(2, 6, random_program(2, 3, Stream(74)))
+    w = run_world(OracleWorld.compressed_init(2, 6), random_program(2, 3, Stream(74)))
     assert len(w.amps) == len(w.amp) == len(dict(w.amps))
     with pytest.raises(TypeError):
         w.amps[next(iter(w.amps))] = 0.0
@@ -442,8 +435,8 @@ def test_amps_view_is_read_only_with_label_count():
 def test_aligned_needs_a_common_start():
     # two runs of one program start from separate record tables
     ops = random_program(2, 3, Stream(75))
-    w = run_compressed(2, 6, ops)
+    w = run_world(OracleWorld.compressed_init(2, 6), ops)
     a, b = w.aligned(w.decomp().comp())
     assert abs(np.vdot(a, b) - 1.0) <= 1e-9
     with pytest.raises(OracleError):
-        w.aligned(run_compressed(2, 6, ops))
+        w.aligned(run_world(OracleWorld.compressed_init(2, 6), ops))
