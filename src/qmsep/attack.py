@@ -24,6 +24,9 @@ from .synth import (
 )
 
 
+DELTA_R = 0.99  # the reusability every derived parameter assumes
+
+
 class AttackError(ValueError):
     pass
 
@@ -36,16 +39,16 @@ def shrink_factor(delta_r: float, epsilon: float) -> float:
     return 1.0 - math.sqrt(inner)
 
 
-def derived_params(profile, epsilon: float, delta_r: float, variant: str) -> dict:
+def derived_params(scheme: MoneyScheme, epsilon: float, variant: str) -> dict:
     """Parameter values the analysis prescribes, before any scaling."""
-    ell = profile.q_prime  # oracle queries made by mint
-    g = shrink_factor(delta_r, epsilon)
+    ell = scheme.queries  # mint's q' and verify's q are one count
+    g = shrink_factor(DELTA_R, epsilon)
     if variant == "classical_mint":
         t_max = math.ceil(ell / epsilon)
         n_updates = math.ceil(100.0 * ell / g ** 2)
     elif variant == "quantum_mint":
-        t_max = math.ceil(36.0 * profile.q * profile.q_prime / epsilon ** 2)
-        n_updates = math.ceil(profile.q * profile.q_prime / (epsilon ** 2 * g ** 4))
+        t_max = math.ceil(36.0 * ell * ell / epsilon ** 2)
+        n_updates = math.ceil(ell * ell / (epsilon ** 2 * g ** 4))
     else:
         raise AttackError(f"unknown variant {variant!r}")
     return {"ell": ell, "t_max": t_max, "n_updates": n_updates,
@@ -55,7 +58,6 @@ def derived_params(profile, epsilon: float, delta_r: float, variant: str) -> dic
 @dataclass(frozen=True)
 class AttackConfig:
     epsilon: float
-    delta_r: float
     t_max: int
     n_updates: int
     synth_params: SynthesisParams
@@ -72,20 +74,18 @@ class AttackConfig:
 
     @classmethod
     def default(cls, scheme: MoneyScheme, epsilon: float = 0.1,
-                delta_r: float = 0.99, variant: str | None = None,
+                variant: str | None = None,
                 t_max: int | None = None, n_updates: int | None = None,
                 synth_params: SynthesisParams | None = None) -> "AttackConfig":
-        profile = scheme.profile
         if variant is None:
-            variant = ("quantum_mint" if profile.mint_query_mode == "quantum"
-                       else "classical_mint")
-        if variant == "quantum_mint" and profile.mint_query_mode != "quantum":
+            variant = "quantum_mint" if scheme.quantum_mint else "classical_mint"
+        if variant == "quantum_mint" and not scheme.quantum_mint:
             raise AttackError("quantum_mint variant needs a quantum-mint scheme")
-        derived = derived_params(profile, epsilon, delta_r, variant)
+        derived = derived_params(scheme, epsilon, variant)
         scaled = t_max is not None or n_updates is not None
         if synth_params is None:
-            synth_params = SynthesisParams.default(profile.m, backend="eigen")
-        return cls(epsilon=epsilon, delta_r=delta_r,
+            synth_params = SynthesisParams.default(scheme.m, backend="eigen")
+        return cls(epsilon=epsilon,
                    t_max=t_max if t_max is not None else derived["t_max"],
                    n_updates=n_updates if n_updates is not None else derived["n_updates"],
                    synth_params=synth_params, variant=variant, scaled=scaled)
@@ -166,17 +166,17 @@ class _SynthCache:
 
 
 def update_phase(scheme, serial, world, d0: dict, cfg: AttackConfig,
-                 stream, cache: _SynthCache | None = None,
-                 secret_positions: set | None = None):
+                 stream, cache: _SynthCache | None = None):
     """N rounds of synthesizing a note against D and merging what the true
     verifier reveals; returns (databases, per-round exact acceptance
     probabilities, bad-query counts, discovered secret pairs).
 
-    verify queries every position of verify_positions(serial), so a round
-    can learn a pair or make a bad query only while D lacks one of them;
-    once D has them all, rounds run no verifier.  With the eigen backend
-    synthesis is deterministic, so from then on every round has the same
-    database, state and probability, and they are filled in at once.
+    verify queries exactly verify_positions(serial), mint's positions, so a
+    bad query is a newly learned pair, and a round can make one only while
+    D lacks one of them; once D has them all, rounds run no verifier.  With
+    the eigen backend synthesis is deterministic, so from then on every
+    round has the same database, state and probability, and they are
+    filled in at once.
     """
     if cache is None:
         cache = _SynthCache(scheme, serial, cfg.synth_params)
@@ -194,8 +194,7 @@ def update_phase(scheme, serial, world, d0: dict, cfg: AttackConfig,
             note = Banknote(serial, cache.state_for(d, None))
             probs += [scheme.accept_prob(note, world)] * rest
             databases += [databases[-1]] * rest
-            if secret_positions is not None:
-                bad_counts += [0] * rest
+            bad_counts += [0] * rest
             break
         rng = None if eigen else stream.split(("synth", k))
         note = Banknote(serial, cache.state_for(d, rng))
@@ -204,10 +203,9 @@ def update_phase(scheme, serial, world, d0: dict, cfg: AttackConfig,
             _, _, pairs = _verify_collecting(scheme, note, world,
                                              stream.split(("upd", k)))
         new_pairs = {x: z for x, z in pairs if x not in d}
-        if secret_positions is not None:
-            bad_counts.append(len({x for x, _ in pairs}
-                                  & (secret_positions - d.keys())))
-            discovered += len(set(new_pairs) & secret_positions)
+        bad = len(new_pairs.keys() & needed)
+        bad_counts.append(bad)
+        discovered += bad
         d.update(new_pairs)
         # read after the verification, so a lazy world has already drawn
         # every bit it reads
@@ -229,26 +227,23 @@ def synthesize_phase(scheme, serial, databases, cfg: AttackConfig, stream,
 
 def make_world(scheme: MoneyScheme, cfg: AttackConfig, stream) -> WorldHandle:
     kind = "sampled" if cfg.variant == "classical_mint" else "lazy"
-    return WorldHandle(kind, scheme.profile.l, stream=stream.split("world"))
+    return WorldHandle(kind, scheme.l, stream=stream.split("world"))
 
 
 def _mint_and_test(scheme: MoneyScheme, cfg: AttackConfig, stream):
     """The opening every run shares: mint the honest note in a fresh world,
-    then run the test phase on it.  Returns (world, the positions mint
-    touched, note, D, t)."""
+    then run the test phase on it.  Returns (world, note, D, t)."""
     world = make_world(scheme, cfg, stream)
     note = scheme.mint(world, stream.split("mint"))
-    secret = world.positions_touched_by("mint")
     note, d, t = test_phase(scheme, note, world, cfg, stream.split("t"))
-    return world, secret, note, d, t
+    return world, note, d, t
 
 
 def run_attack(scheme: MoneyScheme, cfg: AttackConfig, stream) -> AttackTranscript:
-    world, secret, note, d0, t = _mint_and_test(scheme, cfg, stream)
+    world, note, d0, t = _mint_and_test(scheme, cfg, stream)
     cache = _SynthCache(scheme, note.serial, cfg.synth_params)
     databases, probs, bad_counts, discovered = update_phase(
-        scheme, note.serial, world, d0, cfg, stream.split("u"),
-        cache=cache, secret_positions=secret)
+        scheme, note.serial, world, d0, cfg, stream.split("u"), cache=cache)
     j, phi1, phi2 = synthesize_phase(scheme, note.serial, databases,
                                      cfg, stream.split("s"), cache=cache)
     ok1, _, _ = _verify_collecting(scheme, Banknote(note.serial, phi1),
@@ -274,15 +269,16 @@ def run_attack(scheme: MoneyScheme, cfg: AttackConfig, stream) -> AttackTranscri
 def bad_query_probe(scheme: MoneyScheme, cfg: AttackConfig, stream) -> int:
     """After the test phase, does one more verification hit a mint
     position the adversary has not learned?  Returns 0/1."""
-    world, secret, note, d, _ = _mint_and_test(scheme, cfg, stream)
+    world, note, d, _ = _mint_and_test(scheme, cfg, stream)
+    needed = set(scheme.verify_positions(note.serial))
     _, _, pairs = _verify_collecting(scheme, note, world, stream.split("probe"))
-    return int(bool({x for x, _ in pairs} & (secret - set(d))))
+    return int(bool({x for x, _ in pairs} & (needed - d.keys())))
 
 
 def simulation_gap_probe(scheme: MoneyScheme, cfg: AttackConfig, stream):
     """Per-run (Pr[true accepts rho_t], Pr[sim accepts rho_t]) on the
     post-test-phase note, both computed exactly given the sampled world."""
-    world, _, note, d, _ = _mint_and_test(scheme, cfg, stream)
+    world, note, d, _ = _mint_and_test(scheme, cfg, stream)
     p_true = scheme.accept_prob(note, world)
     spec = build_sim_verifier(scheme, note.serial, d)
     p_sim = acceptance_of(spec, note.state)

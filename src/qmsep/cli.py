@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .harness import (
@@ -67,6 +68,19 @@ def _json(report: dict) -> str:
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
+def check_writable(out: str, suffixes):
+    """Raise HarnessError, before any work is done, when a file out + suffix
+    cannot be opened for writing.  A file the check creates is removed."""
+    for path in [out + suffix for suffix in suffixes]:
+        new = not os.path.exists(path)
+        try:
+            open(path, "a", encoding="utf-8").close()
+        except OSError as exc:
+            raise HarnessError(f"cannot write output: {exc}") from exc
+        if new:
+            os.remove(path)
+
+
 def write_outputs(outputs, out: str | None):
     """Write each (suffix, text) output to out + suffix when out is given.
     stdout gets the last output, the JSON report, and the others only when
@@ -86,19 +100,23 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     flags = {k: v for k, v in vars(args).items()
              if k not in ("command", "config")}
+    # attack writes a CSV and its JSON summary, the others one JSON report
+    suffixes = ("", ".summary.json") if args.command == "attack" else ("",)
     try:
         cfg = merge_config(load_config(args.config), flags)
         out = cfg.pop("out", None)
         if not isinstance(out, (str, type(None))):
             raise HarnessError(f"out must be a path, got {out!r}")
+        if out:
+            check_writable(out, suffixes)
         if args.command == "attack":
             rows, report = attack_rows(cfg)
-            outputs = [("", rows_to_csv(rows)), (".summary.json", _json(report))]
+            texts = [rows_to_csv(rows), _json(report)]
         else:
             run = cmd_synth if args.command == "synth" else cmd_oracle_check
             report = run(cfg)
-            outputs = [("", _json(report))]
-        write_outputs(outputs, out)
+            texts = [_json(report)]
+        write_outputs(list(zip(suffixes, texts)), out)
     except HarnessError as exc:
         sys.stderr.write(f"qmsep: {exc}\n")
         return 2

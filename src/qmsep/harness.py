@@ -109,10 +109,11 @@ def read_options(cfg: dict, command: str, table: dict) -> dict:
     return out
 
 
-def bernoulli_summary(successes: int, count: int, z: float = 1.959964) -> dict:
+def bernoulli_summary(successes: int, count: int) -> dict:
     """Mean, standard error, count and Wilson 95% interval of a success count."""
     if count < 1:
         raise HarnessError("need at least one trial")
+    z = 1.959964  # the standard normal's 97.5% quantile
     p = successes / count
     se = math.sqrt(p * (1 - p) / count)
     denom = 1 + z * z / count
@@ -183,16 +184,13 @@ def cmd_synth(cfg: dict) -> dict:
 
 def _attack_trial(args):
     """One trial's CSV row, bad-query total and discovered secret pairs."""
-    (name, l, m, eps, t_max, n_updates, variant, seed) = args
-    scheme = make_scheme(name, l=l, m=m)
-    cfg = AttackConfig.default(scheme, epsilon=eps, variant=variant,
-                               t_max=t_max, n_updates=n_updates)
+    name, scheme, cfg, seed = args
     tr = run_attack(scheme, cfg, Stream(seed))
     row = {
         "scheme": name,
         "variant": cfg.variant,
         "seed": seed,
-        "eps": eps,
+        "eps": cfg.epsilon,
         "t_max": cfg.t_max,
         "N": cfg.n_updates,
         "t_drawn": tr.t_drawn,
@@ -215,7 +213,6 @@ def attack_rows(cfg: dict):
     opt = read_options(cfg, "attack", ATTACK_OPTIONS)
     name, l, m, eps = opt["scheme"], opt["l"], opt["m"], opt["eps"]
     trials, seed, workers = opt["trials"], opt["seed"], opt["workers"]
-    t_max, n_updates, variant = opt["t_max"], opt["n_updates"], opt["variant"]
     if name is None:
         raise HarnessError("attack needs --scheme")
     if trials < 1:
@@ -226,18 +223,17 @@ def attack_rows(cfg: dict):
         raise HarnessError("attack needs m >= 1")
     try:
         scheme = make_scheme(name, l=l, m=m)
-        probe_cfg = AttackConfig.default(scheme, epsilon=eps, variant=variant,
-                                         t_max=t_max, n_updates=n_updates)
-        derived = derived_params(scheme.profile, eps, probe_cfg.delta_r,
-                                 probe_cfg.variant)
+        attack_cfg = AttackConfig.default(
+            scheme, epsilon=eps, variant=opt["variant"], t_max=opt["t_max"],
+            n_updates=opt["n_updates"])
+        derived = derived_params(scheme, eps, attack_cfg.variant)
     except (MoneyError, AttackError) as exc:
         raise HarnessError(str(exc)) from exc
-    if scheme.profile.m > NOTE_QUBIT_CAP:
-        raise HarnessError(f"{name} at m = {m} has {scheme.profile.m}-qubit "
+    if scheme.m > NOTE_QUBIT_CAP:
+        raise HarnessError(f"{name} at m = {m} has {scheme.m}-qubit "
                            f"notes; the cap is {NOTE_QUBIT_CAP}")
     workers = workers or os.cpu_count() or 1
-    jobs = [(name, l, m, eps, t_max, n_updates, variant, seed + i)
-            for i in range(trials)]
+    jobs = [(name, scheme, attack_cfg, seed + i) for i in range(trials)]
     if workers > 1 and trials > 1:
         # map yields results in job order, whatever the scheduling
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
@@ -248,12 +244,12 @@ def attack_rows(cfg: dict):
     succ = sum(r["success"] for r in rows)
     summary = {
         "scheme": name,
-        "variant": probe_cfg.variant,
+        "variant": attack_cfg.variant,
         "trials": trials,
         "seed": seed,
-        "params_used": {"eps": eps, "t_max": probe_cfg.t_max,
-                        "n_updates": probe_cfg.n_updates,
-                        "scaled": probe_cfg.scaled},
+        "params_used": {"eps": eps, "t_max": attack_cfg.t_max,
+                        "n_updates": attack_cfg.n_updates,
+                        "scaled": attack_cfg.scaled},
         "derived_formulas": derived,
         "success": bernoulli_summary(succ, trials),
         "derived_success_lower_bound": derived["success_bound"],

@@ -6,11 +6,12 @@ oracle position.  Qubit i of a valid note is |R(bit)>, with H applied when
 R(basis) = 1.  Verification queries each check's positions classically, in
 check order (basis first), and measures qubit i with the projector onto
 that state, so valid notes are perfectly correct and perfectly reusable.
-MoneyScheme derives everything else from the list: the verifier's query
-positions, mint, verify, the verifier simulated from a partial database D
-(an unknown position becomes a fresh |+> ancilla) as a circuit and as the
-2^m x 2^m operator synthesis reads, and the exact acceptance probability of
-a note.  The three toy schemes differ only in their checks:
+MoneyScheme derives everything else from the list: the query positions of
+verify, which are mint's too, and their count q = q', mint, verify, the
+verifier simulated from a partial database D (an unknown position becomes a
+fresh |+> ancilla) as a circuit and as the 2^m x 2^m operator synthesis
+reads, and the exact acceptance probability of a note.  The three toy
+schemes differ only in their checks:
 
 hash-tag        [(None, R(s||i))]
 conjugate       [(R(s||i||0), R(s||i||1))]
@@ -39,29 +40,13 @@ class MoneyError(ValueError):
 
 
 @dataclass(frozen=True)
-class SchemeProfile:
-    name: str
-    l: int
-    m: int
-    q: int
-    q_prime: int
-    mint_query_mode: str
-
-    def __post_init__(self):
-        if self.l > ORACLE_L_CAP:
-            raise MoneyError(f"l = {self.l} exceeds cap {ORACLE_L_CAP}")
-        if self.q < 0 or self.q_prime < 0:
-            raise MoneyError("query counts must be non-negative")
-
-
-@dataclass(frozen=True)
 class Banknote:
     serial: tuple
     state: DensityOp
 
 
 class WorldHandle:
-    """Routes oracle queries and instruments who asked what.
+    """Answers oracle queries and records the classical ones in dr.
 
     sampled mode holds an explicit truth table; lazy mode samples each
     position on first use, which reproduces the purified oracle's statistics
@@ -88,8 +73,7 @@ class WorldHandle:
             if stream is None:
                 raise MoneyError("lazy world needs a stream")
             self.stream = stream
-        self.dr = []         # append-only classical query record
-        self.positions = {}  # caller -> set of positions it queried
+        self.dr = []  # append-only classical query record
 
     def _bit(self, x: int) -> int:
         if not (0 <= x < (1 << self.l)):
@@ -100,15 +84,11 @@ class WorldHandle:
             self.bits[x] = int(self.stream.integers(0, 2))
         return self.bits[x]
 
-    def query(self, x: int, caller: str, quantum: bool = False) -> int:
+    def query(self, x: int, quantum: bool = False) -> int:
         z = self._bit(x)
         if not quantum:
             self.dr.append((x, z))
-        self.positions.setdefault(caller, set()).add(x)
         return z
-
-    def positions_touched_by(self, *callers) -> set:
-        return set().union(*(self.positions.get(c, ()) for c in callers))
 
 
 def _measure_qubit(rho: np.ndarray, n: int, qubit: int, proj: np.ndarray, rng):
@@ -143,7 +123,7 @@ def _conjugate_proj(basis: int, bit: int) -> np.ndarray:
     return np.outer(vec, vec.conj())
 
 
-# the four check projectors, [basis][bit]: shared by every caller, never
+# the four check projectors, [basis][bit]: shared by every scheme, never
 # written; a lookup costs far less than building one per measured qubit
 _CHECK_PROJ = [[_conjugate_proj(b, z) for z in (0, 1)] for b in (0, 1)]
 # a check averaged over an unknown position: over its bit, whatever the
@@ -156,20 +136,31 @@ class MoneyScheme:
     """A scheme given by its per-qubit checks; subclasses define checks()
     and the serial width s_bits, and may draw more than one serial."""
 
-    profile: SchemeProfile
     s_bits: int
     serials = 1  # serials drawn per note
+    quantum_mint = False  # mint learns the first check's bit quantumly
+
+    def __init__(self, l: int, m: int):
+        if l > ORACLE_L_CAP:
+            raise MoneyError(f"l = {l} exceeds cap {ORACLE_L_CAP}")
+        self.l = l
+        self.m = m
 
     def checks(self, serial) -> list:
         """One (basis, bit) pair of oracle positions per note qubit."""
         raise NotImplementedError
 
     def note_layout(self) -> RegisterLayout:
-        return RegisterLayout((("M", self.profile.m),))
+        return RegisterLayout((("M", self.m),))
 
     def verify_positions(self, serial) -> list:
         """The positions verify queries, in query order."""
         return [x for check in self.checks(serial) for x in check if x is not None]
+
+    @property
+    def queries(self) -> int:
+        """q = q': the queries verify makes on a note, and mint to mint it."""
+        return len(self.verify_positions((0,) * self.serials))
 
     def mint(self, world, stream) -> Banknote:
         serial = tuple(int(stream.integers(0, 1 << self.s_bits))
@@ -177,22 +168,20 @@ class MoneyScheme:
         # a quantum mint learns the first check's bit with a quantum query;
         # its serial register is measured at once, so sampling s first is
         # equivalent
-        quantum = self.profile.mint_query_mode == "quantum"
         mat = np.array([[1.0]], dtype=np.complex128)
         for i, (basis, bit) in enumerate(self.checks(serial)):
-            b = 0 if basis is None else world.query(basis, "mint")
-            z = world.query(bit, "mint", quantum=quantum and i == 0)
+            b = 0 if basis is None else world.query(basis)
+            z = world.query(bit, quantum=self.quantum_mint and i == 0)
             mat = np.kron(mat, _CHECK_PROJ[b][z])
         return Banknote(serial=serial, state=DensityOp(self.note_layout(), mat))
 
     def verify(self, note: Banknote, world: WorldHandle, stream):
-        m = self.profile.m
         rho = note.state.matrix
         ok = True
         for i, (basis, bit) in enumerate(self.checks(note.serial)):
-            b = 0 if basis is None else world.query(basis, "ver")
-            proj = _CHECK_PROJ[b][world.query(bit, "ver")]
-            hit, rho = _measure_qubit(rho, m, i, proj, stream)
+            b = 0 if basis is None else world.query(basis)
+            proj = _CHECK_PROJ[b][world.query(bit)]
+            hit, rho = _measure_qubit(rho, self.m, i, proj, stream)
             ok = ok and bool(hit)
         return ok, Banknote(note.serial, DensityOp(self.note_layout(), rho))
 
@@ -204,7 +193,7 @@ class MoneyScheme:
         order; qubit i is then rotated into its check's basis and the answer
         qubit (last) flips when every note qubit holds its check's bit.
         """
-        m = self.profile.m
+        m = self.m
         checks = self.checks(serial)
         anc = {}  # unknown position -> ancilla qubit
         for x in self.verify_positions(serial):
@@ -251,7 +240,7 @@ class MoneyScheme:
                 f = _EITHER_BASIS[d[bit]]
             a = np.kron(a, f)
         unknown = sum(x not in d for x in positions)
-        return ReducedVerifier(m=self.profile.m, k=unknown + 1, a=a)
+        return ReducedVerifier(m=self.m, k=unknown + 1, a=a)
 
     def accept_prob(self, note: Banknote, world: WorldHandle) -> float:
         """Exact probability that verify accepts note.
@@ -260,11 +249,10 @@ class MoneyScheme:
         product Pi, applied to rho one qubit at a time.  The oracle is read
         without recording a query.
         """
-        m = self.profile.m
         rho = note.state.matrix
         for i, (basis, bit) in enumerate(self.checks(note.serial)):
             b = 0 if basis is None else world._bit(basis)
-            rho = embed_unitary(_CHECK_PROJ[b][world._bit(bit)], [i], m, rho)
+            rho = embed_unitary(_CHECK_PROJ[b][world._bit(bit)], [i], self.m, rho)
         return float(np.trace(rho).real)
 
 
@@ -272,21 +260,20 @@ class HashTagScheme(MoneyScheme):
     """Classical banknote: the oracle's bits at m serial-derived points."""
 
     def __init__(self, l: int = 6, m: int = 2):
+        super().__init__(l, m)
         tag_bits = max(1, math.ceil(math.log2(m))) if m > 1 else 1
         s_bits = l - tag_bits
         if s_bits < 1 or m > (1 << tag_bits):
             raise MoneyError("l too small for the requested m")
         self.tag_bits = tag_bits
         self.s_bits = s_bits
-        self.profile = SchemeProfile("hash-tag", l, m, q=m, q_prime=m,
-                                     mint_query_mode="classical")
 
     def _pos(self, s: int, i: int) -> int:
         return (s << self.tag_bits) | i
 
     def checks(self, serial) -> list:
         (s,) = serial
-        return [(None, self._pos(s, i)) for i in range(self.profile.m)]
+        return [(None, self._pos(s, i)) for i in range(self.m)]
 
     # bound in each class body: perfbench/tracer.py spans the methods it
     # finds in a scheme class's own __dict__
@@ -299,14 +286,13 @@ class ConjugateScheme(MoneyScheme):
     """Conjugate-coding banknote: oracle-derived bases and bits per qubit."""
 
     def __init__(self, l: int = 6, m: int = 2):
+        super().__init__(l, m)
         tag_bits = (max(1, math.ceil(math.log2(m))) if m > 1 else 1) + 1
         s_bits = l - tag_bits
         if s_bits < 1 or m > (1 << (tag_bits - 1)):
             raise MoneyError("l too small for the requested m")
         self.tag_bits = tag_bits
         self.s_bits = s_bits
-        self.profile = SchemeProfile("conjugate", l, m, q=2 * m, q_prime=2 * m,
-                                     mint_query_mode="classical")
 
     def _pos(self, s: int, i: int, b: int) -> int:
         return (s << self.tag_bits) | (i << 1) | b
@@ -314,7 +300,7 @@ class ConjugateScheme(MoneyScheme):
     def checks(self, serial) -> list:
         (s,) = serial
         return [(self._pos(s, i, 0), self._pos(s, i, 1))
-                for i in range(self.profile.m)]
+                for i in range(self.m)]
 
     mint = MoneyScheme.mint
     verify = MoneyScheme.verify
@@ -326,8 +312,10 @@ class CounterexampleScheme(MoneyScheme):
     carries the bit R(s) plus an inner conjugate banknote."""
 
     serials = 2  # s for the wrapped bit, s' for the inner note
+    quantum_mint = True
 
     def __init__(self, l: int = 6, m: int = 2):
+        super().__init__(l, m + 1)  # the wrapped bit, then the inner qubits
         inner_tags = 2 * m
         tag_bits = math.ceil(math.log2(inner_tags + 1))
         s_bits = l - tag_bits
@@ -336,9 +324,6 @@ class CounterexampleScheme(MoneyScheme):
         self.tag_bits = tag_bits
         self.s_bits = s_bits
         self.inner_m = m
-        self.profile = SchemeProfile("counterexample", l, m + 1,
-                                     q=1 + 2 * m, q_prime=1 + 2 * m,
-                                     mint_query_mode="quantum")
 
     def _wrap_pos(self, s: int) -> int:
         return s << self.tag_bits

@@ -148,8 +148,9 @@ def derived_n_alternations(m: int, a: float, b: float) -> int:
     return math.ceil(max(n1, n2))
 
 
-def derived_t_trials(m: int, q_factor: int = 8) -> int:
-    return (1 << (m + 2)) * q_factor
+def derived_t_trials(m: int) -> int:
+    """The trial backend's draw budget, 8 * 2^(m+2)."""
+    return 8 << (m + 2)
 
 
 @dataclass(frozen=True)
@@ -173,11 +174,10 @@ class SynthesisParams:
 
     @classmethod
     def default(cls, m: int, a: float = 0.5, b: float = 0.9,
-                backend: str = "trial", q_factor: int = 8,
-                n_alternations: int | None = None,
+                backend: str = "trial", n_alternations: int | None = None,
                 t_trials: int | None = None) -> "SynthesisParams":
         n = n_alternations if n_alternations is not None else derived_n_alternations(m, a, b)
-        t = t_trials if t_trials is not None else derived_t_trials(m, q_factor)
+        t = t_trials if t_trials is not None else derived_t_trials(m)
         return cls(a=a, b=b, n_alternations=n, t_trials=t, backend=backend)
 
     @property

@@ -253,7 +253,7 @@ def test_criterion_08_bad_query_rate_and_discoveries():
     sigma = math.sqrt(0.1 * 0.9 / 500)
     assert rate <= 0.1 + 3 * sigma, f"bad-query rate {rate}"
 
-    ell = scheme.profile.q_prime
+    ell = scheme.queries
     for i in range(100):
         tr = run_attack(scheme, cfg, Stream(9600 + i))
         assert tr.discovered_secret_pairs <= ell
@@ -280,7 +280,7 @@ def test_criterion_09_end_to_end_counterfeiting():
     assert s_ce["success"]["mean"] >= 0.1, s_ce["success"]
 
     ce = make_scheme("counterexample")
-    q, qp = ce.profile.q, ce.profile.q_prime
+    q = qp = ce.queries
     means = []
     for t_max in (4, 16, 64):
         cfg = AttackConfig.default(ce, epsilon=0.1, t_max=t_max, n_updates=1)

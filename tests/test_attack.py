@@ -34,7 +34,7 @@ def scaled_cfg(scheme, t_max=4, n_updates=6, **kw):
 
 def test_parameter_formulas_classical_variant():
     scheme = make_scheme("conjugate")  # mint makes 4 queries
-    p = derived_params(scheme.profile, 0.1, 0.99, "classical_mint")
+    p = derived_params(scheme, 0.1, "classical_mint")
     g = 1 - math.sqrt(1 - 0.99 + 0.1)
     assert p["ell"] == 4
     assert p["t_max"] == math.ceil(4 / 0.1)
@@ -43,7 +43,7 @@ def test_parameter_formulas_classical_variant():
 
 def test_parameter_formulas_quantum_variant():
     scheme = make_scheme("counterexample")
-    p = derived_params(scheme.profile, 0.1, 0.99, "quantum_mint")
+    p = derived_params(scheme, 0.1, "quantum_mint")
     g = 1 - math.sqrt(0.11)
     q = qp = 5
     assert p["t_max"] == math.ceil(36 * q * qp / 0.01)
@@ -129,19 +129,17 @@ def test_update_phase_monotone_and_saturates():
     scheme = make_scheme("hash-tag")
     cfg = scaled_cfg(scheme, t_max=1, n_updates=8)  # start from empty D
     world, note = prepared(scheme, 5, cfg)
-    secret = world.positions_touched_by("mint")
     dbs, probs, bad, disc = update_phase(
-        scheme, note.serial, world, {}, cfg, Stream(5),
-        secret_positions=secret)
+        scheme, note.serial, world, {}, cfg, Stream(5))
     sets = [set(db.items()) for db in dbs]
     for a, b in zip(sets, sets[1:]):
         assert a <= b
     # the first true verification reveals every tag position; afterwards
     # synthesis against the full database always passes
-    assert len(dbs[-1]) == scheme.profile.m
+    assert len(dbs[-1]) == scheme.m
     assert len(probs) == 8
     assert all(abs(p - 1.0) < 1e-12 for p in probs[1:])
-    assert disc <= scheme.profile.q_prime
+    assert disc <= scheme.queries
 
 
 def _update_phase_reference(scheme, serial, world, d0, cfg, stream, secret):
@@ -169,7 +167,7 @@ def _after_verifications(scheme, cfg, seed, t):
     """A world and note after mint and t true verifications, and
     the database those verifications revealed."""
     world, note = prepared(scheme, seed, cfg)
-    secret = world.positions_touched_by("mint")
+    secret = set(scheme.verify_positions(note.serial))
     before = len(world.dr)
     for i in range(t):
         _, note = scheme.verify(note, world, Stream(seed).split(i))
@@ -182,12 +180,11 @@ def _after_verifications(scheme, cfg, seed, t):
 def test_update_phase_matches_verify_every_round_reference(name, t, backend):
     scheme = make_scheme(name)
     cfg = scaled_cfg(scheme, n_updates=6, synth_params=SynthesisParams.default(
-        scheme.profile.m, backend=backend))
+        scheme.m, backend=backend))
     world, note, d0, secret = _after_verifications(scheme, cfg, 31, t)
     before = len(world.dr)
     dbs, probs, bad, disc = update_phase(
-        scheme, note.serial, world, d0, cfg, Stream(37),
-        secret_positions=secret)
+        scheme, note.serial, world, d0, cfg, Stream(37))
     grew = len(world.dr) - before
     world, note, d0, secret = _after_verifications(scheme, cfg, 31, t)
     ref = _update_phase_reference(scheme, note.serial, world, d0, cfg,
@@ -252,11 +249,11 @@ def test_run_attack_trial_backend_every_scheme(name):
     scheme = make_scheme(name)
     cfg = AttackConfig.default(
         scheme, epsilon=0.1, t_max=1, n_updates=3,
-        synth_params=SynthesisParams.default(scheme.profile.m))
+        synth_params=SynthesisParams.default(scheme.m))
     tr = run_attack(scheme, cfg, Stream(29))
     assert tr.t_drawn == 0 and tr.db_sizes[0] == 0
     assert tr.success == (tr.accept1 and tr.accept2)
-    dm = 1 << scheme.profile.m
+    dm = 1 << scheme.m
     for phi in tr.forged_pair:
         assert phi.matrix.shape == (dm, dm)
         phi.check()
@@ -270,10 +267,10 @@ def test_run_attack_at_note_cap_from_empty_database(name, backend):
     # 2^m operator
     m = NOTE_QUBIT_CAP - (name == "counterexample")  # one more note qubit
     scheme = make_scheme(name, m=m)
-    assert scheme.profile.m == NOTE_QUBIT_CAP
+    assert scheme.m == NOTE_QUBIT_CAP
     cfg = AttackConfig.default(
         scheme, epsilon=0.1, t_max=1, n_updates=2,
-        synth_params=SynthesisParams.default(scheme.profile.m, backend=backend))
+        synth_params=SynthesisParams.default(scheme.m, backend=backend))
     tr = run_attack(scheme, cfg, Stream(31))
     assert tr.db_sizes[0] == 0
     for phi in tr.forged_pair:
@@ -314,5 +311,5 @@ def test_simulation_gap_probe_bounded():
     for i in range(10):
         p_true, p_sim = simulation_gap_probe(scheme, cfg, Stream(800 + i))
         assert 0 <= p_true <= 1 + 1e-9 and 0 <= p_sim <= 1 + 1e-9
-        q, qp = scheme.profile.q, scheme.profile.q_prime
+        q = qp = scheme.queries
         assert abs(p_true - p_sim) <= 6 * math.sqrt(q * qp / 16)

@@ -406,3 +406,24 @@ def test_cli_harness_error_exit_two(capsys):
     rc = cli.main(["synth"])  # missing --verifier
     assert rc == 2
     assert "verifier" in capsys.readouterr().err
+
+
+def test_cli_rejects_unwritable_out_before_any_trial(monkeypatch, tmp_path, capsys):
+    def no_trials(cfg):
+        raise AssertionError("attack_rows ran before --out was checked")
+
+    monkeypatch.setattr(cli, "attack_rows", no_trials)
+    out = tmp_path / "missing-dir" / "run.csv"
+    rc = cli.main(["attack", "--scheme", "hash-tag", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("qmsep: cannot write output")
+    assert not (tmp_path / "missing-dir").exists()
+
+
+def test_cli_out_check_leaves_no_file(tmp_path, capsys):
+    out = tmp_path / "run.csv"
+    rc = cli.main(["attack", "--scheme", "hash-tag", "--m", "0",
+                   "--out", str(out)])
+    assert rc == 2
+    assert list(tmp_path.iterdir()) == []

@@ -5,6 +5,8 @@ import importlib
 import pathlib
 import sys
 
+from qmsep import cli, harness
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "qmsep"
 
@@ -61,3 +63,16 @@ def test_benchmark_spans_resolve_and_restore():
     changed = [f"{getattr(ns, '__name__', ns)}.{k}" for ns, snap in before
                for k, v in snap.items() if vars(ns).get(k) is not v]
     assert not changed, "not restored: " + ", ".join(changed)
+
+
+def test_every_cli_flag_is_a_config_key():
+    """Each subcommand's flags, but --config and --out, are exactly the keys
+    of the option table its command reads, so every flag has an effect."""
+    tables = {"synth": harness.SYNTH_OPTIONS, "attack": harness.ATTACK_OPTIONS,
+              "oracle-check": harness.ORACLE_OPTIONS}
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if a.dest == "command"]
+    assert set(sub.choices) == set(tables)
+    for command, p in sub.choices.items():
+        dests = {a.dest for a in p._actions} - {"help", "config", "out"}
+        assert dests == set(tables[command]), command

@@ -24,26 +24,44 @@ from qmsep.synth import acceptance_of
 
 
 def sampled_world(scheme, seed):
-    return WorldHandle("sampled", scheme.profile.l, stream=Stream(seed))
+    return WorldHandle("sampled", scheme.l, stream=Stream(seed))
 
 
 def mint_note(scheme, seed):
-    world = WorldHandle("lazy" if scheme.profile.mint_query_mode == "quantum"
-                        else "sampled", scheme.profile.l, stream=Stream(seed))
+    world = WorldHandle("lazy" if scheme.quantum_mint else "sampled",
+                        scheme.l, stream=Stream(seed))
     note = scheme.mint(world, Stream(seed).split("mint"))
     return world, note
 
 
-# ------------------------------------------------------------------ profiles
+# ------------------------------------------------------------ query counts
 
 
-def test_profiles_declare_query_counts():
-    assert HashTagScheme(l=6, m=2).profile.q == 2
-    assert ConjugateScheme(l=6, m=2).profile.q == 4
+def test_schemes_derive_query_counts():
+    assert HashTagScheme(l=6, m=2).queries == 2
+    assert ConjugateScheme(l=6, m=2).queries == 4
     ce = CounterexampleScheme(l=6, m=2)
-    assert ce.profile.q == ce.profile.q_prime == 5
-    assert ce.profile.m == 3  # attached bit plus inner qubits
-    assert ce.profile.mint_query_mode == "quantum"
+    assert ce.queries == 5
+    assert ce.m == 3  # attached bit plus inner qubits
+    assert ce.quantum_mint
+    assert not HashTagScheme().quantum_mint and not ConjugateScheme().quantum_mint
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("name,per_qubit,extra", [
+    ("hash-tag", 1, 0), ("conjugate", 2, 0), ("counterexample", 2, 1)])
+def test_mint_draws_exactly_the_verify_positions(name, per_qubit, extra, m):
+    """The check list is a scheme's whole oracle footprint: a lazy world
+    draws during mint exactly the positions verify queries, and queries
+    counts them."""
+    scheme = make_scheme(name, m=m)
+    assert scheme.queries == per_qubit * m + extra
+    for seed in range(20):
+        world = WorldHandle("lazy", scheme.l, stream=Stream(seed))
+        note = scheme.mint(world, Stream(seed).split("mint"))
+        positions = scheme.verify_positions(note.serial)
+        assert set(world.bits) == set(positions)
+        assert len(positions) == scheme.queries
 
 
 def test_scheme_size_validation():
@@ -92,7 +110,8 @@ def test_counterexample_mint_uses_one_quantum_query():
     world, _ = mint_note(scheme, 3)
     classical = {x for x, _ in world.dr}  # only classical queries are recorded
     assert len(classical) == 2 * scheme.inner_m
-    assert len(world.positions_touched_by("mint") - classical) == 1
+    # the lazy world drew one more position, for the one quantum query
+    assert len(set(world.bits) - classical) == 1
 
 
 # ---------------------------------------------------------------- verifying
@@ -127,7 +146,7 @@ def test_verify_query_accounting(name):
     before = len(world.dr)
     scheme.verify(note, world, Stream(31))
     pairs = world.dr[before:]
-    assert len(pairs) == scheme.profile.q
+    assert len(pairs) == scheme.queries
     assert {x for x, _ in pairs} == set(scheme.verify_positions(note.serial))
 
 
@@ -223,7 +242,7 @@ def test_sim_verifier_empty_database_uniform_answers(name):
     spec = scheme.sim_verifier("", note.serial, {})
     # every oracle answer simulated uniformly: each of the m checks
     # passes with probability 1/2 on the true note
-    want = 2.0 ** -scheme.profile.m
+    want = 2.0 ** -scheme.m
     assert abs(acceptance_of(spec, note.state) - want) < 1e-9
 
 
@@ -236,7 +255,7 @@ def test_sim_verifier_empty_database_witness_is_maximally_mixed(name):
     _, note = mint_note(scheme, 73)
     spec = scheme.sim_verifier("", note.serial, {})
     val, witness = max_acceptance(spec)
-    dm = 1 << scheme.profile.m
+    dm = 1 << scheme.m
     assert abs(val - 1.0 / dm) < 1e-12
     assert np.abs(witness.matrix - np.eye(dm) / dm).max() < 1e-12
 
@@ -244,7 +263,7 @@ def test_sim_verifier_empty_database_witness_is_maximally_mixed(name):
 @pytest.mark.parametrize("name", ["hash-tag", "conjugate", "counterexample"])
 def test_sim_verifier_full_database_matches_true_acceptance(name):
     scheme = make_scheme(name)
-    dm = 1 << scheme.profile.m
+    dm = 1 << scheme.m
     for seed in range(5):
         world, note = mint_note(scheme, 100 + seed)
         before = len(world.dr)
@@ -358,18 +377,19 @@ def test_sim_operator_rejects_a_shared_position():
 
 
 def test_world_handle_query_bookkeeping():
-    world = WorldHandle("sampled", 3, stream=Stream(1))
-    z = world.query(5, "ver")
+    world = WorldHandle("lazy", 3, stream=Stream(1))
+    z = world.query(5)
     assert world.dr == [(5, z)]
-    assert world.positions_touched_by("ver") == {5}
-    world.query(6, "mint", quantum=True)
+    assert world.bits == {5: z}
+    z6 = world.query(6, quantum=True)
     assert world.dr == [(5, z)]  # quantum queries leave no classical record
-    assert world.positions_touched_by("mint", "ver") == {5, 6}
+    assert world.bits == {5: z, 6: z6}
+    assert world.query(5) == z  # a drawn bit stays fixed
 
 
 def test_world_handle_bounds():
     world = WorldHandle("sampled", 2, stream=Stream(1))
     with pytest.raises(MoneyError):
-        world.query(4, "ver")
+        world.query(4)
     with pytest.raises(MoneyError):
         WorldHandle("weird", 2, stream=Stream(1))

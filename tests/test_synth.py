@@ -166,7 +166,7 @@ def test_alternation_count_desk_defaults():
     # a = 0.5, b = 0.9, m = 2: max(15*(4 - log2(0.4)), 16*0.9/0.16) = 90
     assert derived_n_alternations(2, 0.5, 0.9) == 90
     assert derived_t_trials(2) == 128
-    assert derived_t_trials(2, q_factor=1) == 16
+    assert SynthesisParams.default(2).t_trials == 128
 
 
 def test_params_validation():
