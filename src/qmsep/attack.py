@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from .hilbert import DensityOp
 from .money import Banknote, MoneyScheme, WorldHandle
+from .oracle import sample_oracle
 from .synth import (
     ReducedVerifier,
     SynthesisParams,
@@ -226,8 +227,9 @@ def synthesize_phase(scheme, serial, databases, cfg: AttackConfig, stream,
 
 
 def make_world(scheme: MoneyScheme, cfg: AttackConfig, stream) -> WorldHandle:
-    kind = "sampled" if cfg.variant == "classical_mint" else "lazy"
-    return WorldHandle(kind, scheme.l, stream=stream.split("world"))
+    draws = stream.split("world")
+    table = sample_oracle(scheme.l, draws) if cfg.variant == "classical_mint" else None
+    return WorldHandle(scheme.l, stream=draws, table=table)
 
 
 def _mint_and_test(scheme: MoneyScheme, cfg: AttackConfig, stream):

@@ -219,8 +219,6 @@ def attack_rows(cfg: dict):
         raise HarnessError("trials must be >= 1")
     if workers is not None and workers < 1:
         raise HarnessError("attack needs workers >= 1")
-    if m < 1:
-        raise HarnessError("attack needs m >= 1")
     try:
         scheme = make_scheme(name, l=l, m=m)
         attack_cfg = AttackConfig.default(

@@ -1,34 +1,37 @@
-"""Oracle-aided public-key quantum money as lists of per-qubit checks.
+"""Oracle-aided public-key quantum money as tag templates.
 
-A scheme is the list checks(serial) of one (basis, bit) pair per note qubit.
-bit is an oracle position; basis is None (the computational basis) or an
-oracle position.  Qubit i of a valid note is |R(bit)>, with H applied when
-R(basis) = 1.  Verification queries each check's positions classically, in
-check order (basis first), and measures qubit i with the projector onto
-that state, so valid notes are perfectly correct and perfectly reusable.
-MoneyScheme derives everything else from the list: the query positions of
-verify, which are mint's too, and their count q = q', mint, verify, the
-verifier simulated from a partial database D (an unknown position becomes a
-fresh |+> ancilla) as a circuit and as the 2^m x 2^m operator synthesis
-reads, and the exact acceptance probability of a note.  The three toy
-schemes differ only in their checks:
+A scheme is its template tags(m): one (serial index k, basis tag, bit tag)
+triple per note qubit.  A note draws one serial per index, and tag t of
+slot k names the oracle position (serial[k] << tag_bits) | t, so
+checks(serial) gives each qubit a (basis, bit) pair of positions; a basis
+tag of None stands for the computational basis.  Qubit i of a valid note is
+|R(bit)>, with H applied when R(basis) = 1.  Verification queries each
+check's positions classically, in check order (basis first), and measures
+qubit i with the projector onto that state, so valid notes are perfectly
+correct and perfectly reusable.  MoneyScheme derives everything else from
+the template: the serial and tag widths, the query positions of verify,
+which are mint's too, and their count q = q', mint, verify, the verifier
+simulated from a partial database D (an unknown position becomes a fresh
+|+> ancilla) as a circuit and as the 2^m x 2^m operator synthesis reads,
+and the exact acceptance probability of a note.  The three toy schemes
+differ only in their templates, for i < m:
 
-hash-tag        [(None, R(s||i))]
-conjugate       [(R(s||i||0), R(s||i||1))]
-counterexample  [(None, R(s))] + the conjugate checks of a second serial s';
+hash-tag        [(0, None, i)]
+conjugate       [(0, 2i, 2i+1)]
+counterexample  [(0, None, 0)] + [(1, 1+2i, 2+2i)]: the bit R(s) of a first
+                serial s, then the conjugate checks of a second serial s';
                 mint learns R(s) with one quantum query on a uniform serial
                 superposition whose serial register it then measures.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .hilbert import HADAMARD, DensityOp, RegisterLayout, embed_unitary, index_bits
-from .oracle import ORACLE_L_CAP, TruthTable, sample_oracle
+from .oracle import ORACLE_L_CAP, TruthTable
 from .synth import ReducedVerifier, VerifierSpec
 
 _CH = np.eye(4, dtype=np.complex128)
@@ -46,40 +49,28 @@ class Banknote:
 
 
 class WorldHandle:
-    """Answers oracle queries and records the classical ones in dr.
+    """Answers oracle queries from one bit map and records the classical
+    ones in dr.
 
-    sampled mode holds an explicit truth table; lazy mode samples each
-    position on first use, which reproduces the purified oracle's statistics
-    for the query patterns used here (the one quantum query any scheme makes
-    is immediately followed by a measurement of its input register, so
-    sampling it eagerly commutes with the rest of the run).
+    A world built from a truth table holds every bit from the start; a lazy
+    world draws each position from stream on first use, which reproduces the
+    purified oracle's statistics for the query patterns used here (the one
+    quantum query any scheme makes is immediately followed by a measurement
+    of its input register, so sampling it eagerly commutes with the rest of
+    the run).
     """
 
-    def __init__(self, kind: str, l: int, stream=None, table: TruthTable | None = None):
-        if kind not in ("sampled", "lazy"):
-            raise MoneyError(f"unknown world kind {kind!r}")
-        self.kind = kind
+    def __init__(self, l: int, stream=None, table: TruthTable | None = None):
+        if table is None and stream is None:
+            raise MoneyError("a world needs a table or a stream")
         self.l = l
-        if kind == "sampled":
-            if table is None:
-                if stream is None:
-                    raise MoneyError("sampled world needs a table or a stream")
-                table = sample_oracle(l, stream)
-            self.table = table
-            self.bits = None
-        else:
-            self.table = None
-            self.bits = {}
-            if stream is None:
-                raise MoneyError("lazy world needs a stream")
-            self.stream = stream
+        self.bits = {} if table is None else dict(enumerate(table.bits))
+        self.stream = stream
         self.dr = []  # append-only classical query record
 
     def _bit(self, x: int) -> int:
         if not (0 <= x < (1 << self.l)):
             raise MoneyError(f"oracle position {x} out of range for l = {self.l}")
-        if self.kind == "sampled":
-            return self.table(x)
         if x not in self.bits:
             self.bits[x] = int(self.stream.integers(0, 2))
         return self.bits[x]
@@ -133,22 +124,38 @@ _EITHER_BASIS = [(_CHECK_PROJ[0][z] + _CHECK_PROJ[1][z]) / 2 for z in (0, 1)]
 
 
 class MoneyScheme:
-    """A scheme given by its per-qubit checks; subclasses define checks()
-    and the serial width s_bits, and may draw more than one serial."""
+    """A scheme given by its tag template; subclasses define tags(m)."""
 
-    s_bits: int
-    serials = 1  # serials drawn per note
     quantum_mint = False  # mint learns the first check's bit quantumly
 
-    def __init__(self, l: int, m: int):
+    @staticmethod
+    def tags(m: int) -> list:
+        """One (serial index, basis tag or None, bit tag) triple per note
+        qubit of the scheme of size m."""
+        raise NotImplementedError
+
+    def __init__(self, l: int = 6, m: int = 2):
         if l > ORACLE_L_CAP:
             raise MoneyError(f"l = {l} exceeds cap {ORACLE_L_CAP}")
+        if m < 1:
+            raise MoneyError(f"m must be >= 1, got {m}")
+        if m > 2 ** l:  # m bit tags cannot fit; bounds what tags(m) builds
+            raise MoneyError("l too small for the requested m")
+        self.template = self.tags(m)
         self.l = l
-        self.m = m
+        self.m = len(self.template)
+        self.serials = 1 + max(k for k, _, _ in self.template)
+        top = max(t for _, *tags in self.template for t in tags if t is not None)
+        self.tag_bits = max(1, top.bit_length())
+        self.s_bits = l - self.tag_bits
+        if self.s_bits < 1:
+            raise MoneyError("l too small for the requested m")
 
     def checks(self, serial) -> list:
         """One (basis, bit) pair of oracle positions per note qubit."""
-        raise NotImplementedError
+        tb = self.tag_bits
+        return [(None if basis is None else (serial[k] << tb) | basis,
+                 (serial[k] << tb) | bit) for k, basis, bit in self.template]
 
     def note_layout(self) -> RegisterLayout:
         return RegisterLayout((("M", self.m),))
@@ -259,21 +266,9 @@ class MoneyScheme:
 class HashTagScheme(MoneyScheme):
     """Classical banknote: the oracle's bits at m serial-derived points."""
 
-    def __init__(self, l: int = 6, m: int = 2):
-        super().__init__(l, m)
-        tag_bits = max(1, math.ceil(math.log2(m))) if m > 1 else 1
-        s_bits = l - tag_bits
-        if s_bits < 1 or m > (1 << tag_bits):
-            raise MoneyError("l too small for the requested m")
-        self.tag_bits = tag_bits
-        self.s_bits = s_bits
-
-    def _pos(self, s: int, i: int) -> int:
-        return (s << self.tag_bits) | i
-
-    def checks(self, serial) -> list:
-        (s,) = serial
-        return [(None, self._pos(s, i)) for i in range(self.m)]
+    @staticmethod
+    def tags(m: int) -> list:
+        return [(0, None, i) for i in range(m)]
 
     # bound in each class body: perfbench/tracer.py spans the methods it
     # finds in a scheme class's own __dict__
@@ -285,22 +280,9 @@ class HashTagScheme(MoneyScheme):
 class ConjugateScheme(MoneyScheme):
     """Conjugate-coding banknote: oracle-derived bases and bits per qubit."""
 
-    def __init__(self, l: int = 6, m: int = 2):
-        super().__init__(l, m)
-        tag_bits = (max(1, math.ceil(math.log2(m))) if m > 1 else 1) + 1
-        s_bits = l - tag_bits
-        if s_bits < 1 or m > (1 << (tag_bits - 1)):
-            raise MoneyError("l too small for the requested m")
-        self.tag_bits = tag_bits
-        self.s_bits = s_bits
-
-    def _pos(self, s: int, i: int, b: int) -> int:
-        return (s << self.tag_bits) | (i << 1) | b
-
-    def checks(self, serial) -> list:
-        (s,) = serial
-        return [(self._pos(s, i, 0), self._pos(s, i, 1))
-                for i in range(self.m)]
+    @staticmethod
+    def tags(m: int) -> list:
+        return [(0, 2 * i, 2 * i + 1) for i in range(m)]
 
     mint = MoneyScheme.mint
     verify = MoneyScheme.verify
@@ -309,33 +291,13 @@ class ConjugateScheme(MoneyScheme):
 
 class CounterexampleScheme(MoneyScheme):
     """Quantum-mint wrapper: serial from a measured quantum query, note
-    carries the bit R(s) plus an inner conjugate banknote."""
+    carries the bit R(s) plus an inner conjugate banknote of m qubits."""
 
-    serials = 2  # s for the wrapped bit, s' for the inner note
     quantum_mint = True
 
-    def __init__(self, l: int = 6, m: int = 2):
-        super().__init__(l, m + 1)  # the wrapped bit, then the inner qubits
-        inner_tags = 2 * m
-        tag_bits = math.ceil(math.log2(inner_tags + 1))
-        s_bits = l - tag_bits
-        if s_bits < 1:
-            raise MoneyError("l too small for the requested m")
-        self.tag_bits = tag_bits
-        self.s_bits = s_bits
-        self.inner_m = m
-
-    def _wrap_pos(self, s: int) -> int:
-        return s << self.tag_bits
-
-    def _inner_pos(self, s: int, i: int, b: int) -> int:
-        return (s << self.tag_bits) | (1 + (i << 1) + b)
-
-    def checks(self, serial) -> list:
-        s, s_inner = serial
-        return [(None, self._wrap_pos(s))] + [
-            (self._inner_pos(s_inner, i, 0), self._inner_pos(s_inner, i, 1))
-            for i in range(self.inner_m)]
+    @staticmethod
+    def tags(m: int) -> list:
+        return [(0, None, 0)] + [(1, 1 + 2 * i, 2 + 2 * i) for i in range(m)]
 
     mint = MoneyScheme.mint
     verify = MoneyScheme.verify

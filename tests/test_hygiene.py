@@ -5,7 +5,7 @@ import importlib
 import pathlib
 import sys
 
-from qmsep import cli, harness
+from qmsep import cli, harness, money
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "qmsep"
@@ -76,3 +76,14 @@ def test_every_cli_flag_is_a_config_key():
     for command, p in sub.choices.items():
         dests = {a.dest for a in p._actions} - {"help", "config", "out"}
         assert dests == set(tables[command]), command
+
+
+def test_scheme_classes_are_tag_templates():
+    """A scheme class holds its tag template and no layout of its own:
+    MoneyScheme derives widths, checks and positions from tags(m).  mint,
+    verify and sim_verifier are bound in each class body only because
+    perfbench/tracer.py spans a scheme class's own methods."""
+    allowed = {"tags", "quantum_mint", "mint", "verify", "sim_verifier"}
+    for name, cls in money.SCHEMES.items():
+        own = {k for k in vars(cls) if not (k.startswith("__") and k.endswith("__"))}
+        assert own <= allowed, f"{name} defines {sorted(own - allowed)}"

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -7,29 +8,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from qmsep.harness import NOTE_QUBIT_CAP
 from qmsep.hilbert import DensityOp, RegisterLayout, embed_unitary, haar_unitary
 from qmsep.money import (
     Banknote,
     ConjugateScheme,
     CounterexampleScheme,
     HashTagScheme,
+    SCHEMES,
     MoneyError,
     WorldHandle,
     _measure_qubit,
     make_scheme,
 )
-from qmsep.oracle import TruthTable
+from qmsep.oracle import TruthTable, sample_oracle
 from qmsep.streams import Stream
 from qmsep.synth import acceptance_of
 
 
 def sampled_world(scheme, seed):
-    return WorldHandle("sampled", scheme.l, stream=Stream(seed))
+    return WorldHandle(scheme.l, table=sample_oracle(scheme.l, Stream(seed)))
 
 
 def mint_note(scheme, seed):
-    world = WorldHandle("lazy" if scheme.quantum_mint else "sampled",
-                        scheme.l, stream=Stream(seed))
+    world = (WorldHandle(scheme.l, stream=Stream(seed)) if scheme.quantum_mint
+             else sampled_world(scheme, seed))
     note = scheme.mint(world, Stream(seed).split("mint"))
     return world, note
 
@@ -57,7 +60,7 @@ def test_mint_draws_exactly_the_verify_positions(name, per_qubit, extra, m):
     scheme = make_scheme(name, m=m)
     assert scheme.queries == per_qubit * m + extra
     for seed in range(20):
-        world = WorldHandle("lazy", scheme.l, stream=Stream(seed))
+        world = WorldHandle(scheme.l, stream=Stream(seed))
         note = scheme.mint(world, Stream(seed).split("mint"))
         positions = scheme.verify_positions(note.serial)
         assert set(world.bits) == set(positions)
@@ -71,16 +74,81 @@ def test_scheme_size_validation():
         make_scheme("no-such-scheme")
 
 
+def test_oversized_m_is_rejected_before_tags_builds_a_template(monkeypatch):
+    def no_template(m):
+        raise AssertionError(f"tags({m}) was called")
+
+    monkeypatch.setattr(HashTagScheme, "tags", staticmethod(no_template))
+    with pytest.raises(MoneyError, match="l too small"):
+        HashTagScheme(l=6, m=10 ** 12)
+
+
+@pytest.mark.parametrize("name", list(SCHEMES))
+def test_every_scheme_rejects_m_zero(name):
+    with pytest.raises(MoneyError, match="m must be >= 1"):
+        make_scheme(name, m=0)
+
+
+def _hand_written_checks(name, m, serial):
+    """Each scheme's layout as its class wrote it out before templates: a
+    serial shifted past tag_bits, or-ed with the qubit's tag."""
+    tag_bits = max(1, math.ceil(math.log2(m))) if m > 1 else 1
+    if name == "hash-tag":
+        (s,) = serial
+        return [(None, (s << tag_bits) | i) for i in range(m)]
+    if name == "conjugate":
+        (s,) = serial
+        tag_bits += 1
+        return [((s << tag_bits) | (i << 1), (s << tag_bits) | (i << 1) | 1)
+                for i in range(m)]
+    s, s_inner = serial
+    tag_bits = math.ceil(math.log2(2 * m + 1))
+    return [(None, s << tag_bits)] + [
+        ((s_inner << tag_bits) | (1 + (i << 1)), (s_inner << tag_bits) | (2 + (i << 1)))
+        for i in range(m)]
+
+
+@pytest.mark.parametrize("name", list(SCHEMES))
+def test_templates_keep_the_hand_written_layouts(name):
+    """At l = 6 and every m up to the note cap, checks() gives the
+    positions the hand-written layouts gave; conjugate at m = 1 is the one
+    exception, its unused second tag bit dropped."""
+    rng = np.random.default_rng(11)
+    built = 0
+    for m in range(1, NOTE_QUBIT_CAP + 1):
+        try:
+            scheme = make_scheme(name, l=6, m=m)
+        except MoneyError:
+            continue
+        if scheme.m > NOTE_QUBIT_CAP or (name, m) == ("conjugate", 1):
+            continue
+        built += 1
+        for _ in range(4):
+            serial = tuple(int(rng.integers(0, 1 << scheme.s_bits))
+                           for _ in range(scheme.serials))
+            assert scheme.checks(serial) == _hand_written_checks(name, m, serial)
+    assert built >= NOTE_QUBIT_CAP - 1
+
+
+def test_conjugate_at_m_one_uses_one_tag_bit():
+    scheme = ConjugateScheme(l=6, m=1)
+    assert (scheme.tag_bits, scheme.s_bits) == (1, 5)
+    assert scheme.checks((7,)) == [(14, 15)]
+    tiny = ConjugateScheme(l=2, m=1)
+    assert {x for s in range(1 << tiny.s_bits)
+            for x in tiny.verify_positions((s,))} == {0, 1, 2, 3}
+
+
 # -------------------------------------------------------------------- minting
 
 
 def test_hash_tag_mint_matches_table():
     scheme = HashTagScheme(l=6, m=2)
     table = TruthTable(6, tuple(i % 2 for i in range(64)))
-    world = WorldHandle("sampled", 6, table=table)
+    world = WorldHandle(6, table=table)
     note = scheme.mint(world, Stream(5))
     (s,) = note.serial
-    want = (table(scheme._pos(s, 0)) << 1) | table(scheme._pos(s, 1))
+    want = (table(2 * s) << 1) | table(2 * s + 1)  # one tag bit at m = 2
     mat = note.state.matrix
     assert abs(mat[want, want] - 1.0) < 1e-12
 
@@ -88,7 +156,7 @@ def test_hash_tag_mint_matches_table():
 def test_conjugate_mint_degenerate_bases_are_computational():
     scheme = ConjugateScheme(l=6, m=2)
     table = TruthTable(6, (0,) * 64)  # all bases and bits zero
-    world = WorldHandle("sampled", 6, table=table)
+    world = WorldHandle(6, table=table)
     note = scheme.mint(world, Stream(5))
     assert abs(note.state.matrix[0, 0] - 1.0) < 1e-12
 
@@ -98,7 +166,7 @@ def test_counterexample_serials_uniform():
     counts = np.zeros(1 << scheme.s_bits)
     stream = Stream(7)
     for i in range(1000):
-        world = WorldHandle("lazy", 6, stream=stream.split(("w", i)))
+        world = WorldHandle(6, stream=stream.split(("w", i)))
         note = scheme.mint(world, stream.split(("m", i)))
         counts[note.serial[0]] += 1
     _, p = stats.chisquare(counts)
@@ -109,7 +177,7 @@ def test_counterexample_mint_uses_one_quantum_query():
     scheme = CounterexampleScheme(l=6, m=2)
     world, _ = mint_note(scheme, 3)
     classical = {x for x, _ in world.dr}  # only classical queries are recorded
-    assert len(classical) == 2 * scheme.inner_m
+    assert len(classical) == 2 * (scheme.m - 1)
     # the lazy world drew one more position, for the one quantum query
     assert len(set(world.bits) - classical) == 1
 
@@ -377,7 +445,7 @@ def test_sim_operator_rejects_a_shared_position():
 
 
 def test_world_handle_query_bookkeeping():
-    world = WorldHandle("lazy", 3, stream=Stream(1))
+    world = WorldHandle(3, stream=Stream(1))
     z = world.query(5)
     assert world.dr == [(5, z)]
     assert world.bits == {5: z}
@@ -388,8 +456,8 @@ def test_world_handle_query_bookkeeping():
 
 
 def test_world_handle_bounds():
-    world = WorldHandle("sampled", 2, stream=Stream(1))
+    world = WorldHandle(2, table=sample_oracle(2, Stream(1)))
     with pytest.raises(MoneyError):
         world.query(4)
     with pytest.raises(MoneyError):
-        WorldHandle("weird", 2, stream=Stream(1))
+        WorldHandle(2)  # neither a table nor a stream
