@@ -91,7 +91,8 @@ def merge_config(file_cfg: dict, flag_cfg: dict) -> dict:
 def read_options(cfg: dict, command: str, table: dict) -> dict:
     """Each key of table (key -> (type, default)) mapped to cfg's value, or
     to its default when cfg has none.  A key outside table, or a value not
-    of its key's type, raises HarnessError naming the key."""
+    of its key's type, raises HarnessError naming the key, and so does a
+    negative seed, which every command's table has."""
     unknown = sorted(set(cfg) - set(table))
     if unknown:
         raise HarnessError(f"{command} takes no option {unknown[0]!r}")
@@ -106,6 +107,8 @@ def read_options(cfg: dict, command: str, table: dict) -> dict:
                                f"got {value!r}")
         else:
             out[key] = kind(value)
+    if out["seed"] < 0:
+        raise HarnessError(f"{command} needs seed >= 0, got {out['seed']}")
     return out
 
 

@@ -402,6 +402,21 @@ def test_cli_synth_rejects_missing_file(tmp_path, flag, capsys):
     assert out.out == "" and out.err.startswith("qmsep: ")
 
 
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("command", ["attack", "oracle-check", "synth"])
+def test_cli_rejects_a_negative_seed(command, via, tmp_path, capsys):
+    args = {"attack": ["--scheme", "hash-tag", "--workers", "1"],
+            "oracle-check": ["--l", "1", "--queries", "2", "--trials", "1"],
+            "synth": ["--verifier", write_spec(tmp_path, [X_GATE])]}[command]
+    seed = (["--seed", "-1"] if via == "flag"
+            else ["--config", config_file(tmp_path, {"seed": -1})])
+    rc = cli.main([command, *args, *seed])
+    assert rc == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"qmsep: {command} needs seed >= 0, got -1\n"
+
+
 def test_cli_harness_error_exit_two(capsys):
     rc = cli.main(["synth"])  # missing --verifier
     assert rc == 2
