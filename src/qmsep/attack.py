@@ -101,7 +101,6 @@ class AttackTranscript:
     update_accept_probs: list  # exact acceptance of each round's note
     forged_pair: tuple
     bad_query_counts: list
-    discovered_secret_pairs: int  # telescoped mint discoveries
     accept1: bool = False
     accept2: bool = False
     success: bool = False
@@ -170,7 +169,7 @@ def update_phase(scheme, serial, world, d0: dict, cfg: AttackConfig,
                  stream, cache: _SynthCache | None = None):
     """N rounds of synthesizing a note against D and merging what the true
     verifier reveals; returns (databases, per-round exact acceptance
-    probabilities, bad-query counts, discovered secret pairs).
+    probabilities, bad-query counts).
 
     verify queries exactly verify_positions(serial), mint's positions, so a
     bad query is a newly learned pair, and a round can make one only while
@@ -186,7 +185,6 @@ def update_phase(scheme, serial, world, d0: dict, cfg: AttackConfig,
     databases = [dict(d0)]
     probs = []
     bad_counts = []
-    discovered = 0
     d = dict(d0)
     for k in range(cfg.n_updates):
         complete = needed <= d.keys()
@@ -204,15 +202,13 @@ def update_phase(scheme, serial, world, d0: dict, cfg: AttackConfig,
             _, _, pairs = _verify_collecting(scheme, note, world,
                                              stream.split(("upd", k)))
         new_pairs = {x: z for x, z in pairs if x not in d}
-        bad = len(new_pairs.keys() & needed)
-        bad_counts.append(bad)
-        discovered += bad
+        bad_counts.append(len(new_pairs.keys() & needed))
         d.update(new_pairs)
         # read after the verification, so a lazy world has already drawn
         # every bit it reads
         probs.append(scheme.accept_prob(note, world))
         databases.append(dict(d) if new_pairs else databases[-1])
-    return databases, probs, bad_counts, discovered
+    return databases, probs, bad_counts
 
 
 def synthesize_phase(scheme, serial, databases, cfg: AttackConfig, stream,
@@ -244,7 +240,7 @@ def _mint_and_test(scheme: MoneyScheme, cfg: AttackConfig, stream):
 def run_attack(scheme: MoneyScheme, cfg: AttackConfig, stream) -> AttackTranscript:
     world, note, d0, t = _mint_and_test(scheme, cfg, stream)
     cache = _SynthCache(scheme, note.serial, cfg.synth_params)
-    databases, probs, bad_counts, discovered = update_phase(
+    databases, probs, bad_counts = update_phase(
         scheme, note.serial, world, d0, cfg, stream.split("u"), cache=cache)
     j, phi1, phi2 = synthesize_phase(scheme, note.serial, databases,
                                      cfg, stream.split("s"), cache=cache)
@@ -263,7 +259,6 @@ def run_attack(scheme: MoneyScheme, cfg: AttackConfig, stream) -> AttackTranscri
         update_accept_probs=probs,
         forged_pair=(phi1, phi2),
         bad_query_counts=bad_counts,
-        discovered_secret_pairs=discovered,
         accept1=bool(ok1), accept2=bool(ok2),
         success=bool(ok1 and ok2))
 

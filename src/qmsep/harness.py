@@ -186,7 +186,7 @@ def cmd_synth(cfg: dict) -> dict:
 
 
 def _attack_trial(args):
-    """One trial's CSV row, bad-query total and discovered secret pairs."""
+    """One trial's CSV row and bad-query total."""
     name, scheme, cfg, seed = args
     tr = run_attack(scheme, cfg, Stream(seed))
     row = {
@@ -203,7 +203,7 @@ def _attack_trial(args):
         "success": int(tr.success),
         "db_sizes": ";".join(str(s) for s in tr.db_sizes),
     }
-    return row, sum(tr.bad_query_counts), tr.discovered_secret_pairs
+    return row, sum(tr.bad_query_counts)
 
 
 ATTACK_OPTIONS = {"scheme": (str, None), "l": (int, 6), "m": (int, 2),
@@ -241,7 +241,7 @@ def attack_rows(cfg: dict):
             results = list(ex.map(_attack_trial, jobs))
     else:
         results = [_attack_trial(j) for j in jobs]
-    rows, bad_totals, discovered = (list(c) for c in zip(*results))
+    rows, bad_totals = (list(c) for c in zip(*results))
     succ = sum(r["success"] for r in rows)
     summary = {
         "scheme": name,
@@ -255,7 +255,6 @@ def attack_rows(cfg: dict):
         "success": bernoulli_summary(succ, trials),
         "derived_success_lower_bound": derived["success_bound"],
         "mean_bad_queries_per_run": float(np.mean(bad_totals)),
-        "mean_discovered_secret_pairs": float(np.mean(discovered)),
     }
     return rows, summary
 

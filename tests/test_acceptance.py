@@ -256,7 +256,7 @@ def test_criterion_08_bad_query_rate_and_discoveries():
     ell = scheme.queries
     for i in range(100):
         tr = run_attack(scheme, cfg, Stream(9600 + i))
-        assert tr.discovered_secret_pairs <= ell
+        assert sum(tr.bad_query_counts) <= ell
 
 
 def test_criterion_09_end_to_end_counterfeiting():

@@ -165,10 +165,10 @@ def test_cmd_attack_deterministic_and_worker_independent(tmp_path, capsys):
 # sha256 of rows_to_csv + the sorted summary JSON, 24 trials from seed 400;
 # any change to what the attack computes or prints changes them
 ATTACK_DIGESTS = {
-    "hash-tag": ({}, "a0f1225f7223fa0305979d08932c99a0ec713b22bbdff62e80fca311c80bdc28"),
-    "conjugate": ({}, "6c7e788357fcc4825523c05bf9f23ba54e21876503c8208d56fc6768e22f5e73"),
+    "hash-tag": ({}, "30f1c5b2fbd418f701dd7b9c0de68b4f2fff42b3e0de274aa48d11c0099bfd5f"),
+    "conjugate": ({}, "7906d12b473db03d46051eb9b02c35e28ea762627783031a38930ebf41bdb87a"),
     "counterexample": ({"t_max": 16, "n_updates": 30},
-                       "81d3b4a5fb82fe98e421998bd8bac7f649eecb8a9f331f24ed6e1a0c678d1460"),
+                       "f35728bfd7a1f73f258653cc9f4d422f8f6bbd301d6cd3768c14ada74f625e6c"),
 }
 
 
