@@ -145,7 +145,7 @@ class MoneyScheme:
         self.l = l
         self.m = len(self.template)
         self.serials = 1 + max(k for k, _, _ in self.template)
-        top = max(t for _, *tags in self.template for t in tags if t is not None)
+        top = max(t for _, *pair in self.template for t in pair if t is not None)
         self.tag_bits = max(1, top.bit_length())
         self.s_bits = l - self.tag_bits
         if self.s_bits < 1:

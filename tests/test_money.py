@@ -15,8 +15,8 @@ from qmsep.money import (
     ConjugateScheme,
     CounterexampleScheme,
     HashTagScheme,
-    SCHEMES,
     MoneyError,
+    SCHEMES,
     WorldHandle,
     _measure_qubit,
     make_scheme,
