@@ -40,18 +40,21 @@ def shrink_factor(delta_r: float, epsilon: float) -> float:
     return 1.0 - math.sqrt(inner)
 
 
-def derived_params(scheme: MoneyScheme, epsilon: float, variant: str) -> dict:
-    """Parameter values the analysis prescribes, before any scaling."""
+def derived_params(scheme: MoneyScheme, epsilon: float) -> dict:
+    """Parameter values the analysis prescribes, before any scaling: the
+    classical-mint formulas, or the quantum-mint ones when the scheme's
+    mint queries the oracle quantumly.  epsilon must lie in (0, DELTA_R);
+    at DELTA_R the shrink factor is 0 and N would divide by it."""
+    if not 0 < epsilon < DELTA_R:  # false for NaN too
+        raise AttackError(f"epsilon must lie in (0, {DELTA_R}), got {epsilon}")
     ell = scheme.queries  # mint's q' and verify's q are one count
     g = shrink_factor(DELTA_R, epsilon)
-    if variant == "classical_mint":
-        t_max = math.ceil(ell / epsilon)
-        n_updates = math.ceil(100.0 * ell / g ** 2)
-    elif variant == "quantum_mint":
+    if scheme.quantum_mint:
         t_max = math.ceil(36.0 * ell * ell / epsilon ** 2)
         n_updates = math.ceil(ell * ell / (epsilon ** 2 * g ** 4))
     else:
-        raise AttackError(f"unknown variant {variant!r}")
+        t_max = math.ceil(ell / epsilon)
+        n_updates = math.ceil(100.0 * ell / g ** 2)
     return {"ell": ell, "t_max": t_max, "n_updates": n_updates,
             "success_bound": 1.8 * g ** 2 - 1.0}
 
@@ -62,34 +65,27 @@ class AttackConfig:
     t_max: int
     n_updates: int
     synth_params: SynthesisParams
-    variant: str
+    variant: str  # "quantum_mint" or "classical_mint", after the scheme
     scaled: bool = False
 
     def __post_init__(self):
-        if not (0 < self.epsilon < 1):
-            raise AttackError("epsilon must lie in (0, 1)")
-        if self.variant not in ("classical_mint", "quantum_mint"):
-            raise AttackError(f"unknown variant {self.variant!r}")
         if self.t_max < 1 or self.n_updates < 1:
             raise AttackError("t_max and n_updates must be positive")
 
     @classmethod
     def default(cls, scheme: MoneyScheme, epsilon: float = 0.1,
-                variant: str | None = None,
                 t_max: int | None = None, n_updates: int | None = None,
                 synth_params: SynthesisParams | None = None) -> "AttackConfig":
-        if variant is None:
-            variant = "quantum_mint" if scheme.quantum_mint else "classical_mint"
-        if variant == "quantum_mint" and not scheme.quantum_mint:
-            raise AttackError("quantum_mint variant needs a quantum-mint scheme")
-        derived = derived_params(scheme, epsilon, variant)
+        derived = derived_params(scheme, epsilon)
         scaled = t_max is not None or n_updates is not None
         if synth_params is None:
             synth_params = SynthesisParams.default(scheme.m, backend="eigen")
         return cls(epsilon=epsilon,
                    t_max=t_max if t_max is not None else derived["t_max"],
                    n_updates=n_updates if n_updates is not None else derived["n_updates"],
-                   synth_params=synth_params, variant=variant, scaled=scaled)
+                   synth_params=synth_params,
+                   variant="quantum_mint" if scheme.quantum_mint else "classical_mint",
+                   scaled=scaled)
 
 
 @dataclass
@@ -222,16 +218,18 @@ def synthesize_phase(scheme, serial, databases, cfg: AttackConfig, stream,
     return j, phi1, phi2
 
 
-def make_world(scheme: MoneyScheme, cfg: AttackConfig, stream) -> WorldHandle:
+def make_world(scheme: MoneyScheme, stream) -> WorldHandle:
+    """The oracle a run uses: a sampled table when the scheme's mint is
+    classical, and a lazy world when its mint queries quantumly."""
     draws = stream.split("world")
-    table = sample_oracle(scheme.l, draws) if cfg.variant == "classical_mint" else None
+    table = None if scheme.quantum_mint else sample_oracle(scheme.l, draws)
     return WorldHandle(scheme.l, stream=draws, table=table)
 
 
 def _mint_and_test(scheme: MoneyScheme, cfg: AttackConfig, stream):
     """The opening every run shares: mint the honest note in a fresh world,
     then run the test phase on it.  Returns (world, note, D, t)."""
-    world = make_world(scheme, cfg, stream)
+    world = make_world(scheme, stream)
     note = scheme.mint(world, stream.split("mint"))
     note, d, t = test_phase(scheme, note, world, cfg, stream.split("t"))
     return world, note, d, t

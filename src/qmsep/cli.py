@@ -50,7 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override the test-phase bound (scaled run)")
     p.add_argument("--n-updates", type=int, dest="n_updates",
                    help="override the update count (scaled run)")
-    p.add_argument("--variant", choices=("classical_mint", "quantum_mint"))
     p.add_argument("--workers", type=int, help="worker pool size")
     _add_common(p)
 

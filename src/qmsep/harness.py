@@ -18,7 +18,7 @@ import numpy as np
 from .attack import AttackConfig, AttackError, derived_params, run_attack
 from .hilbert import haar_unitary
 from .money import MoneyError, make_scheme
-from .oracle import OracleWorld, TruthTable, SampledExecutor, sample_oracle
+from .oracle import OracleWorld, SampledExecutor, sample_oracle
 from .streams import Stream
 from .synth import (
     SynthError,
@@ -209,7 +209,7 @@ def _attack_trial(args):
 ATTACK_OPTIONS = {"scheme": (str, None), "l": (int, 6), "m": (int, 2),
                   "eps": (float, 0.1), "trials": (int, 1), "seed": (int, 0),
                   "t_max": (int, None), "n_updates": (int, None),
-                  "variant": (str, None), "workers": (int, None)}
+                  "workers": (int, None)}
 
 
 def attack_rows(cfg: dict):
@@ -225,17 +225,17 @@ def attack_rows(cfg: dict):
     try:
         scheme = make_scheme(name, l=l, m=m)
         attack_cfg = AttackConfig.default(
-            scheme, epsilon=eps, variant=opt["variant"], t_max=opt["t_max"],
-            n_updates=opt["n_updates"])
-        derived = derived_params(scheme, eps, attack_cfg.variant)
+            scheme, epsilon=eps, t_max=opt["t_max"], n_updates=opt["n_updates"])
+        derived = derived_params(scheme, eps)
     except (MoneyError, AttackError) as exc:
         raise HarnessError(str(exc)) from exc
     if scheme.m > NOTE_QUBIT_CAP:
         raise HarnessError(f"{name} at m = {m} has {scheme.m}-qubit "
                            f"notes; the cap is {NOTE_QUBIT_CAP}")
-    workers = workers or os.cpu_count() or 1
+    # the pool forks all its workers at start, so it gets no more than trials
+    workers = min(workers or os.cpu_count() or 1, trials)
     jobs = [(name, scheme, attack_cfg, seed + i) for i in range(trials)]
-    if workers > 1 and trials > 1:
+    if workers > 1:
         # map yields results in job order, whatever the scheduling
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
             results = list(ex.map(_attack_trial, jobs))
@@ -296,7 +296,7 @@ def run_world(world: OracleWorld, ops) -> OracleWorld:
     return world
 
 
-def run_sampled_once(table: TruthTable, n_plain: int, ops, rng) -> int:
+def run_sampled_once(table: np.ndarray, n_plain: int, ops, rng) -> int:
     ex = SampledExecutor(table, n_plain)
     for op in ops:
         if op[0] == "gate":

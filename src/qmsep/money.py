@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hilbert import HADAMARD, DensityOp, RegisterLayout, embed_unitary, index_bits
-from .oracle import ORACLE_L_CAP, TruthTable
+from .oracle import ORACLE_L_CAP
 from .synth import ReducedVerifier, VerifierSpec
 
 _CH = np.eye(4, dtype=np.complex128)
@@ -52,19 +52,19 @@ class WorldHandle:
     """Answers oracle queries from one bit map and records the classical
     ones in dr.
 
-    A world built from a truth table holds every bit from the start; a lazy
-    world draws each position from stream on first use, which reproduces the
-    purified oracle's statistics for the query patterns used here (the one
-    quantum query any scheme makes is immediately followed by a measurement
-    of its input register, so sampling it eagerly commutes with the rest of
-    the run).
+    A world built from a table, the (2^l,) 0/1 array sample_oracle returns,
+    holds every bit from the start; a lazy world draws each position from
+    stream on first use, which reproduces the purified oracle's statistics
+    for the query patterns used here (the one quantum query any scheme
+    makes is immediately followed by a measurement of its input register,
+    so sampling it eagerly commutes with the rest of the run).
     """
 
-    def __init__(self, l: int, stream=None, table: TruthTable | None = None):
+    def __init__(self, l: int, stream=None, table: np.ndarray | None = None):
         if table is None and stream is None:
             raise MoneyError("a world needs a table or a stream")
         self.l = l
-        self.bits = {} if table is None else dict(enumerate(table.bits))
+        self.bits = {} if table is None else dict(enumerate(table.tolist()))
         self.stream = stream
         self.dr = []  # append-only classical query record
 

@@ -1,11 +1,12 @@
 """Random-oracle machinery in three interchangeable representations.
 
 A 1-bit random oracle on l-bit inputs is simulated either as a sampled
-truth table, as a purified truth-table register F in uniform superposition,
-or in the compressed view where F is replaced by the sparse database D_F of
-non-|0^> Fourier positions.  Classical queries copy their answer into an
-append-only database register D_R (and optionally D_A for the recording
-variant); quantum queries XOR the oracle bit into an answer qubit.
+truth table (a 0/1 array indexed by input), as a purified truth-table
+register F in uniform superposition, or in the compressed view where F is
+replaced by the sparse database D_F of non-|0^> Fourier positions.
+Classical queries copy their answer into an append-only database register
+D_R (and optionally D_A for the recording variant); quantum queries XOR the
+oracle bit into an answer qubit.
 
 An OracleWorld holds one entry per basis label in parallel arrays: `plain`
 (plain-register index, big-endian, qubit 0 most significant), `fb` (F, or
@@ -23,7 +24,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,25 +40,12 @@ class OracleError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class TruthTable:
-    l: int
-    bits: tuple
-
-    def __post_init__(self):
-        if len(self.bits) != 1 << self.l:
-            raise OracleError(f"truth table needs {1 << self.l} bits")
-        object.__setattr__(self, "bits", tuple(int(b) & 1 for b in self.bits))
-
-    def __call__(self, x: int) -> int:
-        return self.bits[x]
-
-
-def sample_oracle(l: int, rng) -> TruthTable:
+def sample_oracle(l: int, rng) -> np.ndarray:
+    """A uniformly random truth table on l-bit inputs: the (2^l,) 0/1
+    array whose entry x is the oracle's bit at x."""
     if l > ORACLE_L_CAP:
         raise OracleError(f"l = {l} exceeds cap {ORACLE_L_CAP}")
-    bits = tuple(int(b) for b in rng.integers(0, 2, size=1 << l))
-    return TruthTable(l, bits)
+    return rng.integers(0, 2, size=1 << l)
 
 
 class _Records:
@@ -360,18 +347,17 @@ class SampledExecutor:
     state on the plain registers.
     """
 
-    def __init__(self, table: TruthTable, n_plain: int):
+    def __init__(self, table: np.ndarray, n_plain: int):
         self.table = table
         self.n_plain = n_plain
         self.idx = np.arange(1 << n_plain)
         self.state = (self.idx == 0).astype(np.complex128)
-        self.db = []
 
     def apply_gate(self, u: np.ndarray, qubits):
         self.state = embed_unitary(u, list(qubits), self.n_plain, self.state)
 
     def quantum_query(self, q_qubits, a_qubit):
-        bits = np.array(self.table.bits)[index_bits(self.idx, self.n_plain, q_qubits)]
+        bits = self.table[index_bits(self.idx, self.n_plain, q_qubits)]
         out = np.zeros_like(self.state)
         out[self.idx ^ (bits << (self.n_plain - 1 - a_qubit))] = self.state
         self.state = out
@@ -384,10 +370,9 @@ class SampledExecutor:
         weights = probs[values] / probs[values].sum()
         x = int(values[int(rng.choice(len(values), p=weights))])
         state = np.where(xs == x, self.state, 0.0)
-        z = self.table(x)
+        z = self.table[x]
         flip = self.idx ^ (z << (self.n_plain - 1 - a_qubit))
         self.state = (state / np.linalg.norm(state))[flip]
-        self.db.append((x, z))
 
     def measure_all(self, rng) -> int:
         probs = np.abs(self.state) ** 2

@@ -19,7 +19,8 @@ from qmsep.attack import (
 from qmsep.attack import test_phase as learn_phase
 learn_phase.__test__ = False
 from qmsep.harness import NOTE_QUBIT_CAP
-from qmsep.money import Banknote, make_scheme
+from qmsep.money import SCHEMES, Banknote, make_scheme
+from qmsep.oracle import sample_oracle
 from qmsep.streams import Stream
 from qmsep.synth import SynthesisParams
 
@@ -34,7 +35,7 @@ def scaled_cfg(scheme, t_max=4, n_updates=6, **kw):
 
 def test_parameter_formulas_classical_variant():
     scheme = make_scheme("conjugate")  # mint makes 4 queries
-    p = derived_params(scheme, 0.1, "classical_mint")
+    p = derived_params(scheme, 0.1)
     g = 1 - math.sqrt(1 - 0.99 + 0.1)
     assert p["ell"] == 4
     assert p["t_max"] == math.ceil(4 / 0.1)
@@ -43,41 +44,48 @@ def test_parameter_formulas_classical_variant():
 
 def test_parameter_formulas_quantum_variant():
     scheme = make_scheme("counterexample")
-    p = derived_params(scheme, 0.1, "quantum_mint")
+    p = derived_params(scheme, 0.1)
     g = 1 - math.sqrt(0.11)
     q = qp = 5
     assert p["t_max"] == math.ceil(36 * q * qp / 0.01)
     assert p["n_updates"] == math.ceil(q * qp / (0.01 * g ** 4))
 
 
-def test_default_config_picks_variant_and_flags_scaling():
-    ce = make_scheme("counterexample")
-    cfg = AttackConfig.default(ce)
-    assert cfg.variant == "quantum_mint" and not cfg.scaled
-    cfg2 = AttackConfig.default(ce, t_max=10)
+@pytest.mark.parametrize("name", list(SCHEMES))
+def test_default_config_picks_variant_and_flags_scaling(name):
+    scheme = make_scheme(name)
+    cfg = AttackConfig.default(scheme)
+    quantum = name == "counterexample"  # the one scheme with a quantum mint
+    assert scheme.quantum_mint == quantum
+    assert cfg.variant == ("quantum_mint" if quantum else "classical_mint")
+    assert not cfg.scaled
+    cfg2 = AttackConfig.default(scheme, t_max=10)
     assert cfg2.scaled and cfg2.t_max == 10
-    ht = make_scheme("hash-tag")
-    assert AttackConfig.default(ht).variant == "classical_mint"
+    for seed in range(3):
+        bits = make_world(scheme, Stream(seed)).bits
+        if quantum:
+            assert bits == {}  # drawn lazily, from mint on
+        else:
+            table = sample_oracle(scheme.l, Stream(seed).split("world"))
+            assert bits == dict(enumerate(table.tolist()))
 
 
 def test_config_validation():
     scheme = make_scheme("hash-tag")
-    with pytest.raises(AttackError):
-        AttackConfig.default(scheme, epsilon=1.5)
+    for eps in (0.0, float("nan"), 0.99, 1.5):  # outside (0, DELTA_R)
+        with pytest.raises(AttackError):
+            AttackConfig.default(scheme, epsilon=eps)
     with pytest.raises(AttackError):
         AttackConfig.default(scheme, t_max=0)
     with pytest.raises(AttackError):
         shrink_factor(0.5, 0.8)  # 1 - delta_r + eps > 1
-    with pytest.raises(AttackError):
-        run_attack(scheme, AttackConfig.default(scheme, variant="quantum_mint",
-                                                t_max=2, n_updates=2), Stream(0))
 
 
 # ---------------------------------------------------------------- test phase
 
 
 def prepared(scheme, seed, cfg):
-    world = make_world(scheme, cfg, Stream(seed))
+    world = make_world(scheme, Stream(seed))
     note = scheme.mint(world, Stream(seed).split("mint"))
     return world, note
 

@@ -332,10 +332,10 @@ def test_cli_attack_writes_csv(tmp_path, capsys):
 
 @pytest.mark.parametrize("flag,value", [
     ("--l", "7"), ("--m", "0"), ("--m", str(NOTE_QUBIT_CAP + 1)), ("--eps", "2"),
-    ("--t-max", "0"), ("--n-updates", "0"), ("--variant", "quantum_mint"),
+    ("--t-max", "0"), ("--n-updates", "0"), ("--config", {"variant": "classical_mint"}),
     ("--workers", "0"), ("--config", {"trails": 3}), ("--config", {"l": "x"}),
     ("--config", {"trials": 2.5}), ("--config", {"out": 5}),
-    ("--out", "missing-dir/run.csv")])
+    ("--out", "missing-dir/run.csv"), ("--eps", "0"), ("--eps", "nan")])
 def test_cli_attack_rejects_bad_input(flag, value, tmp_path, capsys):
     rc = cli.main(["attack", "--scheme", "hash-tag", "--workers", "1", flag,
                    config_file(tmp_path, value)])
@@ -344,6 +344,40 @@ def test_cli_attack_rejects_bad_input(flag, value, tmp_path, capsys):
     assert out.out == "" and out.err.startswith("qmsep: ")
     if flag in ("--workers", "--config"):
         assert (next(iter(value)) if flag == "--config" else "workers") in out.err
+
+
+def test_cli_attack_has_no_variant_flag(capsys):
+    # the variant follows the scheme's mint
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["attack", "--scheme", "hash-tag", "--variant", "classical_mint"])
+    assert exc.value.code == 2
+    assert "--variant" in capsys.readouterr().err
+
+
+def test_attack_pool_has_no_more_workers_than_trials(monkeypatch):
+    # a fork pool starts every worker at once, needed or not
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(harness.concurrent.futures, "ProcessPoolExecutor",
+                        InProcessPool)
+    cfg = {"scheme": "hash-tag", "trials": 2, "seed": 0, "t_max": 2,
+           "n_updates": 2}
+    pooled, _ = attack_rows({**cfg, "workers": 500})
+    serial, _ = attack_rows({**cfg, "workers": 1})
+    assert sizes == [2] and pooled == serial
 
 
 @pytest.mark.parametrize("verifier,reason", [

@@ -21,7 +21,7 @@ from qmsep.money import (
     _measure_qubit,
     make_scheme,
 )
-from qmsep.oracle import TruthTable, sample_oracle
+from qmsep.oracle import sample_oracle
 from qmsep.streams import Stream
 from qmsep.synth import acceptance_of
 
@@ -144,18 +144,18 @@ def test_conjugate_at_m_one_uses_one_tag_bit():
 
 def test_hash_tag_mint_matches_table():
     scheme = HashTagScheme(l=6, m=2)
-    table = TruthTable(6, tuple(i % 2 for i in range(64)))
+    table = np.arange(64) % 2
     world = WorldHandle(6, table=table)
     note = scheme.mint(world, Stream(5))
     (s,) = note.serial
-    want = (table(2 * s) << 1) | table(2 * s + 1)  # one tag bit at m = 2
+    want = (table[2 * s] << 1) | table[2 * s + 1]  # one tag bit at m = 2
     mat = note.state.matrix
     assert abs(mat[want, want] - 1.0) < 1e-12
 
 
 def test_conjugate_mint_degenerate_bases_are_computational():
     scheme = ConjugateScheme(l=6, m=2)
-    table = TruthTable(6, (0,) * 64)  # all bases and bits zero
+    table = np.zeros(64, dtype=np.int64)  # all bases and bits zero
     world = WorldHandle(6, table=table)
     note = scheme.mint(world, Stream(5))
     assert abs(note.state.matrix[0, 0] - 1.0) < 1e-12

@@ -21,7 +21,6 @@ from qmsep.oracle import (
     OracleError,
     OracleWorld,
     SampledExecutor,
-    TruthTable,
     WORLD_L_CAP,
     sample_oracle,
 )
@@ -39,24 +38,18 @@ def basis_world(l, n_plain, f, plain=0):
 # ------------------------------------------------------------------- types
 
 
-def test_truth_table_validation_and_lookup():
-    t = TruthTable(1, (0, 1))
-    assert t(0) == 0 and t(1) == 1
-    with pytest.raises(OracleError):
-        TruthTable(2, (0, 1))
-
-
 def test_sample_oracle_reproducible_and_sized():
     a = sample_oracle(3, Stream(4))
     b = sample_oracle(3, Stream(4))
-    assert a.bits == b.bits and len(a.bits) == 8
+    assert np.array_equal(a, b) and a.shape == (8,)
+    assert set(a.tolist()) <= {0, 1}
     with pytest.raises(OracleError):
         sample_oracle(7, Stream(0))
 
 
 def test_sample_oracle_bit_frequency():
     stream = Stream(50)
-    ones = sum(sum(sample_oracle(4, stream).bits) for _ in range(1000))
+    ones = sum(int(sample_oracle(4, stream).sum()) for _ in range(1000))
     assert abs(ones / 16000 - 0.5) < 0.03
 
 
@@ -323,13 +316,19 @@ def test_sampled_monte_carlo_matches_purified():
 
 
 def test_sampled_executor_classical_query_records():
-    table = TruthTable(1, (1, 0))
-    ex = SampledExecutor(table, 2)
-    ex.apply_gate(H, [0])
-    ex.classical_query([0], 1, Stream(1))
-    assert len(ex.db) == 1
-    x, z = ex.db[0]
-    assert z == table(x)
+    """A classical query collapses the query register to one x and writes
+    table[x] into the answer qubit (qubit 0 is the most significant)."""
+    table = np.array([1, 0])
+    seen = set()
+    for seed in range(8):
+        ex = SampledExecutor(table, 2)
+        ex.apply_gate(H, [0])
+        ex.classical_query([0], 1, Stream(seed))
+        (i,) = np.flatnonzero(np.abs(ex.state) > 1e-12)
+        x, answer = i >> 1, i & 1
+        assert answer == table[x] and abs(abs(ex.state[i]) - 1) < 1e-12
+        seen.add(int(x))
+    assert seen == {0, 1}
 
 
 # ------------------------------------------------- recording inequalities
