@@ -332,7 +332,8 @@ def test_cli_attack_writes_csv(tmp_path, capsys):
 
 @pytest.mark.parametrize("flag,value", [
     ("--l", "7"), ("--m", "0"), ("--m", str(NOTE_QUBIT_CAP + 1)), ("--eps", "2"),
-    ("--t-max", "0"), ("--n-updates", "0"), ("--config", {"variant": "classical_mint"}),
+    ("--t-max", "0"), ("--n-updates", "0"),
+    ("--config", {"variant": "classical_mint"}),
     ("--workers", "0"), ("--config", {"trails": 3}), ("--config", {"l": "x"}),
     ("--config", {"trials": 2.5}), ("--config", {"out": 5}),
     ("--out", "missing-dir/run.csv"), ("--eps", "0"), ("--eps", "nan")])
