@@ -38,6 +38,13 @@ CSV_COLUMNS = ("scheme", "variant", "seed", "eps", "t_max", "N",
 
 # widest note the attack accepts: its 2^m x 2^m density matrix is 1 MB at 8
 NOTE_QUBIT_CAP = 8
+# largest t_max the attack accepts: test_phase draws t with
+# stream.integers(0, t_max), whose bound must fit an int64
+T_MAX_CAP = 1 << 62
+# largest N the attack accepts: update_phase keeps per-round lists of N
+# probabilities, databases and counts, tens of MB at 10^6, which still
+# admits counterexample's derived N at eps = 0.01
+N_UPDATES_CAP = 10 ** 6
 # widest plain register oracle-check accepts: reduced_density_plain returns
 # a 2^n x 2^n matrix, 16 MB at 10
 PLAIN_QUBIT_CAP = 10
@@ -157,10 +164,15 @@ def cmd_synth(cfg: dict) -> dict:
     accs = []
     fallbacks = 0
     engine = TrialEngine(spec, params)
+    # a trial's state is engine.rho_m() or the fallback's mixed state, so
+    # each has one acceptance
+    acc_of = {}
     for i in range(trials):
         res = synthesize(spec, params, stream.split(i), engine=engine)
         fallbacks += int(res.fallback)
-        accs.append(acceptance_of(spec, res.state))
+        if res.fallback not in acc_of:
+            acc_of[res.fallback] = acceptance_of(spec, res.state)
+        accs.append(acc_of[res.fallback])
     report = {
         "verifier": {"m": spec.m, "k": spec.k},
         "params": {"a": a, "b": b,
@@ -232,6 +244,12 @@ def attack_rows(cfg: dict):
     if scheme.m > NOTE_QUBIT_CAP:
         raise HarnessError(f"{name} at m = {m} has {scheme.m}-qubit "
                            f"notes; the cap is {NOTE_QUBIT_CAP}")
+    if attack_cfg.t_max > T_MAX_CAP:
+        raise HarnessError(f"t_max = {attack_cfg.t_max} exceeds the cap "
+                           f"{T_MAX_CAP}")
+    if attack_cfg.n_updates > N_UPDATES_CAP:
+        raise HarnessError(f"n_updates = {attack_cfg.n_updates} exceeds the "
+                           f"cap {N_UPDATES_CAP}")
     # the pool forks all its workers at start, so it gets no more than trials
     workers = min(workers or os.cpu_count() or 1, trials)
     jobs = [(name, scheme, attack_cfg, seed + i) for i in range(trials)]

@@ -46,6 +46,9 @@ from .hilbert import (
 TOP_TOL = 1e-9
 # widest verifier circuit from_json builds: V is 2^n x 2^n, 16 MB at n = 10
 SPEC_QUBIT_CAP = 10
+# most trial-backend draws synthesize holds at once: 32 KB of doubles, so a
+# large t_trials costs no more memory than the derived budgets do
+DRAW_BLOCK = 4096
 
 _T = np.diag([1.0, np.exp(1j * np.pi / 4)]).astype(np.complex128)
 _CNOT = np.array(
@@ -275,20 +278,32 @@ class TrialEngine:
         self._cdf = self.joint.reshape(-1).cumsum()
         self._cdf /= self._cdf[-1]
         self._weights = pmf[:, even & (c >= self.threshold)].sum(axis=1)
+        self.success_from = n_out + 1 + self.threshold  # y = 1, c = threshold
+        self._rho = None
 
     def rho_m(self) -> DensityOp:
-        """Input-register state conditioned on the test passing."""
+        """Input-register state conditioned on the test passing, built on
+        the first call and shared by every later one."""
         if self.p_success < 1e-15:
             raise SynthError("conditioning on a zero-probability test branch")
-        w = self._weights
-        mat = (self._vecs * w) @ self._vecs.conj().T / w.sum()
-        return _input_state(self.spec, mat)
+        if self._rho is None:
+            w = self._weights
+            mat = (self._vecs * w) @ self._vecs.conj().T / w.sum()
+            self._rho = _input_state(self.spec, mat)
+        return self._rho
+
+    def pick(self, u):
+        """The flat index y * (2N + 1) + count into joint that
+        Generator.choice(p=joint) picks with uniform draw u, or an array of
+        picks for an array of draws.  The test passes exactly on the picks
+        from success_from on."""
+        return self._cdf.searchsorted(u, side="right")
 
     def sample(self, rng):
         """Measure (last bit, count); returns (success, y, count)."""
-        pick = int(self._cdf.searchsorted(rng.random(), side="right"))
+        pick = int(self.pick(rng.random()))
         y, c = divmod(pick, self.joint.shape[1])
-        return (y == 1 and c >= self.threshold), y, c
+        return pick >= self.success_from, y, c
 
 
 @dataclass(frozen=True)
@@ -300,16 +315,33 @@ class SynthesisResult:
 
 def synthesize(spec: VerifierSpec | ReducedVerifier, params: SynthesisParams, rng,
                engine: TrialEngine | None = None) -> SynthesisResult:
+    """A witness state for spec.  The eigen backend returns max_acceptance's.
+    The trial backend makes up to t_trials attempts, one uniform draw each
+    from the Stream rng, and returns engine.rho_m() at the first success,
+    or the mixed state after none.  It previews the draws DRAW_BLOCK at a
+    time, then rewinds the deciding block and redraws it up to the deciding
+    attempt, that one through engine.sample, so exactly `attempts` draws
+    are consumed, as a loop of one draw per attempt would consume them."""
     if params.backend == "eigen":
         _, witness = max_acceptance(spec)
         return SynthesisResult(state=witness, fallback=False, attempts=0)
     if engine is None:
         engine = TrialEngine(spec, params)
-    for attempt in range(1, params.t_trials + 1):
-        success, _, _ = engine.sample(rng)
-        if success:
-            return SynthesisResult(state=engine.rho_m(), fallback=False,
-                                   attempts=attempt)
+    bits = rng.gen.bit_generator
+    done = 0  # attempts before the deciding block, all failures
+    while True:
+        block = min(params.t_trials - done, DRAW_BLOCK)
+        saved = bits.state
+        hits = np.flatnonzero(engine.pick(rng.random(block)) >= engine.success_from)
+        if hits.size or done + block == params.t_trials:
+            break
+        done += block
+    bits.state = saved
+    last = int(hits[0]) + 1 if hits.size else block
+    rng.random(last - 1)
+    if engine.sample(rng)[0]:
+        return SynthesisResult(state=engine.rho_m(), fallback=False,
+                               attempts=done + last)
     dm = 1 << spec.m
     mixed = _input_state(spec, np.eye(dm, dtype=np.complex128) / dm)
     return SynthesisResult(state=mixed, fallback=True, attempts=params.t_trials)

@@ -1,7 +1,8 @@
 """State-vector references behind the paper's measurement claims, which
 tests compare the library against and the CLI never runs: coherent vs
 destructive measurement, the alternating-measurement Markov law, the trial
-that synth.TrialEngine computes in closed form, and the best Jordan block.
+that synth.TrialEngine computes in closed form, the best Jordan block, and
+the trial backend's attempt loop, one draw per attempt.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ import numpy as np
 
 from qmsep.hilbert import (
     STRUCT_TOL,
+    DensityOp,
     HilbertError,
     Projector,
     QState,
@@ -17,7 +19,13 @@ from qmsep.hilbert import (
     embed_unitary,
 )
 from qmsep.jordan import JordanDecomposition, JordanError
-from qmsep.synth import SynthesisParams, VerifierSpec, build_pq
+from qmsep.synth import (
+    SynthesisParams,
+    SynthesisResult,
+    TrialEngine,
+    VerifierSpec,
+    build_pq,
+)
 
 
 def check_norm(state: QState) -> QState:
@@ -124,6 +132,20 @@ def run_trial_destructive(spec: VerifierSpec, params: SynthesisParams,
     bits = alternating_sample(p1, q1, start, params.n_alternations, rng, mk)
     count = sum(b == prev for prev, b in zip([1] + bits, bits))
     return bits[-1] == 1 and count >= params.threshold
+
+
+def synthesize_by_attempt(spec, params: SynthesisParams, rng,
+                          engine: TrialEngine) -> SynthesisResult:
+    """synth.synthesize's trial backend as a loop of one engine.sample per
+    attempt: the result it must return and the draws it must consume."""
+    for attempt in range(1, params.t_trials + 1):
+        if engine.sample(rng)[0]:
+            return SynthesisResult(state=engine.rho_m(), fallback=False,
+                                   attempts=attempt)
+    dm = 1 << spec.m
+    mixed = np.eye(dm, dtype=np.complex128) / dm
+    return SynthesisResult(state=DensityOp(RegisterLayout((("M", spec.m),)), mixed),
+                           fallback=True, attempts=params.t_trials)
 
 
 def max_overlap(decomp: JordanDecomposition):

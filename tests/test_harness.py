@@ -4,12 +4,15 @@ import json
 import pytest
 
 import oracle_reference as ref
+from reference import synthesize_by_attempt
 
 from qmsep import cli, harness
 from qmsep.harness import (
     CSV_COLUMNS,
     CSV_HEADER,
     NOTE_QUBIT_CAP,
+    N_UPDATES_CAP,
+    T_MAX_CAP,
     HarnessError,
     bernoulli_summary,
     recording_error_check,
@@ -24,6 +27,7 @@ from qmsep.harness import (
     rows_to_csv,
 )
 from qmsep.streams import Stream
+from qmsep.synth import SynthesisParams, TrialEngine, VerifierSpec, acceptance_of
 
 
 # ------------------------------------------------------------ config & stats
@@ -212,6 +216,26 @@ def test_report_output_is_byte_identical(command, tmp_path, capsys):
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == want
 
 
+def test_cmd_synth_acceptances_match_per_trial_reference(tmp_path):
+    # A has eigenvalues 0.95 and 0.05, and 2 draws leave some trials
+    # falling back: the report holds each trial's acceptance as a fresh
+    # engine and acceptance_of give it
+    path = write_spec(tmp_path, [RY95, {"name": "CNOT", "targets": [0, 2]}])
+    rep = cmd_synth({"verifier": path, "trials": 24, "seed": 5, "t_trials": 2})
+    with open(path, encoding="utf-8") as fh:
+        spec = VerifierSpec.from_json(fh.read())
+    params = SynthesisParams.default(spec.m, t_trials=2)
+    stream = Stream(5).split("trial")
+    results = [synthesize_by_attempt(spec, params, stream.split(i),
+                                     TrialEngine(spec, params))
+               for i in range(24)]
+    fallbacks = sum(r.fallback for r in results)
+    assert 0 < fallbacks < 24
+    assert rep["trial"]["fallbacks"] == fallbacks
+    assert rep["trial"]["acceptances"] == [acceptance_of(spec, r.state)
+                                           for r in results]
+
+
 def test_attack_rows_requires_scheme():
     with pytest.raises(HarnessError):
         attack_rows({})
@@ -345,6 +369,39 @@ def test_cli_attack_rejects_bad_input(flag, value, tmp_path, capsys):
     assert out.out == "" and out.err.startswith("qmsep: ")
     if flag in ("--workers", "--config"):
         assert (next(iter(value)) if flag == "--config" else "workers") in out.err
+
+
+class TrialRan(Exception):
+    pass
+
+
+def _no_trial(args):
+    raise TrialRan
+
+
+@pytest.mark.parametrize("flags", [
+    ("--scheme", "hash-tag", "--eps", "1e-30"),  # derived t_max ~ 2e30
+    ("--scheme", "counterexample", "--eps", "0.985"),  # derived N ~ 6.6e11
+    ("--scheme", "hash-tag", "--eps", "0.985"),  # derived N ~ 3.2e7
+    ("--scheme", "hash-tag", "--t-max", str(T_MAX_CAP + 1)),
+    ("--scheme", "hash-tag", "--n-updates", str(N_UPDATES_CAP + 1))])
+def test_cli_attack_caps_t_max_and_n_updates(flags, monkeypatch, capsys):
+    # the caps stop a run before any trial allocates at its size
+    monkeypatch.setattr(harness, "_attack_trial", _no_trial)
+    rc = cli.main(["attack", *flags, "--workers", "1"])
+    assert rc == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "exceeds the cap" in out.err
+
+
+@pytest.mark.parametrize("cfg", [
+    {"scheme": "hash-tag", "t_max": T_MAX_CAP, "n_updates": N_UPDATES_CAP},
+    {"scheme": "counterexample", "eps": 0.01}])
+def test_attack_rows_admits_the_caps(cfg, monkeypatch):
+    # the caps themselves pass, and so does counterexample's derived N at 0.01
+    monkeypatch.setattr(harness, "_attack_trial", _no_trial)
+    with pytest.raises(TrialRan):
+        attack_rows({**cfg, "workers": 1})
 
 
 def test_cli_attack_has_no_variant_flag(capsys):

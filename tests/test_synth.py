@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from reference import alternating_sample, run_trial_destructive
+from reference import alternating_sample, run_trial_destructive, synthesize_by_attempt
 
+from qmsep import synth
 from qmsep.hilbert import DensityOp, Projector, QState, RegisterLayout, haar_unitary
 from qmsep.money import make_scheme
 from qmsep.streams import Stream
@@ -364,6 +365,13 @@ def test_engine_sample_draws_as_generator_choice():
                 assert (y, c) == divmod(int(pick), engine.joint.shape[1])
 
 
+def test_engine_rho_m_is_built_once():
+    engine = TrialEngine(random_spec(2, 1, Stream(43)), small_params())
+    first = engine.rho_m()
+    assert engine.rho_m() is first
+    assert engine.rho_m().matrix.tobytes() == first.matrix.tobytes()
+
+
 def test_engine_agrees_with_destructive_trial():
     stream = Stream(23)
     spec = good_spec(2, 1, stream)
@@ -425,6 +433,33 @@ def test_synthesize_backend_agreement():
         acc_t = acceptance_of(spec, tri.state)
         assert acc_t >= 0.5
         assert abs(acc_e - acc_t) <= 0.1
+
+
+@pytest.mark.parametrize("block", [synth.DRAW_BLOCK, 5])
+def test_synthesize_consumes_one_draw_per_attempt(block, monkeypatch):
+    # the batched draws leave the stream where the one-draw-per-attempt
+    # loop leaves it; a block of 5 splits the 12-draw budget into 5, 5, 2
+    monkeypatch.setattr(synth, "DRAW_BLOCK", block)
+    cases = [(accept_all_spec(), small_params(t=12)),
+             (make_scheme("conjugate").sim_verifier("", (3,), {}),
+              small_params(n_alt=8, t=12, a=0.2, b=0.4)),
+             (reject_all_spec(), small_params(t=12))]
+    seen = set()
+    for spec, params in cases:
+        engine = TrialEngine(spec, params)
+        for seed in range(60):
+            got, want = Stream(seed), Stream(seed)
+            # a bounded draw leaves half a 64-bit output buffered
+            assert got.integers(0, 7) == want.integers(0, 7)
+            res = synthesize(spec, params, got, engine=engine)
+            ref = synthesize_by_attempt(spec, params, want, engine)
+            assert (res.attempts, res.fallback) == (ref.attempts, ref.fallback)
+            assert res.state.matrix.tobytes() == ref.state.matrix.tobytes()
+            assert got.integers(0, 7) == want.integers(0, 7)
+            assert got.random() == want.random()
+            seen.add(res.attempts if not res.fallback else "fallback")
+    # a success in each block, the last attempt's included, and a fallback
+    assert {1, 7, 12, "fallback"} <= seen
 
 
 # ------------------------------------------------------------ serialization
