@@ -10,6 +10,7 @@ database and outputs them as forgeries.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -246,14 +247,12 @@ def run_attack(scheme: MoneyScheme, cfg: AttackConfig, stream) -> AttackTranscri
                                    world, stream.split("v1"))
     ok2, _, _ = _verify_collecting(scheme, Banknote(note.serial, phi2),
                                    world, stream.split("v2"))
-    snapshots = [databases[0]]
-    for db in databases[1:]:
-        if db is not snapshots[-1] and db != snapshots[-1]:
-            snapshots.append(db)
     return AttackTranscript(
         t_drawn=t, j_drawn=j,
-        db_sizes=[len(db) for db in databases],
-        databases=snapshots,
+        db_sizes=list(map(len, databases)),
+        # consecutive equal databases, mostly one shared object, collapse
+        # to their first; groupby compares in C, identity first
+        databases=[db for db, _ in itertools.groupby(databases)],
         update_accept_probs=probs,
         forged_pair=(phi1, phi2),
         bad_query_counts=bad_counts,

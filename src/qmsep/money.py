@@ -30,7 +30,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import HADAMARD, DensityOp, RegisterLayout, embed_unitary, index_bits
+from .hilbert import (
+    HADAMARD,
+    DensityOp,
+    RegisterLayout,
+    embed_unitary,
+    index_bits,
+    kron,
+)
 from .oracle import ORACLE_L_CAP
 from .synth import ReducedVerifier, VerifierSpec
 
@@ -88,9 +95,9 @@ def _measure_qubit(rho: np.ndarray, n: int, qubit: int, proj: np.ndarray, rng):
     The 2x2 operator acts on the qubit's axis of rho, reshaped to
     (2^qubit, 2, rest) for the rows and (rest, 2, 2^(n-qubit-1)) for the
     columns, so no 2^n x 2^n projector is built.  It stays off
-    hilbert.embed_unitary on purpose: at m = 2 a call takes about 21 us on
-    a 2-core Xeon host, an embed_unitary version 56-74 us, and an
-    attack-classical trial makes 6 calls in about 1.5 ms.
+    hilbert.embed_unitary on purpose: at m = 2 a call takes 18-24 us on a
+    2-core Xeon host, an embed_unitary version 60-77 us, and an
+    attack-classical trial, which makes 6 calls, takes 0.7-1.1 ms.
     """
     dim = 1 << n
     rows = rho.reshape(1 << qubit, 2, -1)
@@ -179,7 +186,7 @@ class MoneyScheme:
         for i, (basis, bit) in enumerate(self.checks(serial)):
             b = 0 if basis is None else world.query(basis)
             z = world.query(bit, quantum=self.quantum_mint and i == 0)
-            mat = np.kron(mat, _CHECK_PROJ[b][z])
+            mat = kron(mat, _CHECK_PROJ[b][z])
         return Banknote(serial=serial, state=DensityOp(self.note_layout(), mat))
 
     def verify(self, note: Banknote, world: WorldHandle, stream):
@@ -245,7 +252,7 @@ class MoneyScheme:
                 f = _CHECK_PROJ[0 if basis is None else d[basis]][d[bit]]
             else:
                 f = _EITHER_BASIS[d[bit]]
-            a = np.kron(a, f)
+            a = kron(a, f)
         unknown = sum(x not in d for x in positions)
         return ReducedVerifier(m=self.m, k=unknown + 1, a=a)
 

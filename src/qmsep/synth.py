@@ -280,6 +280,9 @@ class TrialEngine:
         self._weights = pmf[:, even & (c >= self.threshold)].sum(axis=1)
         self.success_from = n_out + 1 + self.threshold  # y = 1, c = threshold
         self._rho = None
+        dm = 1 << spec.m
+        # the state after no success, shared by every fallback
+        self.mixed = _input_state(spec, np.eye(dm, dtype=np.complex128) / dm)
 
     def rho_m(self) -> DensityOp:
         """Input-register state conditioned on the test passing, built on
@@ -318,10 +321,11 @@ def synthesize(spec: VerifierSpec | ReducedVerifier, params: SynthesisParams, rn
     """A witness state for spec.  The eigen backend returns max_acceptance's.
     The trial backend makes up to t_trials attempts, one uniform draw each
     from the Stream rng, and returns engine.rho_m() at the first success,
-    or the mixed state after none.  It previews the draws DRAW_BLOCK at a
-    time, then rewinds the deciding block and redraws it up to the deciding
-    attempt, that one through engine.sample, so exactly `attempts` draws
-    are consumed, as a loop of one draw per attempt would consume them."""
+    or the maximally mixed engine.mixed after none.  It previews the draws
+    DRAW_BLOCK at a time, then rewinds the deciding block and redraws it up
+    to the deciding attempt, that one through engine.sample, so exactly
+    `attempts` draws are consumed, as a loop of one draw per attempt would
+    consume them."""
     if params.backend == "eigen":
         _, witness = max_acceptance(spec)
         return SynthesisResult(state=witness, fallback=False, attempts=0)
@@ -342,6 +346,5 @@ def synthesize(spec: VerifierSpec | ReducedVerifier, params: SynthesisParams, rn
     if engine.sample(rng)[0]:
         return SynthesisResult(state=engine.rho_m(), fallback=False,
                                attempts=done + last)
-    dm = 1 << spec.m
-    mixed = _input_state(spec, np.eye(dm, dtype=np.complex128) / dm)
-    return SynthesisResult(state=mixed, fallback=True, attempts=params.t_trials)
+    return SynthesisResult(state=engine.mixed, fallback=True,
+                           attempts=params.t_trials)

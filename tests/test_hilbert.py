@@ -11,9 +11,11 @@ from qmsep.hilbert import (
     RegisterLayout,
     embed_unitary,
     haar_unitary,
+    kron,
     partial_trace,
 )
 from qmsep.harness import _matrix_td
+from qmsep.money import _CHECK_PROJ, _EITHER_BASIS, _HALF_I
 from qmsep.streams import Stream
 
 H = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2)
@@ -163,6 +165,26 @@ def test_embed_unitary_is_the_big_endian_embedding(axes):
     x = stream.normal(size=(1 << n, 3)) + 1j * stream.normal(size=(1 << n, 3))
     assert np.abs(embed_unitary(g, axes, n, x) - e @ x).max() < 1e-12
     assert np.abs(embed_unitary(g, axes, n, x[:, 0]) - e @ x[:, 0]).max() < 1e-12
+
+
+def test_kron_is_byte_equal_to_np_kron_on_check_projector_chains():
+    factors = [p for row in _CHECK_PROJ for p in row] + _EITHER_BASIS + [_HALF_I]
+    stream = Stream(61)
+    for _ in range(20):
+        ours = ref = np.ones((1, 1), dtype=np.complex128)
+        for _ in range(8):  # 1x1 up to 2^8 x 2^8
+            f = factors[int(stream.integers(0, len(factors)))]
+            ours, ref = kron(ours, f), np.kron(ref, f)
+            assert ours.tobytes() == ref.tobytes()
+
+
+def test_kron_is_byte_equal_to_np_kron_on_random_shapes():
+    stream = Stream(62)
+    for _ in range(50):
+        sa, sb = stream.integers(1, 6, 2), stream.integers(1, 6, 2)
+        a = stream.normal(size=sa) + 1j * stream.normal(size=sa)
+        b = stream.normal(size=sb) + 1j * stream.normal(size=sb)
+        assert kron(a, b).tobytes() == np.kron(a, b).tobytes()
 
 
 # ------------------------------------------------------------ partial trace

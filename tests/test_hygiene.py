@@ -39,6 +39,27 @@ def test_no_unread_imports_in_src():
     assert not found, "imported but never read: " + ", ".join(found)
 
 
+def _kron_calls(tree: ast.Module) -> list:
+    """Lines that call np.kron or numpy.kron."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "kron" and isinstance(node.func.value, ast.Name)
+            and node.func.value.id in ("np", "numpy")]
+
+
+def test_scan_flags_np_kron():
+    tree = ast.parse("a = np.kron(x, y)\nb = kron(x, y)\nc = numpy.kron(a, b)\n")
+    assert _kron_calls(tree) == [1, 3]
+
+
+def test_no_np_kron_in_src():
+    """Kronecker products go through hilbert.kron, byte-equal to np.kron and
+    several times faster on the 2x2 factors the attack multiplies."""
+    found = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
+             for line in _kron_calls(ast.parse(path.read_text(encoding="utf-8")))]
+    assert not found, "np.kron called at: " + ", ".join(found)
+
+
 def test_benchmark_spans_resolve_and_restore():
     """Every name perfbench/tracer.py spans exists, and uninstall puts back
     every module attribute and class method that install replaced."""

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qmsep.streams import Stream
+from qmsep.streams import Stream, _label_key
 
 
 def test_same_seed_same_draws():
@@ -44,3 +44,30 @@ def test_nested_paths_differ():
     a = Stream(5).split("x").split("y")
     b = Stream(5).split("y").split("x")
     assert not np.array_equal(a.random(4), b.random(4))
+
+
+@pytest.mark.parametrize("labels", [(), (0,), ("u", 3), (("synth", 5), "x", 7)])
+def test_split_chain_draws_as_its_seed_sequence(labels):
+    s = Stream(2024)
+    for label in labels:
+        s = s.split(label)
+    path = tuple(_label_key(label) for label in labels)
+    ref = np.random.default_rng(np.random.SeedSequence(2024, spawn_key=path))
+    assert np.array_equal(s.random(6), ref.random(6))
+    assert np.array_equal(s.integers(0, 1 << 40, 5), ref.integers(0, 1 << 40, 5))
+
+
+def test_generator_is_built_on_first_draw(monkeypatch):
+    built = []
+    seed_sequence = np.random.SeedSequence
+
+    def counting(*args, **kwargs):
+        built.append(kwargs.get("spawn_key"))
+        return seed_sequence(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "SeedSequence", counting)
+    s = Stream(9).split("a").split(2)
+    assert built == []
+    s.random()
+    s.random()
+    assert built == [s.path]

@@ -420,6 +420,15 @@ def test_synthesize_trial_reject_all_falls_back():
     assert np.allclose(res.state.matrix, np.eye(2) / 2)
 
 
+def test_fallbacks_from_one_engine_share_the_mixed_state():
+    spec, params = reject_all_spec(), small_params(t=8)
+    engine = TrialEngine(spec, params)
+    first = synthesize(spec, params, Stream(0), engine=engine)
+    second = synthesize(spec, params, Stream(1), engine=engine)
+    assert first.fallback and second.fallback
+    assert second.state is first.state is engine.mixed
+
+
 def test_synthesize_backend_agreement():
     stream = Stream(37)
     params = small_params(n_alt=30, t=64)
