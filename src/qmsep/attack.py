@@ -34,11 +34,9 @@ class AttackError(ValueError):
 
 
 def shrink_factor(delta_r: float, epsilon: float) -> float:
-    """The recurring quantity 1 - sqrt(1 - delta_r + epsilon)."""
-    inner = 1.0 - delta_r + epsilon
-    if inner < 0 or inner > 1:
-        raise AttackError("need 0 <= 1 - delta_r + epsilon <= 1")
-    return 1.0 - math.sqrt(inner)
+    """The recurring quantity 1 - sqrt(1 - delta_r + epsilon), for epsilon
+    in (0, delta_r) as derived_params admits it."""
+    return 1.0 - math.sqrt(1.0 - delta_r + epsilon)
 
 
 def derived_params(scheme: MoneyScheme, epsilon: float) -> dict:
@@ -68,10 +66,6 @@ class AttackConfig:
     synth_params: SynthesisParams
     variant: str  # "quantum_mint" or "classical_mint", after the scheme
     scaled: bool = False
-
-    def __post_init__(self):
-        if self.t_max < 1 or self.n_updates < 1:
-            raise AttackError("t_max and n_updates must be positive")
 
     @classmethod
     def default(cls, scheme: MoneyScheme, epsilon: float = 0.1,

@@ -8,6 +8,9 @@ import os
 import sys
 
 from .harness import (
+    ATTACK_OPTIONS,
+    ORACLE_OPTIONS,
+    SYNTH_OPTIONS,
     HarnessError,
     attack_rows,
     cmd_oracle_check,
@@ -18,48 +21,32 @@ from .harness import (
 )
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--config", help="JSON config file; flags override it")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out", help="output path")
+# each subcommand: its option table and its one-line help
+COMMANDS = {
+    "synth": (SYNTH_OPTIONS,
+              "run the witness synthesizer on a serialized verifier"),
+    "attack": (ATTACK_OPTIONS, "run the counterfeiting adversary"),
+    "oracle-check": (ORACLE_OPTIONS,
+                     "oracle representation equivalence and property suites"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One --key flag per key of each command's option table, typed and
+    described by it; read_options checks flags and config keys alike."""
     parser = argparse.ArgumentParser(
         prog="qmsep",
         description="Witness synthesis and quantum-money counterfeiting "
                     "experiments on simulated random oracles.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("synth", help="run the witness synthesizer on a "
-                                     "serialized verifier")
-    p.add_argument("--verifier", help="verifier description (JSON file)")
-    p.add_argument("--a", type=float, help="acceptance guarantee (default 0.5)")
-    p.add_argument("--b", type=float, help="promise threshold (default 0.9)")
-    p.add_argument("--n-alternations", type=int, dest="n_alternations")
-    p.add_argument("--t-trials", type=int, dest="t_trials")
-    _add_common(p)
-
-    p = sub.add_parser("attack", help="run the counterfeiting adversary")
-    p.add_argument("--scheme", choices=("hash-tag", "conjugate", "counterexample"))
-    p.add_argument("--l", type=int, help="oracle input bits (default 6)")
-    p.add_argument("--m", type=int, help="scheme size parameter (default 2)")
-    p.add_argument("--eps", type=float, help="target error (default 0.1)")
-    p.add_argument("--t-max", type=int, dest="t_max",
-                   help="override the test-phase bound (scaled run)")
-    p.add_argument("--n-updates", type=int, dest="n_updates",
-                   help="override the update count (scaled run)")
-    p.add_argument("--workers", type=int, help="worker pool size")
-    _add_common(p)
-
-    p = sub.add_parser("oracle-check", help="oracle representation "
-                                            "equivalence and property suites")
-    p.add_argument("--l", type=int, help="oracle input bits (default 2)")
-    p.add_argument("--queries", type=int, help="queries per program (default 4)")
-    p.add_argument("--mc-samples", type=int, dest="mc_samples",
-                   help="Monte Carlo samples for the sampled-mode check")
-    _add_common(p)
+    for command, (table, text) in COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        p.add_argument("--config", help="JSON config file; flags override it")
+        for key, opt in table.items():
+            default = "" if opt.default is None else f" (default {opt.default})"
+            p.add_argument("--" + key.replace("_", "-"), dest=key,
+                           type=opt.kind, help=opt.help + default)
+        p.add_argument("--out", help="output path")
     return parser
 
 

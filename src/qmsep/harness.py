@@ -12,12 +12,13 @@ import concurrent.futures
 import json
 import math
 import os
+from typing import NamedTuple
 
 import numpy as np
 
 from .attack import AttackConfig, AttackError, derived_params, run_attack
 from .hilbert import haar_unitary
-from .money import MoneyError, make_scheme
+from .money import SCHEMES, MoneyError, make_scheme
 from .oracle import OracleWorld, SampledExecutor, sample_oracle
 from .streams import Stream
 from .synth import (
@@ -95,16 +96,25 @@ def merge_config(file_cfg: dict, flag_cfg: dict) -> dict:
     return {**file_cfg, **{k: v for k, v in flag_cfg.items() if v is not None}}
 
 
+class Option(NamedTuple):
+    """A command option: its value's type, default, --help line and least
+    value (None for no bound)."""
+    kind: type
+    default: object
+    help: str
+    least: object = None
+
+
 def read_options(cfg: dict, command: str, table: dict) -> dict:
-    """Each key of table (key -> (type, default)) mapped to cfg's value, or
-    to its default when cfg has none.  A key outside table, or a value not
-    of its key's type, raises HarnessError naming the key, and so does a
-    negative seed, which every command's table has."""
+    """Each key of table (key -> Option) mapped to cfg's value, or to its
+    default when cfg has none.  A key outside table, or a value not of its
+    key's type or below its least, raises HarnessError naming the key; this
+    is the one check of a single option's value."""
     unknown = sorted(set(cfg) - set(table))
     if unknown:
         raise HarnessError(f"{command} takes no option {unknown[0]!r}")
     out = {}
-    for key, (kind, default) in table.items():
+    for key, (kind, default, _, least) in table.items():
         value = cfg.get(key)
         accepted, name = _KINDS[kind]
         if value is None:
@@ -112,17 +122,15 @@ def read_options(cfg: dict, command: str, table: dict) -> dict:
         elif isinstance(value, bool) or not isinstance(value, accepted):
             raise HarnessError(f"{command} needs {key} to be {name}, "
                                f"got {value!r}")
+        elif least is not None and value < least:
+            raise HarnessError(f"{command} needs {key} >= {least}, got {value}")
         else:
             out[key] = kind(value)
-    if out["seed"] < 0:
-        raise HarnessError(f"{command} needs seed >= 0, got {out['seed']}")
     return out
 
 
 def bernoulli_summary(successes: int, count: int) -> dict:
-    """Mean, standard error, count and Wilson 95% interval of a success count."""
-    if count < 1:
-        raise HarnessError("need at least one trial")
+    """Mean, standard error, count and Wilson 95% interval; count >= 1."""
     z = 1.959964  # the standard normal's 97.5% quantile
     p = successes / count
     se = math.sqrt(p * (1 - p) / count)
@@ -138,9 +146,16 @@ def bernoulli_summary(successes: int, count: int) -> dict:
 # --------------------------------------------------------------------------
 # synth command
 
-SYNTH_OPTIONS = {"verifier": (str, None), "a": (float, 0.5), "b": (float, 0.9),
-                 "trials": (int, 20), "seed": (int, 0),
-                 "n_alternations": (int, None), "t_trials": (int, None)}
+SEED = Option(int, 0, "random seed", least=0)
+
+SYNTH_OPTIONS = {
+    "verifier": Option(str, None, "verifier description (JSON file)"),
+    "a": Option(float, 0.5, "acceptance guarantee"),
+    "b": Option(float, 0.9, "promise threshold"),
+    "trials": Option(int, 20, "trial-backend runs", least=1),
+    "seed": SEED,
+    "n_alternations": Option(int, None, "alternations per attempt", least=1),
+    "t_trials": Option(int, None, "attempts per run before falling back", least=1)}
 
 
 def cmd_synth(cfg: dict) -> dict:
@@ -218,10 +233,16 @@ def _attack_trial(args):
     return row, sum(tr.bad_query_counts)
 
 
-ATTACK_OPTIONS = {"scheme": (str, None), "l": (int, 6), "m": (int, 2),
-                  "eps": (float, 0.1), "trials": (int, 1), "seed": (int, 0),
-                  "t_max": (int, None), "n_updates": (int, None),
-                  "workers": (int, None)}
+ATTACK_OPTIONS = {
+    "scheme": Option(str, None, "money scheme: " + ", ".join(SCHEMES)),
+    "l": Option(int, 6, "oracle input bits"),
+    "m": Option(int, 2, "scheme size parameter"),
+    "eps": Option(float, 0.1, "target error"),
+    "trials": Option(int, 1, "attack runs", least=1),
+    "seed": SEED,
+    "t_max": Option(int, None, "override the test-phase bound (scaled run)", least=1),
+    "n_updates": Option(int, None, "override the update count (scaled run)", least=1),
+    "workers": Option(int, None, "worker pool size (default one per CPU)", least=1)}
 
 
 def attack_rows(cfg: dict):
@@ -230,10 +251,6 @@ def attack_rows(cfg: dict):
     trials, seed, workers = opt["trials"], opt["seed"], opt["workers"]
     if name is None:
         raise HarnessError("attack needs --scheme")
-    if trials < 1:
-        raise HarnessError("trials must be >= 1")
-    if workers is not None and workers < 1:
-        raise HarnessError("attack needs workers >= 1")
     try:
         scheme = make_scheme(name, l=l, m=m)
         attack_cfg = AttackConfig.default(
@@ -393,8 +410,12 @@ ORACLE_CHECKS = (("equivalence_td", "equivalence_td"),
                  ("recording_decrement", "recording_decrement_err"),
                  ("bad_weight_monotone", "bad_weight_increase"))
 
-ORACLE_OPTIONS = {"l": (int, 2), "queries": (int, 4), "trials": (int, 10),
-                  "seed": (int, 0), "mc_samples": (int, 0)}
+ORACLE_OPTIONS = {
+    "l": Option(int, 2, "oracle input bits, 1 to 3"),
+    "queries": Option(int, 4, "queries per program", least=1),
+    "trials": Option(int, 10, "random programs per check", least=1),
+    "seed": SEED,
+    "mc_samples": Option(int, 0, "samples for the sampled-mode check", least=0)}
 
 
 def cmd_oracle_check(cfg: dict) -> dict:
@@ -404,9 +425,6 @@ def cmd_oracle_check(cfg: dict) -> dict:
     if not 1 <= l <= 3:
         raise HarnessError("oracle-check needs 1 <= l <= 3 (exact mode "
                            "enumerates 2^(2^l) truth tables)")
-    if n_queries < 1 or trials < 1 or mc_samples < 0:
-        raise HarnessError("oracle-check needs queries >= 1, trials >= 1 "
-                           "and mc_samples >= 0")
     if l + n_queries + 1 > PLAIN_QUBIT_CAP:
         raise HarnessError(f"oracle-check needs l + queries + 1 <= "
                            f"{PLAIN_QUBIT_CAP} (a 2^n-square plain density "

@@ -149,11 +149,14 @@ class MoneyScheme:
         if m > 2 ** l:  # m bit tags cannot fit; bounds what tags(m) builds
             raise MoneyError("l too small for the requested m")
         self.template = self.tags(m)
+        tags = [t for _, *pair in self.template for t in pair if t is not None]
+        # checks share a position for some serial exactly when they share a tag
+        if len(set(tags)) < len(tags):
+            raise MoneyError("checks must not share a tag")
         self.l = l
         self.m = len(self.template)
         self.serials = 1 + max(k for k, _, _ in self.template)
-        top = max(t for _, *pair in self.template for t in pair if t is not None)
-        self.tag_bits = max(1, top.bit_length())
+        self.tag_bits = max(1, max(tags).bit_length())
         self.s_bits = l - self.tag_bits
         if self.s_bits < 1:
             raise MoneyError("l too small for the requested m")
@@ -235,15 +238,12 @@ class MoneyScheme:
         checks alone.
 
         The ancillas make each unknown position a uniform bit, so A is the
-        mean of the checks' projector product over the unknown bits.  When
-        no position is shared by two checks that mean factors into one 2x2
-        operator per check: its projector when d knows both positions, I/2
-        when d lacks the bit, and the mean over both bases when d lacks
-        only the basis.
+        mean of the checks' projector product over the unknown bits.  No two
+        checks share a position (the constructor rejects a shared tag), so
+        that mean factors into one 2x2 operator per check: its projector
+        when d knows both positions, I/2 when d lacks the bit, and the mean
+        over both bases when d lacks only the basis.
         """
-        positions = self.verify_positions(serial)
-        if len(set(positions)) < len(positions):
-            raise MoneyError("sim_operator needs checks that share no position")
         a = np.ones((1, 1), dtype=np.complex128)
         for basis, bit in self.checks(serial):
             if bit not in d:
@@ -253,7 +253,7 @@ class MoneyScheme:
             else:
                 f = _EITHER_BASIS[d[bit]]
             a = kron(a, f)
-        unknown = sum(x not in d for x in positions)
+        unknown = sum(x not in d for x in self.verify_positions(serial))
         return ReducedVerifier(m=self.m, k=unknown + 1, a=a)
 
     def accept_prob(self, note: Banknote, world: WorldHandle) -> float:

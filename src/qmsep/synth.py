@@ -169,8 +169,6 @@ class SynthesisParams:
             raise SynthError("need 0 < a < b <= 1")
         if self.backend not in ("trial", "eigen"):
             raise SynthError(f"unknown backend {self.backend!r}")
-        if self.n_alternations < 1 or self.t_trials < 1:
-            raise SynthError("n_alternations and t_trials must be positive")
         n = self.n_alternations
         if math.ceil(n * (self.a + self.b)) > 2 * n:
             raise SynthError("vacuous threshold: N(a+b) exceeds the outcome count")

@@ -11,7 +11,6 @@ from qmsep.attack import (
     make_world,
     derived_params,
     run_attack,
-    shrink_factor,
     simulation_gap_probe,
     synthesize_phase,
     update_phase,
@@ -75,10 +74,6 @@ def test_config_validation():
     for eps in (0.0, float("nan"), 0.99, 1.5):  # outside (0, DELTA_R)
         with pytest.raises(AttackError):
             AttackConfig.default(scheme, epsilon=eps)
-    with pytest.raises(AttackError):
-        AttackConfig.default(scheme, t_max=0)
-    with pytest.raises(AttackError):
-        shrink_factor(0.5, 0.8)  # 1 - delta_r + eps > 1
 
 
 # ---------------------------------------------------------------- test phase

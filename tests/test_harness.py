@@ -64,8 +64,6 @@ def test_wilson_interval_reference_value():
         low, high = t["wilson95"]
         assert -1e-12 <= low <= t["mean"] <= high + 1e-12
         assert high <= 1 + 1e-12
-    with pytest.raises(HarnessError):
-        bernoulli_summary(0, 0)
 
 
 # ----------------------------------------------------------------- cmd_synth
@@ -360,7 +358,8 @@ def test_cli_attack_writes_csv(tmp_path, capsys):
     ("--config", {"variant": "classical_mint"}),
     ("--workers", "0"), ("--config", {"trails": 3}), ("--config", {"l": "x"}),
     ("--config", {"trials": 2.5}), ("--config", {"out": 5}),
-    ("--out", "missing-dir/run.csv"), ("--eps", "0"), ("--eps", "nan")])
+    ("--out", "missing-dir/run.csv"), ("--eps", "0"), ("--eps", "nan"),
+    ("--scheme", "nope")])
 def test_cli_attack_rejects_bad_input(flag, value, tmp_path, capsys):
     rc = cli.main(["attack", "--scheme", "hash-tag", "--workers", "1", flag,
                    config_file(tmp_path, value)])
@@ -369,13 +368,15 @@ def test_cli_attack_rejects_bad_input(flag, value, tmp_path, capsys):
     assert out.out == "" and out.err.startswith("qmsep: ")
     if flag in ("--workers", "--config"):
         assert (next(iter(value)) if flag == "--config" else "workers") in out.err
+    if flag == "--scheme":  # make_scheme's error, as from a config file
+        assert out.err == "qmsep: unknown scheme 'nope'\n"
 
 
 class TrialRan(Exception):
     pass
 
 
-def _no_trial(args):
+def _no_trial(*args):
     raise TrialRan
 
 
@@ -507,6 +508,66 @@ def test_cli_rejects_a_negative_seed(command, via, tmp_path, capsys):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == f"qmsep: {command} needs seed >= 0, got -1\n"
+
+
+@pytest.mark.parametrize("command", ["synth", "attack"])
+def test_cli_rejects_zero_trials_before_any_work(command, monkeypatch,
+                                                 tmp_path, capsys):
+    # names the bound, so dropping trials' least from a table fails here,
+    # where the generated cases below would only lose a case
+    for name in ("max_acceptance", "TrialEngine", "_attack_trial"):
+        monkeypatch.setattr(harness, name, _no_trial)
+    args = {"synth": ["--verifier", write_spec(tmp_path, [X_GATE])],
+            "attack": ["--scheme", "hash-tag", "--workers", "1"]}[command]
+    rc = cli.main([command, *args, "--trials", "0"])
+    assert rc == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"qmsep: {command} needs trials >= 1, got 0\n"
+
+
+# (command, key, least) for every table key with a lower bound
+BOUNDED = [(command, key, opt.least)
+           for command, (table, _) in cli.COMMANDS.items()
+           for key, opt in table.items() if opt.least is not None]
+
+
+@pytest.mark.parametrize("command,key,least", BOUNDED,
+                         ids=[f"{c}-{k}" for c, k, _ in BOUNDED])
+def test_cli_rejects_a_value_below_its_least(command, key, least, monkeypatch,
+                                             tmp_path, capsys):
+    monkeypatch.setattr(harness, "_attack_trial", _no_trial)
+    args = {"attack": ["--scheme", "hash-tag", "--workers", "1"],
+            "oracle-check": ["--l", "1", "--queries", "2", "--trials", "1"],
+            "synth": ["--verifier", write_spec(tmp_path, [X_GATE])]}[command]
+    flag = "--" + key.replace("_", "-")
+    rc = cli.main([command, *args, flag, str(least - 1)])
+    assert rc == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"qmsep: {command} needs {key} >= {least}, got {least - 1}\n"
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_cli_help_shows_every_table_default(command, capsys):
+    table, _ = cli.COMMANDS[command]
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())  # undo argparse's wrapping
+    for key, opt in table.items():
+        if opt.default is not None:
+            flag = "--" + key.replace("_", "-")
+            assert f"{flag} {key.upper()} {opt.help} (default {opt.default})" in text
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_table_defaults_meet_their_least(command):
+    # a default never passes through read_options' bound check
+    table, _ = cli.COMMANDS[command]
+    for key, opt in table.items():
+        if None not in (opt.default, opt.least):
+            assert opt.default >= opt.least, key
 
 
 def test_cli_harness_error_exit_two(capsys):

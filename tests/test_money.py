@@ -435,13 +435,16 @@ def test_sim_operator_is_the_circuits_reduced_operator(name):
         assert np.abs(op.a - spec.reduced()).max() < 1e-12
 
 
-def test_sim_operator_rejects_a_shared_position():
+def test_scheme_rejects_a_shared_tag():
+    # checks that share a tag share a position for every serial that agrees
+    # on their serial slots, and sim_operator's factoring assumes none do
     class Shared(HashTagScheme):
-        def checks(self, serial):
-            return [(None, 5), (5, 6)]
+        @staticmethod
+        def tags(m):
+            return [(0, None, 5), (1, 5, 6)]
 
     with pytest.raises(MoneyError, match="share"):
-        Shared(m=2).sim_operator((0,), {})
+        Shared(m=2)
 
 
 def test_world_handle_query_bookkeeping():

@@ -173,8 +173,6 @@ def test_alternation_count_desk_defaults():
 def test_params_validation():
     with pytest.raises(SynthError):
         SynthesisParams(a=0.9, b=0.5, n_alternations=10, t_trials=10)
-    with pytest.raises(SynthError):
-        SynthesisParams(a=0.5, b=0.9, n_alternations=0, t_trials=10)
     for a, b in ((0.9, 0.5), (0.5, 0.5)):  # b - a <= 0 enters a log and a division
         with pytest.raises(SynthError):
             SynthesisParams.default(2, a=a, b=b)
