@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .attack import AttackConfig, AttackError, derived_params, run_attack
-from .hilbert import haar_unitary
+from .hilbert import ginibre, haar_from_ginibre, haar_unitary
 from .money import SCHEMES, MoneyError, make_scheme
 from .oracle import OracleWorld, SampledExecutor, sample_oracle
 from .streams import Stream
@@ -305,15 +305,20 @@ def rows_to_csv(rows) -> str:
 
 
 def random_program(l: int, n_queries: int, stream):
-    """A random circuit on (query register, one fresh answer qubit/query)."""
-    ops = []
+    """A random circuit on (query register, one fresh answer qubit/query).
+    Each gate's Ginibre matrix is drawn where a haar_unitary call would draw
+    it, and one batched QR finishes them all."""
+    ops, draws = [], []
     for i in range(n_queries):
         for _ in range(int(stream.integers(1, 3))):
             q = int(stream.integers(0, l))
-            ops.append(("gate", haar_unitary(2, stream.gen), [q]))
+            ops.append(("gate", len(draws), [q]))
+            draws.append(ginibre(2, stream.gen))
         kind = "quantum" if stream.random() < 0.5 else "classical"
         ops.append((kind, list(range(l)), l + i))
-    return ops
+    gates = haar_from_ginibre(np.array(draws).reshape(-1, 2, 2))
+    return [("gate", gates[a], b) if kind == "gate" else (kind, a, b)
+            for kind, a, b in ops]
 
 
 # the query methods of each OracleWorld view, (quantum, classical)

@@ -189,9 +189,19 @@ def partial_trace(state, keep) -> DensityOp:
     return DensityOp(sub, rho)
 
 
+def ginibre(dim: int, rng) -> np.ndarray:
+    """A dim x dim complex Ginibre matrix: haar_unitary's draw."""
+    return (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))) / np.sqrt(2)
+
+
+def haar_from_ginibre(z: np.ndarray) -> np.ndarray:
+    """haar_unitary's finish: Q of z's QR, times the phases of R's diagonal.
+    On a stack of matrices, one batched QR gives each its own QR's bytes."""
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
+
+
 def haar_unitary(dim: int, rng) -> np.ndarray:
     """Haar-random unitary via QR of a complex Ginibre matrix."""
-    z = (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))) / np.sqrt(2)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    return haar_from_ginibre(ginibre(dim, rng))

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
+from itertools import repeat
 
 import numpy as np
 
@@ -53,30 +54,33 @@ class _Records:
     worlds derived from it.  Record 0 is ((), ()); any other record has a key
     128 parent + 8x + 4z + flag: it appends (x, z) to the D_R (flag 1)
     and/or D_A (flag 2) of its parent.  A world's labels share one history
-    of queries, so equal contents have equal ids.  Row r of `masks` holds
-    D_R's known-position and known-value masks, then D_A's."""
+    of queries, so equal contents have equal ids.  `_ids` maps each key to
+    its id and `_keys[r]` is record r's key, 0 for record 0, which no
+    append has; one call's new keys take the next ids in increasing key
+    order.  Row r of `masks` holds D_R's known-position and known-value
+    masks, then D_A's."""
 
     def __init__(self):
         self.masks = np.zeros((1, 4), dtype=np.int64)
-        self._keys, self._ids = np.zeros((2, 0), dtype=np.int64)  # keys sorted
+        self._ids, self._keys = {}, [0]
 
     def extend(self, rec, x, z, flag: int) -> np.ndarray:
         """Ids of the records that append (x, z) to rec's databases named by
         flag.  Steps stay below 128 because x < 2^WORLD_L_CAP = 16."""
         keys, inv = np.unique(128 * rec + 8 * x + 4 * z + flag, return_inverse=True)
-        pos = np.searchsorted(self._keys, keys)
-        hit = np.append(self._keys, -1)[pos] == keys
-        ids = np.append(self._ids, 0)[pos]
-        new = keys[~hit]
-        ids[~hit] = len(self.masks) + np.arange(len(new))
-        self._keys = np.insert(self._keys, pos[~hit], new)
-        self._ids = np.insert(self._ids, pos[~hit], ids[~hit])
-        parent, step = new >> 7, new & 127
-        rows, bit, z = self.masks[parent], 1 << (step >> 3), (step >> 2) & 1
-        for c, on in ((0, step & 1 == 1), (2, step & 2 == 2)):
-            rows[on, c] |= bit[on]
-            rows[on, c + 1] = (rows[on, c + 1] & ~bit[on]) | (z[on] * bit[on])
-        self.masks = np.concatenate([self.masks, rows])
+        ids = np.fromiter(map(self._ids.get, keys.tolist(), repeat(-1)), np.int64, len(keys))
+        fresh = ids < 0
+        if fresh.any():
+            new = keys[fresh]
+            ids[fresh] = np.arange(len(self._keys), len(self._keys) + len(new))
+            self._keys += new.tolist()
+            self._ids.update(zip(self._keys[-len(new):], ids[fresh].tolist()))
+            parent, step = new >> 7, new & 127
+            rows, bit, z = self.masks[parent], 1 << (step >> 3), (step >> 2) & 1
+            for c, on in ((0, step & 1 == 1), (2, step & 2 == 2)):
+                rows[on, c] |= bit[on]
+                rows[on, c + 1] = (rows[on, c + 1] & ~bit[on]) | (z[on] * bit[on])
+            self.masks = np.concatenate([self.masks, rows])
         return ids[inv]
 
     def intern(self, dr, da) -> int:
@@ -90,10 +94,22 @@ class _Records:
         """(D_R, D_A) of record r, as tuples of (x, z) pairs."""
         steps = []
         while r:
-            r, step = divmod(int(self._keys[self._ids == r][0]), 128)
+            r, step = divmod(self._keys[r], 128)
             steps.insert(0, step)
         return tuple(tuple((s >> 3, (s >> 2) & 1) for s in steps if s & flag)
                      for flag in (1, 2))
+
+
+def _hadamard_bit(x: np.ndarray, p: int) -> np.ndarray:
+    """H on bit p of the column index of each row of x.  The rows'
+    (bit p = 0, bit p = 1) column pairs become the 2 rows of one 2-D
+    product, which BLAS rounds as embed_unitary's product did; numpy's own
+    loop for a batched 4-D product does not.  The temporaries die on return,
+    so a caller's loop holds one gathered copy at a time."""
+    r, c = x.shape
+    pairs = x.reshape(r, c >> (p + 1), 2, 1 << p).transpose(2, 0, 1, 3)
+    out = HADAMARD @ pairs.reshape(2, -1)
+    return out.reshape(pairs.shape).transpose(1, 2, 0, 3).reshape(r, c)
 
 
 class _Labels(Mapping):
@@ -126,23 +142,24 @@ class _Labels(Mapping):
 class OracleWorld:
     """Sparse pure state over (plain registers, F, D_R, D_A)."""
 
-    def __init__(self, mode: str, l: int, n_plain: int, amps, records=None):
-        """amps is a dict from tuple labels to amplitudes, or a
-        (plain, fb, rec, amp) tuple of arrays whose rec ids index records."""
+    def __init__(self, mode: str, l: int, n_plain: int, amps: dict):
+        """amps maps labels (plain, F or D_F, D_R, D_A) to amplitudes: F is
+        a tuple of 2^l bits in the purified view, D_F a tuple of positions in
+        the compressed one, and D_R and D_A are tuples of (x, z) pairs.  The
+        world starts its own record table; the worlds derived from it share
+        that table and are built by `_with`, with no re-check."""
         if mode not in ("purified", "compressed"):
             raise OracleError(f"unknown mode {mode!r}")
         if l > WORLD_L_CAP or n_plain + (1 << l) > KEY_BITS:
             raise OracleError(f"OracleWorld needs l <= {WORLD_L_CAP} and n_plain + "
                               f"2^l <= {KEY_BITS}; got l = {l}, n_plain = {n_plain}")
         self.mode, self.l, self.n_plain, self.n_pos = mode, l, n_plain, 1 << l
-        if isinstance(amps, dict):
-            records = _Records()
-            amps = list(zip(*[(p, sum(b << i for i, b in enumerate(f)) if mode == "purified"
-                               else sum(1 << i for i in f), records.intern(dr, da), a)
-                              for (p, f, dr, da), a in amps.items()])) or [()] * 4
-        self.records = records
-        self.plain, self.fb, self.rec = (np.asarray(c, dtype=np.int64) for c in amps[:3])
-        self.amp = np.asarray(amps[3], dtype=np.complex128)
+        self.records = _Records()
+        cols = list(zip(*[(p, sum(b << i for i, b in enumerate(f)) if mode == "purified"
+                           else sum(1 << i for i in f), self.records.intern(dr, da), a)
+                          for (p, f, dr, da), a in amps.items()])) or [()] * 4
+        self.plain, self.fb, self.rec = (np.asarray(c, dtype=np.int64) for c in cols[:3])
+        self.amp = np.asarray(cols[3], dtype=np.complex128)
         self.amps = _Labels(self)
 
     # -- construction -----------------------------------------------------
@@ -156,9 +173,14 @@ class OracleWorld:
         return cls("compressed", l, n_plain, {(0, (), (), ()): 1.0 + 0.0j})
 
     def _with(self, plain, fb, rec, amp, mode=None) -> "OracleWorld":
+        """A world on our records with the labels whose amplitude survives
+        pruning; the int64 and complex128 columns are used as given."""
         k = np.abs(amp) > PRUNE_TOL
-        return OracleWorld(mode or self.mode, self.l, self.n_plain,
-                           (plain[k], fb[k], rec[k], amp[k]), self.records)
+        w = object.__new__(OracleWorld)
+        w.mode, w.l, w.n_plain, w.n_pos = mode or self.mode, self.l, self.n_plain, self.n_pos
+        w.records, w.plain, w.fb, w.rec, w.amp = self.records, plain[k], fb[k], rec[k], amp[k]
+        w.amps = _Labels(w)
+        return w
 
     def _key(self, plain, fb, rec) -> np.ndarray:
         """One int64 per label, equal exactly when the labels are."""
@@ -295,10 +317,9 @@ class OracleWorld:
                                   return_index=True, return_inverse=True)
         block = np.zeros((len(first), 1 << self.n_pos), dtype=np.complex128)
         block[inv, self.fb ^ m[:, 1]] = self.amp
-        for p in range(self.n_pos):  # axis n_pos-1-p holds position p
+        for p in range(self.n_pos):  # column bit p holds position p
             rows = np.flatnonzero((m[first, 0] >> p) & 1 == 0)
-            block[rows] = embed_unitary(HADAMARD, [self.n_pos - 1 - p], self.n_pos,
-                                        block[rows].T).T
+            block[rows] = _hadamard_bit(block[rows], p)
         g, f = np.nonzero(np.abs(block) > PRUNE_TOL)
         return self._with(self.plain[first][g], f, self.rec[first][g],
                           block[g, f], mode)

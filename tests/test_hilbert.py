@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -375,3 +377,19 @@ def test_state_norm_check():
 def test_haar_unitary_is_unitary():
     u = haar_unitary(8, Stream(2).gen)
     assert np.abs(u.conj().T @ u - np.eye(8)).max() < 1e-10
+
+
+# sha256 of haar_unitary(dim, Stream(seed).gen) bytes, recorded while it
+# drew and finished one matrix in one call
+HAAR_SHA256 = {
+    (2, 0): "78186e17e8f9e4faa588b33f8b5581f3df8f277e6a07b1ac1db4927dc778d074",
+    (2, 7): "7d57f3663ab5d047b1fe63b7fb501ab0cae4567313fbcc3358d0c7de2f656b20",
+    (4, 3): "44dacf32ae668646e1ed5cb5458f7d0ddde622831fe7f5c4f6c37b2b534a1912",
+    (8, 11): "10e936e29ae5e911857e0b9ace7e9f2021fa38cd9956830f7455e57a4542afcb",
+}
+
+
+@pytest.mark.parametrize("dim, seed", list(HAAR_SHA256))
+def test_haar_unitary_bytes_are_pinned(dim, seed):
+    u = haar_unitary(dim, Stream(seed).gen)
+    assert hashlib.sha256(u.tobytes()).hexdigest() == HAAR_SHA256[dim, seed]

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -16,7 +17,7 @@ from qmsep.harness import (
     run_sampled_once,
     run_world,
 )
-from qmsep.hilbert import haar_unitary
+from qmsep.hilbert import HADAMARD, embed_unitary, haar_unitary
 from qmsep.oracle import (
     OracleError,
     OracleWorld,
@@ -439,3 +440,96 @@ def test_aligned_needs_a_common_start():
     assert abs(np.vdot(a, b) - 1.0) <= 1e-9
     with pytest.raises(OracleError):
         w.aligned(run_world(OracleWorld.compressed_init(2, 6), ops))
+
+
+# sha256 of (plain, fb, rec, amp) bytes after every operation of
+# _pinned_world_runs, recorded before OracleWorld's array paths were
+# rewritten: a changed label order, record id or last amplitude bit fails it
+WORLD_SHA256 = {
+    1: "4daec4d470f89dad3094f161da236c8671afafd55ef2bec799a2cbee6246068a",
+    2: "883f432706b6a1340d5002e1d28d824241698598d485bff1d345d0670bf7ab11",
+    3: "a4d712fbbefb65058a5d0e3d2af25a0195d6a6565bb4f364522320dc716ff81e",
+}
+
+
+def _pinned_world_runs(l):
+    """Every world along one random program in both views.  Query i is
+    quantum, classical, or recorded classical as i % 3 is 0, 1 or 2; before
+    each classical query the world also answers from D_R and from D_A."""
+    n_queries = 5
+    ops = random_program(l, n_queries, Stream(900 + l))
+    n_plain = l + n_queries
+    for co in (False, True):
+        w = (OracleWorld.compressed_init if co else OracleWorld.purified_init)(l, n_plain)
+        yield w
+        for kind, *args in ops:
+            if kind == "gate":
+                w = w.apply_plain_gate(*args)
+            elif (args[1] - l) % 3 == 0:  # query i answers into qubit l + i
+                w = (w.compressed_quantum_query if co else w.apply_quantum_query)(*args)
+            else:
+                yield w.apply_db_query(*args, db="dr")
+                yield w.apply_db_query(*args, db="da")
+                query = w.compressed_classical_query if co else w.apply_classical_query
+                w = query(*args, record=(args[1] - l) % 3 == 2)
+            yield w
+        yield w.decomp() if co else w.comp()
+
+
+@pytest.mark.parametrize("l", [1, 2, 3])
+def test_world_label_bytes_are_pinned(l):
+    h = hashlib.sha256()
+    for w in _pinned_world_runs(l):
+        for a in (w.plain, w.fb, w.rec, w.amp):
+            h.update(a.tobytes())
+    assert h.hexdigest() == WORLD_SHA256[l]
+
+
+def _hadamard_by_embedding(w):
+    """The (plain, fb, rec, amp) arrays of OracleWorld._hadamard, with H
+    applied by embed_unitary on each position axis of the transposed block."""
+    m = w.records.masks[w.rec]
+    _, first, inv = np.unique(w._key(w.plain, 0, w.rec), return_index=True,
+                              return_inverse=True)
+    block = np.zeros((len(first), 1 << w.n_pos), dtype=np.complex128)
+    block[inv, w.fb ^ m[:, 1]] = w.amp
+    for p in range(w.n_pos):
+        rows = np.flatnonzero((m[first, 0] >> p) & 1 == 0)
+        block[rows] = embed_unitary(HADAMARD, [w.n_pos - 1 - p], w.n_pos, block[rows].T).T
+    g, f = np.nonzero(np.abs(block) > 1e-14)
+    return w.plain[first][g], f, w.rec[first][g], block[g, f]
+
+
+@pytest.mark.parametrize("l", [1, 2, 3])
+def test_hadamard_is_byte_equal_to_embedding(l):
+    for w in _pinned_world_runs(l):
+        got = w._hadamard("purified")
+        want = _hadamard_by_embedding(w)
+        for a, b in zip((got.plain, got.fb, got.rec, got.amp), want):
+            assert a.tobytes() == b.tobytes()
+
+
+def _random_program_by_gate(l, n_queries, stream):
+    """random_program with one haar_unitary call per gate."""
+    ops = []
+    for i in range(n_queries):
+        for _ in range(int(stream.integers(1, 3))):
+            q = int(stream.integers(0, l))
+            ops.append(("gate", haar_unitary(2, stream.gen), [q]))
+        kind = "quantum" if stream.random() < 0.5 else "classical"
+        ops.append((kind, list(range(l)), l + i))
+    return ops
+
+
+@pytest.mark.parametrize("l, n_queries, seed", [(1, 1, 0), (2, 4, 1), (3, 6, 2), (2, 9, 3)])
+def test_random_program_gates_match_per_gate_draws(l, n_queries, seed):
+    a, b = Stream(seed), Stream(seed)
+    got, want = random_program(l, n_queries, a), _random_program_by_gate(l, n_queries, b)
+    assert len(got) == len(want)
+    for (kind, *args), (want_kind, *want_args) in zip(got, want):
+        assert kind == want_kind
+        if kind == "gate":
+            assert args[0].tobytes() == want_args[0].tobytes() and args[1] == want_args[1]
+        else:
+            assert args == want_args
+    assert a.random() == b.random()  # both consumed the same draws
