@@ -9,6 +9,7 @@ not depend on scheduling.
 from __future__ import annotations
 
 import concurrent.futures
+import itertools
 import json
 import math
 import os
@@ -228,9 +229,24 @@ def _attack_trial(args):
         "accept1": int(tr.accept1),
         "accept2": int(tr.accept2),
         "success": int(tr.success),
-        "db_sizes": ";".join(str(s) for s in tr.db_sizes),
+        "db_sizes": _runs_cell(tr.db_sizes),
     }
     return row, sum(tr.bad_query_counts)
+
+
+def _runs_cell(values) -> str:
+    """";".join(map(str, values)), one str() per run of equal values: a
+    derived-parameter transcript is a few runs of up to 10^6 sizes."""
+    return ";".join(";".join([str(k)] * len(list(run)))
+                    for k, run in itertools.groupby(values))
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, which an affinity mask can make
+    fewer than the machine has."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 ATTACK_OPTIONS = {
@@ -242,7 +258,7 @@ ATTACK_OPTIONS = {
     "seed": SEED,
     "t_max": Option(int, None, "override the test-phase bound (scaled run)", least=1),
     "n_updates": Option(int, None, "override the update count (scaled run)", least=1),
-    "workers": Option(int, None, "worker pool size (default one per CPU)", least=1)}
+    "workers": Option(int, None, "worker pool size (default one per usable CPU)", least=1)}
 
 
 def attack_rows(cfg: dict):
@@ -268,12 +284,15 @@ def attack_rows(cfg: dict):
         raise HarnessError(f"n_updates = {attack_cfg.n_updates} exceeds the "
                            f"cap {N_UPDATES_CAP}")
     # the pool forks all its workers at start, so it gets no more than trials
-    workers = min(workers or os.cpu_count() or 1, trials)
+    workers = min(workers or _usable_cpus(), trials)
     jobs = [(name, scheme, attack_cfg, seed + i) for i in range(trials)]
     if workers > 1:
-        # map yields results in job order, whatever the scheduling
+        # map yields results in job order, whatever the scheduling; about
+        # four chunks per worker, since one trial per task costs more in
+        # pickling and messages than a classical trial takes
+        chunk = max(1, len(jobs) // (4 * workers))
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(_attack_trial, jobs))
+            results = list(ex.map(_attack_trial, jobs, chunksize=chunk))
     else:
         results = [_attack_trial(j) for j in jobs]
     rows, bad_totals = (list(c) for c in zip(*results))

@@ -10,6 +10,7 @@ act on those axes.  Measurements on QState live in tests/reference.py.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,10 +159,20 @@ def embed_unitary(g: np.ndarray, qubit_axes, n: int, x: np.ndarray) -> np.ndarra
     t = len(qubit_axes)
     if g.shape != (1 << t, 1 << t):
         raise HilbertError(f"gate of shape {g.shape} cannot act on {t} qubits")
-    tensor = np.moveaxis(x.reshape((2,) * n + x.shape[1:]), qubit_axes, range(t))
+    front, back = _front_perms(tuple(qubit_axes), n + x.ndim - 1)
+    tensor = x.reshape((2,) * n + x.shape[1:]).transpose(front)
     shape = tensor.shape
     tensor = (g @ tensor.reshape(1 << t, -1)).reshape(shape)
-    return np.moveaxis(tensor, range(t), qubit_axes).reshape(x.shape)
+    return tensor.transpose(back).reshape(x.shape)
+
+
+@functools.lru_cache(maxsize=1024)
+def _front_perms(axes: tuple, ndim: int) -> tuple:
+    """The transpose that moves axes, in order, to the front of an ndim
+    tensor, keeping the rest in order, and its inverse: the permutations
+    np.moveaxis(x, axes, range(len(axes))) builds on every call."""
+    front = axes + tuple(a for a in range(ndim) if a not in axes)
+    return front, tuple(np.argsort(front).tolist())
 
 
 def partial_trace(state, keep) -> DensityOp:

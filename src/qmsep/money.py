@@ -8,7 +8,10 @@ tag of None stands for the computational basis.  Qubit i of a valid note is
 |R(bit)>, with H applied when R(basis) = 1.  Verification queries each
 check's positions classically, in check order (basis first), and measures
 qubit i with the projector onto that state, so valid notes are perfectly
-correct and perfectly reusable.  MoneyScheme derives everything else from
+correct and perfectly reusable.  One basis change, the check frame
+U = (x)_i H^R(basis_i), turns every check into a computational-basis one
+(Wiesner's conjugate coding), so verify reads all m outcomes off the
+diagonal of U rho U.  MoneyScheme derives everything else from
 the template: the serial and tag widths, the query positions of verify,
 which are mint's too, and their count q = q', mint, verify, the verifier
 simulated from a partial database D (an unknown position becomes a fresh
@@ -26,6 +29,7 @@ counterexample  [(0, None, 0)] + [(1, 1+2i, 2+2i)]: the bit R(s) of a first
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,14 +37,14 @@ import numpy as np
 from .hilbert import (
     HADAMARD,
     DensityOp,
-    RegisterLayout,
     embed_unitary,
     index_bits,
     kron,
 )
 from .oracle import ORACLE_L_CAP
-from .synth import ReducedVerifier, VerifierSpec
+from .synth import ReducedVerifier, VerifierSpec, note_layout
 
+_I2 = np.eye(2, dtype=np.complex128)
 _CH = np.eye(4, dtype=np.complex128)
 _CH[2:, 2:] = HADAMARD  # controlled-H, control qubit first
 
@@ -89,30 +93,6 @@ class WorldHandle:
         return z
 
 
-def _measure_qubit(rho: np.ndarray, n: int, qubit: int, proj: np.ndarray, rng):
-    """Projective binary measurement {proj, 1-proj} of one qubit of rho.
-
-    The 2x2 operator acts on the qubit's axis of rho, reshaped to
-    (2^qubit, 2, rest) for the rows and (rest, 2, 2^(n-qubit-1)) for the
-    columns, so no 2^n x 2^n projector is built.  It stays off
-    hilbert.embed_unitary on purpose: at m = 2 a call takes 18-24 us on a
-    2-core Xeon host, an embed_unitary version 60-77 us, and an
-    attack-classical trial, which makes 6 calls, takes 0.7-1.1 ms.
-    """
-    dim = 1 << n
-    rows = rho.reshape(1 << qubit, 2, -1)
-    p_rho = (proj @ rows).reshape(dim, dim)
-    p1 = float(np.trace(p_rho).real)
-    p1 = min(max(p1, 0.0), 1.0)
-    hit = 1 if rng.random() < p1 else 0
-    if hit:
-        op, left, norm = proj, p_rho, p1
-    else:
-        op, left, norm = np.eye(2) - proj, rho - p_rho, max(1.0 - p1, 1e-300)
-    cols = left.reshape(-1, 2, 1 << (n - qubit - 1))
-    return hit, (op.T @ cols).reshape(dim, dim) / norm
-
-
 def _conjugate_proj(basis: int, bit: int) -> np.ndarray:
     vec = np.zeros(2, dtype=np.complex128)
     vec[bit] = 1.0
@@ -128,6 +108,17 @@ _CHECK_PROJ = [[_conjugate_proj(b, z) for z in (0, 1)] for b in (0, 1)]
 # basis, and over its basis alone, for a known bit z
 _HALF_I = np.eye(2, dtype=np.complex128) / 2
 _EITHER_BASIS = [(_CHECK_PROJ[0][z] + _CHECK_PROJ[1][z]) / 2 for z in (0, 1)]
+
+
+@functools.lru_cache(maxsize=16)  # 1 MB each at the 8-qubit note cap
+def _check_frame(bases: tuple) -> np.ndarray:
+    """U = (x)_i H^bases[i], the frame in which each check measures its
+    qubit in the computational basis.  U is real, symmetric and its own
+    inverse; callers never write it."""
+    u = np.ones((1, 1), dtype=np.complex128)
+    for b in bases:
+        u = kron(u, HADAMARD if b else _I2)
+    return u
 
 
 class MoneyScheme:
@@ -167,9 +158,6 @@ class MoneyScheme:
         return [(None if basis is None else (serial[k] << tb) | basis,
                  (serial[k] << tb) | bit) for k, basis, bit in self.template]
 
-    def note_layout(self) -> RegisterLayout:
-        return RegisterLayout((("M", self.m),))
-
     def verify_positions(self, serial) -> list:
         """The positions verify queries, in query order."""
         return [x for check in self.checks(serial) for x in check if x is not None]
@@ -190,17 +178,39 @@ class MoneyScheme:
             b = 0 if basis is None else world.query(basis)
             z = world.query(bit, quantum=self.quantum_mint and i == 0)
             mat = kron(mat, _CHECK_PROJ[b][z])
-        return Banknote(serial=serial, state=DensityOp(self.note_layout(), mat))
+        return Banknote(serial=serial, state=DensityOp(note_layout(self.m), mat))
 
     def verify(self, note: Banknote, world: WorldHandle, stream):
-        rho = note.state.matrix
-        ok = True
-        for i, (basis, bit) in enumerate(self.checks(note.serial)):
-            b = 0 if basis is None else world.query(basis)
-            proj = _CHECK_PROJ[b][world.query(bit)]
-            hit, rho = _measure_qubit(rho, self.m, i, proj, stream)
-            ok = ok and bool(hit)
-        return ok, Banknote(note.serial, DensityOp(self.note_layout(), rho))
+        """Measure qubit i with check i's projector, for i = 0..m-1 in turn,
+        after querying every check's positions; returns (all checks hit,
+        post-measurement note).
+
+        In the check frame U each projector is |z_i><z_i| on qubit i, so the
+        outcome probabilities are sums over the diagonal of U rho U: check i
+        hits with probability the surviving mass whose bit i is z_i, over
+        all surviving mass.  Each outcome fixes one bit, so one index j
+        survives all m checks, and the post-measurement state is U|j><j|U,
+        the product of the checks' outcome projectors.  Draw i decides
+        check i, as when each qubit was measured on its own.
+        """
+        bases, bits = [], []
+        for basis, bit in self.checks(note.serial):
+            bases.append(0 if basis is None else world.query(basis))
+            bits.append(world.query(bit))
+        frame = _check_frame(tuple(bases))
+        # diag(U rho U), U symmetric: row j of U rho times row j of U
+        mass = ((frame @ note.state.matrix) * frame).sum(axis=1).real.tolist()
+        ok, j = True, 0
+        for z, draw in zip(bits, stream.random(self.m).tolist()):
+            half = len(mass) >> 1
+            p1 = sum(mass[half:] if z else mass[:half]) / max(sum(mass), 1e-300)
+            hit = draw < min(max(p1, 0.0), 1.0)
+            c = z if hit else 1 - z
+            mass = mass[half:] if c else mass[:half]
+            j = (j << 1) | c
+            ok = ok and hit
+        post = np.outer(frame[j], frame[j])
+        return ok, Banknote(note.serial, DensityOp(note_layout(self.m), post))
 
     def sim_verifier(self, pk, serial, d: dict) -> VerifierSpec:
         """The verifier with oracle answers taken from d.  pk is ignored:

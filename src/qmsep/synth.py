@@ -27,6 +27,7 @@ destructively, is the engine's test reference (tests/reference.py).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -208,8 +209,15 @@ def _spectrum(spec: VerifierSpec | ReducedVerifier):
     return np.clip(vals, 0.0, 1.0), vecs
 
 
+@functools.lru_cache(maxsize=None)  # a layout has at most QUBIT_CAP qubits
+def note_layout(m: int) -> RegisterLayout:
+    """The layout of an m-qubit input register, "M": of a note, and of the
+    states synthesis returns."""
+    return RegisterLayout((("M", m),))
+
+
 def _input_state(spec: VerifierSpec | ReducedVerifier, mat: np.ndarray) -> DensityOp:
-    return DensityOp(RegisterLayout((("M", spec.m),)), mat)
+    return DensityOp(note_layout(spec.m), mat)
 
 
 def acceptance_of(spec: VerifierSpec | ReducedVerifier, rho_m: DensityOp) -> float:

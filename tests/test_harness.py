@@ -414,12 +414,13 @@ def test_cli_attack_has_no_variant_flag(capsys):
 
 
 def test_attack_pool_has_no_more_workers_than_trials(monkeypatch):
-    # a fork pool starts every worker at once, needed or not
-    sizes = []
+    # a fork pool starts every worker at once, needed or not; it takes the
+    # trials in about four chunks per worker
+    pools = []
 
     class InProcessPool:
         def __init__(self, max_workers):
-            sizes.append(max_workers)
+            pools.append([max_workers])
 
         def __enter__(self):
             return self
@@ -427,16 +428,41 @@ def test_attack_pool_has_no_more_workers_than_trials(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, jobs):
+        def map(self, fn, jobs, chunksize=1):
+            pools[-1].append(chunksize)
             return map(fn, jobs)
 
     monkeypatch.setattr(harness.concurrent.futures, "ProcessPoolExecutor",
                         InProcessPool)
-    cfg = {"scheme": "hash-tag", "trials": 2, "seed": 0, "t_max": 2,
-           "n_updates": 2}
-    pooled, _ = attack_rows({**cfg, "workers": 500})
-    serial, _ = attack_rows({**cfg, "workers": 1})
-    assert sizes == [2] and pooled == serial
+    cfg = {"scheme": "hash-tag", "seed": 0, "t_max": 2, "n_updates": 2}
+    pooled, _ = attack_rows({**cfg, "trials": 2, "workers": 500})
+    serial, _ = attack_rows({**cfg, "trials": 2, "workers": 1})
+    assert pools == [[2, 1]] and pooled == serial
+    pooled, _ = attack_rows({**cfg, "trials": 16, "workers": 2})
+    serial, _ = attack_rows({**cfg, "trials": 16, "workers": 1})
+    assert pools == [[2, 1], [2, 2]] and pooled == serial
+
+
+def test_default_workers_follow_the_affinity_mask(monkeypatch):
+    # one usable CPU on a many-CPU machine: the trials run in this process
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was made")
+
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(harness.concurrent.futures, "ProcessPoolExecutor", no_pool)
+    rows, _ = attack_rows({"scheme": "hash-tag", "trials": 3, "t_max": 2,
+                           "n_updates": 2})
+    assert len(rows) == 3
+
+
+@pytest.mark.parametrize("values", [
+    [], [7], [4] * 50, list(range(30)), [0, 2, 2, 2, 2, 4, 4, 4, 4, 4, 4],
+    [0] + [5] * 1000 + [6] + [5] * 3, [10 ** 6] * 3 + [3]])
+def test_runs_cell_is_the_plain_join(values):
+    # one value, all distinct, long runs, and a value that comes back
+    assert harness._runs_cell(values) == ";".join(str(v) for v in values)
 
 
 @pytest.mark.parametrize("verifier,reason", [

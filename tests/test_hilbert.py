@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -167,6 +168,38 @@ def test_embed_unitary_is_the_big_endian_embedding(axes):
     x = stream.normal(size=(1 << n, 3)) + 1j * stream.normal(size=(1 << n, 3))
     assert np.abs(embed_unitary(g, axes, n, x) - e @ x).max() < 1e-12
     assert np.abs(embed_unitary(g, axes, n, x[:, 0]) - e @ x[:, 0]).max() < 1e-12
+
+
+def _embed_cases(n):
+    """Every ordered list of up to three of n axes, each with a Haar gate
+    and a vector, a 3-column matrix and the identity as inputs."""
+    rng = np.random.default_rng(100 + n)
+    for t in range(1, min(n, 3) + 1):
+        for axes in itertools.permutations(range(n), t):
+            g = haar_unitary(1 << t, rng)
+            vec = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+            mat = rng.normal(size=(1 << n, 3)) + 1j * rng.normal(size=(1 << n, 3))
+            for x in (vec, mat, np.eye(1 << n, dtype=np.complex128)):
+                yield g, list(axes), x
+
+
+# sha256 of embed_unitary's outputs over _embed_cases(n), recorded while it
+# moved the gate's axes to the front with np.moveaxis
+EMBED_SHA256 = {
+    1: "87b7b02e6895399a509c9fe1a5ea1c9d3bc918a3233cf5e473e9f1047d2c4bc9",
+    2: "604a598e0dd7560a81bb0afce8dbbc44223223ea0cd461e25d34c6d9178f9e04",
+    3: "f30c6e820798f18a20062107b1856b743b3d089bb7753617272564313d734a65",
+    4: "d028a2a47798ff02770105da6f5c5e6a1d65f7af63017447b59681908e4310df",
+    5: "473560dd6ba1f71c5e89d911688defa79adc07d0bb2aa90454d29e6933e695bf",
+}
+
+
+@pytest.mark.parametrize("n", list(EMBED_SHA256))
+def test_embed_unitary_bytes_are_pinned(n):
+    h = hashlib.sha256()
+    for g, axes, x in _embed_cases(n):
+        h.update(embed_unitary(g, axes, n, x).tobytes())
+    assert h.hexdigest() == EMBED_SHA256[n]
 
 
 def test_kron_is_byte_equal_to_np_kron_on_check_projector_chains():

@@ -18,7 +18,7 @@ from qmsep.money import (
     MoneyError,
     SCHEMES,
     WorldHandle,
-    _measure_qubit,
+    _CHECK_PROJ,
     make_scheme,
 )
 from qmsep.oracle import sample_oracle
@@ -218,38 +218,71 @@ def test_verify_query_accounting(name):
     assert {x for x, _ in pairs} == set(scheme.verify_positions(note.serial))
 
 
-class _FixedDraw:
-    """An rng whose random() is fixed, to force a measurement outcome."""
+class _FixedDraws:
+    """A stream whose random(m) returns fixed draws, to force outcomes."""
 
-    def __init__(self, value):
-        self.value = value
+    def __init__(self, draws):
+        self.draws = draws
 
-    def random(self):
-        return self.value
+    def random(self, size):
+        assert size == len(self.draws)
+        return np.array(self.draws)
+
+
+def _draw(kind, p1):
+    # 0 always hits and the float below 1 always misses; p1 -+ 1e-12 sit
+    # on either side of the point where the outcome flips
+    return {"zero": 0.0, "top": np.nextafter(1.0, 0.0),
+            "below": p1 - 1e-12, "above": p1 + 1e-12}[kind]
+
+
+def _verify_by_embedded_projectors(rho, checks, kinds):
+    """Verification as m single-qubit measurements, each with its 2^m x 2^m
+    embedded projector; returns (accepted, post-state, the draws used)."""
+    m = len(checks)
+    eye = np.eye(1 << m)
+    ok, draws = True, []
+    for i, ((b, z), kind) in enumerate(zip(checks, kinds)):
+        p_full = embed_unitary(_CHECK_PROJ[b][z], [i], m, eye)
+        p1 = float(np.trace(p_full @ rho).real)
+        draws.append(_draw(kind, p1))
+        hit = draws[-1] < p1
+        op = p_full if hit else eye - p_full
+        rho = op @ rho @ op / (p1 if hit else 1.0 - p1)
+        ok = ok and hit
+    return ok, rho, draws
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
-def test_measure_qubit_matches_embedded_projector(m):
+def test_verify_matches_embedded_projector_measurements(m):
+    """verify's one pass in the check frame decides every check as m
+    projective measurements in turn would, for every (basis, bit) of every
+    check, and leaves the same post-state; hash-tag's checks have no basis
+    position."""
     dm = 1 << m
-    gen = Stream(m).gen
-    for qubit in range(m):
-        a = haar_unitary(dm * dm, gen)[:, 0].reshape(dm, dm)
-        rho = a @ a.conj().T
-        # a complex rank-1 projector, so a transposed operator shows
-        v = haar_unitary(2, gen)[:, 0]
-        proj = np.outer(v, v.conj())
-        p_full = embed_unitary(proj, [qubit], m, np.eye(dm))
-        p1 = float(np.trace(p_full @ rho).real)
-        # random() = 0 always hits; the float below 1 always misses
-        for hit, draw in ((1, 0.0), (0, np.nextafter(1.0, 0.0))):
-            op = p_full if hit else np.eye(dm) - p_full
-            want = op @ rho @ op / (p1 if hit else 1.0 - p1)
-            got_hit, got = _measure_qubit(rho, m, qubit, proj, _FixedDraw(draw))
-            assert got_hit == hit
-            assert np.abs(got - want).max() < 1e-12
-        # the outcome flips where the draw crosses p1
-        assert _measure_qubit(rho, m, qubit, proj, _FixedDraw(p1 - 1e-12))[0] == 1
-        assert _measure_qubit(rho, m, qubit, proj, _FixedDraw(p1 + 1e-12))[0] == 0
+    gen = Stream(50 + m).gen
+    serial = (1,)
+    for name, pairs in (("conjugate", [(0, 0), (0, 1), (1, 0), (1, 1)]),
+                        ("hash-tag", [(0, 0), (0, 1)])):
+        scheme = make_scheme(name, l=6, m=m)
+        checks = scheme.checks(serial)
+        for values in itertools.product(pairs, repeat=m):
+            table = np.zeros(1 << scheme.l, dtype=np.int64)
+            for (basis, bit), (b, z) in zip(checks, values):
+                if basis is not None:
+                    table[basis] = b
+                table[bit] = z
+            a = gen.normal(size=(dm, dm)) + 1j * gen.normal(size=(dm, dm))
+            rho = a @ a.conj().T / np.trace(a @ a.conj().T).real
+            note = Banknote(serial, DensityOp(RegisterLayout((("M", m),)), rho))
+            for kinds in itertools.product(["zero", "top", "below", "above"], repeat=m):
+                want_ok, want, draws = _verify_by_embedded_projectors(rho, values, kinds)
+                world = WorldHandle(scheme.l, table=table)
+                ok, post = scheme.verify(note, world, _FixedDraws(draws))
+                assert ok == want_ok
+                assert np.abs(post.state.matrix - want).max() < 1e-12
+                # basis then bit, check by check
+                assert [x for x, _ in world.dr] == scheme.verify_positions(serial)
 
 
 def test_conjugate_tampered_qubit_accepts_half():

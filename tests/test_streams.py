@@ -46,15 +46,26 @@ def test_nested_paths_differ():
     assert not np.array_equal(a.random(4), b.random(4))
 
 
-@pytest.mark.parametrize("labels", [(), (0,), ("u", 3), (("synth", 5), "x", 7)])
+@pytest.mark.parametrize("labels", [(), (0,), ("u", 3), (("synth", 5), "x", 7),
+                                    (2 ** 32,), (0, 2 ** 40 + 3, 2 ** 70)])
 def test_split_chain_draws_as_its_seed_sequence(labels):
-    s = Stream(2024)
-    for label in labels:
-        s = s.split(label)
-    path = tuple(_label_key(label) for label in labels)
-    ref = np.random.default_rng(np.random.SeedSequence(2024, spawn_key=path))
-    assert np.array_equal(s.random(6), ref.random(6))
-    assert np.array_equal(s.integers(0, 1 << 40, 5), ref.integers(0, 1 << 40, 5))
+    # seeds of one to five uint32 words, below and above SeedSequence's
+    # four-word pool
+    for seed in (0, 2024, 2 ** 32, 2 ** 64 + 5, 2 ** 130):
+        s = Stream(seed)
+        for label in labels:
+            s = s.split(label)
+        path = tuple(_label_key(label) for label in labels)
+        ref = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=path))
+        assert np.array_equal(s.random(6), ref.random(6))
+        assert np.array_equal(s.integers(0, 1 << 40, 5), ref.integers(0, 1 << 40, 5))
+
+
+def test_negative_seed_raises_on_first_draw():
+    with pytest.raises(ValueError):
+        Stream(-1).random()
+    with pytest.raises(ValueError):
+        Stream(-(2 ** 70)).split(3).random()
 
 
 def test_generator_is_built_on_first_draw(monkeypatch):
@@ -62,7 +73,7 @@ def test_generator_is_built_on_first_draw(monkeypatch):
     seed_sequence = np.random.SeedSequence
 
     def counting(*args, **kwargs):
-        built.append(kwargs.get("spawn_key"))
+        built.append(1)
         return seed_sequence(*args, **kwargs)
 
     monkeypatch.setattr(np.random, "SeedSequence", counting)
@@ -70,4 +81,4 @@ def test_generator_is_built_on_first_draw(monkeypatch):
     assert built == []
     s.random()
     s.random()
-    assert built == [s.path]
+    assert len(built) == 1
