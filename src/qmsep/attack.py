@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import weakref
 from dataclasses import dataclass
 
-from .hilbert import DensityOp
 from .money import Banknote, MoneyScheme, WorldHandle
 from .oracle import sample_oracle
 from .synth import (
@@ -27,6 +27,9 @@ from .synth import (
 
 
 DELTA_R = 0.99  # the reusability every derived parameter assumes
+# most states and exact acceptances one _SynthMemo keeps (see its docstring)
+MEMO_STATES = 64
+MEMO_ACCEPTS = 1024
 
 
 class AttackError(ValueError):
@@ -131,33 +134,90 @@ def build_sim_verifier(scheme, serial, d: dict) -> ReducedVerifier:
     return scheme.sim_operator(serial, d)
 
 
-class _SynthCache:
-    """Memoizes synthesis against a fixed database (per attack run)."""
+_MEMOS = weakref.WeakKeyDictionary()  # scheme -> {SynthesisParams: _SynthMemo}
 
-    def __init__(self, scheme, serial, params: SynthesisParams):
-        self.scheme = scheme
-        self.serial = serial
+
+class _SynthMemo:
+    """Synthesized states and their exact acceptance, for one scheme object
+    and one SynthesisParams, shared by every run on that scheme.
+
+    The simulated verifier's A is a Kronecker product of one 2x2 factor per
+    check, so it depends only on scheme.factor_key(serial, d), and so do
+    the eigen witness and, on the trial backend, the (spec, TrialEngine)
+    pair: the engine is deterministic, and each synthesis still draws from
+    its own rng.  A state's key is its factor key, with, on the trial
+    backend, whether it is the fallback.  Its exact acceptance depends only
+    on the state and scheme.answer_key(serial, world), so it is keyed by
+    both.  On a hit nothing is built, solved or embedded, and the bytes are
+    the ones a cold memo computes.  The states it returns are read-only,
+    since later runs share them.
+
+    The memos live beside their scheme in a WeakKeyDictionary, so pickling
+    a scheme (the pool's jobs) never carries one, and a new scheme object
+    starts cold.  A full map drops its oldest entry.  A witness is 1 MB at
+    NOTE_QUBIT_CAP, so MEMO_STATES eigen witnesses take at most 64 MB per
+    memo there; a trial-backend entry (A, its eigenvectors, rho_m and the
+    mixed state) takes about 4 MB, 256 MB in all.  MEMO_ACCEPTS floats take
+    under 1 MB.  The benchmark's workloads need at most 33 states and 64
+    acceptances per memo.
+    """
+
+    def __init__(self, params: SynthesisParams):
         self.params = params
-        self.cache = {}
+        self.states = {}   # factor key -> witness, or (spec, TrialEngine)
+        self.accepts = {}  # (state key, answer key) -> exact acceptance
 
-    def state_for(self, d: dict, rng) -> DensityOp:
-        """The synthesized state for d; only the trial backend reads rng."""
-        key = frozenset(d.items())
-        if self.params.backend == "eigen":
-            # deterministic given the database; safe to memoize outright
-            if key not in self.cache:
-                spec = build_sim_verifier(self.scheme, self.serial, d)
-                self.cache[key] = synthesize(spec, self.params, rng).state
-            return self.cache[key]
-        if key not in self.cache:
-            spec = build_sim_verifier(self.scheme, self.serial, d)
-            self.cache[key] = (spec, TrialEngine(spec, self.params))
-        spec, engine = self.cache[key]
-        return synthesize(spec, self.params, rng, engine=engine).state
+    @classmethod
+    def of(cls, scheme: MoneyScheme, params: SynthesisParams) -> "_SynthMemo":
+        by_params = _MEMOS.get(scheme)
+        if by_params is None:
+            by_params = _MEMOS[scheme] = {}
+        memo = by_params.get(params)
+        if memo is None:
+            memo = by_params[params] = cls(params)
+        return memo
+
+    @staticmethod
+    def _put(table: dict, cap: int, key, value):
+        if len(table) >= cap:
+            del table[next(iter(table))]
+        table[key] = value
+
+    def state(self, scheme, serial, d: dict, rng):
+        """The state synthesized against d, and its state key; only the
+        trial backend reads rng."""
+        params = self.params
+        key = scheme.factor_key(serial, d)
+        hit = self.states.get(key)
+        if params.backend == "eigen":
+            if hit is None:
+                spec = build_sim_verifier(scheme, serial, d)
+                hit = synthesize(spec, params, rng).state
+                hit.matrix.flags.writeable = False
+                self._put(self.states, MEMO_STATES, key, hit)
+            return hit, key
+        if hit is None:
+            spec = build_sim_verifier(scheme, serial, d)
+            hit = (spec, TrialEngine(spec, params))
+            self._put(self.states, MEMO_STATES, key, hit)
+        spec, engine = hit
+        res = synthesize(spec, params, rng, engine=engine)
+        res.state.matrix.flags.writeable = False
+        return res.state, (key, res.fallback)
+
+    def accept_prob(self, scheme, note: Banknote, state_key, world) -> float:
+        """scheme.accept_prob(note, world), for the state state_key names.
+        The answer key reads the world's bits in accept_prob's order, so a
+        lazy world draws what accept_prob would."""
+        key = (state_key, scheme.answer_key(note.serial, world))
+        p = self.accepts.get(key)
+        if p is None:
+            p = scheme.accept_prob(note, world)
+            self._put(self.accepts, MEMO_ACCEPTS, key, p)
+        return p
 
 
-def update_phase(scheme, serial, world, d0: dict, cfg: AttackConfig,
-                 stream, cache: _SynthCache | None = None):
+def update_phase(scheme, serial, world, d0: dict, cfg: AttackConfig, stream):
     """N rounds of synthesizing a note against D and merging what the true
     verifier reveals; returns (databases, per-round exact acceptance
     probabilities, bad-query counts).
@@ -169,8 +229,7 @@ def update_phase(scheme, serial, world, d0: dict, cfg: AttackConfig,
     round has the same database, state and probability, and they are
     filled in at once.
     """
-    if cache is None:
-        cache = _SynthCache(scheme, serial, cfg.synth_params)
+    memo = _SynthMemo.of(scheme, cfg.synth_params)
     eigen = cfg.synth_params.backend == "eigen"
     needed = set(scheme.verify_positions(serial))
     databases = [dict(d0)]
@@ -181,13 +240,15 @@ def update_phase(scheme, serial, world, d0: dict, cfg: AttackConfig,
         complete = needed <= d.keys()
         if complete and eigen:
             rest = cfg.n_updates - k
-            note = Banknote(serial, cache.state_for(d, None))
-            probs += [scheme.accept_prob(note, world)] * rest
+            state, key = memo.state(scheme, serial, d, None)
+            probs += [memo.accept_prob(scheme, Banknote(serial, state),
+                                       key, world)] * rest
             databases += [databases[-1]] * rest
             bad_counts += [0] * rest
             break
         rng = None if eigen else stream.split(("synth", k))
-        note = Banknote(serial, cache.state_for(d, rng))
+        state, key = memo.state(scheme, serial, d, rng)
+        note = Banknote(serial, state)
         pairs = []
         if not complete:
             _, _, pairs = _verify_collecting(scheme, note, world,
@@ -197,19 +258,17 @@ def update_phase(scheme, serial, world, d0: dict, cfg: AttackConfig,
         d.update(new_pairs)
         # read after the verification, so a lazy world has already drawn
         # every bit it reads
-        probs.append(scheme.accept_prob(note, world))
+        probs.append(memo.accept_prob(scheme, note, key, world))
         databases.append(dict(d) if new_pairs else databases[-1])
     return databases, probs, bad_counts
 
 
-def synthesize_phase(scheme, serial, databases, cfg: AttackConfig, stream,
-                     cache: _SynthCache | None = None):
-    if cache is None:
-        cache = _SynthCache(scheme, serial, cfg.synth_params)
+def synthesize_phase(scheme, serial, databases, cfg: AttackConfig, stream):
+    memo = _SynthMemo.of(scheme, cfg.synth_params)
     j = int(stream.integers(0, cfg.n_updates))
     d_j = databases[j]
-    phi1 = cache.state_for(d_j, stream.split(("forge", j, 1)))
-    phi2 = cache.state_for(d_j, stream.split(("forge", j, 2)))
+    phi1, _ = memo.state(scheme, serial, d_j, stream.split(("forge", j, 1)))
+    phi2, _ = memo.state(scheme, serial, d_j, stream.split(("forge", j, 2)))
     return j, phi1, phi2
 
 
@@ -232,11 +291,10 @@ def _mint_and_test(scheme: MoneyScheme, cfg: AttackConfig, stream):
 
 def run_attack(scheme: MoneyScheme, cfg: AttackConfig, stream) -> AttackTranscript:
     world, note, d0, t = _mint_and_test(scheme, cfg, stream)
-    cache = _SynthCache(scheme, note.serial, cfg.synth_params)
     databases, probs, bad_counts = update_phase(
-        scheme, note.serial, world, d0, cfg, stream.split("u"), cache=cache)
+        scheme, note.serial, world, d0, cfg, stream.split("u"))
     j, phi1, phi2 = synthesize_phase(scheme, note.serial, databases,
-                                     cfg, stream.split("s"), cache=cache)
+                                     cfg, stream.split("s"))
     ok1, _, _ = _verify_collecting(scheme, Banknote(note.serial, phi1),
                                    world, stream.split("v1"))
     ok2, _, _ = _verify_collecting(scheme, Banknote(note.serial, phi2),

@@ -16,7 +16,8 @@ the template: the serial and tag widths, the query positions of verify,
 which are mint's too, and their count q = q', mint, verify, the verifier
 simulated from a partial database D (an unknown position becomes a fresh
 |+> ancilla) as a circuit and as the 2^m x 2^m operator synthesis reads,
-and the exact acceptance probability of a note.  The three toy schemes
+the factor key that names that operator by one of seven 2x2 factors per
+check, and the exact acceptance probability of a note.  The three toy schemes
 differ only in their templates, for i < m:
 
 hash-tag        [(0, None, i)]
@@ -108,6 +109,10 @@ _CHECK_PROJ = [[_conjugate_proj(b, z) for z in (0, 1)] for b in (0, 1)]
 # basis, and over its basis alone, for a known bit z
 _HALF_I = np.eye(2, dtype=np.complex128) / 2
 _EITHER_BASIS = [(_CHECK_PROJ[0][z] + _CHECK_PROJ[1][z]) / 2 for z in (0, 1)]
+# every 2x2 factor of a simulated verifier's A, by factor id: 0 is I/2,
+# 1 + z the mean over both bases at bit z, 3 + 2b + z check projector [b][z]
+_FACTORS = (_HALF_I, *_EITHER_BASIS,
+            *(_CHECK_PROJ[b][z] for b in (0, 1) for z in (0, 1)))
 
 
 @functools.lru_cache(maxsize=16)  # 1 MB each at the 8-qubit note cap
@@ -243,6 +248,22 @@ class MoneyScheme:
         v = v[np.where(holds, idx ^ 1, idx)]
         return VerifierSpec(m=m, k=len(anc) + 1, v_hat=v, ans_index=n - 1)
 
+    def factor_key(self, serial, d: dict) -> tuple:
+        """The factor id of each check in sim_operator(serial, d)'s A: 0
+        (I/2) when d lacks the bit, 1 + z (the mean over both bases) when
+        it knows bit z but not the basis, and 3 + 2b + z (the projector)
+        when it knows both, b = 0 for the computational basis.  Equal keys
+        give byte-equal operators, whatever the serial."""
+        key = []
+        for basis, bit in self.checks(serial):
+            if bit not in d:
+                key.append(0)
+            elif basis is None or basis in d:
+                key.append(3 + 2 * (0 if basis is None else d[basis]) + d[bit])
+            else:
+                key.append(1 + d[bit])
+        return tuple(key)
+
     def sim_operator(self, serial, d: dict) -> ReducedVerifier:
         """A = P1 Q1 P1 of sim_verifier(serial, d) on range(P1), from the
         checks alone.
@@ -250,33 +271,34 @@ class MoneyScheme:
         The ancillas make each unknown position a uniform bit, so A is the
         mean of the checks' projector product over the unknown bits.  No two
         checks share a position (the constructor rejects a shared tag), so
-        that mean factors into one 2x2 operator per check: its projector
-        when d knows both positions, I/2 when d lacks the bit, and the mean
-        over both bases when d lacks only the basis.
+        that mean factors into one 2x2 operator per check, the one its
+        factor_key id names: its projector when d knows both positions, I/2
+        when d lacks the bit, and the mean over both bases when d lacks only
+        the basis.
         """
         a = np.ones((1, 1), dtype=np.complex128)
-        for basis, bit in self.checks(serial):
-            if bit not in d:
-                f = _HALF_I
-            elif basis is None or basis in d:
-                f = _CHECK_PROJ[0 if basis is None else d[basis]][d[bit]]
-            else:
-                f = _EITHER_BASIS[d[bit]]
-            a = kron(a, f)
+        for f in self.factor_key(serial, d):
+            a = kron(a, _FACTORS[f])
         unknown = sum(x not in d for x in self.verify_positions(serial))
         return ReducedVerifier(m=self.m, k=unknown + 1, a=a)
+
+    def answer_key(self, serial, world: WorldHandle) -> tuple:
+        """The factor ids of the true verifier's checks: 3 + 2b + z for the
+        world's basis b (0 for None) and bit z at each check, read without
+        recording a query, basis first, check by check."""
+        return tuple(3 + 2 * (0 if basis is None else world._bit(basis))
+                     + world._bit(bit) for basis, bit in self.checks(serial))
 
     def accept_prob(self, note: Banknote, world: WorldHandle) -> float:
         """Exact probability that verify accepts note.
 
         The checks' projectors commute, so this is Tr(Pi rho) for their
         product Pi, applied to rho one qubit at a time.  The oracle is read
-        without recording a query.
+        through answer_key, so it depends on note.state and that key alone.
         """
         rho = note.state.matrix
-        for i, (basis, bit) in enumerate(self.checks(note.serial)):
-            b = 0 if basis is None else world._bit(basis)
-            rho = embed_unitary(_CHECK_PROJ[b][world._bit(bit)], [i], self.m, rho)
+        for i, f in enumerate(self.answer_key(note.serial, world)):
+            rho = embed_unitary(_FACTORS[f], [i], self.m, rho)
         return float(np.trace(rho).real)
 
 

@@ -125,7 +125,8 @@ class VerifierSpec:
             else:
                 raise SynthError(f"unknown gate {name!r}")
             v = embed_unitary(g, targets, n, v)
-        if np.abs(v.conj().T @ v - np.eye(1 << n)).max() > UNITARY_TOL:
+        # written so that a NaN error, from a non-finite entry, fails too
+        if not np.abs(v.conj().T @ v - np.eye(1 << n)).max() <= UNITARY_TOL:
             raise SynthError("v_hat is not unitary within tolerance")
         return cls(m=m, k=k, v_hat=v, ans_index=int(obj["ans_index"]))
 

@@ -1,12 +1,16 @@
+import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
 
+from qmsep import attack
 from qmsep.attack import (
     AttackConfig,
     AttackError,
-    _SynthCache,
+    _SynthMemo,
+    build_sim_verifier,
     bad_query_probe,
     make_world,
     derived_params,
@@ -18,10 +22,10 @@ from qmsep.attack import (
 from qmsep.attack import test_phase as learn_phase
 learn_phase.__test__ = False
 from qmsep.harness import NOTE_QUBIT_CAP
-from qmsep.money import SCHEMES, Banknote, make_scheme
+from qmsep.money import SCHEMES, Banknote, WorldHandle, make_scheme
 from qmsep.oracle import sample_oracle
 from qmsep.streams import Stream
-from qmsep.synth import SynthesisParams
+from qmsep.synth import SynthesisParams, TrialEngine, synthesize
 
 
 def scaled_cfg(scheme, t_max=4, n_updates=6, **kw):
@@ -148,11 +152,12 @@ def test_update_phase_monotone_and_saturates():
 def _update_phase_reference(scheme, serial, world, d0, cfg, stream, secret):
     """Every round synthesizes, runs the true verifier and then takes the
     exact acceptance of its note, whether or not D can still grow."""
-    cache = _SynthCache(scheme, serial, cfg.synth_params)
     databases, probs, bad_counts = [dict(d0)], [], []
     d = dict(d0)
     for k in range(cfg.n_updates):
-        note = Banknote(serial, cache.state_for(d, stream.split(("synth", k))))
+        spec = build_sim_verifier(scheme, serial, d)
+        note = Banknote(serial, synthesize(spec, cfg.synth_params,
+                                           stream.split(("synth", k))).state)
         known = set(d)
         before = len(world.dr)
         scheme.verify(note, world, stream.split(("upd", k)))
@@ -287,6 +292,110 @@ def test_run_attack_deterministic_given_seed():
     assert a.t_drawn == b.t_drawn and a.j_drawn == b.j_drawn
     assert a.db_sizes == b.db_sizes and a.success == b.success
     assert np.abs(a.forged_pair[0].matrix - b.forged_pair[0].matrix).max() == 0
+
+
+# ------------------------------------------------------------ synthesis memo
+
+
+def _twin_worlds(scheme, rng):
+    """Two serials whose checks get the same (basis, bit) answers in two
+    table worlds, so equal subsets of their checks' positions give equal
+    factor keys and both give equal answer keys."""
+    serials = []
+    while len(serials) < 2:
+        s = tuple(int(rng.integers(0, 1 << scheme.s_bits))
+                  for _ in range(scheme.serials))
+        if s not in serials:
+            serials.append(s)
+    answers = rng.integers(0, 2, (scheme.m, 2))
+    worlds = []
+    for s in serials:
+        table = rng.integers(0, 2, 1 << scheme.l)
+        for (basis, bit), (b, z) in zip(scheme.checks(s), answers):
+            if basis is not None:
+                table[basis] = b
+            table[bit] = z
+        worlds.append(WorldHandle(scheme.l, table=table))
+    return serials, worlds
+
+
+@pytest.mark.parametrize("backend", ["eigen", "trial"])
+@pytest.mark.parametrize("name", ["hash-tag", "conjugate", "counterexample"])
+def test_memo_hit_gives_the_cold_bytes(name, backend):
+    # a hit on another serial's entry returns what that serial computes
+    # cold: the witness, the engine's states and the exact acceptance
+    scheme = make_scheme(name)
+    params = SynthesisParams.default(scheme.m, backend=backend)
+    (s1, s2), (w1, w2) = _twin_worlds(scheme, np.random.default_rng(71))
+    checks1, checks2 = scheme.checks(s1), scheme.checks(s2)
+    slots = [(i, j) for i, check in enumerate(checks1)
+             for j in range(2) if check[j] is not None]
+    assert scheme.answer_key(s1, w1) == scheme.answer_key(s2, w2)
+    for r in range(len(slots) + 1):
+        for sub in itertools.combinations(slots, r):
+            d1 = {checks1[i][j]: w1.bits[checks1[i][j]] for i, j in sub}
+            d2 = {checks2[i][j]: w2.bits[checks2[i][j]] for i, j in sub}
+            memo = _SynthMemo(params)
+            state1, key1 = memo.state(scheme, s1, d1, Stream(7))
+            memo.accept_prob(scheme, Banknote(s1, state1), key1, w1)
+            state2, key2 = memo.state(scheme, s2, d2, Stream(7))
+            p2 = memo.accept_prob(scheme, Banknote(s2, state2), key2, w2)
+            assert key1 == key2
+            assert len(memo.states) == len(memo.accepts) == 1  # both hit
+            spec = build_sim_verifier(scheme, s2, d2)
+            cold = synthesize(spec, params, Stream(7))
+            assert state2.matrix.tobytes() == cold.state.matrix.tobytes()
+            assert p2 == scheme.accept_prob(Banknote(s2, cold.state), w2)
+            if backend == "trial":
+                assert key2[1] == cold.fallback
+                engine = memo.states[key2[0]][1]
+                cold_engine = TrialEngine(spec, params)
+                assert engine.joint.tobytes() == cold_engine.joint.tobytes()
+                pairs = [(engine.mixed, cold_engine.mixed)]
+                if cold_engine.p_success > 1e-15:
+                    pairs.append((engine.rho_m(), cold_engine.rho_m()))
+                for warm, fresh in pairs:
+                    assert warm.matrix.tobytes() == fresh.matrix.tobytes()
+
+
+@pytest.mark.parametrize("backend", ["eigen", "trial"])
+@pytest.mark.parametrize("name", ["hash-tag", "conjugate", "counterexample"])
+def test_warm_scheme_runs_as_a_fresh_one(name, backend):
+    warm = make_scheme(name)
+    cfg = scaled_cfg(warm, t_max=3, n_updates=5, synth_params=SynthesisParams.default(
+        warm.m, backend=backend))
+    for seed in range(40):
+        a = run_attack(warm, cfg, Stream(seed))
+        b = run_attack(make_scheme(name), cfg, Stream(seed))
+        assert (a.t_drawn, a.j_drawn, a.db_sizes, a.databases, a.success) == (
+            b.t_drawn, b.j_drawn, b.db_sizes, b.databases, b.success)
+        assert a.update_accept_probs == b.update_accept_probs
+        assert a.bad_query_counts == b.bad_query_counts
+        for phi, psi in zip(a.forged_pair, b.forged_pair):
+            assert phi.matrix.tobytes() == psi.matrix.tobytes()
+            assert not phi.matrix.flags.writeable  # later runs share it
+    memo = _SynthMemo.of(warm, cfg.synth_params)
+    assert 0 < len(memo.states) < 40 and 0 < len(memo.accepts) < 40 * 5
+
+
+def test_memo_is_bounded(monkeypatch):
+    monkeypatch.setattr(attack, "MEMO_STATES", 3)
+    monkeypatch.setattr(attack, "MEMO_ACCEPTS", 4)
+    scheme = make_scheme("conjugate")
+    cfg = scaled_cfg(scheme, t_max=3, n_updates=5)
+    for seed in range(30):
+        run_attack(scheme, cfg, Stream(seed))
+    memo = _SynthMemo.of(scheme, cfg.synth_params)
+    assert len(memo.states) == 3 and len(memo.accepts) == 4
+
+
+def test_scheme_pickles_without_its_memo():
+    warm, cold = make_scheme("counterexample"), make_scheme("counterexample")
+    cfg = scaled_cfg(warm)
+    run_attack(warm, cfg, Stream(5))
+    assert _SynthMemo.of(warm, cfg.synth_params).states
+    assert pickle.dumps(warm) == pickle.dumps(cold)
+    assert not attack._MEMOS.get(pickle.loads(pickle.dumps(warm)))
 
 
 # ------------------------------------------------------------- diagnostics

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import math
+from types import SimpleNamespace
 
 import pytest
 
@@ -7,6 +9,7 @@ import oracle_reference as ref
 from reference import synthesize_by_attempt
 
 from qmsep import cli, harness
+from qmsep.attack import AttackConfig, run_attack
 from qmsep.harness import (
     CSV_COLUMNS,
     CSV_HEADER,
@@ -26,6 +29,7 @@ from qmsep.harness import (
     merge_config,
     rows_to_csv,
 )
+from qmsep.money import make_scheme
 from qmsep.streams import Stream
 from qmsep.synth import SynthesisParams, TrialEngine, VerifierSpec, acceptance_of
 
@@ -443,6 +447,31 @@ def test_attack_pool_has_no_more_workers_than_trials(monkeypatch):
     assert pools == [[2, 1], [2, 2]] and pooled == serial
 
 
+@pytest.mark.parametrize("backend", ["eigen", "trial"])
+@pytest.mark.parametrize("name", ["hash-tag", "counterexample"])
+def test_attack_rows_do_not_depend_on_the_memo(name, backend, monkeypatch):
+    # serial trials share one scheme and its synthesis memo; pooled ones
+    # unpickle a cold scheme per chunk; a lone trial starts cold, and a
+    # scheme warmed by other seeds runs each trial from a warm memo
+    def config(scheme, **kw):
+        return AttackConfig.default(scheme, synth_params=SynthesisParams.default(
+            scheme.m, backend=backend), **kw)
+
+    monkeypatch.setattr(harness, "AttackConfig", SimpleNamespace(default=config))
+    cfg = {"scheme": name, "seed": 40, "t_max": 3, "n_updates": 4}
+    serial, _ = attack_rows({**cfg, "trials": 8, "workers": 1})
+    pooled, _ = attack_rows({**cfg, "trials": 8, "workers": 2})
+    fresh = [attack_rows({**cfg, "seed": 40 + i, "trials": 1})[0][0]
+             for i in range(8)]
+    warm = make_scheme(name)
+    attack_cfg = config(warm, epsilon=0.1, t_max=3, n_updates=4)
+    for seed in range(100, 140):
+        run_attack(warm, attack_cfg, Stream(seed))
+    warmed = [harness._attack_trial((name, warm, attack_cfg, 40 + i))[0]
+              for i in range(8)]
+    assert serial == pooled == fresh == warmed
+
+
 def test_default_workers_follow_the_affinity_mask(monkeypatch):
     # one usable CPU on a many-CPU machine: the trials run in this process
     def no_pool(*args, **kwargs):
@@ -478,7 +507,14 @@ def test_runs_cell_is_the_plain_join(values):
       "gates": [X_GATE, {"name": "CNOT", "targets": [0, 0]}]},
      "gate 1 ('CNOT') has targets [0, 0]"),
     ({"m": 2, "k": 1, "ans_index": 2, "gates": [{"name": "H", "targets": [5]}]},
-     "gate 0 ('H') has targets [5]")], ids=[f"verifier{i}" for i in range(7)])
+     "gate 0 ('H') has targets [5]"),
+    # json.dumps writes NaN and Infinity, which json.loads reads back
+    ({"m": 1, "k": 0, "ans_index": 0, "gates": [{"name": "U", "targets": [0],
+      "matrix": [[math.nan, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]}]},
+     "not unitary"),
+    ({"m": 1, "k": 0, "ans_index": 0, "gates": [{"name": "U", "targets": [0],
+      "matrix": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [math.inf, 0.0]]}]},
+     "not unitary")], ids=[f"verifier{i}" for i in range(9)])
 def test_cli_synth_rejects_bad_verifier(tmp_path, verifier, reason, capsys):
     path = tmp_path / "v.json"
     path.write_text(json.dumps(verifier))

@@ -468,6 +468,45 @@ def test_sim_operator_is_the_circuits_reduced_operator(name):
         assert np.abs(op.a - spec.reduced()).max() < 1e-12
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("name", list(SCHEMES))
+def test_factor_key_names_the_operator(name, m):
+    # over 4 serials and every subset of each one's positions: equal keys
+    # give byte-equal operators, distinct keys distinct ones, and the
+    # complete database's key is the true verifier's answer key
+    scheme = make_scheme(name, m=m)
+    rng = np.random.default_rng(2024 + m)
+    by_key = {}
+    for _ in range(4):
+        serial = tuple(int(rng.integers(0, 1 << scheme.s_bits))
+                       for _ in range(scheme.serials))
+        table = rng.integers(0, 2, 1 << scheme.l)
+        world = WorldHandle(scheme.l, table=table)
+        pos = scheme.verify_positions(serial)
+        for r in range(len(pos) + 1):
+            for sub in itertools.combinations(pos, r):
+                d = {x: int(table[x]) for x in sub}
+                key = scheme.factor_key(serial, d)
+                assert len(key) == scheme.m
+                a = scheme.sim_operator(serial, d).a.tobytes()
+                assert by_key.setdefault(key, a) == a
+        assert scheme.answer_key(serial, world) == key  # sub is all of pos
+        assert world.dr == []  # read without recording a query
+    assert len(set(by_key.values())) == len(by_key)
+
+
+@pytest.mark.parametrize("name", list(SCHEMES))
+def test_answer_key_draws_a_lazy_world_in_query_order(name):
+    # the order verify queries and accept_prob has always read: a lazy
+    # world's draws, and so its bits, depend on it
+    scheme = make_scheme(name, m=3)
+    serial = tuple(range(1, scheme.serials + 1))
+    world = WorldHandle(scheme.l, stream=Stream(3))
+    scheme.answer_key(serial, world)
+    assert list(world.bits) == scheme.verify_positions(serial)
+    assert world.dr == []
+
+
 def test_scheme_rejects_a_shared_tag():
     # checks that share a tag share a position for every serial that agrees
     # on their serial slots, and sim_operator's factoring assumes none do

@@ -510,6 +510,17 @@ def test_verifier_json_unknown_gate():
 
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_verifier_json_rejects_non_finite_matrix(bad):
+    # a NaN unitarity error compares False with any tolerance
+    entries = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
+    entries[3][1] = bad
+    with pytest.raises(SynthError, match="not unitary"):
+        VerifierSpec.from_json(json.dumps(
+            {"m": 1, "k": 0, "ans_index": 0,
+             "gates": [{"name": "U", "targets": [0], "matrix": entries}]}))
+
+
 def test_verifier_json_rejects_non_unitary_gate():
     scaled = [[2.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]  # diag(2, 1)
     with pytest.raises(SynthError):
