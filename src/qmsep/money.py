@@ -35,17 +35,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import (
-    HADAMARD,
-    DensityOp,
-    embed_unitary,
-    index_bits,
-    kron,
-)
+from .hilbert import HADAMARD, DensityOp, embed_unitary, index_bits, kron
 from .oracle import ORACLE_L_CAP
 from .synth import ReducedVerifier, VerifierSpec, note_layout
 
-_I2 = np.eye(2, dtype=np.complex128)
 _CH = np.eye(4, dtype=np.complex128)
 _CH[2:, 2:] = HADAMARD  # controlled-H, control qubit first
 
@@ -94,36 +87,27 @@ class WorldHandle:
         return z
 
 
-def _conjugate_proj(basis: int, bit: int) -> np.ndarray:
-    vec = np.zeros(2, dtype=np.complex128)
-    vec[bit] = 1.0
-    if basis:
-        vec = HADAMARD @ vec
-    return np.outer(vec, vec.conj())
+# the two one-qubit check frames: row z of _FRAMES[b] is the state a check
+# in basis b (1 the Hadamard basis) holds for bit z
+_FRAMES = (np.eye(2, dtype=np.complex128), HADAMARD)
+# every 2x2 factor of a note operator, by factor id: 3 + 2b + z projects
+# onto row z of frame b, 1 + z is the mean over both bases at bit z, and 0
+# is I/2, the mean over both bits
+_PROJ = [np.outer(f[z], f[z].conj()) for f in _FRAMES for z in (0, 1)]
+_FACTORS = (_FRAMES[0] / 2, *((_PROJ[z] + _PROJ[2 + z]) / 2 for z in (0, 1)),
+            *_PROJ)
 
 
-# the four check projectors, [basis][bit]: shared by every scheme, never
-# written; a lookup costs far less than building one per measured qubit
-_CHECK_PROJ = [[_conjugate_proj(b, z) for z in (0, 1)] for b in (0, 1)]
-# a check averaged over an unknown position: over its bit, whatever the
-# basis, and over its basis alone, for a known bit z
-_HALF_I = np.eye(2, dtype=np.complex128) / 2
-_EITHER_BASIS = [(_CHECK_PROJ[0][z] + _CHECK_PROJ[1][z]) / 2 for z in (0, 1)]
-# every 2x2 factor of a simulated verifier's A, by factor id: 0 is I/2,
-# 1 + z the mean over both bases at bit z, 3 + 2b + z check projector [b][z]
-_FACTORS = (_HALF_I, *_EITHER_BASIS,
-            *(_CHECK_PROJ[b][z] for b in (0, 1) for z in (0, 1)))
-
-
-@functools.lru_cache(maxsize=16)  # 1 MB each at the 8-qubit note cap
-def _check_frame(bases: tuple) -> np.ndarray:
-    """U = (x)_i H^bases[i], the frame in which each check measures its
-    qubit in the computational basis.  U is real, symmetric and its own
-    inverse; callers never write it."""
-    u = np.ones((1, 1), dtype=np.complex128)
-    for b in bases:
-        u = kron(u, HADAMARD if b else _I2)
-    return u
+@functools.lru_cache(maxsize=64)  # 1 MB each, 64 MB, at the 8-qubit note cap
+def _product(ids: tuple, frames: bool = False) -> np.ndarray:
+    """(x)_i T[ids[i]] for T = _FRAMES if frames else _FACTORS: a note, a
+    simulated verifier's A or a check frame.  Notes and verifiers share
+    it, so it is read-only."""
+    out = np.ones((1, 1), dtype=np.complex128)
+    for f in ids:
+        out = kron(out, (_FRAMES if frames else _FACTORS)[f])
+    out.flags.writeable = False
+    return out
 
 
 class MoneyScheme:
@@ -172,17 +156,28 @@ class MoneyScheme:
         """q = q': the queries verify makes on a note, and mint to mint it."""
         return len(self.verify_positions((0,) * self.serials))
 
+    def _read_checks(self, serial, world, record=True, quantum_first=False):
+        """The world's (basis, bit) at each check, b = 0 for a basis of
+        None, read basis then bit, check by check, so a lazy world draws in
+        one order whoever reads it.  Each read is a classical query that
+        world.dr records, or with record off a plain read; quantum_first
+        reads the first bit with a quantum query, as a quantum mint does."""
+        read = world.query if record else world._bit
+        pairs = []
+        for i, (basis, bit) in enumerate(self.checks(serial)):
+            b = 0 if basis is None else read(basis)
+            quantum = quantum_first and i == 0
+            z = world.query(bit, quantum=True) if quantum else read(bit)
+            pairs.append((b, z))
+        return pairs
+
     def mint(self, world, stream) -> Banknote:
         serial = tuple(int(stream.integers(0, 1 << self.s_bits))
                        for _ in range(self.serials))
-        # a quantum mint learns the first check's bit with a quantum query;
-        # its serial register is measured at once, so sampling s first is
-        # equivalent
-        mat = np.array([[1.0]], dtype=np.complex128)
-        for i, (basis, bit) in enumerate(self.checks(serial)):
-            b = 0 if basis is None else world.query(basis)
-            z = world.query(bit, quantum=self.quantum_mint and i == 0)
-            mat = kron(mat, _CHECK_PROJ[b][z])
+        # a quantum mint's query register is measured at once, so sampling
+        # s first is equivalent
+        pairs = self._read_checks(serial, world, quantum_first=self.quantum_mint)
+        mat = _product(tuple(3 + 2 * b + z for b, z in pairs))
         return Banknote(serial=serial, state=DensityOp(note_layout(self.m), mat))
 
     def verify(self, note: Banknote, world: WorldHandle, stream):
@@ -198,23 +193,20 @@ class MoneyScheme:
         the product of the checks' outcome projectors.  Draw i decides
         check i, as when each qubit was measured on its own.
         """
-        bases, bits = [], []
-        for basis, bit in self.checks(note.serial):
-            bases.append(0 if basis is None else world.query(basis))
-            bits.append(world.query(bit))
-        frame = _check_frame(tuple(bases))
+        pairs = self._read_checks(note.serial, world)
+        frame = _product(tuple(b for b, _ in pairs), True)
         # diag(U rho U), U symmetric: row j of U rho times row j of U
         mass = ((frame @ note.state.matrix) * frame).sum(axis=1).real.tolist()
-        ok, j = True, 0
-        for z, draw in zip(bits, stream.random(self.m).tolist()):
+        ok, outcome = True, []
+        for (b, z), draw in zip(pairs, stream.random(self.m).tolist()):
             half = len(mass) >> 1
             p1 = sum(mass[half:] if z else mass[:half]) / max(sum(mass), 1e-300)
             hit = draw < min(max(p1, 0.0), 1.0)
             c = z if hit else 1 - z
             mass = mass[half:] if c else mass[:half]
-            j = (j << 1) | c
+            outcome.append(3 + 2 * b + c)
             ok = ok and hit
-        post = np.outer(frame[j], frame[j])
+        post = _product(tuple(outcome))
         return ok, Banknote(note.serial, DensityOp(note_layout(self.m), post))
 
     def sim_verifier(self, pk, serial, d: dict) -> VerifierSpec:
@@ -272,22 +264,17 @@ class MoneyScheme:
         mean of the checks' projector product over the unknown bits.  No two
         checks share a position (the constructor rejects a shared tag), so
         that mean factors into one 2x2 operator per check, the one its
-        factor_key id names: its projector when d knows both positions, I/2
-        when d lacks the bit, and the mean over both bases when d lacks only
-        the basis.
+        factor_key id names.
         """
-        a = np.ones((1, 1), dtype=np.complex128)
-        for f in self.factor_key(serial, d):
-            a = kron(a, _FACTORS[f])
+        a = _product(self.factor_key(serial, d))
         unknown = sum(x not in d for x in self.verify_positions(serial))
         return ReducedVerifier(m=self.m, k=unknown + 1, a=a)
 
     def answer_key(self, serial, world: WorldHandle) -> tuple:
-        """The factor ids of the true verifier's checks: 3 + 2b + z for the
-        world's basis b (0 for None) and bit z at each check, read without
-        recording a query, basis first, check by check."""
-        return tuple(3 + 2 * (0 if basis is None else world._bit(basis))
-                     + world._bit(bit) for basis, bit in self.checks(serial))
+        """The factor ids of the true verifier's checks, 3 + 2b + z for the
+        world's (basis, bit) at each, read without recording a query."""
+        return tuple(3 + 2 * b + z for b, z in
+                     self._read_checks(serial, world, record=False))
 
     def accept_prob(self, note: Banknote, world: WorldHandle) -> float:
         """Exact probability that verify accepts note.

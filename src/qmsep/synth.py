@@ -61,6 +61,13 @@ class SynthError(ValueError):
     pass
 
 
+def _json_int(value, what: str) -> int:
+    """value, if it is a JSON integer: not a bool, though Python's are ints."""
+    if type(value) is not int:
+        raise SynthError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class VerifierSpec:
     m: int
@@ -98,14 +105,15 @@ class VerifierSpec:
     @classmethod
     def from_json(cls, text: str) -> "VerifierSpec":
         obj = json.loads(text)
-        m, k = int(obj["m"]), int(obj["k"])
+        m, k = _json_int(obj["m"], "m"), _json_int(obj["k"], "k")
+        ans_index = _json_int(obj["ans_index"], "ans_index")
         n = m + k
         if n > SPEC_QUBIT_CAP:
             raise SynthError(f"m + k = {n} exceeds cap {SPEC_QUBIT_CAP}")
         v = np.eye(1 << n, dtype=np.complex128)
         for i, gate in enumerate(obj.get("gates", [])):
             name = gate["name"]
-            targets = [int(t) for t in gate["targets"]]
+            targets = [_json_int(t, f"gate {i} target") for t in gate["targets"]]
             if len(set(targets)) != len(targets) or not all(0 <= t < n for t in targets):
                 raise SynthError(f"gate {i} ({name!r}) has targets {targets}; they "
                                  f"must be distinct qubits in [0, {n})")
@@ -122,13 +130,17 @@ class VerifierSpec:
                     raise SynthError(
                         f"U gate matrix has {len(flat)} entries, expected {d * d}")
                 g = np.array([complex(re, im) for re, im in flat]).reshape(d, d)
+                # no unitary entry exceeds modulus 1; NaN and overflow stop here
+                if not (np.abs(g) <= 1 + UNITARY_TOL).all():
+                    raise SynthError(f"gate {i} has an entry that is not finite "
+                                     "or exceeds modulus 1, so it is not unitary")
             else:
                 raise SynthError(f"unknown gate {name!r}")
             v = embed_unitary(g, targets, n, v)
-        # written so that a NaN error, from a non-finite entry, fails too
+        # written so that a NaN error fails too
         if not np.abs(v.conj().T @ v - np.eye(1 << n)).max() <= UNITARY_TOL:
             raise SynthError("v_hat is not unitary within tolerance")
-        return cls(m=m, k=k, v_hat=v, ans_index=int(obj["ans_index"]))
+        return cls(m=m, k=k, v_hat=v, ans_index=ans_index)
 
 
 @dataclass(frozen=True)

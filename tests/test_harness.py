@@ -514,7 +514,15 @@ def test_runs_cell_is_the_plain_join(values):
      "not unitary"),
     ({"m": 1, "k": 0, "ans_index": 0, "gates": [{"name": "U", "targets": [0],
       "matrix": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [math.inf, 0.0]]}]},
-     "not unitary")], ids=[f"verifier{i}" for i in range(9)])
+     "not unitary"),
+    # JSON numbers that are not integers, and true, which Python reads as 1
+    ({"m": 1.5, "k": 0, "ans_index": 0}, "m must be an integer"),
+    ({"m": 1, "k": True, "ans_index": 0}, "k must be an integer"),
+    ({"m": "2", "k": 0, "ans_index": 0}, "m must be an integer"),
+    ({"m": 1, "k": 1, "ans_index": 1.0}, "ans_index must be an integer"),
+    ({"m": 1, "k": 1, "ans_index": 1, "gates": [{"name": "H", "targets": [0.5]}]},
+     "gate 0 target must be an integer")],
+    ids=[f"verifier{i}" for i in range(14)])
 def test_cli_synth_rejects_bad_verifier(tmp_path, verifier, reason, capsys):
     path = tmp_path / "v.json"
     path.write_text(json.dumps(verifier))

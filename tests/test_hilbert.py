@@ -18,7 +18,7 @@ from qmsep.hilbert import (
     partial_trace,
 )
 from qmsep.harness import _matrix_td
-from qmsep.money import _CHECK_PROJ, _EITHER_BASIS, _HALF_I
+from qmsep.money import _FACTORS
 from qmsep.streams import Stream
 
 H = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2)
@@ -203,7 +203,7 @@ def test_embed_unitary_bytes_are_pinned(n):
 
 
 def test_kron_is_byte_equal_to_np_kron_on_check_projector_chains():
-    factors = [p for row in _CHECK_PROJ for p in row] + _EITHER_BASIS + [_HALF_I]
+    factors = _FACTORS
     stream = Stream(61)
     for _ in range(20):
         ours = ref = np.ones((1, 1), dtype=np.complex128)

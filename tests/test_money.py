@@ -18,12 +18,14 @@ from qmsep.money import (
     MoneyError,
     SCHEMES,
     WorldHandle,
-    _CHECK_PROJ,
+    _FACTORS,
     make_scheme,
 )
 from qmsep.oracle import sample_oracle
 from qmsep.streams import Stream
 from qmsep.synth import acceptance_of
+
+H = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
 
 
 def sampled_world(scheme, seed):
@@ -197,6 +199,32 @@ def test_fresh_notes_always_accept(name):
         assert np.abs(post.state.matrix - note.state.matrix).max() < 1e-9
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("name", list(SCHEMES))
+def test_valid_note_is_the_true_verifiers_operator(name, m):
+    # mint, sim_operator and verify's post note are built from the same
+    # factor ids; the reference here is np.kron and np.outer
+    scheme = make_scheme(name, m=m)
+    for seed in range(20):
+        world, note = mint_note(scheme, 500 + seed)
+        pos = scheme.verify_positions(note.serial)
+        d = {x: world.bits[x] for x in pos}
+        a = scheme.sim_operator(note.serial, d).a
+        assert note.state.matrix.tobytes() == a.tobytes()
+        with pytest.raises(ValueError):
+            note.state.matrix[0, 0] = 0.5
+        frame = np.ones((1, 1))
+        for basis, _ in scheme.checks(note.serial):
+            frame = np.kron(frame, H if basis is not None and d[basis] else np.eye(2))
+        # the valid note, and the mixed note, whose outcomes vary
+        mixed = Banknote(note.serial, DensityOp(note.state.layout,
+                                                np.eye(1 << scheme.m) / (1 << scheme.m)))
+        for n in (note, mixed):
+            _, post = scheme.verify(n, world, Stream(seed).split("verify"))
+            j = int(np.argmax(np.diag(frame @ post.state.matrix @ frame).real))
+            assert np.abs(post.state.matrix - np.outer(frame[j], frame[j])).max() <= 1e-15
+
+
 @pytest.mark.parametrize("name", ["hash-tag", "conjugate", "counterexample"])
 def test_reuse_loop_ten_rounds(name):
     scheme = make_scheme(name)
@@ -243,7 +271,7 @@ def _verify_by_embedded_projectors(rho, checks, kinds):
     eye = np.eye(1 << m)
     ok, draws = True, []
     for i, ((b, z), kind) in enumerate(zip(checks, kinds)):
-        p_full = embed_unitary(_CHECK_PROJ[b][z], [i], m, eye)
+        p_full = embed_unitary(_FACTORS[3 + 2 * b + z], [i], m, eye)
         p1 = float(np.trace(p_full @ rho).real)
         draws.append(_draw(kind, p1))
         hit = draws[-1] < p1

@@ -521,6 +521,30 @@ def test_verifier_json_rejects_non_finite_matrix(bad):
              "gates": [{"name": "U", "targets": [0], "matrix": entries}]}))
 
 
+@pytest.mark.parametrize("field,value", [
+    ("m", 1.5), ("m", "2"), ("m", True), ("k", True), ("k", 0.0), ("k", None),
+    ("ans_index", 1.0), ("ans_index", False), ("target", 0.0), ("target", True),
+    ("target", "0")])
+def test_verifier_json_rejects_non_integer_fields(field, value):
+    # int() would read each of these as a small integer, or fail unclearly
+    obj = {"m": 1, "k": 1, "ans_index": 1, "gates": [{"name": "H", "targets": [0]}]}
+    if field == "target":
+        obj["gates"][0]["targets"] = [value]
+    else:
+        obj[field] = value
+    with pytest.raises(SynthError, match="must be an integer"):
+        VerifierSpec.from_json(json.dumps(obj))
+
+
+def test_verifier_json_rejects_entry_above_modulus_one():
+    # caught as the gate is read: 1e200 would overflow to inf in V^dag V
+    big = [[1e200, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
+    with pytest.raises(SynthError, match="not unitary"):
+        VerifierSpec.from_json(json.dumps(
+            {"m": 1, "k": 0, "ans_index": 0,
+             "gates": [{"name": "U", "targets": [0], "matrix": big}]}))
+
+
 def test_verifier_json_rejects_non_unitary_gate():
     scaled = [[2.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]  # diag(2, 1)
     with pytest.raises(SynthError):
