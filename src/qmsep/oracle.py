@@ -8,20 +8,23 @@ Classical queries copy their answer into an append-only database register
 D_R (and optionally D_A for the recording variant); quantum queries XOR the
 oracle bit into an answer qubit.
 
-An OracleWorld holds one entry per basis label in parallel arrays: `plain`
-(plain-register index, big-endian, qubit 0 most significant), `fb` (F, or
-D_F in the compressed view, as a bitmask whose bit p is oracle position p),
-`rec` (an interned (D_R, D_A) record id) and `amp`.  Every reachable basis
-state of the fixed-capacity slot registers is exactly one label, so inner
-products, reduced densities, and unitarity are preserved.  Compression is
-Zhandry's Fourier transform on each output register, for 1-bit outputs H on
-every position D_R does not pin: `decomp` and `comp` set (or clear) F's D_R
+An OracleWorld holds one entry per basis label in two arrays, `amp` and an
+int64 `key` packing `rec << (2^l + n_plain) | fb << n_plain | plain`: an
+interned (D_R, D_A) record id, F (D_F in the compressed view) as a bitmask
+whose bit p is oracle position p, and the plain-register index (big-endian,
+qubit 0 most significant).  Operations group labels on masked keys with
+`_group`, a stable-sort np.unique.  Every reachable basis state of the
+fixed-capacity slot registers is exactly one label, so inner products,
+reduced densities, and unitarity are preserved.  Compression is Zhandry's
+Fourier transform on each output register, for 1-bit outputs H on every
+position D_R does not pin: `decomp` and `comp` set (or clear) F's D_R
 positions and apply H to each free position axis of a (plain, D_R, D_A) ×
 2^(2^l) block.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Mapping
 from itertools import repeat
@@ -49,6 +52,28 @@ def sample_oracle(l: int, rng) -> np.ndarray:
     return rng.integers(0, 2, size=1 << l)
 
 
+def _group(a: np.ndarray):
+    """np.unique(a, return_index=True, return_inverse=True) of a 1-D int64
+    array, without np.unique's per-call set-up: the sorted distinct values,
+    each one's first index, and each entry's group."""
+    order = a.argsort(kind="stable")
+    s = a[order]
+    new = np.ones(len(a), dtype=bool)
+    new[1:] = s[1:] != s[:-1]
+    inv = np.empty(len(a), dtype=np.intp)
+    inv[order] = new.cumsum() - 1
+    return s[new], order[new], inv
+
+
+@functools.lru_cache(maxsize=1024)
+def _spread(n_plain: int, qubits: tuple) -> np.ndarray:
+    """The plain-index bits of each of a gate's 2^t basis columns."""
+    t, sub = len(qubits), np.arange(1 << len(qubits))
+    out = sum(((sub >> (t - 1 - i)) & 1) << (n_plain - 1 - q) for i, q in enumerate(qubits))
+    out.setflags(write=False)
+    return out
+
+
 class _Records:
     """(D_R, D_A) contents as a trie of appends, shared by a world and the
     worlds derived from it.  Record 0 is ((), ()); any other record has a key
@@ -58,7 +83,8 @@ class _Records:
     its id and `_keys[r]` is record r's key, 0 for record 0, which no
     append has; one call's new keys take the next ids in increasing key
     order.  Row r of `masks` holds D_R's known-position and known-value
-    masks, then D_A's."""
+    masks, then D_A's.  A world packs record ids into the high bits of its
+    label keys, so the table's size is checked wherever ids enter a key."""
 
     def __init__(self):
         self.masks = np.zeros((1, 4), dtype=np.int64)
@@ -67,7 +93,7 @@ class _Records:
     def extend(self, rec, x, z, flag: int) -> np.ndarray:
         """Ids of the records that append (x, z) to rec's databases named by
         flag.  Steps stay below 128 because x < 2^WORLD_L_CAP = 16."""
-        keys, inv = np.unique(128 * rec + 8 * x + 4 * z + flag, return_inverse=True)
+        keys, _, inv = _group(128 * rec + 8 * x + 4 * z + flag)
         ids = np.fromiter(map(self._ids.get, keys.tolist(), repeat(-1)), np.int64, len(keys))
         fresh = ids < 0
         if fresh.any():
@@ -158,9 +184,14 @@ class OracleWorld:
         cols = list(zip(*[(p, sum(b << i for i, b in enumerate(f)) if mode == "purified"
                            else sum(1 << i for i in f), self.records.intern(dr, da), a)
                           for (p, f, dr, da), a in amps.items()])) or [()] * 4
-        self.plain, self.fb, self.rec = (np.asarray(c, dtype=np.int64) for c in cols[:3])
+        self.key = self._key(*(np.asarray(c, dtype=np.int64) for c in cols[:3]))
         self.amp = np.asarray(cols[3], dtype=np.complex128)
         self.amps = _Labels(self)
+
+    # the label fields, read off the packed keys
+    plain = property(lambda w: w.key & ((1 << w.n_plain) - 1))
+    fb = property(lambda w: (w.key >> w.n_plain) & ((1 << w.n_pos) - 1))
+    rec = property(lambda w: w.key >> (w.n_plain + w.n_pos))
 
     # -- construction -----------------------------------------------------
 
@@ -172,18 +203,21 @@ class OracleWorld:
     def compressed_init(cls, l: int, n_plain: int = 0) -> "OracleWorld":
         return cls("compressed", l, n_plain, {(0, (), (), ()): 1.0 + 0.0j})
 
-    def _with(self, plain, fb, rec, amp, mode=None) -> "OracleWorld":
-        """A world on our records with the labels whose amplitude survives
-        pruning; the int64 and complex128 columns are used as given."""
-        k = np.abs(amp) > PRUNE_TOL
+    def _with(self, key, amp, mode=None, prune=True) -> "OracleWorld":
+        """A world on our records with the given int64 and complex128
+        columns, less the labels `prune` finds negligible."""
+        if prune:
+            k = np.abs(amp) > PRUNE_TOL
+            key, amp = key[k], amp[k]
         w = object.__new__(OracleWorld)
         w.mode, w.l, w.n_plain, w.n_pos = mode or self.mode, self.l, self.n_plain, self.n_pos
-        w.records, w.plain, w.fb, w.rec, w.amp = self.records, plain[k], fb[k], rec[k], amp[k]
+        w.records, w.key, w.amp = self.records, key, amp
         w.amps = _Labels(w)
         return w
 
     def _key(self, plain, fb, rec) -> np.ndarray:
-        """One int64 per label, equal exactly when the labels are."""
+        """One int64 per label, equal exactly when the labels are; it fails
+        once the record table has outgrown the key's high bits."""
         shift = self.n_pos + self.n_plain
         if len(self.records.masks) > 1 << (KEY_BITS - shift):
             raise OracleError("too many database records to pack labels in int64")
@@ -194,12 +228,10 @@ class OracleWorld:
         must derive from the same start, so that its records are ours."""
         if other.records is not self.records:
             raise OracleError("worlds from different starts share no records")
-        ka = self._key(self.plain, self.fb, self.rec)
-        kb = self._key(other.plain, other.fb, other.rec)
-        keys = np.union1d(ka, kb)
+        keys, _, inv = _group(np.concatenate([self.key, other.key]))
         a, b = np.zeros((2, len(keys)), dtype=np.complex128)
-        a[np.searchsorted(keys, ka)] = self.amp
-        b[np.searchsorted(keys, kb)] = other.amp
+        a[inv[:len(self.key)]] = self.amp
+        b[inv[len(self.key):]] = other.amp
         return a, b
 
     # -- plain-register circuit operations ---------------------------------
@@ -209,28 +241,22 @@ class OracleWorld:
         u = np.asarray(u, dtype=np.complex128)
         if u.shape != (1 << t, 1 << t):
             raise OracleError("gate dimension does not match target count")
-        sub = np.arange(1 << t)
-        spread = sum(((sub >> (t - 1 - i)) & 1) << (self.n_plain - 1 - q)
-                     for i, q in enumerate(qubits))
-        base = self.plain & ~int(spread[-1])
-        _, first, inv = np.unique(self._key(base, self.fb, self.rec),
-                                  return_index=True, return_inverse=True)
-        block = np.zeros((len(first), 1 << t), dtype=np.complex128)
-        block[inv, index_bits(self.plain, self.n_plain, qubits)] = self.amp
-        return self._with((base[first, None] | spread).ravel(),
-                          np.repeat(self.fb[first], 1 << t),
-                          np.repeat(self.rec[first], 1 << t), (block @ u.T).ravel())
+        spread = _spread(self.n_plain, tuple(qubits))
+        base, _, inv = _group(self.key & ~int(spread[-1]))
+        block = np.zeros((len(base), 1 << t), dtype=np.complex128)
+        block[inv, index_bits(self.key, self.n_plain, qubits)] = self.amp  # plain bits
+        return self._with((base[:, None] | spread).ravel(), (block @ u.T).ravel())
 
     def plain_distribution(self) -> dict:
-        values, inv = np.unique(self.plain, return_inverse=True)
+        values, _, inv = _group(self.plain)
         probs = np.bincount(inv, np.abs(self.amp) ** 2)
         return dict(zip(values.tolist(), probs.tolist()))
 
     def reduced_density_plain(self) -> np.ndarray:
-        _, row = np.unique(self._key(0, self.fb, self.rec), return_inverse=True)
+        groups, _, row = _group(self.key >> self.n_plain)
         d = 1 << self.n_plain
         rho = np.zeros((d, d), dtype=np.complex128)
-        for chunk in np.unique(row >> 8):  # 256 groups at a time bound memory
+        for chunk in range((len(groups) + 255) >> 8):  # 256 groups at a time bound memory
             k = row >> 8 == chunk
             vec = np.zeros((256, d), dtype=np.complex128)
             vec[row[k] & 255, self.plain[k]] = self.amp[k]
@@ -243,9 +269,9 @@ class OracleWorld:
         """U_Q: |x>|y>|f> -> |x>|y xor f(x)>|f>."""
         if self.mode != "purified":
             raise OracleError("quantum queries act on the purified view")
-        x = index_bits(self.plain, self.n_plain, q_qubits)
-        flip = ((self.fb >> x) & 1) << (self.n_plain - 1 - a_qubit)
-        return self._with(self.plain ^ flip, self.fb, self.rec, self.amp)
+        x = index_bits(self.key, self.n_plain, q_qubits)
+        flip = ((self.key >> (self.n_plain + x)) & 1) << (self.n_plain - 1 - a_qubit)
+        return self._with(self.key ^ flip, self.amp)
 
     def _answer(self, x, a_qubit, known, z_known, fb_free, sign,
                 flag: int) -> "OracleWorld":
@@ -255,30 +281,27 @@ class OracleWorld:
         1/sqrt(2), the z = 1 one times sign, on D_F mask fb_free.  Colliding
         output labels are summed."""
         shift = self.n_plain - 1 - a_qubit
-        if np.any((self.plain >> shift) & 1 & (np.abs(self.amp) > STRUCT_TOL)):
+        if np.any((self.key >> shift) & 1 & (np.abs(self.amp) > STRUCT_TOL)):
             raise OracleError(f"answer qubit {a_qubit} is not fresh |0>")
         k, u = np.flatnonzero(known), np.flatnonzero(~known)
         idx = np.concatenate([k, u, u])
         z = np.concatenate([z_known[k], np.zeros_like(u), np.ones_like(u)])
-        keys, inv = np.unique(self._key(
+        keys, _, inv = _group(self._key(
             (self.plain[idx] & ~(1 << shift)) | (z << shift),
             np.concatenate([self.fb[k], fb_free[u], fb_free[u]]),
-            self.records.extend(self.rec[idx], x[idx], z, flag)), return_inverse=True)
+            self.records.extend(self.rec[idx], x[idx], z, flag)))
         half = self.amp / math.sqrt(2)
         amp = np.concatenate([self.amp[k], half[u], (half * sign)[u]])
-        n, f = self.n_plain, self.n_pos  # unpack the labels from their keys
-        return self._with(keys & ((1 << n) - 1), (keys >> n) & ((1 << f) - 1),
-                          keys >> (n + f),
-                          np.bincount(inv, amp.real) + 1j * np.bincount(inv, amp.imag))
+        return self._with(keys, np.bincount(inv, amp.real) + 1j * np.bincount(inv, amp.imag))
 
     def apply_classical_query(self, q_qubits, a_qubit,
                               record: bool = False) -> "OracleWorld":
         """U_C (record=False) / U_R (record=True) on the purified view."""
         if self.mode != "purified":
             raise OracleError("classical queries here act on the purified view")
-        x = index_bits(self.plain, self.n_plain, q_qubits)
+        x, fb = index_bits(self.key, self.n_plain, q_qubits), self.fb
         return self._answer(x, a_qubit, np.ones(len(x), dtype=bool),
-                            (self.fb >> x) & 1, self.fb, 1, 1 + 2 * record)
+                            (fb >> x) & 1, fb, 1, 1 + 2 * record)
 
     def apply_db_query(self, q_qubits, a_qubit, db: str = "dr") -> "OracleWorld":
         """U_D: answer from the chosen database, recording the pair into it.
@@ -287,7 +310,7 @@ class OracleWorld:
         if db not in ("dr", "da"):
             raise OracleError("db must be 'dr' or 'da'")
         m = self.records.masks[self.rec][:, (0, 1) if db == "dr" else (2, 3)]
-        x = index_bits(self.plain, self.n_plain, q_qubits)
+        x = index_bits(self.key, self.n_plain, q_qubits)
         return self._answer(x, a_qubit, (m[:, 0] >> x) & 1 == 1, (m[:, 1] >> x) & 1,
                             self.fb, 1, 1 if db == "dr" else 2)
 
@@ -296,12 +319,11 @@ class OracleWorld:
         """The compressed-view classical query (three-case unitary)."""
         if self.mode != "compressed":
             raise OracleError("compressed query requires compressed mode")
-        m = self.records.masks[self.rec]
-        x = index_bits(self.plain, self.n_plain, q_qubits)
+        m, fb = self.records.masks[self.rec], self.fb
+        x = index_bits(self.key, self.n_plain, q_qubits)
         # a position leaving D_F carries Fourier value 1^: phase (-1)^z
         return self._answer(x, a_qubit, (m[:, 0] >> x) & 1 == 1, (m[:, 1] >> x) & 1,
-                            self.fb & ~(1 << x), 1 - 2 * ((self.fb >> x) & 1),
-                            1 + 2 * record)
+                            fb & ~(1 << x), 1 - 2 * ((fb >> x) & 1), 1 + 2 * record)
 
     def compressed_quantum_query(self, q_qubits, a_qubit) -> "OracleWorld":
         """Quantum query in the compressed view via Decomp, U_Q, Comp."""
@@ -312,17 +334,19 @@ class OracleWorld:
     def _hadamard(self, mode: str) -> "OracleWorld":
         """XOR each label's recorded D_R values into fb, then apply H to
         every position D_R leaves free, one (plain, rec) group per row."""
-        m = self.records.masks[self.rec]
-        _, first, inv = np.unique(self._key(self.plain, 0, self.rec),
-                                  return_index=True, return_inverse=True)
-        block = np.zeros((len(first), 1 << self.n_pos), dtype=np.complex128)
-        block[inv, self.fb ^ m[:, 1]] = self.amp
+        rec = self.rec
+        group, first, inv = _group(self.key & ~(((1 << self.n_pos) - 1) << self.n_plain))
+        block = np.zeros((len(group), 1 << self.n_pos), dtype=np.complex128)
+        block[inv, self.fb ^ self.records.masks[rec, 1]] = self.amp
+        pinned = self.records.masks[rec[first], 0]
         for p in range(self.n_pos):  # column bit p holds position p
-            rows = np.flatnonzero((m[first, 0] >> p) & 1 == 0)
-            block[rows] = _hadamard_bit(block[rows], p)
+            rows = ((pinned >> p) & 1 == 0).nonzero()[0]
+            if len(rows) == len(group):
+                block = _hadamard_bit(block, p)
+            elif len(rows):
+                block[rows] = _hadamard_bit(block[rows], p)
         g, f = np.nonzero(np.abs(block) > PRUNE_TOL)
-        return self._with(self.plain[first][g], f, self.rec[first][g],
-                          block[g, f], mode)
+        return self._with(group[g] | (f << self.n_plain), block[g, f], mode, prune=False)
 
     def decomp(self) -> "OracleWorld":
         """Fill the truth table register from (D_F, D_R)."""
@@ -355,7 +379,7 @@ class OracleWorld:
         """Weight of branches whose pending query position lies in D_F."""
         if self.mode != "compressed":
             raise OracleError("bad-query weight is defined on the compressed view")
-        x = index_bits(self.plain, self.n_plain, q_qubits)
+        x = index_bits(self.key, self.n_plain, q_qubits)
         return float(np.sum(np.abs(self.amp[(self.fb >> x) & 1 == 1]) ** 2))
 
 

@@ -108,6 +108,8 @@ class VerifierSpec:
         m, k = _json_int(obj["m"], "m"), _json_int(obj["k"], "k")
         ans_index = _json_int(obj["ans_index"], "ans_index")
         n = m + k
+        if m < 1 or k < 0:  # before 1 << n can fail on a negative width
+            raise SynthError("need m >= 1, k >= 0")
         if n > SPEC_QUBIT_CAP:
             raise SynthError(f"m + k = {n} exceeds cap {SPEC_QUBIT_CAP}")
         v = np.eye(1 << n, dtype=np.complex128)
@@ -245,16 +247,23 @@ def max_acceptance(spec: VerifierSpec | ReducedVerifier):
     return float(vals[-1]), _input_state(spec, top @ top.conj().T / top.shape[1])
 
 
+@functools.lru_cache(maxsize=64)
+def _log_comb(n: int) -> np.ndarray:
+    """log C(n, c) for c = 0..n, shared by every engine at n, so read-only."""
+    out = np.array([math.lgamma(n + 1) - math.lgamma(x + 1)
+                    - math.lgamma(n - x + 1) for x in range(n + 1)])
+    out.setflags(write=False)
+    return out
+
+
 def _binomial_pmf(n: int, p: np.ndarray) -> np.ndarray:
     """pmf[b, c] = Pr[Binomial(n, p[b]) = c], in log space so that no
     binomial coefficient overflows at large n."""
     c = np.arange(n + 1)
-    log_comb = np.array([math.lgamma(n + 1) - math.lgamma(x + 1)
-                         - math.lgamma(n - x + 1) for x in range(n + 1)])
     with np.errstate(divide="ignore", invalid="ignore"):
         hits = np.where(c > 0, c * np.log(p)[:, None], 0.0)
         misses = np.where(c < n, (n - c) * np.log1p(-p)[:, None], 0.0)
-    return np.exp(log_comb + hits + misses)
+    return np.exp(_log_comb(n) + hits + misses)
 
 
 class TrialEngine:

@@ -532,6 +532,16 @@ def test_cli_synth_rejects_bad_verifier(tmp_path, verifier, reason, capsys):
     assert out.out == "" and "bad verifier" in out.err and reason in out.err
 
 
+@pytest.mark.parametrize("m, k", [(-100, 0), (3, -5), (0, 1), (1, -1)])
+def test_cli_synth_rejects_negative_width(tmp_path, m, k, capsys):
+    path = tmp_path / "v.json"
+    path.write_text(json.dumps({"m": m, "k": k, "ans_index": 0}))
+    rc = cli.main(["synth", "--verifier", str(path), "--trials", "1"])
+    assert rc == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "bad verifier" in out.err and "need m >= 1, k >= 0" in out.err
+
+
 @pytest.mark.parametrize("flags", [["--a", "0.9", "--b", "0.5"], ["--b", "1.5"],
                                    ["--n-alternations", "0"],
                                    ["--config", {"trails": 3}],

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle_reference as ref
@@ -23,6 +23,7 @@ from qmsep.oracle import (
     OracleWorld,
     SampledExecutor,
     WORLD_L_CAP,
+    _group,
     sample_oracle,
 )
 from qmsep.streams import Stream
@@ -423,6 +424,33 @@ def test_world_size_guard_raises_before_allocating():
             build(2, 62 - 4 + 1)  # n_plain + 2^l = 63 bits: no room in the keys
     with pytest.raises(OracleError):
         OracleWorld("purified", 5, 0, {})
+
+
+def test_record_ids_that_would_overflow_the_key_raise():
+    # at l = 2 a key holds n_plain + 4 label bits under its record id: at
+    # n_plain = 56 there is room for 4 records, at 57 for 2
+    w = OracleWorld.compressed_init(2, 56).compressed_classical_query([0, 1], 2)
+    assert sorted(w.rec.tolist()) == [1, 2]
+    assert w.plain.tolist() == [0, 1 << 53] and w.fb.tolist() == [0, 0]
+    assert dict(w.amps) == {(0, (), ((0, 0),), ()): pytest.approx(2 ** -0.5),
+                            (1 << 53, (), ((0, 1),), ()): pytest.approx(2 ** -0.5)}
+    w = OracleWorld.compressed_init(2, 57)
+    with pytest.raises(OracleError, match="too many database records"):
+        w.compressed_classical_query([0, 1], 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.integers(0, 3) | st.integers(-2 ** 63, 2 ** 63 - 1),
+                       max_size=80),
+       presorted=st.booleans())
+@example(values=[], presorted=False)
+@example(values=[-7], presorted=False)
+@example(values=[5, 5, 5, 5], presorted=True)
+def test_group_is_np_unique(values, presorted):
+    a = np.array(sorted(values) if presorted else values, dtype=np.int64)
+    want = np.unique(a, return_index=True, return_inverse=True)
+    for got, ref_out in zip(_group(a), want):
+        assert got.dtype == ref_out.dtype and got.tobytes() == ref_out.tobytes()
 
 
 def test_amps_view_is_read_only_with_label_count():

@@ -23,6 +23,7 @@ from qmsep.synth import (
     derived_n_alternations,
     derived_t_trials,
     synthesize,
+    _log_comb,
 )
 
 H = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2)
@@ -551,3 +552,11 @@ def test_verifier_json_rejects_non_unitary_gate():
         VerifierSpec.from_json(json.dumps(
             {"m": 1, "k": 0, "ans_index": 0,
              "gates": [{"name": "U", "targets": [0], "matrix": scaled}]}))
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 360])
+def test_log_comb_is_shared_read_only_and_exact(n):
+    got = _log_comb(n)
+    assert got is _log_comb(n) and not got.flags.writeable
+    assert got.tolist() == [math.lgamma(n + 1) - math.lgamma(x + 1) - math.lgamma(n - x + 1)
+                            for x in range(n + 1)]
