@@ -5,17 +5,20 @@ learn a database D of oracle query-answer pairs, then repeatedly
 synthesizes a candidate note against the D-simulated verifier and runs the
 true verifier on it, merging every newly observed pair into the database.
 Finally it synthesizes two notes against a uniformly chosen intermediate
-database and outputs them as forgeries.
+database and outputs them as forgeries.  A synthesized state depends on the
+database only through the simulated verifier's factor key: the eigen
+witness is read off money's factor table, and the trial backend draws from
+one cached TrialEngine per key.  Every exact acceptance is one trace
+against the true checks' projector product.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import weakref
 from dataclasses import dataclass
 
-from .money import Banknote, MoneyScheme, WorldHandle
+from .money import Banknote, MoneyScheme, WorldHandle, witness
 from .oracle import sample_oracle
 from .synth import (
     ReducedVerifier,
@@ -27,9 +30,9 @@ from .synth import (
 
 
 DELTA_R = 0.99  # the reusability every derived parameter assumes
-# most states and exact acceptances one _SynthMemo keeps (see its docstring)
-MEMO_STATES = 64
-MEMO_ACCEPTS = 1024
+# most trial-backend engines _ENGINES keeps: A, its eigenvectors, rho_m and
+# the mixed state take about 4 MB at the 8-qubit note cap, 256 MB in all
+ENGINE_CAP = 64
 
 
 class AttackError(ValueError):
@@ -134,87 +137,26 @@ def build_sim_verifier(scheme, serial, d: dict) -> ReducedVerifier:
     return scheme.sim_operator(serial, d)
 
 
-_MEMOS = weakref.WeakKeyDictionary()  # scheme -> {SynthesisParams: _SynthMemo}
+_ENGINES = {}  # (factor key, SynthesisParams) -> TrialEngine, oldest first
 
 
-class _SynthMemo:
-    """Synthesized states and their exact acceptance, for one scheme object
-    and one SynthesisParams, shared by every run on that scheme.
-
-    The simulated verifier's A is a Kronecker product of one 2x2 factor per
-    check, so it depends only on scheme.factor_key(serial, d), and so do
-    the eigen witness and, on the trial backend, the (spec, TrialEngine)
-    pair: the engine is deterministic, and each synthesis still draws from
-    its own rng.  A state's key is its factor key, with, on the trial
-    backend, whether it is the fallback.  Its exact acceptance depends only
-    on the state and scheme.answer_key(serial, world), so it is keyed by
-    both.  On a hit nothing is built, solved or embedded, and the bytes are
-    the ones a cold memo computes.  The states it returns are read-only,
-    since later runs share them.
-
-    The memos live beside their scheme in a WeakKeyDictionary, so pickling
-    a scheme (the pool's jobs) never carries one, and a new scheme object
-    starts cold.  A full map drops its oldest entry.  A witness is 1 MB at
-    NOTE_QUBIT_CAP, so MEMO_STATES eigen witnesses take at most 64 MB per
-    memo there; a trial-backend entry (A, its eigenvectors, rho_m and the
-    mixed state) takes about 4 MB, 256 MB in all.  MEMO_ACCEPTS floats take
-    under 1 MB.  The benchmark's workloads need at most 33 states and 64
-    acceptances per memo.
-    """
-
-    def __init__(self, params: SynthesisParams):
-        self.params = params
-        self.states = {}   # factor key -> witness, or (spec, TrialEngine)
-        self.accepts = {}  # (state key, answer key) -> exact acceptance
-
-    @classmethod
-    def of(cls, scheme: MoneyScheme, params: SynthesisParams) -> "_SynthMemo":
-        by_params = _MEMOS.get(scheme)
-        if by_params is None:
-            by_params = _MEMOS[scheme] = {}
-        memo = by_params.get(params)
-        if memo is None:
-            memo = by_params[params] = cls(params)
-        return memo
-
-    @staticmethod
-    def _put(table: dict, cap: int, key, value):
-        if len(table) >= cap:
-            del table[next(iter(table))]
-        table[key] = value
-
-    def state(self, scheme, serial, d: dict, rng):
-        """The state synthesized against d, and its state key; only the
-        trial backend reads rng."""
-        params = self.params
-        key = scheme.factor_key(serial, d)
-        hit = self.states.get(key)
-        if params.backend == "eigen":
-            if hit is None:
-                spec = build_sim_verifier(scheme, serial, d)
-                hit = synthesize(spec, params, rng).state
-                hit.matrix.flags.writeable = False
-                self._put(self.states, MEMO_STATES, key, hit)
-            return hit, key
-        if hit is None:
-            spec = build_sim_verifier(scheme, serial, d)
-            hit = (spec, TrialEngine(spec, params))
-            self._put(self.states, MEMO_STATES, key, hit)
-        spec, engine = hit
-        res = synthesize(spec, params, rng, engine=engine)
-        res.state.matrix.flags.writeable = False
-        return res.state, (key, res.fallback)
-
-    def accept_prob(self, scheme, note: Banknote, state_key, world) -> float:
-        """scheme.accept_prob(note, world), for the state state_key names.
-        The answer key reads the world's bits in accept_prob's order, so a
-        lazy world draws what accept_prob would."""
-        key = (state_key, scheme.answer_key(note.serial, world))
-        p = self.accepts.get(key)
-        if p is None:
-            p = scheme.accept_prob(note, world)
-            self._put(self.accepts, MEMO_ACCEPTS, key, p)
-        return p
+def _synthesized(scheme, serial, d: dict, params: SynthesisParams, rng):
+    """The state synthesized against d.  The simulated verifier's A is the
+    product of the 2x2 factors scheme.factor_key(serial, d) names, so on the
+    eigen backend the witness is read off the factor table, and on the
+    trial backend rng draws from the deterministic TrialEngine of that key,
+    built on its first use.  The states are read-only, since later runs
+    share them."""
+    key = scheme.factor_key(serial, d)
+    if params.backend == "eigen":
+        return witness(key)
+    engine = _ENGINES.get((key, params))
+    if engine is None:
+        if len(_ENGINES) >= ENGINE_CAP:
+            del _ENGINES[next(iter(_ENGINES))]
+        engine = TrialEngine(build_sim_verifier(scheme, serial, d), params)
+        _ENGINES[key, params] = engine
+    return synthesize(engine.spec, params, rng, engine=engine).state
 
 
 def update_phase(scheme, serial, world, d0: dict, cfg: AttackConfig, stream):
@@ -229,8 +171,8 @@ def update_phase(scheme, serial, world, d0: dict, cfg: AttackConfig, stream):
     round has the same database, state and probability, and they are
     filled in at once.
     """
-    memo = _SynthMemo.of(scheme, cfg.synth_params)
-    eigen = cfg.synth_params.backend == "eigen"
+    params = cfg.synth_params
+    eigen = params.backend == "eigen"
     needed = set(scheme.verify_positions(serial))
     databases = [dict(d0)]
     probs = []
@@ -240,15 +182,13 @@ def update_phase(scheme, serial, world, d0: dict, cfg: AttackConfig, stream):
         complete = needed <= d.keys()
         if complete and eigen:
             rest = cfg.n_updates - k
-            state, key = memo.state(scheme, serial, d, None)
-            probs += [memo.accept_prob(scheme, Banknote(serial, state),
-                                       key, world)] * rest
+            note = Banknote(serial, _synthesized(scheme, serial, d, params, None))
+            probs += [scheme.accept_prob(note, world)] * rest
             databases += [databases[-1]] * rest
             bad_counts += [0] * rest
             break
         rng = None if eigen else stream.split(("synth", k))
-        state, key = memo.state(scheme, serial, d, rng)
-        note = Banknote(serial, state)
+        note = Banknote(serial, _synthesized(scheme, serial, d, params, rng))
         pairs = []
         if not complete:
             _, _, pairs = _verify_collecting(scheme, note, world,
@@ -258,17 +198,15 @@ def update_phase(scheme, serial, world, d0: dict, cfg: AttackConfig, stream):
         d.update(new_pairs)
         # read after the verification, so a lazy world has already drawn
         # every bit it reads
-        probs.append(memo.accept_prob(scheme, note, key, world))
+        probs.append(scheme.accept_prob(note, world))
         databases.append(dict(d) if new_pairs else databases[-1])
     return databases, probs, bad_counts
 
 
 def synthesize_phase(scheme, serial, databases, cfg: AttackConfig, stream):
-    memo = _SynthMemo.of(scheme, cfg.synth_params)
     j = int(stream.integers(0, cfg.n_updates))
-    d_j = databases[j]
-    phi1, _ = memo.state(scheme, serial, d_j, stream.split(("forge", j, 1)))
-    phi2, _ = memo.state(scheme, serial, d_j, stream.split(("forge", j, 2)))
+    phi1, phi2 = (_synthesized(scheme, serial, databases[j], cfg.synth_params,
+                               stream.split(("forge", j, i))) for i in (1, 2))
     return j, phi1, phi2
 
 

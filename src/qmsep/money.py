@@ -17,8 +17,10 @@ which are mint's too, and their count q = q', mint, verify, the verifier
 simulated from a partial database D (an unknown position becomes a fresh
 |+> ancilla) as a circuit and as the 2^m x 2^m operator synthesis reads,
 the factor key that names that operator by one of seven 2x2 factors per
-check, and the exact acceptance probability of a note.  The three toy schemes
-differ only in their templates, for i < m:
+check, and the exact acceptance probability of a note, Tr(Pi rho) for the
+product Pi of the true checks' projectors.  The eigen witness against a
+factor key is a product from the same table (witness).  The three toy
+schemes differ only in their templates, for i < m:
 
 hash-tag        [(0, None, i)]
 conjugate       [(0, 2i, 2i+1)]
@@ -91,11 +93,15 @@ class WorldHandle:
 # in basis b (1 the Hadamard basis) holds for bit z
 _FRAMES = (np.eye(2, dtype=np.complex128), HADAMARD)
 # every 2x2 factor of a note operator, by factor id: 3 + 2b + z projects
-# onto row z of frame b, 1 + z is the mean over both bases at bit z, and 0
-# is I/2, the mean over both bits
+# onto row z of frame b, 1 + z is the mean over both bases at bit z, 0 is
+# I/2, the mean over both bits, and 7 + z is (I + (-1)^z H)/2, the top
+# eigenprojector of 1 + z = (I + (-1)^z H / sqrt 2)/2
 _PROJ = [np.outer(f[z], f[z].conj()) for f in _FRAMES for z in (0, 1)]
 _FACTORS = (_FRAMES[0] / 2, *((_PROJ[z] + _PROJ[2 + z]) / 2 for z in (0, 1)),
-            *_PROJ)
+            *_PROJ, *((_FRAMES[0] + s * HADAMARD) / 2 for s in (1, -1)))
+# the normalized projector onto each of A's factors' top eigenspace, by id:
+# I/2 is all one eigenspace, and 3..6 are projectors already
+_TOP = (0, 7, 8, 3, 4, 5, 6)
 
 
 @functools.lru_cache(maxsize=64)  # 1 MB each, 64 MB, at the 8-qubit note cap
@@ -108,6 +114,16 @@ def _product(ids: tuple, frames: bool = False) -> np.ndarray:
         out = kron(out, (_FRAMES if frames else _FACTORS)[f])
     out.flags.writeable = False
     return out
+
+
+@functools.lru_cache(maxsize=64)  # 1 MB each, 64 MB, at the 8-qubit note cap
+def witness(key: tuple) -> DensityOp:
+    """The eigen witness against the A that factor key names: the normalized
+    projector onto A's top eigenspace.  A is the product of one positive
+    2x2 factor per check, so that eigenspace is the product of the factors'
+    own, and the witness is the product of their normalized projectors.
+    Read-only, as every state the attack shares is."""
+    return DensityOp(note_layout(len(key)), _product(tuple(_TOP[f] for f in key)))
 
 
 class MoneyScheme:
@@ -280,13 +296,12 @@ class MoneyScheme:
         """Exact probability that verify accepts note.
 
         The checks' projectors commute, so this is Tr(Pi rho) for their
-        product Pi, applied to rho one qubit at a time.  The oracle is read
-        through answer_key, so it depends on note.state and that key alone.
+        product Pi, the factor product of the answer key, and with Pi
+        Hermitian that is vdot(Pi, rho).  The oracle is read through
+        answer_key, so it depends on note.state and that key alone.
         """
-        rho = note.state.matrix
-        for i, f in enumerate(self.answer_key(note.serial, world)):
-            rho = embed_unitary(_FACTORS[f], [i], self.m, rho)
-        return float(np.trace(rho).real)
+        pi = _product(self.answer_key(note.serial, world))
+        return float(np.vdot(pi, note.state.matrix).real)
 
 
 class HashTagScheme(MoneyScheme):

@@ -10,9 +10,11 @@ trial engine read its eigendecomposition.  A verifier is either the circuit
 (VerifierSpec, which computes A from V) or a ReducedVerifier that carries
 A itself, as the attack's simulated verifier does.
 
-The eigen backend returns the best acceptance, A's top eigenvalue, and as
+max_acceptance returns the best acceptance, A's top eigenvalue, and as
 witness the normalized projector onto A's top eigenspace, so the witness
 does not depend on which degenerate eigenvectors the eigen solver returns.
+It is the eigen backend's witness; the attack, whose A is a product of
+2x2 factors, reads the same witness off money's factor table.
 
 The trial backend prepares a maximally entangled input, alternates coherent
 Q/P measurements N times while tracking (last outcome, agreement count) in
@@ -311,15 +313,17 @@ class TrialEngine:
         dm = 1 << spec.m
         # the state after no success, shared by every fallback
         self.mixed = _input_state(spec, np.eye(dm, dtype=np.complex128) / dm)
+        self.mixed.matrix.flags.writeable = False
 
     def rho_m(self) -> DensityOp:
         """Input-register state conditioned on the test passing, built on
-        the first call and shared by every later one."""
+        the first call and shared, read-only, by every later one."""
         if self.p_success < 1e-15:
             raise SynthError("conditioning on a zero-probability test branch")
         if self._rho is None:
             w = self._weights
             mat = (self._vecs * w) @ self._vecs.conj().T / w.sum()
+            mat.flags.writeable = False
             self._rho = _input_state(self.spec, mat)
         return self._rho
 
@@ -346,17 +350,14 @@ class SynthesisResult:
 
 def synthesize(spec: VerifierSpec | ReducedVerifier, params: SynthesisParams, rng,
                engine: TrialEngine | None = None) -> SynthesisResult:
-    """A witness state for spec.  The eigen backend returns max_acceptance's.
-    The trial backend makes up to t_trials attempts, one uniform draw each
-    from the Stream rng, and returns engine.rho_m() at the first success,
-    or the maximally mixed engine.mixed after none.  It previews the draws
-    DRAW_BLOCK at a time, then rewinds the deciding block and redraws it up
-    to the deciding attempt, that one through engine.sample, so exactly
-    `attempts` draws are consumed, as a loop of one draw per attempt would
-    consume them."""
-    if params.backend == "eigen":
-        _, witness = max_acceptance(spec)
-        return SynthesisResult(state=witness, fallback=False, attempts=0)
+    """A witness state for spec from the trial subroutine, whatever
+    params.backend says (the eigen backend's witness is max_acceptance's).
+    It makes up to t_trials attempts, one uniform draw each from the Stream
+    rng, and returns engine.rho_m() at the first success, or the maximally
+    mixed engine.mixed after none.  It previews the draws DRAW_BLOCK at a
+    time, then rewinds the deciding block and redraws it up to the deciding
+    attempt, that one through engine.sample, so exactly `attempts` draws
+    are consumed, as a loop of one draw per attempt would consume them."""
     if engine is None:
         engine = TrialEngine(spec, params)
     bits = rng.gen.bit_generator

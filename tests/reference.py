@@ -1,8 +1,9 @@
 """State-vector references behind the paper's measurement claims, which
 tests compare the library against and the CLI never runs: coherent vs
 destructive measurement, the alternating-measurement Markov law, the trial
-that synth.TrialEngine computes in closed form, the best Jordan block, and
-the trial backend's attempt loop, one draw per attempt.
+that synth.TrialEngine computes in closed form, the best Jordan block, the
+trial backend's attempt loop, one draw per attempt, and a note's exact
+acceptance, one check at a time.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from qmsep.hilbert import (
     embed_unitary,
 )
 from qmsep.jordan import JordanDecomposition, JordanError
+from qmsep.money import _FACTORS
 from qmsep.synth import (
     SynthesisParams,
     SynthesisResult,
@@ -159,3 +161,12 @@ def max_overlap(decomp: JordanDecomposition):
     if best is None:
         raise JordanError("decomposition has no blocks with a v direction")
     return best.p, best.v
+
+
+def accept_prob_by_qubit(scheme, note, world) -> float:
+    """scheme.accept_prob(note, world) as Tr(Pi rho), with Pi the true
+    checks' projector product applied to rho one note qubit at a time."""
+    rho = note.state.matrix
+    for i, f in enumerate(scheme.answer_key(note.serial, world)):
+        rho = embed_unitary(_FACTORS[f], [i], scheme.m, rho)
+    return float(np.trace(rho).real)

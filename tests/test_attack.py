@@ -5,11 +5,11 @@ import pickle
 import numpy as np
 import pytest
 
-from qmsep import attack
+from qmsep import attack, hilbert, money, oracle, synth
 from qmsep.attack import (
     AttackConfig,
     AttackError,
-    _SynthMemo,
+    _synthesized,
     build_sim_verifier,
     bad_query_probe,
     make_world,
@@ -22,7 +22,7 @@ from qmsep.attack import (
 from qmsep.attack import test_phase as learn_phase
 learn_phase.__test__ = False
 from qmsep.harness import NOTE_QUBIT_CAP
-from qmsep.money import SCHEMES, Banknote, WorldHandle, make_scheme
+from qmsep.money import SCHEMES, Banknote, WorldHandle, _product, make_scheme, witness
 from qmsep.oracle import sample_oracle
 from qmsep.streams import Stream
 from qmsep.synth import SynthesisParams, TrialEngine, synthesize
@@ -155,9 +155,13 @@ def _update_phase_reference(scheme, serial, world, d0, cfg, stream, secret):
     databases, probs, bad_counts = [dict(d0)], [], []
     d = dict(d0)
     for k in range(cfg.n_updates):
-        spec = build_sim_verifier(scheme, serial, d)
-        note = Banknote(serial, synthesize(spec, cfg.synth_params,
-                                           stream.split(("synth", k))).state)
+        if cfg.synth_params.backend == "eigen":
+            state = witness(scheme.factor_key(serial, d))
+        else:
+            spec = build_sim_verifier(scheme, serial, d)
+            state = synthesize(spec, cfg.synth_params,
+                               stream.split(("synth", k))).state
+        note = Banknote(serial, state)
         known = set(d)
         before = len(world.dr)
         scheme.verify(note, world, stream.split(("upd", k)))
@@ -294,7 +298,7 @@ def test_run_attack_deterministic_given_seed():
     assert np.abs(a.forged_pair[0].matrix - b.forged_pair[0].matrix).max() == 0
 
 
-# ------------------------------------------------------------ synthesis memo
+# ----------------------------------------------------------- synthesis caches
 
 
 def _twin_worlds(scheme, rng):
@@ -319,53 +323,53 @@ def _twin_worlds(scheme, rng):
     return serials, worlds
 
 
-@pytest.mark.parametrize("backend", ["eigen", "trial"])
+# the eigen witness is a table lookup, checked against the eigen solver by
+# test_money's test_witness_is_the_eigen_solvers; these tests are of the
+# trial backend's engine cache
+@pytest.mark.parametrize("backend", ["trial"])
 @pytest.mark.parametrize("name", ["hash-tag", "conjugate", "counterexample"])
-def test_memo_hit_gives_the_cold_bytes(name, backend):
-    # a hit on another serial's entry returns what that serial computes
-    # cold: the witness, the engine's states and the exact acceptance
+def test_memo_hit_gives_the_cold_bytes(name, backend, monkeypatch):
+    # a hit on another serial's engine gives what that serial computes
+    # cold: the engine's distribution and states, and the state drawn
+    monkeypatch.setattr(attack, "_ENGINES", {})
     scheme = make_scheme(name)
     params = SynthesisParams.default(scheme.m, backend=backend)
     (s1, s2), (w1, w2) = _twin_worlds(scheme, np.random.default_rng(71))
     checks1, checks2 = scheme.checks(s1), scheme.checks(s2)
     slots = [(i, j) for i, check in enumerate(checks1)
              for j in range(2) if check[j] is not None]
-    assert scheme.answer_key(s1, w1) == scheme.answer_key(s2, w2)
     for r in range(len(slots) + 1):
         for sub in itertools.combinations(slots, r):
             d1 = {checks1[i][j]: w1.bits[checks1[i][j]] for i, j in sub}
             d2 = {checks2[i][j]: w2.bits[checks2[i][j]] for i, j in sub}
-            memo = _SynthMemo(params)
-            state1, key1 = memo.state(scheme, s1, d1, Stream(7))
-            memo.accept_prob(scheme, Banknote(s1, state1), key1, w1)
-            state2, key2 = memo.state(scheme, s2, d2, Stream(7))
-            p2 = memo.accept_prob(scheme, Banknote(s2, state2), key2, w2)
-            assert key1 == key2
-            assert len(memo.states) == len(memo.accepts) == 1  # both hit
+            attack._ENGINES.clear()
+            _synthesized(scheme, s1, d1, params, Stream(7))
+            state2 = _synthesized(scheme, s2, d2, params, Stream(7))
+            (engine,) = attack._ENGINES.values()  # the second call hit
             spec = build_sim_verifier(scheme, s2, d2)
             cold = synthesize(spec, params, Stream(7))
             assert state2.matrix.tobytes() == cold.state.matrix.tobytes()
-            assert p2 == scheme.accept_prob(Banknote(s2, cold.state), w2)
-            if backend == "trial":
-                assert key2[1] == cold.fallback
-                engine = memo.states[key2[0]][1]
-                cold_engine = TrialEngine(spec, params)
-                assert engine.joint.tobytes() == cold_engine.joint.tobytes()
-                pairs = [(engine.mixed, cold_engine.mixed)]
-                if cold_engine.p_success > 1e-15:
-                    pairs.append((engine.rho_m(), cold_engine.rho_m()))
-                for warm, fresh in pairs:
-                    assert warm.matrix.tobytes() == fresh.matrix.tobytes()
+            assert not state2.matrix.flags.writeable  # later runs share it
+            cold_engine = TrialEngine(spec, params)
+            assert engine.joint.tobytes() == cold_engine.joint.tobytes()
+            pairs = [(engine.mixed, cold_engine.mixed)]
+            if cold_engine.p_success > 1e-15:
+                pairs.append((engine.rho_m(), cold_engine.rho_m()))
+            for warm, fresh in pairs:
+                assert warm.matrix.tobytes() == fresh.matrix.tobytes()
 
 
 @pytest.mark.parametrize("backend", ["eigen", "trial"])
 @pytest.mark.parametrize("name", ["hash-tag", "conjugate", "counterexample"])
-def test_warm_scheme_runs_as_a_fresh_one(name, backend):
+def test_warm_scheme_runs_as_a_fresh_one(name, backend, monkeypatch):
+    # each cold run starts from empty witness and engine caches
     warm = make_scheme(name)
     cfg = scaled_cfg(warm, t_max=3, n_updates=5, synth_params=SynthesisParams.default(
         warm.m, backend=backend))
     for seed in range(40):
         a = run_attack(warm, cfg, Stream(seed))
+        monkeypatch.setattr(attack, "_ENGINES", {})
+        witness.cache_clear()
         b = run_attack(make_scheme(name), cfg, Stream(seed))
         assert (a.t_drawn, a.j_drawn, a.db_sizes, a.databases, a.success) == (
             b.t_drawn, b.j_drawn, b.db_sizes, b.databases, b.success)
@@ -374,28 +378,42 @@ def test_warm_scheme_runs_as_a_fresh_one(name, backend):
         for phi, psi in zip(a.forged_pair, b.forged_pair):
             assert phi.matrix.tobytes() == psi.matrix.tobytes()
             assert not phi.matrix.flags.writeable  # later runs share it
-    memo = _SynthMemo.of(warm, cfg.synth_params)
-    assert 0 < len(memo.states) < 40 and 0 < len(memo.accepts) < 40 * 5
 
 
 def test_memo_is_bounded(monkeypatch):
-    monkeypatch.setattr(attack, "MEMO_STATES", 3)
-    monkeypatch.setattr(attack, "MEMO_ACCEPTS", 4)
+    # the engine cache drops its oldest engine when full; the witness and
+    # product caches keep 64 arrays each, 64 MB apiece at the note cap
+    monkeypatch.setattr(attack, "ENGINE_CAP", 3)
+    monkeypatch.setattr(attack, "_ENGINES", {})
     scheme = make_scheme("conjugate")
-    cfg = scaled_cfg(scheme, t_max=3, n_updates=5)
+    cfg = scaled_cfg(scheme, t_max=3, n_updates=5,
+                     synth_params=SynthesisParams.default(scheme.m))
     for seed in range(30):
         run_attack(scheme, cfg, Stream(seed))
-    memo = _SynthMemo.of(scheme, cfg.synth_params)
-    assert len(memo.states) == 3 and len(memo.accepts) == 4
+    assert len(attack._ENGINES) == 3
+    assert witness.cache_info().maxsize == _product.cache_info().maxsize == 64
 
 
 def test_scheme_pickles_without_its_memo():
     warm, cold = make_scheme("counterexample"), make_scheme("counterexample")
-    cfg = scaled_cfg(warm)
-    run_attack(warm, cfg, Stream(5))
-    assert _SynthMemo.of(warm, cfg.synth_params).states
+    run_attack(warm, scaled_cfg(warm), Stream(5))
     assert pickle.dumps(warm) == pickle.dumps(cold)
-    assert not attack._MEMOS.get(pickle.loads(pickle.dumps(warm)))
+
+
+@pytest.mark.parametrize("name", list(SCHEMES))
+def test_eigen_attack_solves_and_embeds_nothing(name, monkeypatch):
+    # the witness and every exact acceptance come from the factor table;
+    # t_max = 1 starts the update rounds from an empty database
+    def refuse(*args, **kwargs):
+        raise AssertionError("called on the eigen attack path")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(synth, "max_acceptance", refuse)
+    for mod in (hilbert, synth, money, oracle):
+        monkeypatch.setattr(mod, "embed_unitary", refuse)
+    scheme = make_scheme(name)
+    tr = run_attack(scheme, scaled_cfg(scheme, t_max=1, n_updates=4), Stream(41))
+    assert tr.db_sizes[0] == 0 and len(tr.update_accept_probs) == 4
 
 
 # ------------------------------------------------------------- diagnostics

@@ -450,9 +450,9 @@ def test_attack_pool_has_no_more_workers_than_trials(monkeypatch):
 @pytest.mark.parametrize("backend", ["eigen", "trial"])
 @pytest.mark.parametrize("name", ["hash-tag", "counterexample"])
 def test_attack_rows_do_not_depend_on_the_memo(name, backend, monkeypatch):
-    # serial trials share one scheme and its synthesis memo; pooled ones
-    # unpickle a cold scheme per chunk; a lone trial starts cold, and a
-    # scheme warmed by other seeds runs each trial from a warm memo
+    # serial trials share this process's synthesis caches; pooled ones run
+    # in forked workers with their own; each lone trial meets the caches
+    # the runs before it left, and after 40 more seeds they are warmer still
     def config(scheme, **kw):
         return AttackConfig.default(scheme, synth_params=SynthesisParams.default(
             scheme.m, backend=backend), **kw)

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from reference import accept_prob_by_qubit
+
 from qmsep.harness import NOTE_QUBIT_CAP
 from qmsep.hilbert import DensityOp, RegisterLayout, embed_unitary, haar_unitary
 from qmsep.money import (
@@ -19,11 +21,19 @@ from qmsep.money import (
     SCHEMES,
     WorldHandle,
     _FACTORS,
+    _product,
     make_scheme,
+    witness,
 )
 from qmsep.oracle import sample_oracle
 from qmsep.streams import Stream
-from qmsep.synth import acceptance_of
+from qmsep.synth import (
+    ReducedVerifier,
+    SynthesisParams,
+    TrialEngine,
+    acceptance_of,
+    max_acceptance,
+)
 
 H = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
 
@@ -521,6 +531,46 @@ def test_factor_key_names_the_operator(name, m):
         assert scheme.answer_key(serial, world) == key  # sub is all of pos
         assert world.dr == []  # read without recording a query
     assert len(set(by_key.values())) == len(by_key)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_witness_is_the_eigen_solvers(m):
+    # over every factor key: the table witness is max_acceptance's, the
+    # simulated verifier accepts it with A's top eigenvalue, and it is shared
+    for key in itertools.product(range(7), repeat=m):
+        spec = ReducedVerifier(m=m, k=1, a=_product(key))
+        val, want = max_acceptance(spec)
+        got = witness(key)
+        assert np.abs(got.matrix - want.matrix).max() < 1e-12
+        assert abs(acceptance_of(spec, got) - val) < 1e-12
+        assert not got.matrix.flags.writeable
+
+
+@pytest.mark.parametrize("name", list(SCHEMES))
+def test_accept_prob_is_the_per_qubit_trace(name):
+    # on every kind of state the attack holds: minted and post-verify notes,
+    # eigen witnesses, the trial engine's success and fallback states, and
+    # the post-verify notes of witnesses, at every prefix of the positions
+    scheme = make_scheme(name)
+    params = SynthesisParams.default(scheme.m)
+    for seed in range(4):
+        world, note = mint_note(scheme, 900 + seed)
+        _, post = scheme.verify(note, world, Stream(seed))
+        states = [note.state, post.state]
+        pos = scheme.verify_positions(note.serial)
+        for r in range(len(pos) + 1):
+            d = {x: world.bits[x] for x in pos[:r]}
+            w = witness(scheme.factor_key(note.serial, d))
+            engine = TrialEngine(scheme.sim_operator(note.serial, d), params)
+            _, forged = scheme.verify(Banknote(note.serial, w), world,
+                                      Stream(seed).split(r))
+            states += [w, forged.state, engine.mixed]
+            if engine.p_success > 1e-15:
+                states.append(engine.rho_m())
+        for rho in states:
+            forged = Banknote(note.serial, rho)
+            want = accept_prob_by_qubit(scheme, forged, world)
+            assert abs(scheme.accept_prob(forged, world) - want) < 1e-12
 
 
 @pytest.mark.parametrize("name", list(SCHEMES))

@@ -406,13 +406,6 @@ def test_trial_success_rate_lower_bound_exact():
 # -------------------------------------------------------------- synthesizer
 
 
-def test_synthesize_eigen_accept_all():
-    res = synthesize(accept_all_spec(),
-                     SynthesisParams.default(1, backend="eigen"), Stream(0))
-    assert not res.fallback
-    assert abs(acceptance_of(accept_all_spec(), res.state) - 1.0) < 1e-9
-
-
 def test_synthesize_trial_reject_all_falls_back():
     res = synthesize(reject_all_spec(), small_params(t=8), Stream(0))
     assert res.fallback
@@ -433,11 +426,10 @@ def test_synthesize_backend_agreement():
     params = small_params(n_alt=30, t=64)
     for i in range(10):
         spec = good_spec(2, 1, stream, b=0.9, gap=0.1)
-        eig = synthesize(spec, SynthesisParams.default(2, backend="eigen"),
-                         stream)
+        _, witness = max_acceptance(spec)
         tri = synthesize(spec, params, stream)
         assert not tri.fallback
-        acc_e = acceptance_of(spec, eig.state)
+        acc_e = acceptance_of(spec, witness)
         acc_t = acceptance_of(spec, tri.state)
         assert acc_t >= 0.5
         assert abs(acc_e - acc_t) <= 0.1
