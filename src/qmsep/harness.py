@@ -126,7 +126,12 @@ def read_options(cfg: dict, command: str, table: dict) -> dict:
         elif least is not None and value < least:
             raise HarnessError(f"{command} needs {key} >= {least}, got {value}")
         else:
-            out[key] = kind(value)
+            try:
+                out[key] = kind(value)
+            except OverflowError:  # a JSON integer beyond float range
+                raise HarnessError(f"{command} needs {key} to be a finite "
+                                   f"number, got an integer beyond float "
+                                   f"range") from None
     return out
 
 

@@ -18,8 +18,13 @@ simulated from a partial database D (an unknown position becomes a fresh
 |+> ancilla) as a circuit and as the 2^m x 2^m operator synthesis reads,
 the factor key that names that operator by one of seven 2x2 factors per
 check, and the exact acceptance probability of a note, Tr(Pi rho) for the
-product Pi of the true checks' projectors.  The eigen witness against a
-factor key is a product from the same table (witness).  The three toy
+product Pi of the true checks' projectors.  Every note the eigen attack
+holds is a ProductState, one factor id per qubit: the minted note, each
+post-verify note (a product of the checks' outcome projectors) and the eigen
+witness against a factor key (witness).  On such a note check i hits
+independently, with probability _HIT[s_i][a_i] = Tr(F_a F_s), so verify and
+accept_prob read that table and build no 2^m x 2^m matrix; a dense note,
+such as a trial-backend state, goes through the check frame.  The three toy
 schemes differ only in their templates, for i < m:
 
 hash-tag        [(0, None, i)]
@@ -33,6 +38,7 @@ counterexample  [(0, None, 0)] + [(1, 1+2i, 2+2i)]: the bit R(s) of a first
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,7 +58,7 @@ class MoneyError(ValueError):
 @dataclass(frozen=True)
 class Banknote:
     serial: tuple
-    state: DensityOp
+    state: ProductState | DensityOp
 
 
 class WorldHandle:
@@ -102,6 +108,10 @@ _FACTORS = (_FRAMES[0] / 2, *((_PROJ[z] + _PROJ[2 + z]) / 2 for z in (0, 1)),
 # the normalized projector onto each of A's factors' top eigenspace, by id:
 # I/2 is all one eigenspace, and 3..6 are projectors already
 _TOP = (0, 7, 8, 3, 4, 5, 6)
+# _HIT[s][a] = Tr(F_a F_s): the probability that a qubit in state s (ids 0
+# and 3..8 have trace 1) passes the check whose projector is a (ids 3..6)
+_HIT = tuple(tuple(float(np.vdot(fa, fs).real) for fa in _FACTORS)
+             for fs in _FACTORS)
 
 
 @functools.lru_cache(maxsize=64)  # 1 MB each, 64 MB, at the 8-qubit note cap
@@ -116,14 +126,31 @@ def _product(ids: tuple, frames: bool = False) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=64)  # 1 MB each, 64 MB, at the 8-qubit note cap
-def witness(key: tuple) -> DensityOp:
+@dataclass(frozen=True)
+class ProductState:
+    """The note (x)_i F[ids[i]], a product of one-qubit factors.  It reads
+    as a DensityOp: its matrix is the shared, read-only _product(ids),
+    built only when something reads it."""
+    ids: tuple
+
+    @property
+    def layout(self):
+        return note_layout(len(self.ids))
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return _product(self.ids)
+
+    check = DensityOp.check
+
+
+@functools.lru_cache(maxsize=64)
+def witness(key: tuple) -> ProductState:
     """The eigen witness against the A that factor key names: the normalized
     projector onto A's top eigenspace.  A is the product of one positive
     2x2 factor per check, so that eigenspace is the product of the factors'
-    own, and the witness is the product of their normalized projectors.
-    Read-only, as every state the attack shares is."""
-    return DensityOp(note_layout(len(key)), _product(tuple(_TOP[f] for f in key)))
+    own, and the witness is the product of their normalized projectors."""
+    return ProductState(tuple(_TOP[f] for f in key))
 
 
 class MoneyScheme:
@@ -193,37 +220,42 @@ class MoneyScheme:
         # a quantum mint's query register is measured at once, so sampling
         # s first is equivalent
         pairs = self._read_checks(serial, world, quantum_first=self.quantum_mint)
-        mat = _product(tuple(3 + 2 * b + z for b, z in pairs))
-        return Banknote(serial=serial, state=DensityOp(note_layout(self.m), mat))
+        return Banknote(serial, ProductState(tuple(3 + 2 * b + z for b, z in pairs)))
 
     def verify(self, note: Banknote, world: WorldHandle, stream):
         """Measure qubit i with check i's projector, for i = 0..m-1 in turn,
         after querying every check's positions; returns (all checks hit,
-        post-measurement note).
+        post-measurement note).  Draw i decides check i.
 
-        In the check frame U each projector is |z_i><z_i| on qubit i, so the
-        outcome probabilities are sums over the diagonal of U rho U: check i
-        hits with probability the surviving mass whose bit i is z_i, over
-        all surviving mass.  Each outcome fixes one bit, so one index j
-        survives all m checks, and the post-measurement state is U|j><j|U,
-        the product of the checks' outcome projectors.  Draw i decides
-        check i, as when each qubit was measured on its own.
+        On a ProductState the checks act on separate factors, so check i
+        hits with probability _HIT[s_i][a_i] whatever the others give.  On
+        a dense state, in the check frame U each projector is |z_i><z_i| on
+        qubit i, so the outcome probabilities are sums over the diagonal of
+        U rho U: check i hits with probability the surviving mass whose bit
+        i is z_i, over all surviving mass.  Either way the post-measurement
+        state is the product of the checks' outcome projectors.
         """
         pairs = self._read_checks(note.serial, world)
-        frame = _product(tuple(b for b, _ in pairs), True)
-        # diag(U rho U), U symmetric: row j of U rho times row j of U
-        mass = ((frame @ note.state.matrix) * frame).sum(axis=1).real.tolist()
-        ok, outcome = True, []
-        for (b, z), draw in zip(pairs, stream.random(self.m).tolist()):
-            half = len(mass) >> 1
-            p1 = sum(mass[half:] if z else mass[:half]) / max(sum(mass), 1e-300)
-            hit = draw < min(max(p1, 0.0), 1.0)
-            c = z if hit else 1 - z
-            mass = mass[half:] if c else mass[:half]
-            outcome.append(3 + 2 * b + c)
-            ok = ok and hit
-        post = _product(tuple(outcome))
-        return ok, Banknote(note.serial, DensityOp(note_layout(self.m), post))
+        draws = stream.random(self.m).tolist()
+        state = note.state
+        if isinstance(state, ProductState):
+            hits = [draw < _HIT[s][3 + 2 * b + z]
+                    for s, (b, z), draw in zip(state.ids, pairs, draws)]
+        else:
+            frame = _product(tuple(b for b, _ in pairs), True)
+            # diag(U rho U), U symmetric: row j of U rho times row j of U
+            mass = ((frame @ state.matrix) * frame).sum(axis=1).real.tolist()
+            hits = []
+            for (b, z), draw in zip(pairs, draws):
+                half = len(mass) >> 1
+                p1 = sum(mass[half:] if z else mass[:half]) / max(sum(mass), 1e-300)
+                hit = draw < min(max(p1, 0.0), 1.0)
+                c = z if hit else 1 - z
+                mass = mass[half:] if c else mass[:half]
+                hits.append(hit)
+        outcome = tuple(3 + 2 * b + (z if hit else 1 - z)
+                        for (b, z), hit in zip(pairs, hits))
+        return all(hits), Banknote(note.serial, ProductState(outcome))
 
     def sim_verifier(self, pk, serial, d: dict) -> VerifierSpec:
         """The verifier with oracle answers taken from d.  pk is ignored:
@@ -296,12 +328,16 @@ class MoneyScheme:
         """Exact probability that verify accepts note.
 
         The checks' projectors commute, so this is Tr(Pi rho) for their
-        product Pi, the factor product of the answer key, and with Pi
-        Hermitian that is vdot(Pi, rho).  The oracle is read through
-        answer_key, so it depends on note.state and that key alone.
+        product Pi, the factor product of the answer key.  On a
+        ProductState that trace is the product of the qubits' _HIT entries;
+        on a dense state, with Pi Hermitian, it is vdot(Pi, rho).  The
+        oracle is read through answer_key, so it depends on note.state and
+        that key alone.
         """
-        pi = _product(self.answer_key(note.serial, world))
-        return float(np.vdot(pi, note.state.matrix).real)
+        key = self.answer_key(note.serial, world)
+        if isinstance(note.state, ProductState):
+            return math.prod(_HIT[s][a] for s, a in zip(note.state.ids, key))
+        return float(np.vdot(_product(key), note.state.matrix).real)
 
 
 class HashTagScheme(MoneyScheme):

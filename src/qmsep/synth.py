@@ -133,9 +133,12 @@ class VerifierSpec:
                 if len(flat) != d * d:
                     raise SynthError(
                         f"U gate matrix has {len(flat)} entries, expected {d * d}")
-                g = np.array([complex(re, im) for re, im in flat]).reshape(d, d)
+                try:
+                    g = np.array([complex(re, im) for re, im in flat]).reshape(d, d)
+                except OverflowError:  # a JSON integer beyond float range
+                    g = None
                 # no unitary entry exceeds modulus 1; NaN and overflow stop here
-                if not (np.abs(g) <= 1 + UNITARY_TOL).all():
+                if g is None or not (np.abs(g) <= 1 + UNITARY_TOL).all():
                     raise SynthError(f"gate {i} has an entry that is not finite "
                                      "or exceeds modulus 1, so it is not unitary")
             else:

@@ -2,8 +2,8 @@
 tests compare the library against and the CLI never runs: coherent vs
 destructive measurement, the alternating-measurement Markov law, the trial
 that synth.TrialEngine computes in closed form, the best Jordan block, the
-trial backend's attempt loop, one draw per attempt, and a note's exact
-acceptance, one check at a time.
+trial backend's attempt loop, one draw per attempt, a note's exact
+acceptance, one check at a time, and the eigen attack's exact success rate.
 """
 
 from __future__ import annotations
@@ -170,3 +170,16 @@ def accept_prob_by_qubit(scheme, note, world) -> float:
     for i, f in enumerate(scheme.answer_key(note.serial, world)):
         rho = embed_unitary(_FACTORS[f], [i], scheme.m, rho)
     return float(np.trace(rho).real)
+
+
+def exact_success(scheme, cfg) -> float:
+    """The eigen attack's exact success probability when verify runs every
+    check: 1 - (1 - 4^-M)/(t_max N) for M = scheme.m.
+
+    Every verification queries every check's positions, so the database
+    D_j the forgeries are synthesized against is complete once t + j >= 1,
+    and each forgery is then the true projector product, accepted surely.
+    Only t = j = 0, with probability 1/(t_max N), leaves D_j empty: each
+    forgery is I/2^M, and the two, verified independently, both pass with
+    probability 4^-M."""
+    return 1.0 - (1.0 - 4.0 ** -scheme.m) / (cfg.t_max * cfg.n_updates)

@@ -5,6 +5,8 @@ import pickle
 import numpy as np
 import pytest
 
+from reference import accept_prob_by_qubit, exact_success
+
 from qmsep import attack, hilbert, money, oracle, synth
 from qmsep.attack import (
     AttackConfig,
@@ -25,7 +27,7 @@ from qmsep.harness import NOTE_QUBIT_CAP
 from qmsep.money import SCHEMES, Banknote, WorldHandle, _product, make_scheme, witness
 from qmsep.oracle import sample_oracle
 from qmsep.streams import Stream
-from qmsep.synth import SynthesisParams, TrialEngine, synthesize
+from qmsep.synth import SynthesisParams, TrialEngine, max_acceptance, synthesize
 
 
 def scaled_cfg(scheme, t_max=4, n_updates=6, **kw):
@@ -402,8 +404,9 @@ def test_scheme_pickles_without_its_memo():
 
 @pytest.mark.parametrize("name", list(SCHEMES))
 def test_eigen_attack_solves_and_embeds_nothing(name, monkeypatch):
-    # the witness and every exact acceptance come from the factor table;
-    # t_max = 1 starts the update rounds from an empty database
+    # the witness, every verification and every exact acceptance come from
+    # the factor tables; t_max = 1 starts the update rounds from an empty
+    # database
     def refuse(*args, **kwargs):
         raise AssertionError("called on the eigen attack path")
 
@@ -411,9 +414,61 @@ def test_eigen_attack_solves_and_embeds_nothing(name, monkeypatch):
     monkeypatch.setattr(synth, "max_acceptance", refuse)
     for mod in (hilbert, synth, money, oracle):
         monkeypatch.setattr(mod, "embed_unitary", refuse)
+    # every note is a ProductState, so no 2^m x 2^m matrix is built either
+    monkeypatch.setattr(money, "_product", refuse)
+    for mod in (hilbert, money):
+        monkeypatch.setattr(mod, "kron", refuse)
     scheme = make_scheme(name)
     tr = run_attack(scheme, scaled_cfg(scheme, t_max=1, n_updates=4), Stream(41))
     assert tr.db_sizes[0] == 0 and len(tr.update_accept_probs) == 4
+
+
+# ------------------------------------------------------------ exact success
+
+
+@pytest.mark.parametrize("t_max,n", [(1, 1), (2, 3), (3, 2)])
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("name", list(SCHEMES))
+def test_exact_success_is_the_mean_over_t_and_j(name, m, t_max, n):
+    # by enumeration over (t, j): D_j holds the pairs t + j verifications
+    # queried, each forgery is the eigen solver's witness against D_j, and
+    # the two pass independently, each with its per-qubit reference trace
+    scheme = make_scheme(name, m=m)
+    cfg = scaled_cfg(scheme, t_max=t_max, n_updates=n)
+    world, note = prepared(scheme, 17, cfg)
+    total = 0.0
+    for t, j in itertools.product(range(t_max), range(n)):
+        d = {}
+        for i in range(t + j):
+            before = len(world.dr)
+            scheme.verify(note, world, Stream(17).split(i))
+            d.update(world.dr[before:])
+        _, phi = max_acceptance(scheme.sim_operator(note.serial, d))
+        total += accept_prob_by_qubit(scheme, Banknote(note.serial, phi), world) ** 2
+    assert abs(total / (t_max * n) - exact_success(scheme, cfg)) < 1e-12
+
+
+# (scheme, m, t_max, N), and the seed, trial count and interval level, were
+# fixed before the first run
+SUCCESS_SETTINGS = [("hash-tag", 1, 2, 2), ("conjugate", 2, 2, 3),
+                    ("counterexample", 1, 2, 2)]
+SUCCESS_SEED, SUCCESS_TRIALS = 2210, 3000
+Z_999 = 3.290527  # the standard normal's 99.95% quantile: a 99.9% interval
+
+
+@pytest.mark.parametrize("name,m,t_max,n", SUCCESS_SETTINGS)
+def test_sampled_success_covers_the_exact_rate(name, m, t_max, n):
+    # the eigen attack verifies from the hit table; its exact rate does not
+    # read that table.  At hash-tag m = 1, t_max = N = 2 it is 0.8125
+    scheme = make_scheme(name, m=m)
+    cfg = scaled_cfg(scheme, t_max=t_max, n_updates=n)
+    wins = sum(run_attack(scheme, cfg, Stream(SUCCESS_SEED + i)).success
+               for i in range(SUCCESS_TRIALS))
+    p, z2, count = wins / SUCCESS_TRIALS, Z_999 ** 2, SUCCESS_TRIALS
+    centre = (p + z2 / (2 * count)) / (1 + z2 / count)
+    half = (Z_999 / (1 + z2 / count)) * math.sqrt(
+        p * (1 - p) / count + z2 / (4 * count * count))
+    assert centre - half <= exact_success(scheme, cfg) <= centre + half
 
 
 # ------------------------------------------------------------- diagnostics

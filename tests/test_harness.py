@@ -628,6 +628,22 @@ def test_cli_rejects_a_value_below_its_least(command, key, least, monkeypatch,
     assert out.err == f"qmsep: {command} needs {key} >= {least}, got {least - 1}\n"
 
 
+@pytest.mark.parametrize("command,key", [("attack", "eps"), ("synth", "a")])
+def test_cli_rejects_an_integer_beyond_float_range(command, key, monkeypatch,
+                                                   tmp_path, capsys):
+    # JSON reads 10**400 as an exact int, which float() cannot hold
+    monkeypatch.setattr(harness, "_attack_trial", _no_trial)
+    args = {"attack": ["--scheme", "hash-tag", "--workers", "1"],
+            "synth": ["--verifier", write_spec(tmp_path, [X_GATE])]}[command]
+    rc = cli.main([command, *args,
+                   "--config", config_file(tmp_path, {key: 10 ** 400})])
+    assert rc == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (f"qmsep: {command} needs {key} to be a finite number, "
+                       "got an integer beyond float range\n")
+
+
 @pytest.mark.parametrize("command", list(cli.COMMANDS))
 def test_cli_help_shows_every_table_default(command, capsys):
     table, _ = cli.COMMANDS[command]

@@ -18,6 +18,7 @@ from qmsep.money import (
     CounterexampleScheme,
     HashTagScheme,
     MoneyError,
+    ProductState,
     SCHEMES,
     WorldHandle,
     _FACTORS,
@@ -571,6 +572,57 @@ def test_accept_prob_is_the_per_qubit_trace(name):
             forged = Banknote(note.serial, rho)
             want = accept_prob_by_qubit(scheme, forged, world)
             assert abs(scheme.accept_prob(forged, world) - want) < 1e-12
+
+
+def _answer_tables(scheme, serial):
+    """One oracle table per answer key scheme's checks can hold at serial."""
+    checks = scheme.checks(serial)
+    choices = [[(0, z) for z in (0, 1)] if basis is None else
+               list(itertools.product((0, 1), repeat=2)) for basis, _ in checks]
+    for values in itertools.product(*choices):
+        table = np.zeros(1 << scheme.l, dtype=np.int64)
+        for (basis, bit), (b, z) in zip(checks, values):
+            if basis is not None:
+                table[basis] = b
+            table[bit] = z
+        yield table
+
+
+@pytest.mark.parametrize("name,m", [(name, m) for name in SCHEMES for m in (1, 2, 3)
+                                    if make_scheme(name, m=m).m <= 3])
+def test_product_path_is_the_dense_path(name, m):
+    # verify and accept_prob read the hit table on a ProductState, and the
+    # check frame and the trace on the same matrix as a DensityOp: with
+    # equal draws they give the same acceptance, the same outcome ids and
+    # the same probability.  Every (answer key, state-id tuple) pair up to
+    # 2000 of them, else about 2000 at an even stride; the strides at 3
+    # qubits (2, 6 and 11) are coprime to 7^3, so every tuple meets some key
+    scheme = make_scheme(name, m=m)
+    serial = (1,) * scheme.serials
+    tables = list(_answer_tables(scheme, serial))
+    cases = list(itertools.product(range(len(tables)), itertools.product(
+        (0, 3, 4, 5, 6, 7, 8), repeat=scheme.m)))
+    for i, (k, ids) in enumerate(cases[::-(-len(cases) // 2000)]):
+        prod = ProductState(ids)
+        dense = DensityOp(prod.layout, prod.matrix)
+        got = []
+        for state in (prod, dense):
+            world = WorldHandle(scheme.l, table=tables[k])
+            note = Banknote(serial, state)
+            ok, post = scheme.verify(note, world, Stream(i))
+            got.append((ok, post.state.ids, scheme.accept_prob(note, world)))
+        (ok, out, p), (want_ok, want_out, want_p) = got
+        assert ok == want_ok and out == want_out
+        assert abs(p - want_p) < 1e-15
+
+
+def test_product_state_reads_as_a_density_op():
+    # the matrix is the shared read-only product, built on first read
+    state = ProductState((7, 4, 0))
+    assert state.layout == RegisterLayout((("M", 3),))
+    assert state.matrix is _product((7, 4, 0))
+    assert not state.matrix.flags.writeable
+    assert state.check() is state
 
 
 @pytest.mark.parametrize("name", list(SCHEMES))

@@ -514,6 +514,15 @@ def test_verifier_json_rejects_non_finite_matrix(bad):
              "gates": [{"name": "U", "targets": [0], "matrix": entries}]}))
 
 
+def test_verifier_json_rejects_an_integer_beyond_float_range():
+    # complex() cannot convert 10**400, which JSON reads as an exact int
+    entries = [[10 ** 400, 0], [0, 0], [0, 0], [1, 0]]
+    with pytest.raises(SynthError, match="gate 0 has an entry that is not finite"):
+        VerifierSpec.from_json(json.dumps(
+            {"m": 1, "k": 0, "ans_index": 0,
+             "gates": [{"name": "U", "targets": [0], "matrix": entries}]}))
+
+
 @pytest.mark.parametrize("field,value", [
     ("m", 1.5), ("m", "2"), ("m", True), ("k", True), ("k", 0.0), ("k", None),
     ("ans_index", 1.0), ("ans_index", False), ("target", 0.0), ("target", True),
