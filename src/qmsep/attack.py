@@ -10,13 +10,18 @@ database only through the simulated verifier's factor key: the eigen
 witness is read off money's factor table, and the trial backend draws from
 one cached TrialEngine per key.  Every exact acceptance is one trace
 against the true checks' projector product.
+
+The update phase is kept as Runs, one entry per run of rounds with the
+same database, acceptance and bad-query count.  On the eigen backend D is
+complete after at most q verifications and every later round repeats the
+last, so a trial's bookkeeping costs its runs, not its N rounds.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .money import Banknote, MoneyScheme, WorldHandle, witness
 from .oracle import sample_oracle
@@ -89,18 +94,43 @@ class AttackConfig:
                    scaled=scaled)
 
 
+class Runs(NamedTuple):
+    """An update phase as runs of equal rounds.  Run r is rounds[r]
+    consecutive rounds that synthesize against databases[r], whose notes
+    the true verifier accepts with probability probs[r], and that each make
+    bad_counts[r] bad queries; a new run starts when one of the three
+    changes.  databases has one more entry: D after the last round.  The
+    fields are columns, databases first and probabilities second, the order
+    perfbench/tracer.py reads an update phase's result in."""
+    databases: list
+    probs: list
+    bad_counts: list
+    rounds: list
+
+    def sizes(self) -> list:
+        """(|D|, rounds) per run, and (|D|, 1) for D after the last round:
+        the runs of the transcript's db_sizes."""
+        return [*zip(map(len, self.databases), self.rounds),
+                (len(self.databases[-1]), 1)]
+
+
 @dataclass
 class AttackTranscript:
     t_drawn: int
     j_drawn: int
-    db_sizes: list
-    databases: list            # database snapshots (dict copies, deduplicated)
-    update_accept_probs: list  # exact acceptance of each round's note
-    forged_pair: tuple
-    bad_query_counts: list
+    runs: Runs          # the update phase, run-length encoded
+    forged_pair: tuple  # the two forged states
     accept1: bool = False
     accept2: bool = False
     success: bool = False
+
+    @property
+    def db_sizes(self) -> list:
+        """|D| before each of the N rounds and after the last, N + 1 sizes."""
+        sizes = []
+        for size, n in self.runs.sizes():
+            sizes += [size] * n
+        return sizes
 
 
 def _verify_collecting(scheme, note, world, stream):
@@ -120,7 +150,7 @@ def test_phase(scheme, note, world, cfg: AttackConfig, stream):
     it unchanged.
     """
     t = int(stream.integers(0, cfg.t_max))
-    needed = set(scheme.verify_positions(note.serial))
+    needed = scheme.position_set(note.serial)
     d = {}
     for i in range(t):
         if needed <= d.keys():
@@ -159,34 +189,29 @@ def _synthesized(scheme, serial, d: dict, params: SynthesisParams, rng):
     return synthesize(engine.spec, params, rng, engine=engine).state
 
 
-def update_phase(scheme, serial, world, d0: dict, cfg: AttackConfig, stream):
+def update_phase(scheme, serial, world, d0: dict, cfg: AttackConfig,
+                 stream) -> Runs:
     """N rounds of synthesizing a note against D and merging what the true
-    verifier reveals; returns (databases, per-round exact acceptance
-    probabilities, bad-query counts).
+    verifier reveals, each round with the exact acceptance probability of
+    its note and its bad-query count; returns them as Runs.
 
     verify queries exactly verify_positions(serial), mint's positions, so a
     bad query is a newly learned pair, and a round can make one only while
     D lacks one of them; once D has them all, rounds run no verifier.  With
     the eigen backend synthesis is deterministic, so from then on every
-    round has the same database, state and probability, and they are
-    filled in at once.
+    round has the same database, state and probability, and the rest of
+    the rounds make one run: at most q + 1 runs, whatever N is.  The trial
+    backend draws a new state each round, so its runs are mostly single
+    rounds.  A database is copied only when a round learns something.
     """
     params = cfg.synth_params
     eigen = params.backend == "eigen"
-    needed = set(scheme.verify_positions(serial))
-    databases = [dict(d0)]
-    probs = []
-    bad_counts = []
+    needed = scheme.position_set(serial)
+    runs = Runs([], [], [], [])
     d = dict(d0)
-    for k in range(cfg.n_updates):
+    k = 0
+    while k < cfg.n_updates:
         complete = needed <= d.keys()
-        if complete and eigen:
-            rest = cfg.n_updates - k
-            note = Banknote(serial, _synthesized(scheme, serial, d, params, None))
-            probs += [scheme.accept_prob(note, world)] * rest
-            databases += [databases[-1]] * rest
-            bad_counts += [0] * rest
-            break
         rng = None if eigen else stream.split(("synth", k))
         note = Banknote(serial, _synthesized(scheme, serial, d, params, rng))
         pairs = []
@@ -194,18 +219,34 @@ def update_phase(scheme, serial, world, d0: dict, cfg: AttackConfig, stream):
             _, _, pairs = _verify_collecting(scheme, note, world,
                                              stream.split(("upd", k)))
         new_pairs = {x: z for x, z in pairs if x not in d}
-        bad_counts.append(len(new_pairs.keys() & needed))
-        d.update(new_pairs)
+        bad = len(new_pairs.keys() & needed)
         # read after the verification, so a lazy world has already drawn
         # every bit it reads
-        probs.append(scheme.accept_prob(note, world))
-        databases.append(dict(d) if new_pairs else databases[-1])
-    return databases, probs, bad_counts
+        p = scheme.accept_prob(note, world)
+        n = cfg.n_updates - k if complete and eigen else 1
+        if runs.rounds and (runs.databases[-1], runs.probs[-1],
+                            runs.bad_counts[-1]) == (d, p, bad):
+            runs.rounds[-1] += n
+        else:
+            for column, value in zip(runs, (d, p, bad, n)):
+                column.append(value)
+        if new_pairs:
+            d = {**d, **new_pairs}
+        k += n
+    runs.databases.append(d)
+    return runs
 
 
-def synthesize_phase(scheme, serial, databases, cfg: AttackConfig, stream):
+def synthesize_phase(scheme, serial, runs: Runs, cfg: AttackConfig, stream):
+    """Two notes synthesized against D_j, the database of a uniform round j,
+    found by walking the runs."""
     j = int(stream.integers(0, cfg.n_updates))
-    phi1, phi2 = (_synthesized(scheme, serial, databases[j], cfg.synth_params,
+    rest = j
+    for d, n in zip(runs.databases, runs.rounds):
+        if rest < n:
+            break
+        rest -= n
+    phi1, phi2 = (_synthesized(scheme, serial, d, cfg.synth_params,
                                stream.split(("forge", j, i))) for i in (1, 2))
     return j, phi1, phi2
 
@@ -229,32 +270,23 @@ def _mint_and_test(scheme: MoneyScheme, cfg: AttackConfig, stream):
 
 def run_attack(scheme: MoneyScheme, cfg: AttackConfig, stream) -> AttackTranscript:
     world, note, d0, t = _mint_and_test(scheme, cfg, stream)
-    databases, probs, bad_counts = update_phase(
-        scheme, note.serial, world, d0, cfg, stream.split("u"))
-    j, phi1, phi2 = synthesize_phase(scheme, note.serial, databases,
-                                     cfg, stream.split("s"))
+    runs = update_phase(scheme, note.serial, world, d0, cfg, stream.split("u"))
+    j, phi1, phi2 = synthesize_phase(scheme, note.serial, runs, cfg,
+                                     stream.split("s"))
     ok1, _, _ = _verify_collecting(scheme, Banknote(note.serial, phi1),
                                    world, stream.split("v1"))
     ok2, _, _ = _verify_collecting(scheme, Banknote(note.serial, phi2),
                                    world, stream.split("v2"))
     return AttackTranscript(
-        t_drawn=t, j_drawn=j,
-        db_sizes=list(map(len, databases)),
-        # consecutive equal databases, mostly one shared object, collapse
-        # to their first; groupby compares in C, identity first
-        databases=[db for db, _ in itertools.groupby(databases)],
-        update_accept_probs=probs,
-        forged_pair=(phi1, phi2),
-        bad_query_counts=bad_counts,
-        accept1=bool(ok1), accept2=bool(ok2),
-        success=bool(ok1 and ok2))
+        t_drawn=t, j_drawn=j, runs=runs, forged_pair=(phi1, phi2),
+        accept1=bool(ok1), accept2=bool(ok2), success=bool(ok1 and ok2))
 
 
 def bad_query_probe(scheme: MoneyScheme, cfg: AttackConfig, stream) -> int:
     """After the test phase, does one more verification hit a mint
     position the adversary has not learned?  Returns 0/1."""
     world, note, d, _ = _mint_and_test(scheme, cfg, stream)
-    needed = set(scheme.verify_positions(note.serial))
+    needed = scheme.position_set(note.serial)
     _, _, pairs = _verify_collecting(scheme, note, world, stream.split("probe"))
     return int(bool({x for x, _ in pairs} & (needed - d.keys())))
 

@@ -9,7 +9,6 @@ not depend on scheduling.
 from __future__ import annotations
 
 import concurrent.futures
-import itertools
 import json
 import math
 import os
@@ -43,9 +42,9 @@ NOTE_QUBIT_CAP = 8
 # largest t_max the attack accepts: test_phase draws t with
 # stream.integers(0, t_max), whose bound must fit an int64
 T_MAX_CAP = 1 << 62
-# largest N the attack accepts: update_phase keeps per-round lists of N
-# probabilities, databases and counts, tens of MB at 10^6, which still
-# admits counterexample's derived N at eps = 0.01
+# largest N the attack accepts: a trial keeps only its runs, but the v1
+# db_sizes cell writes N + 1 sizes per CSV row, 2-3 MB per row at 10^6,
+# which still admits counterexample's derived N at eps = 0.01 (460 066)
 N_UPDATES_CAP = 10 ** 6
 # widest plain register oracle-check accepts: reduced_density_plain returns
 # a 2^n x 2^n matrix, 16 MB at 10
@@ -222,6 +221,7 @@ def _attack_trial(args):
     """One trial's CSV row and bad-query total."""
     name, scheme, cfg, seed = args
     tr = run_attack(scheme, cfg, Stream(seed))
+    runs = tr.runs
     row = {
         "scheme": name,
         "variant": cfg.variant,
@@ -234,16 +234,16 @@ def _attack_trial(args):
         "accept1": int(tr.accept1),
         "accept2": int(tr.accept2),
         "success": int(tr.success),
-        "db_sizes": _runs_cell(tr.db_sizes),
+        "db_sizes": _runs_cell(runs.sizes()),
     }
-    return row, sum(tr.bad_query_counts)
+    return row, sum(b * n for b, n in zip(runs.bad_counts, runs.rounds))
 
 
-def _runs_cell(values) -> str:
-    """";".join(map(str, values)), one str() per run of equal values: a
-    derived-parameter transcript is a few runs of up to 10^6 sizes."""
-    return ";".join(";".join([str(k)] * len(list(run)))
-                    for k, run in itertools.groupby(values))
+def _runs_cell(runs) -> str:
+    """The v1 cell ";".join(map(str, values)) of the values that (value,
+    count) runs expand to, one str() per run: a derived-parameter
+    transcript is a few runs of up to 10^6 sizes."""
+    return ";".join(";".join([str(v)] * n) for v, n in runs)
 
 
 def _usable_cpus() -> int:

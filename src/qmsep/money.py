@@ -108,10 +108,14 @@ _FACTORS = (_FRAMES[0] / 2, *((_PROJ[z] + _PROJ[2 + z]) / 2 for z in (0, 1)),
 # the normalized projector onto each of A's factors' top eigenspace, by id:
 # I/2 is all one eigenspace, and 3..6 are projectors already
 _TOP = (0, 7, 8, 3, 4, 5, 6)
-# _HIT[s][a] = Tr(F_a F_s): the probability that a qubit in state s (ids 0
-# and 3..8 have trace 1) passes the check whose projector is a (ids 3..6)
-_HIT = tuple(tuple(float(np.vdot(fa, fs).real) for fa in _FACTORS)
-             for fs in _FACTORS)
+# _HIT[s][a] = Tr(F_a F_s): the probability that a qubit in state s (every
+# factor has trace 1) passes the check whose projector is a (ids 3..6).  Each
+# entry is one of _EXACT, and the float traces miss it by a few ulps
+# (Tr(F_5 F_5) comes out 1 - 4e-16), so each is taken as the nearest of
+# those: a valid note then passes with probability exactly 1
+_EXACT = (0.0, 0.25, 0.5, 0.75, 1.0, *((2 + s * math.sqrt(2)) / 4 for s in (-1, 1)))
+_HIT = tuple(tuple(min(_EXACT, key=lambda e: abs(e - np.vdot(fa, fs).real))
+                   for fa in _FACTORS) for fs in _FACTORS)
 
 
 @functools.lru_cache(maxsize=64)  # 1 MB each, 64 MB, at the 8-qubit note cap
@@ -124,6 +128,19 @@ def _product(ids: tuple, frames: bool = False) -> np.ndarray:
         out = kron(out, (_FRAMES if frames else _FACTORS)[f])
     out.flags.writeable = False
     return out
+
+
+# a scheme has 2^(serials * s_bits) serials, at most 256 at ORACLE_L_CAP, so
+# every serial of a few schemes fits
+@functools.lru_cache(maxsize=1024)
+def _serial_checks(template: tuple, tag_bits: int, serial: tuple) -> tuple:
+    """(checks, verify positions, their set) of serial under template, for
+    MoneyScheme.checks, verify_positions and position_set.  The table lives
+    outside the scheme, so a scheme pickles the same warm or cold."""
+    checks = tuple((None if basis is None else (serial[k] << tag_bits) | basis,
+                    (serial[k] << tag_bits) | bit) for k, basis, bit in template)
+    positions = tuple(x for check in checks for x in check if x is not None)
+    return checks, positions, frozenset(positions)
 
 
 @dataclass(frozen=True)
@@ -171,7 +188,7 @@ class MoneyScheme:
             raise MoneyError(f"m must be >= 1, got {m}")
         if m > 2 ** l:  # m bit tags cannot fit; bounds what tags(m) builds
             raise MoneyError("l too small for the requested m")
-        self.template = self.tags(m)
+        self.template = tuple(self.tags(m))
         tags = [t for _, *pair in self.template for t in pair if t is not None]
         # checks share a position for some serial exactly when they share a tag
         if len(set(tags)) < len(tags):
@@ -184,15 +201,20 @@ class MoneyScheme:
         if self.s_bits < 1:
             raise MoneyError("l too small for the requested m")
 
+    def _table(self, serial) -> tuple:
+        return _serial_checks(self.template, self.tag_bits, serial)
+
     def checks(self, serial) -> list:
         """One (basis, bit) pair of oracle positions per note qubit."""
-        tb = self.tag_bits
-        return [(None if basis is None else (serial[k] << tb) | basis,
-                 (serial[k] << tb) | bit) for k, basis, bit in self.template]
+        return list(self._table(serial)[0])
 
     def verify_positions(self, serial) -> list:
         """The positions verify queries, in query order."""
-        return [x for check in self.checks(serial) for x in check if x is not None]
+        return list(self._table(serial)[1])
+
+    def position_set(self, serial) -> frozenset:
+        """verify_positions(serial) as a set."""
+        return self._table(serial)[2]
 
     @property
     def queries(self) -> int:
@@ -207,7 +229,7 @@ class MoneyScheme:
         reads the first bit with a quantum query, as a quantum mint does."""
         read = world.query if record else world._bit
         pairs = []
-        for i, (basis, bit) in enumerate(self.checks(serial)):
+        for i, (basis, bit) in enumerate(self._table(serial)[0]):
             b = 0 if basis is None else read(basis)
             quantum = quantum_first and i == 0
             z = world.query(bit, quantum=True) if quantum else read(bit)
@@ -295,7 +317,7 @@ class MoneyScheme:
         when it knows both, b = 0 for the computational basis.  Equal keys
         give byte-equal operators, whatever the serial."""
         key = []
-        for basis, bit in self.checks(serial):
+        for basis, bit in self._table(serial)[0]:
             if bit not in d:
                 key.append(0)
             elif basis is None or basis in d:
@@ -315,7 +337,7 @@ class MoneyScheme:
         factor_key id names.
         """
         a = _product(self.factor_key(serial, d))
-        unknown = sum(x not in d for x in self.verify_positions(serial))
+        unknown = sum(x not in d for x in self._table(serial)[1])
         return ReducedVerifier(m=self.m, k=unknown + 1, a=a)
 
     def answer_key(self, serial, world: WorldHandle) -> tuple:

@@ -1,6 +1,7 @@
 import itertools
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from qmsep.attack import (
 )
 from qmsep.attack import test_phase as learn_phase
 learn_phase.__test__ = False
-from qmsep.harness import NOTE_QUBIT_CAP
+from qmsep.harness import N_UPDATES_CAP, NOTE_QUBIT_CAP
 from qmsep.money import SCHEMES, Banknote, WorldHandle, _product, make_scheme, witness
 from qmsep.oracle import sample_oracle
 from qmsep.streams import Stream
@@ -134,12 +135,24 @@ def test_test_phase_verifies_once(name):
 # -------------------------------------------------------------- update phase
 
 
+def expanded(runs):
+    """An update phase's runs as per-round lists: the N + 1 databases (D
+    before each round and after the last), the N acceptance probabilities
+    and the N bad-query counts."""
+    dbs, probs, bad = [], [], []
+    for d, p, b, n in zip(*runs):
+        dbs += [d] * n
+        probs += [p] * n
+        bad += [b] * n
+    return dbs + [runs.databases[-1]], probs, bad
+
+
 def test_update_phase_monotone_and_saturates():
     scheme = make_scheme("hash-tag")
     cfg = scaled_cfg(scheme, t_max=1, n_updates=8)  # start from empty D
     world, note = prepared(scheme, 5, cfg)
-    dbs, probs, bad = update_phase(
-        scheme, note.serial, world, {}, cfg, Stream(5))
+    dbs, probs, bad = expanded(update_phase(
+        scheme, note.serial, world, {}, cfg, Stream(5)))
     sets = [set(db.items()) for db in dbs]
     for a, b in zip(sets, sets[1:]):
         assert a <= b
@@ -196,8 +209,8 @@ def test_update_phase_matches_verify_every_round_reference(name, t, backend):
         scheme.m, backend=backend))
     world, note, d0, secret = _after_verifications(scheme, cfg, 31, t)
     before = len(world.dr)
-    dbs, probs, bad = update_phase(
-        scheme, note.serial, world, d0, cfg, Stream(37))
+    dbs, probs, bad = expanded(update_phase(
+        scheme, note.serial, world, d0, cfg, Stream(37)))
     grew = len(world.dr) - before
     world, note, d0, secret = _after_verifications(scheme, cfg, 31, t)
     ref = _update_phase_reference(scheme, note.serial, world, d0, cfg,
@@ -209,12 +222,47 @@ def test_update_phase_matches_verify_every_round_reference(name, t, backend):
     assert grew == (0 if t else len(positions))
 
 
+@pytest.mark.parametrize("n", [1, 3, 7])
+@pytest.mark.parametrize("t", [0, 1])
+@pytest.mark.parametrize("backend", ["eigen", "trial"])
+@pytest.mark.parametrize("name", list(SCHEMES))
+def test_runs_expand_to_the_reference(name, backend, t, n, monkeypatch):
+    # the runs hold exactly the reference's per-round lists, and the
+    # forgeries are synthesized against the expanded list's entry j
+    scheme = make_scheme(name)
+    cfg = scaled_cfg(scheme, n_updates=n, synth_params=SynthesisParams.default(
+        scheme.m, backend=backend))
+    world, note, d0, secret = _after_verifications(scheme, cfg, 43, t)
+    runs = update_phase(scheme, note.serial, world, d0, cfg, Stream(47))
+    dbs, probs, bad = expanded(runs)
+    world, note, d0, secret = _after_verifications(scheme, cfg, 43, t)
+    assert (dbs, probs, bad) == _update_phase_reference(
+        scheme, note.serial, world, d0, cfg, Stream(47), secret)
+    if backend == "eigen":
+        assert len(runs.rounds) <= scheme.queries + 1
+    seen = []
+    real = attack._synthesized
+
+    def recorded(scheme, serial, d, *rest):
+        seen.append(d)
+        return real(scheme, serial, d, *rest)
+
+    monkeypatch.setattr(attack, "_synthesized", recorded)
+    drawn = set()
+    for seed in range(40):
+        seen.clear()
+        j, _, _ = synthesize_phase(scheme, note.serial, runs, cfg, Stream(seed))
+        assert seen == [dbs[j], dbs[j]]
+        drawn.add(j)
+    assert drawn == set(range(n))
+
+
 def test_synthesize_phase_single_database():
     scheme = make_scheme("hash-tag")
     cfg = scaled_cfg(scheme, n_updates=1)
     world, note = prepared(scheme, 7, cfg)
-    dbs, *_ = update_phase(scheme, note.serial, world, {}, cfg, Stream(7))
-    j, phi1, phi2 = synthesize_phase(scheme, note.serial, dbs, cfg, Stream(8))
+    runs = update_phase(scheme, note.serial, world, {}, cfg, Stream(7))
+    j, phi1, phi2 = synthesize_phase(scheme, note.serial, runs, cfg, Stream(8))
     assert j == 0
     assert np.abs(phi1.matrix - phi2.matrix).max() < 1e-12  # eigen backend
 
@@ -231,9 +279,10 @@ def test_run_attack_transcript_shape(name):
     assert 0 <= tr.j_drawn < 5
     assert len(tr.db_sizes) == 6
     assert all(a <= b for a, b in zip(tr.db_sizes, tr.db_sizes[1:]))
-    assert len(tr.update_accept_probs) == 5
+    dbs, probs, _ = expanded(tr.runs)
+    assert len(probs) == 5
     assert tr.success == (tr.accept1 and tr.accept2)
-    for a, b in zip(tr.databases, tr.databases[1:]):
+    for a, b in zip(dbs, dbs[1:]):
         assert set(a.items()) <= set(b.items())
 
 
@@ -373,10 +422,10 @@ def test_warm_scheme_runs_as_a_fresh_one(name, backend, monkeypatch):
         monkeypatch.setattr(attack, "_ENGINES", {})
         witness.cache_clear()
         b = run_attack(make_scheme(name), cfg, Stream(seed))
-        assert (a.t_drawn, a.j_drawn, a.db_sizes, a.databases, a.success) == (
-            b.t_drawn, b.j_drawn, b.db_sizes, b.databases, b.success)
-        assert a.update_accept_probs == b.update_accept_probs
-        assert a.bad_query_counts == b.bad_query_counts
+        assert (a.t_drawn, a.j_drawn, a.db_sizes, a.success) == (
+            b.t_drawn, b.j_drawn, b.db_sizes, b.success)
+        # the databases, probabilities, bad counts and their run lengths
+        assert a.runs == b.runs
         for phi, psi in zip(a.forged_pair, b.forged_pair):
             assert phi.matrix.tobytes() == psi.matrix.tobytes()
             assert not phi.matrix.flags.writeable  # later runs share it
@@ -420,7 +469,26 @@ def test_eigen_attack_solves_and_embeds_nothing(name, monkeypatch):
         monkeypatch.setattr(mod, "kron", refuse)
     scheme = make_scheme(name)
     tr = run_attack(scheme, scaled_cfg(scheme, t_max=1, n_updates=4), Stream(41))
-    assert tr.db_sizes[0] == 0 and len(tr.update_accept_probs) == 4
+    assert tr.db_sizes[0] == 0 and len(expanded(tr.runs)[1]) == 4
+
+
+@pytest.mark.parametrize("name", list(SCHEMES))
+def test_eigen_trial_bookkeeping_does_not_grow_with_n(name):
+    # t_max = 1 starts the update rounds from an empty database.  At the N
+    # cap an eigen trial holds at most q + 1 runs, and it allocates under
+    # 1 MB at its peak, where a list of 10^6 pointers alone takes 8 MB
+    scheme = make_scheme(name)
+    run_attack(scheme, scaled_cfg(scheme, t_max=1), Stream(53))  # imports
+    cfg = scaled_cfg(scheme, t_max=1, n_updates=N_UPDATES_CAP)
+    tracemalloc.start()
+    try:
+        tr = run_attack(scheme, cfg, Stream(53))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(tr.runs.rounds) == N_UPDATES_CAP
+    assert len(tr.runs.rounds) <= scheme.queries + 1
+    assert peak < 1 << 20
 
 
 # ------------------------------------------------------------ exact success

@@ -210,6 +210,29 @@ def test_fresh_notes_always_accept(name):
         assert np.abs(post.state.matrix - note.state.matrix).max() < 1e-9
 
 
+class _TopDraws:
+    """A stream whose every uniform draw is the largest double below 1."""
+
+    def random(self, n):
+        return np.full(n, np.nextafter(1.0, 0.0))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("name", list(SCHEMES))
+def test_valid_note_passes_at_the_top_draw(name, m):
+    # a valid qubit passes its check with probability exactly 1, in either
+    # basis, so no draw below 1 fails it and accept_prob is exactly 1.0
+    scheme = make_scheme(name, m=m)
+    bases = set()
+    for seed in range(12):
+        world, note = mint_note(scheme, 500 + seed)
+        bases.update(f >= 5 for f in note.state.ids)  # ids 5, 6: Hadamard
+        assert scheme.accept_prob(note, world) == 1.0
+        ok, post = scheme.verify(note, world, _TopDraws())
+        assert ok and post == note
+    assert bases == ({False} if name == "hash-tag" else {False, True})
+
+
 @pytest.mark.parametrize("m", [1, 2, 3])
 @pytest.mark.parametrize("name", list(SCHEMES))
 def test_valid_note_is_the_true_verifiers_operator(name, m):
