@@ -7,12 +7,12 @@ true verifier on it, merging every newly observed pair into the database.
 Finally it synthesizes two notes against a uniformly chosen intermediate
 database and outputs them as forgeries.  A synthesized state depends on the
 database only through the simulated verifier's factor key: the eigen
-witness is read off money's factor table, and the trial backend draws from
-one cached TrialEngine per key.  Every exact acceptance is one trace
-against the true checks' projector product.
+witness (no synth_params) is read off money's factor table, and the trial
+subroutine draws from one cached TrialEngine per key.  Every exact
+acceptance is one trace against the true checks' projector product.
 
 The update phase is kept as Runs, one entry per run of rounds with the
-same database, acceptance and bad-query count.  On the eigen backend D is
+same database, acceptance and bad-query count.  With the eigen witness D is
 complete after at most q verifications and every later round repeats the
 last, so a trial's bookkeeping costs its runs, not its N rounds.
 """
@@ -35,8 +35,8 @@ from .synth import (
 
 
 DELTA_R = 0.99  # the reusability every derived parameter assumes
-# most trial-backend engines _ENGINES keeps: A, its eigenvectors, rho_m and
-# the mixed state take about 4 MB at the 8-qubit note cap, 256 MB in all
+# most trial-backend engines _ENGINES keeps: about 4 MB each at an 8-qubit
+# note, 256 MB in all; no CLI command runs a trial-backend attack
 ENGINE_CAP = 64
 
 
@@ -74,7 +74,7 @@ class AttackConfig:
     epsilon: float
     t_max: int
     n_updates: int
-    synth_params: SynthesisParams
+    synth_params: SynthesisParams | None  # None: the eigen witness
     variant: str  # "quantum_mint" or "classical_mint", after the scheme
     scaled: bool = False
 
@@ -84,8 +84,6 @@ class AttackConfig:
                 synth_params: SynthesisParams | None = None) -> "AttackConfig":
         derived = derived_params(scheme, epsilon)
         scaled = t_max is not None or n_updates is not None
-        if synth_params is None:
-            synth_params = SynthesisParams.default(scheme.m, backend="eigen")
         return cls(epsilon=epsilon,
                    t_max=t_max if t_max is not None else derived["t_max"],
                    n_updates=n_updates if n_updates is not None else derived["n_updates"],
@@ -170,15 +168,15 @@ def build_sim_verifier(scheme, serial, d: dict) -> ReducedVerifier:
 _ENGINES = {}  # (factor key, SynthesisParams) -> TrialEngine, oldest first
 
 
-def _synthesized(scheme, serial, d: dict, params: SynthesisParams, rng):
+def _synthesized(scheme, serial, d, params: SynthesisParams | None, rng):
     """The state synthesized against d.  The simulated verifier's A is the
-    product of the 2x2 factors scheme.factor_key(serial, d) names, so on the
-    eigen backend the witness is read off the factor table, and on the
-    trial backend rng draws from the deterministic TrialEngine of that key,
-    built on its first use.  The states are read-only, since later runs
-    share them."""
+    product of the 2x2 factors scheme.factor_key(serial, d) names, so with
+    params None the eigen witness is read off the factor table, and
+    otherwise rng draws from the deterministic TrialEngine of that key and
+    params, built on its first use.  The states are read-only, since later
+    runs share them."""
     key = scheme.factor_key(serial, d)
-    if params.backend == "eigen":
+    if params is None:
         return witness(key)
     engine = _ENGINES.get((key, params))
     if engine is None:
@@ -186,7 +184,7 @@ def _synthesized(scheme, serial, d: dict, params: SynthesisParams, rng):
             del _ENGINES[next(iter(_ENGINES))]
         engine = TrialEngine(build_sim_verifier(scheme, serial, d), params)
         _ENGINES[key, params] = engine
-    return synthesize(engine.spec, params, rng, engine=engine).state
+    return synthesize(engine, rng).state
 
 
 def update_phase(scheme, serial, world, d0: dict, cfg: AttackConfig,
@@ -197,15 +195,15 @@ def update_phase(scheme, serial, world, d0: dict, cfg: AttackConfig,
 
     verify queries exactly verify_positions(serial), mint's positions, so a
     bad query is a newly learned pair, and a round can make one only while
-    D lacks one of them; once D has them all, rounds run no verifier.  With
-    the eigen backend synthesis is deterministic, so from then on every
-    round has the same database, state and probability, and the rest of
-    the rounds make one run: at most q + 1 runs, whatever N is.  The trial
-    backend draws a new state each round, so its runs are mostly single
-    rounds.  A database is copied only when a round learns something.
+    D lacks one of them; once D has them all, rounds run no verifier.  The
+    eigen witness is deterministic, so from then on every round has the
+    same database, state and probability, and the rest of the rounds make
+    one run: at most q + 1 runs, whatever N is.  The trial subroutine
+    draws a new state each round, so its runs are mostly single rounds.  A
+    database is copied only when a round learns something.
     """
     params = cfg.synth_params
-    eigen = params.backend == "eigen"
+    eigen = params is None
     needed = scheme.position_set(serial)
     runs = Runs([], [], [], [])
     d = dict(d0)

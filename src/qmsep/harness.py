@@ -37,8 +37,6 @@ CSV_HEADER = "# qmsep-csv v1"
 CSV_COLUMNS = ("scheme", "variant", "seed", "eps", "t_max", "N",
                "t_drawn", "j_drawn", "accept1", "accept2", "success", "db_sizes")
 
-# widest note the attack accepts: its 2^m x 2^m density matrix is 1 MB at 8
-NOTE_QUBIT_CAP = 8
 # largest t_max the attack accepts: test_phase draws t with
 # stream.integers(0, t_max), whose bound must fit an int64
 T_MAX_CAP = 1 << 62
@@ -46,6 +44,10 @@ T_MAX_CAP = 1 << 62
 # db_sizes cell writes N + 1 sizes per CSV row, 2-3 MB per row at 10^6,
 # which still admits counterexample's derived N at eps = 0.01 (460 066)
 N_UPDATES_CAP = 10 ** 6
+# most entries synth's TrialEngine table may have, 2^m (2N + 1), at about
+# 36 B an entry in its float arrays (synth peaks near 190 MB at the cap);
+# the derived default at m = 10 is 1024 x 401
+ENGINE_TABLE_CAP = 1 << 22
 # widest plain register oracle-check accepts: reduced_density_plain returns
 # a 2^n x 2^n matrix, 16 MB at 10
 PLAIN_QUBIT_CAP = 10
@@ -175,8 +177,12 @@ def cmd_synth(cfg: dict) -> dict:
             t_trials=opt["t_trials"])
     except SynthError as exc:
         raise HarnessError(str(exc)) from exc
+    entries = (1 << spec.m) * (2 * params.n_alternations + 1)
+    if entries > ENGINE_TABLE_CAP:
+        raise HarnessError(f"the trial engine's table, 2^m (2N + 1) = {entries} "
+                           f"entries, exceeds the cap {ENGINE_TABLE_CAP}")
 
-    # the eigen backend's witness is max_acceptance's
+    # the eigen witness is max_acceptance's
     max_acc, witness = max_acceptance(spec)
     eigen_acc = acceptance_of(spec, witness)
 
@@ -188,7 +194,7 @@ def cmd_synth(cfg: dict) -> dict:
     # each has one acceptance
     acc_of = {}
     for i in range(trials):
-        res = synthesize(spec, params, stream.split(i), engine=engine)
+        res = synthesize(engine, stream.split(i))
         fallbacks += int(res.fallback)
         if res.fallback not in acc_of:
             acc_of[res.fallback] = acceptance_of(spec, res.state)
@@ -263,7 +269,8 @@ ATTACK_OPTIONS = {
     "seed": SEED,
     "t_max": Option(int, None, "override the test-phase bound (scaled run)", least=1),
     "n_updates": Option(int, None, "override the update count (scaled run)", least=1),
-    "workers": Option(int, None, "worker pool size (default one per usable CPU)", least=1)}
+    "workers": Option(int, None, "worker pool size, at most one per usable CPU "
+                      "(default one per usable CPU)", least=1)}
 
 
 def attack_rows(cfg: dict):
@@ -279,17 +286,16 @@ def attack_rows(cfg: dict):
         derived = derived_params(scheme, eps)
     except (MoneyError, AttackError) as exc:
         raise HarnessError(str(exc)) from exc
-    if scheme.m > NOTE_QUBIT_CAP:
-        raise HarnessError(f"{name} at m = {m} has {scheme.m}-qubit "
-                           f"notes; the cap is {NOTE_QUBIT_CAP}")
     if attack_cfg.t_max > T_MAX_CAP:
         raise HarnessError(f"t_max = {attack_cfg.t_max} exceeds the cap "
                            f"{T_MAX_CAP}")
     if attack_cfg.n_updates > N_UPDATES_CAP:
         raise HarnessError(f"n_updates = {attack_cfg.n_updates} exceeds the "
                            f"cap {N_UPDATES_CAP}")
-    # the pool forks all its workers at start, so it gets no more than trials
-    workers = min(workers or _usable_cpus(), trials)
+    # the pool forks all its workers at start, so it gets no more than
+    # trials, and no more than the CPUs that can run them
+    cpus = _usable_cpus()
+    workers = min(workers or cpus, cpus, trials)
     jobs = [(name, scheme, attack_cfg, seed + i) for i in range(trials)]
     if workers > 1:
         # map yields results in job order, whatever the scheduling; about

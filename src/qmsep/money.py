@@ -118,7 +118,8 @@ _HIT = tuple(tuple(min(_EXACT, key=lambda e: abs(e - np.vdot(fa, fs).real))
                    for fa in _FACTORS) for fs in _FACTORS)
 
 
-@functools.lru_cache(maxsize=64)  # 1 MB each, 64 MB, at the 8-qubit note cap
+# 1 MB each at an 8-qubit note; nothing on the eigen attack path builds one
+@functools.lru_cache(maxsize=64)
 def _product(ids: tuple, frames: bool = False) -> np.ndarray:
     """(x)_i T[ids[i]] for T = _FRAMES if frames else _FACTORS: a note, a
     simulated verifier's A or a check frame.  Notes and verifiers share

@@ -7,24 +7,25 @@ By Jordan's lemma everything synthesis does happens inside range(P1), where
 P1 Q1 P1 is the 2^m x 2^m operator A = Vp^dag Pi_ans Vp, with Vp the
 K = |0^k> columns of V.  acceptance_of reads A; max_acceptance and the
 trial engine read its eigendecomposition.  A verifier is either the circuit
-(VerifierSpec, which computes A from V) or a ReducedVerifier that carries
-A itself, as the attack's simulated verifier does.
+(VerifierSpec, which computes A from V once, as its field a) or a
+ReducedVerifier that carries A itself, as the attack's simulated verifier does.
 
 max_acceptance returns the best acceptance, A's top eigenvalue, and as
 witness the normalized projector onto A's top eigenspace, so the witness
 does not depend on which degenerate eigenvectors the eigen solver returns.
-It is the eigen backend's witness; the attack, whose A is a product of
-2x2 factors, reads the same witness off money's factor table.
+It is the eigen witness; the attack, whose A is a product of 2x2 factors,
+reads the same witness off money's factor table.
 
-The trial backend prepares a maximally entangled input, alternates coherent
-Q/P measurements N times while tracking (last outcome, agreement count) in
-a compact counter register, and post-selects on the threshold test.  Within
-the Jordan block of each eigenvalue p of A every measurement repeats the
-previous outcome with probability p, so the engine is closed form (see
-TrialEngine).  Conditioned on the test passing, the reduced state on the
-input register is accepted with probability at least the configured
-guarantee.  A state-vector run of the same trial, measuring every outcome
-destructively, is the engine's test reference (tests/reference.py).
+synthesize is the trial subroutine.  It prepares a maximally entangled
+input, alternates coherent Q/P measurements N times while tracking (last
+outcome, agreement count) in a compact counter register, and post-selects
+on the threshold test.  Within the Jordan block of each eigenvalue p of A
+every measurement repeats the previous outcome with probability p, so the
+engine is closed form (see TrialEngine).  Conditioned on the test passing,
+the reduced state on the input register is accepted with probability at
+least the configured guarantee.  A state-vector run of the same trial,
+measuring every outcome destructively, is the engine's test reference
+(tests/reference.py).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -76,6 +77,8 @@ class VerifierSpec:
     k: int
     v_hat: np.ndarray
     ans_index: int
+    # A = Vp^dag Pi_ans Vp: P1 Q1 P1 on range(P1), in the basis |i>|0^k>
+    a: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.m < 1 or self.k < 0:
@@ -87,13 +90,10 @@ class VerifierSpec:
         if v.shape != (d, d):
             raise SynthError(f"v_hat shape {v.shape}, expected {(d, d)}")
         object.__setattr__(self, "v_hat", v)
-
-    def reduced(self) -> np.ndarray:
-        """A = Vp^dag Pi_ans Vp: P1 Q1 P1 on range(P1), in the basis |i>|0^k>."""
         n = self.m + self.k
         accept_rows = ((np.arange(1 << n) >> (n - 1 - self.ans_index)) & 1) == 1
-        w = self.v_hat[accept_rows, ::1 << self.k]
-        return w.conj().T @ w
+        w = v[accept_rows, ::1 << self.k]
+        object.__setattr__(self, "a", w.conj().T @ w)
 
     def to_json(self) -> str:
         flat = [[float(z.real), float(z.imag)] for z in self.v_hat.reshape(-1)]
@@ -158,9 +158,6 @@ class ReducedVerifier:
     k: int
     a: np.ndarray
 
-    def reduced(self) -> np.ndarray:
-        return self.a
-
 
 def derived_n_alternations(m: int, a: float, b: float) -> int:
     """The subroutine's alternation count (log base 2)."""
@@ -183,24 +180,21 @@ class SynthesisParams:
     b: float
     n_alternations: int
     t_trials: int
-    backend: str = "trial"
 
     def __post_init__(self):
         if not (0 < self.a < self.b <= 1):
             raise SynthError("need 0 < a < b <= 1")
-        if self.backend not in ("trial", "eigen"):
-            raise SynthError(f"unknown backend {self.backend!r}")
         n = self.n_alternations
         if math.ceil(n * (self.a + self.b)) > 2 * n:
             raise SynthError("vacuous threshold: N(a+b) exceeds the outcome count")
 
     @classmethod
     def default(cls, m: int, a: float = 0.5, b: float = 0.9,
-                backend: str = "trial", n_alternations: int | None = None,
+                n_alternations: int | None = None,
                 t_trials: int | None = None) -> "SynthesisParams":
         n = n_alternations if n_alternations is not None else derived_n_alternations(m, a, b)
         t = t_trials if t_trials is not None else derived_t_trials(m)
-        return cls(a=a, b=b, n_alternations=n, t_trials=t, backend=backend)
+        return cls(a=a, b=b, n_alternations=n, t_trials=t)
 
     @property
     def threshold(self) -> int:
@@ -209,7 +203,7 @@ class SynthesisParams:
 
 def build_pq(spec: VerifierSpec):
     """The full 2^(m+k)-dimensional projector pair (P1, Q1): the reference
-    that VerifierSpec.reduced and the trial engine are tested against, and
+    that VerifierSpec.a and the trial engine are tested against, and
     the pair the destructive trial in tests/reference.py measures."""
     n = spec.m + spec.k
     dim = 1 << n
@@ -225,7 +219,7 @@ def build_pq(spec: VerifierSpec):
 
 def _spectrum(spec: VerifierSpec | ReducedVerifier):
     """A's eigenvalues (ascending, clipped to [0, 1]) and eigenvectors."""
-    vals, vecs = np.linalg.eigh(spec.reduced())
+    vals, vecs = np.linalg.eigh(spec.a)
     return np.clip(vals, 0.0, 1.0), vecs
 
 
@@ -242,7 +236,7 @@ def _input_state(spec: VerifierSpec | ReducedVerifier, mat: np.ndarray) -> Densi
 
 def acceptance_of(spec: VerifierSpec | ReducedVerifier, rho_m: DensityOp) -> float:
     """Tr(Q1 (rho (x) |0^k><0^k|)) = Tr(A rho) for a state on the input register."""
-    return float(np.trace(spec.reduced() @ rho_m.matrix).real)
+    return float(np.trace(spec.a @ rho_m.matrix).real)
 
 
 def max_acceptance(spec: VerifierSpec | ReducedVerifier):
@@ -351,25 +345,23 @@ class SynthesisResult:
     attempts: int
 
 
-def synthesize(spec: VerifierSpec | ReducedVerifier, params: SynthesisParams, rng,
-               engine: TrialEngine | None = None) -> SynthesisResult:
-    """A witness state for spec from the trial subroutine, whatever
-    params.backend says (the eigen backend's witness is max_acceptance's).
-    It makes up to t_trials attempts, one uniform draw each from the Stream
-    rng, and returns engine.rho_m() at the first success, or the maximally
-    mixed engine.mixed after none.  It previews the draws DRAW_BLOCK at a
-    time, then rewinds the deciding block and redraws it up to the deciding
-    attempt, that one through engine.sample, so exactly `attempts` draws
-    are consumed, as a loop of one draw per attempt would consume them."""
-    if engine is None:
-        engine = TrialEngine(spec, params)
+def synthesize(engine: TrialEngine, rng) -> SynthesisResult:
+    """A witness state from the trial subroutine that engine computes for
+    its (spec, params).  It makes up to params.t_trials attempts, one
+    uniform draw each from the Stream rng, and returns engine.rho_m() at
+    the first success, or the maximally mixed engine.mixed after none.  It
+    previews the draws DRAW_BLOCK at a time, then rewinds the deciding
+    block and redraws it up to the deciding attempt, that one through
+    engine.sample, so exactly `attempts` draws are consumed, as a loop of
+    one draw per attempt would consume them."""
+    t_trials = engine.params.t_trials
     bits = rng.gen.bit_generator
     done = 0  # attempts before the deciding block, all failures
     while True:
-        block = min(params.t_trials - done, DRAW_BLOCK)
+        block = min(t_trials - done, DRAW_BLOCK)
         saved = bits.state
         hits = np.flatnonzero(engine.pick(rng.random(block)) >= engine.success_from)
-        if hits.size or done + block == params.t_trials:
+        if hits.size or done + block == t_trials:
             break
         done += block
     bits.state = saved
@@ -379,4 +371,4 @@ def synthesize(spec: VerifierSpec | ReducedVerifier, params: SynthesisParams, rn
         return SynthesisResult(state=engine.rho_m(), fallback=False,
                                attempts=done + last)
     return SynthesisResult(state=engine.mixed, fallback=True,
-                           attempts=params.t_trials)
+                           attempts=t_trials)

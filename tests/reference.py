@@ -136,10 +136,10 @@ def run_trial_destructive(spec: VerifierSpec, params: SynthesisParams,
     return bits[-1] == 1 and count >= params.threshold
 
 
-def synthesize_by_attempt(spec, params: SynthesisParams, rng,
-                          engine: TrialEngine) -> SynthesisResult:
-    """synth.synthesize's trial backend as a loop of one engine.sample per
-    attempt: the result it must return and the draws it must consume."""
+def synthesize_by_attempt(engine: TrialEngine, rng) -> SynthesisResult:
+    """synth.synthesize as a loop of one engine.sample per attempt: the
+    result it must return and the draws it must consume."""
+    spec, params = engine.spec, engine.params
     for attempt in range(1, params.t_trials + 1):
         if engine.sample(rng)[0]:
             return SynthesisResult(state=engine.rho_m(), fallback=False,

@@ -179,7 +179,7 @@ def test_criterion_04_synthesizer_meets_acceptance_target(verifier_suite):
     stream = Stream(424242)
     for i, (spec, engine, params) in enumerate(verifier_suite):
         acc_e = acceptance_of(spec, max_acceptance(spec)[1])
-        res_t = synthesize(spec, params, stream.split(("t", i)), engine=engine)
+        res_t = synthesize(engine, stream.split(("t", i)))
         acc_t = acceptance_of(spec, res_t.state)
         ok_eigen += int(acc_e >= 0.5)
         ok_trial += int(acc_t >= 0.5)

@@ -24,8 +24,16 @@ from qmsep.attack import (
 )
 from qmsep.attack import test_phase as learn_phase
 learn_phase.__test__ = False
-from qmsep.harness import N_UPDATES_CAP, NOTE_QUBIT_CAP
-from qmsep.money import SCHEMES, Banknote, WorldHandle, _product, make_scheme, witness
+from qmsep.harness import N_UPDATES_CAP
+from qmsep.money import (
+    SCHEMES,
+    Banknote,
+    MoneyError,
+    WorldHandle,
+    _product,
+    make_scheme,
+    witness,
+)
 from qmsep.oracle import sample_oracle
 from qmsep.streams import Stream
 from qmsep.synth import SynthesisParams, TrialEngine, max_acceptance, synthesize
@@ -34,6 +42,12 @@ from qmsep.synth import SynthesisParams, TrialEngine, max_acceptance, synthesize
 def scaled_cfg(scheme, t_max=4, n_updates=6, **kw):
     return AttackConfig.default(scheme, epsilon=0.1, t_max=t_max,
                                 n_updates=n_updates, **kw)
+
+
+def params_for(backend, m):
+    """AttackConfig's synth_params for a backend: None for the eigen
+    witness, the derived SynthesisParams for the trial subroutine."""
+    return None if backend == "eigen" else SynthesisParams.default(m)
 
 
 # ----------------------------------------------------------------- parameters
@@ -170,12 +184,12 @@ def _update_phase_reference(scheme, serial, world, d0, cfg, stream, secret):
     databases, probs, bad_counts = [dict(d0)], [], []
     d = dict(d0)
     for k in range(cfg.n_updates):
-        if cfg.synth_params.backend == "eigen":
+        if cfg.synth_params is None:
             state = witness(scheme.factor_key(serial, d))
         else:
-            spec = build_sim_verifier(scheme, serial, d)
-            state = synthesize(spec, cfg.synth_params,
-                               stream.split(("synth", k))).state
+            engine = TrialEngine(build_sim_verifier(scheme, serial, d),
+                                 cfg.synth_params)
+            state = synthesize(engine, stream.split(("synth", k))).state
         note = Banknote(serial, state)
         known = set(d)
         before = len(world.dr)
@@ -205,8 +219,8 @@ def _after_verifications(scheme, cfg, seed, t):
 @pytest.mark.parametrize("name", ["hash-tag", "conjugate", "counterexample"])
 def test_update_phase_matches_verify_every_round_reference(name, t, backend):
     scheme = make_scheme(name)
-    cfg = scaled_cfg(scheme, n_updates=6, synth_params=SynthesisParams.default(
-        scheme.m, backend=backend))
+    cfg = scaled_cfg(scheme, n_updates=6,
+                     synth_params=params_for(backend, scheme.m))
     world, note, d0, secret = _after_verifications(scheme, cfg, 31, t)
     before = len(world.dr)
     dbs, probs, bad = expanded(update_phase(
@@ -230,8 +244,8 @@ def test_runs_expand_to_the_reference(name, backend, t, n, monkeypatch):
     # the runs hold exactly the reference's per-round lists, and the
     # forgeries are synthesized against the expanded list's entry j
     scheme = make_scheme(name)
-    cfg = scaled_cfg(scheme, n_updates=n, synth_params=SynthesisParams.default(
-        scheme.m, backend=backend))
+    cfg = scaled_cfg(scheme, n_updates=n,
+                     synth_params=params_for(backend, scheme.m))
     world, note, d0, secret = _after_verifications(scheme, cfg, 43, t)
     runs = update_phase(scheme, note.serial, world, d0, cfg, Stream(47))
     dbs, probs, bad = expanded(runs)
@@ -296,8 +310,7 @@ def test_run_attack_hash_tag_usually_succeeds():
 
 def test_run_attack_trial_backend_smoke():
     scheme = make_scheme("hash-tag")
-    params = SynthesisParams(a=0.5, b=0.9, n_alternations=20, t_trials=32,
-                             backend="trial")
+    params = SynthesisParams(a=0.5, b=0.9, n_alternations=20, t_trials=32)
     cfg = AttackConfig.default(scheme, epsilon=0.1, t_max=4, n_updates=3,
                                synth_params=params)
     tr = run_attack(scheme, cfg, Stream(17))
@@ -324,15 +337,15 @@ def test_run_attack_trial_backend_every_scheme(name):
 @pytest.mark.parametrize("backend", ["eigen", "trial"])
 @pytest.mark.parametrize("name", ["hash-tag", "conjugate", "counterexample"])
 def test_run_attack_at_note_cap_from_empty_database(name, backend):
-    # the simulated verifier at an empty database would be a circuit on
-    # 17 (hash-tag) to 25 (conjugate) qubits; synthesis needs only its 2^m x
-    # 2^m operator
-    m = NOTE_QUBIT_CAP - (name == "counterexample")  # one more note qubit
+    # 8-qubit notes: the simulated verifier at an empty database would be a
+    # circuit on 17 (hash-tag) to 25 (conjugate) qubits; synthesis needs
+    # only its 2^m x 2^m operator
+    m = 8 - (name == "counterexample")  # one more note qubit
     scheme = make_scheme(name, m=m)
-    assert scheme.m == NOTE_QUBIT_CAP
+    assert scheme.m == 8
     cfg = AttackConfig.default(
         scheme, epsilon=0.1, t_max=1, n_updates=2,
-        synth_params=SynthesisParams.default(scheme.m, backend=backend))
+        synth_params=params_for(backend, scheme.m))
     tr = run_attack(scheme, cfg, Stream(31))
     assert tr.db_sizes[0] == 0
     for phi in tr.forged_pair:
@@ -384,7 +397,7 @@ def test_memo_hit_gives_the_cold_bytes(name, backend, monkeypatch):
     # cold: the engine's distribution and states, and the state drawn
     monkeypatch.setattr(attack, "_ENGINES", {})
     scheme = make_scheme(name)
-    params = SynthesisParams.default(scheme.m, backend=backend)
+    params = params_for(backend, scheme.m)
     (s1, s2), (w1, w2) = _twin_worlds(scheme, np.random.default_rng(71))
     checks1, checks2 = scheme.checks(s1), scheme.checks(s2)
     slots = [(i, j) for i, check in enumerate(checks1)
@@ -398,7 +411,7 @@ def test_memo_hit_gives_the_cold_bytes(name, backend, monkeypatch):
             state2 = _synthesized(scheme, s2, d2, params, Stream(7))
             (engine,) = attack._ENGINES.values()  # the second call hit
             spec = build_sim_verifier(scheme, s2, d2)
-            cold = synthesize(spec, params, Stream(7))
+            cold = synthesize(TrialEngine(spec, params), Stream(7))
             assert state2.matrix.tobytes() == cold.state.matrix.tobytes()
             assert not state2.matrix.flags.writeable  # later runs share it
             cold_engine = TrialEngine(spec, params)
@@ -415,8 +428,8 @@ def test_memo_hit_gives_the_cold_bytes(name, backend, monkeypatch):
 def test_warm_scheme_runs_as_a_fresh_one(name, backend, monkeypatch):
     # each cold run starts from empty witness and engine caches
     warm = make_scheme(name)
-    cfg = scaled_cfg(warm, t_max=3, n_updates=5, synth_params=SynthesisParams.default(
-        warm.m, backend=backend))
+    cfg = scaled_cfg(warm, t_max=3, n_updates=5,
+                     synth_params=params_for(backend, warm.m))
     for seed in range(40):
         a = run_attack(warm, cfg, Stream(seed))
         monkeypatch.setattr(attack, "_ENGINES", {})
@@ -451,14 +464,23 @@ def test_scheme_pickles_without_its_memo():
     assert pickle.dumps(warm) == pickle.dumps(cold)
 
 
+# the largest m each scheme builds at l = 6, where a tag has at most 5 bits
+# so that the serial keeps one: notes of 32 qubits for hash-tag, 16 for the
+# others (counterexample's carry m + 1)
+WIDEST_M = {"hash-tag": 32, "conjugate": 16, "counterexample": 15}
+
+
 @pytest.mark.parametrize("name", list(SCHEMES))
 def test_eigen_attack_solves_and_embeds_nothing(name, monkeypatch):
     # the witness, every verification and every exact acceptance come from
-    # the factor tables; t_max = 1 starts the update rounds from an empty
-    # database
+    # the factor tables, at m = 2 and at the widest note; t_max = 1 starts
+    # the update rounds from an empty database
     def refuse(*args, **kwargs):
         raise AssertionError("called on the eigen attack path")
 
+    # an eigen config builds no trial parameters, and no trial engine
+    monkeypatch.setattr(synth.SynthesisParams, "__post_init__", refuse)
+    monkeypatch.setattr(synth.TrialEngine, "__init__", refuse)
     monkeypatch.setattr(np.linalg, "eigh", refuse)
     monkeypatch.setattr(synth, "max_acceptance", refuse)
     for mod in (hilbert, synth, money, oracle):
@@ -467,9 +489,13 @@ def test_eigen_attack_solves_and_embeds_nothing(name, monkeypatch):
     monkeypatch.setattr(money, "_product", refuse)
     for mod in (hilbert, money):
         monkeypatch.setattr(mod, "kron", refuse)
-    scheme = make_scheme(name)
-    tr = run_attack(scheme, scaled_cfg(scheme, t_max=1, n_updates=4), Stream(41))
-    assert tr.db_sizes[0] == 0 and len(expanded(tr.runs)[1]) == 4
+    for m in (2, WIDEST_M[name]):
+        scheme = make_scheme(name, m=m)
+        tr = run_attack(scheme, scaled_cfg(scheme, t_max=1, n_updates=4),
+                        Stream(41))
+        assert tr.db_sizes[0] == 0 and len(expanded(tr.runs)[1]) == 4
+    with pytest.raises(MoneyError):
+        make_scheme(name, m=m + 1)
 
 
 @pytest.mark.parametrize("name", list(SCHEMES))
@@ -519,7 +545,11 @@ def test_exact_success_is_the_mean_over_t_and_j(name, m, t_max, n):
 # (scheme, m, t_max, N), and the seed, trial count and interval level, were
 # fixed before the first run
 SUCCESS_SETTINGS = [("hash-tag", 1, 2, 2), ("conjugate", 2, 2, 3),
-                    ("counterexample", 1, 2, 2)]
+                    ("counterexample", 1, 2, 2),
+                    # an empty database: each forgery is I/2^M, and the
+                    # exact rate is 4^-M
+                    ("hash-tag", 1, 1, 1), ("conjugate", 2, 1, 1),
+                    ("counterexample", 1, 1, 1)]
 SUCCESS_SEED, SUCCESS_TRIALS = 2210, 3000
 Z_999 = 3.290527  # the standard normal's 99.95% quantile: a 99.9% interval
 

@@ -14,7 +14,7 @@ from qmsep.attack import AttackConfig, run_attack
 from qmsep.harness import (
     CSV_COLUMNS,
     CSV_HEADER,
-    NOTE_QUBIT_CAP,
+    ENGINE_TABLE_CAP,
     N_UPDATES_CAP,
     T_MAX_CAP,
     HarnessError,
@@ -229,8 +229,7 @@ def test_cmd_synth_acceptances_match_per_trial_reference(tmp_path):
         spec = VerifierSpec.from_json(fh.read())
     params = SynthesisParams.default(spec.m, t_trials=2)
     stream = Stream(5).split("trial")
-    results = [synthesize_by_attempt(spec, params, stream.split(i),
-                                     TrialEngine(spec, params))
+    results = [synthesize_by_attempt(TrialEngine(spec, params), stream.split(i))
                for i in range(24)]
     fallbacks = sum(r.fallback for r in results)
     assert 0 < fallbacks < 24
@@ -357,8 +356,17 @@ def test_cli_attack_writes_csv(tmp_path, capsys):
     assert out.read_text().startswith(CSV_HEADER)
 
 
+def test_cli_attack_runs_the_widest_hash_tag_note(capsys):
+    # 32-qubit notes at derived parameters: the eigen attack holds every
+    # note as factor ids and builds nothing of size 2^m
+    rc = cli.main(["attack", "--scheme", "hash-tag", "--m", "32",
+                   "--trials", "2", "--workers", "1"])
+    assert rc == 0
+    assert capsys.readouterr().out.startswith(CSV_HEADER)
+
+
 @pytest.mark.parametrize("flag,value", [
-    ("--l", "7"), ("--m", "0"), ("--m", str(NOTE_QUBIT_CAP + 1)), ("--eps", "2"),
+    ("--l", "7"), ("--m", "0"), ("--m", "33"), ("--eps", "2"),
     ("--t-max", "0"), ("--n-updates", "0"),
     ("--config", {"variant": "classical_mint"}),
     ("--workers", "0"), ("--config", {"trails": 3}), ("--config", {"l": "x"}),
@@ -410,6 +418,27 @@ def test_attack_rows_admits_the_caps(cfg, monkeypatch):
         attack_rows({**cfg, "workers": 1})
 
 
+@pytest.mark.parametrize("m,flags,admitted", [
+    (2, ["--n-alternations", "524287"], True),  # 4 (2N + 1) = 2^22 - 4
+    (2, ["--n-alternations", "524288"], False),  # 2^22 + 4
+    (8, [], True),  # derived N = 170: 256 x 341 entries
+    (8, ["--a", "0.5", "--b", "0.51"], False)])  # derived N = 334 544
+def test_cli_synth_caps_the_trial_engine_table(m, flags, admitted, tmp_path,
+                                                monkeypatch, capsys):
+    # the cap stops cmd_synth before it builds an engine of 2^m (2N + 1)
+    # entries; the admitted cases reach the stub that stands for it
+    monkeypatch.setattr(harness, "TrialEngine", _no_trial)
+    argv = ["synth", "--verifier", write_spec(tmp_path, [], m=m, k=0,
+                                              ans_index=0), *flags]
+    if admitted:
+        with pytest.raises(TrialRan):
+            cli.main(argv)
+        return
+    assert cli.main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and f"exceeds the cap {ENGINE_TABLE_CAP}" in out.err
+
+
 def test_cli_attack_has_no_variant_flag(capsys):
     # the variant follows the scheme's mint
     with pytest.raises(SystemExit) as exc:
@@ -419,8 +448,9 @@ def test_cli_attack_has_no_variant_flag(capsys):
 
 
 def test_attack_pool_has_no_more_workers_than_trials(monkeypatch):
-    # a fork pool starts every worker at once, needed or not; it takes the
-    # trials in about four chunks per worker
+    # a fork pool starts every worker at once, needed or not, so it gets no
+    # more than the trials or the usable CPUs; it takes the trials in about
+    # four chunks per worker
     pools = []
 
     class InProcessPool:
@@ -439,6 +469,7 @@ def test_attack_pool_has_no_more_workers_than_trials(monkeypatch):
 
     monkeypatch.setattr(harness.concurrent.futures, "ProcessPoolExecutor",
                         InProcessPool)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
     cfg = {"scheme": "hash-tag", "seed": 0, "t_max": 2, "n_updates": 2}
     pooled, _ = attack_rows({**cfg, "trials": 2, "workers": 500})
     serial, _ = attack_rows({**cfg, "trials": 2, "workers": 1})
@@ -446,6 +477,8 @@ def test_attack_pool_has_no_more_workers_than_trials(monkeypatch):
     pooled, _ = attack_rows({**cfg, "trials": 16, "workers": 2})
     serial, _ = attack_rows({**cfg, "trials": 16, "workers": 1})
     assert pools == [[2, 1], [2, 2]] and pooled == serial
+    pooled, _ = attack_rows({**cfg, "trials": 16, "workers": 500})
+    assert pools[-1] == [2, 2] and pooled == serial
 
 
 @pytest.mark.parametrize("backend", ["eigen", "trial"])
@@ -455,8 +488,8 @@ def test_attack_rows_do_not_depend_on_the_memo(name, backend, monkeypatch):
     # in forked workers with their own; each lone trial meets the caches
     # the runs before it left, and after 40 more seeds they are warmer still
     def config(scheme, **kw):
-        return AttackConfig.default(scheme, synth_params=SynthesisParams.default(
-            scheme.m, backend=backend), **kw)
+        params = None if backend == "eigen" else SynthesisParams.default(scheme.m)
+        return AttackConfig.default(scheme, synth_params=params, **kw)
 
     monkeypatch.setattr(harness, "AttackConfig", SimpleNamespace(default=config))
     cfg = {"scheme": name, "seed": 40, "t_max": 3, "n_updates": 4}

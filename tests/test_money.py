@@ -10,7 +10,6 @@ from scipy import stats
 
 from reference import accept_prob_by_qubit
 
-from qmsep.harness import NOTE_QUBIT_CAP
 from qmsep.hilbert import DensityOp, RegisterLayout, embed_unitary, haar_unitary
 from qmsep.money import (
     Banknote,
@@ -123,24 +122,24 @@ def _hand_written_checks(name, m, serial):
 
 @pytest.mark.parametrize("name", list(SCHEMES))
 def test_templates_keep_the_hand_written_layouts(name):
-    """At l = 6 and every m up to the note cap, checks() gives the
+    """At l = 6 and every m up to 8 note qubits, checks() gives the
     positions the hand-written layouts gave; conjugate at m = 1 is the one
     exception, its unused second tag bit dropped."""
     rng = np.random.default_rng(11)
     built = 0
-    for m in range(1, NOTE_QUBIT_CAP + 1):
+    for m in range(1, 9):
         try:
             scheme = make_scheme(name, l=6, m=m)
         except MoneyError:
             continue
-        if scheme.m > NOTE_QUBIT_CAP or (name, m) == ("conjugate", 1):
+        if scheme.m > 8 or (name, m) == ("conjugate", 1):
             continue
         built += 1
         for _ in range(4):
             serial = tuple(int(rng.integers(0, 1 << scheme.s_bits))
                            for _ in range(scheme.serials))
             assert scheme.checks(serial) == _hand_written_checks(name, m, serial)
-    assert built >= NOTE_QUBIT_CAP - 1
+    assert built >= 7
 
 
 def test_conjugate_at_m_one_uses_one_tag_bit():
@@ -527,7 +526,7 @@ def test_sim_verifier_is_unitary_on_every_subset(name):
 def test_sim_operator_is_the_circuits_reduced_operator(name):
     for spec, op in _sim_verifiers_over_subsets(name):
         assert (op.m, op.k) == (spec.m, spec.k)
-        assert np.abs(op.a - spec.reduced()).max() < 1e-12
+        assert np.abs(op.a - spec.a).max() < 1e-12
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])

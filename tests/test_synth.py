@@ -92,7 +92,7 @@ def test_reduced_operator_is_p1_q1_p1_on_range_p1():
         p1, q1 = build_pq(spec)
         dk = 1 << k
         full = p1.matrix @ q1.matrix @ p1.matrix
-        assert np.abs(spec.reduced() - full[::dk, ::dk]).max() < 1e-12
+        assert np.abs(spec.a - full[::dk, ::dk]).max() < 1e-12
 
 
 # ------------------------------------------------------------ max_acceptance
@@ -407,16 +407,15 @@ def test_trial_success_rate_lower_bound_exact():
 
 
 def test_synthesize_trial_reject_all_falls_back():
-    res = synthesize(reject_all_spec(), small_params(t=8), Stream(0))
+    res = synthesize(TrialEngine(reject_all_spec(), small_params(t=8)), Stream(0))
     assert res.fallback
     assert np.allclose(res.state.matrix, np.eye(2) / 2)
 
 
 def test_fallbacks_from_one_engine_share_the_mixed_state():
-    spec, params = reject_all_spec(), small_params(t=8)
-    engine = TrialEngine(spec, params)
-    first = synthesize(spec, params, Stream(0), engine=engine)
-    second = synthesize(spec, params, Stream(1), engine=engine)
+    engine = TrialEngine(reject_all_spec(), small_params(t=8))
+    first = synthesize(engine, Stream(0))
+    second = synthesize(engine, Stream(1))
     assert first.fallback and second.fallback
     assert second.state is first.state is engine.mixed
 
@@ -427,7 +426,7 @@ def test_synthesize_backend_agreement():
     for i in range(10):
         spec = good_spec(2, 1, stream, b=0.9, gap=0.1)
         _, witness = max_acceptance(spec)
-        tri = synthesize(spec, params, stream)
+        tri = synthesize(TrialEngine(spec, params), stream)
         assert not tri.fallback
         acc_e = acceptance_of(spec, witness)
         acc_t = acceptance_of(spec, tri.state)
@@ -451,8 +450,8 @@ def test_synthesize_consumes_one_draw_per_attempt(block, monkeypatch):
             got, want = Stream(seed), Stream(seed)
             # a bounded draw leaves half a 64-bit output buffered
             assert got.integers(0, 7) == want.integers(0, 7)
-            res = synthesize(spec, params, got, engine=engine)
-            ref = synthesize_by_attempt(spec, params, want, engine)
+            res = synthesize(engine, got)
+            ref = synthesize_by_attempt(engine, want)
             assert (res.attempts, res.fallback) == (ref.attempts, ref.fallback)
             assert res.state.matrix.tobytes() == ref.state.matrix.tobytes()
             assert got.integers(0, 7) == want.integers(0, 7)
