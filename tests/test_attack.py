@@ -498,6 +498,27 @@ def test_eigen_attack_solves_and_embeds_nothing(name, monkeypatch):
         make_scheme(name, m=m + 1)
 
 
+@pytest.mark.parametrize("name,builds", [("counterexample", 0), ("hash-tag", 1),
+                                         ("conjugate", 1)])
+def test_eigen_trial_builds_a_generator_only_for_the_table(name, builds,
+                                                          monkeypatch):
+    # every draw of an eigen trial is a scalar or an int-sized random, which
+    # streams serve in Python; a classical mint's sampled table is the one
+    # sized draw, in oracle.sample_oracle
+    built = []
+    for ctor in ("default_rng", "Generator"):
+        def counting(*args, _real=getattr(np.random, ctor), **kwargs):
+            built.append(1)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(np.random, ctor, counting)
+    scheme = make_scheme(name)
+    cfg = scaled_cfg(scheme, t_max=16, n_updates=30)
+    for seed in (41, 42):
+        built.clear()
+        run_attack(scheme, cfg, Stream(seed))
+        assert len(built) == builds
+
+
 @pytest.mark.parametrize("name", list(SCHEMES))
 def test_eigen_trial_bookkeeping_does_not_grow_with_n(name):
     # t_max = 1 starts the update rounds from an empty database.  At the N
@@ -546,6 +567,10 @@ def test_exact_success_is_the_mean_over_t_and_j(name, m, t_max, n):
 # fixed before the first run
 SUCCESS_SETTINGS = [("hash-tag", 1, 2, 2), ("conjugate", 2, 2, 3),
                     ("counterexample", 1, 2, 2),
+                    # exact rates 0.84375, 0.875 and 0.8359375 (counterexample
+                    # m = 2 holds M = 3 qubits)
+                    ("hash-tag", 2, 3, 2), ("conjugate", 1, 3, 2),
+                    ("counterexample", 2, 3, 2),
                     # an empty database: each forgery is I/2^M, and the
                     # exact rate is 4^-M
                     ("hash-tag", 1, 1, 1), ("conjugate", 2, 1, 1),
