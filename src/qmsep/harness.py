@@ -27,7 +27,6 @@ from .synth import (
     TrialEngine,
     VerifierSpec,
     acceptance_of,
-    max_acceptance,
     derived_n_alternations,
     derived_t_trials,
     synthesize,
@@ -182,14 +181,14 @@ def cmd_synth(cfg: dict) -> dict:
         raise HarnessError(f"the trial engine's table, 2^m (2N + 1) = {entries} "
                            f"entries, exceeds the cap {ENGINE_TABLE_CAP}")
 
-    # the eigen witness is max_acceptance's
-    max_acc, witness = max_acceptance(spec)
+    engine = TrialEngine(spec, params)
+    # the eigen witness is max_acceptance's, from the engine's eigen solve
+    max_acc, witness = engine.witness()
     eigen_acc = acceptance_of(spec, witness)
 
     stream = Stream(opt["seed"]).split("trial")
     accs = []
     fallbacks = 0
-    engine = TrialEngine(spec, params)
     # a trial's state is engine.rho_m() or the fallback's mixed state, so
     # each has one acceptance
     acc_of = {}

@@ -13,7 +13,9 @@ fold over its entropy words, so a child's pool is its parent's with its
 label mixed in; a root's is numpy's SeedSequence(seed).pool, which numpy
 computes in less than half the time Python takes.  Scalar and int-sized ``random`` are PCG64 steps (O'Neill,
 2014) and scalar ``integers`` is numpy's Lemire rejection ("Fast Random
-Integer Generation in an Interval", 2019), both in Python.
+Integer Generation in an Interval", 2019), both in Python.  ``skip(n)``
+moves a stream past n doubles by the LCG jump-ahead (Brown, "Random
+Number Generation with Arbitrary Strides", 1994) in O(log n) steps.
 """
 
 from __future__ import annotations
@@ -92,6 +94,20 @@ def _pcg64_seed(pool: tuple) -> tuple:
         v |= (h ^ h >> 16) << at
     inc = (v >> 127 | 1) & _M128
     return ((inc + (v & _M128)) * _PCG_MULT + inc) & _M128, inc
+
+
+def _advance(state: int, inc: int, n: int) -> int:
+    """PCG64's LCG state n steps on: the step s -> MULT s + inc composed
+    with itself by repeated squaring, as numpy's pcg_advance_lcg_128."""
+    mult, plus, acc_mult, acc_plus = _PCG_MULT, inc, 1, 0
+    while n:
+        if n & 1:
+            acc_mult = acc_mult * mult & _M128
+            acc_plus = (acc_plus * mult + plus) & _M128
+        plus = (mult + 1) * plus & _M128
+        mult = mult * mult & _M128
+        n >>= 1
+    return (acc_mult * state + acc_plus) & _M128
 
 
 @functools.cache
@@ -185,6 +201,21 @@ class Stream:
                           "uinteger": self._kept or 0}
             self._gen = np.random.Generator(bits)
         return self._gen
+
+    def skip(self, n: int) -> None:
+        """Move the stream on as n scalar ``random`` draws would, in
+        O(log n) steps.  Doubles never touch the kept uint32 half, so it
+        stays kept; numpy's PCG64.advance would drop it."""
+        if n < 0:
+            raise ValueError("a stream cannot skip back")
+        if self._gen is None:
+            self._state = _advance(self._seeded(), self._inc, n)
+            return
+        bits = self._gen.bit_generator
+        state = bits.state
+        pcg = state["state"]
+        pcg["state"] = _advance(pcg["state"], pcg["inc"], n)
+        bits.state = state
 
     def split(self, label) -> "Stream":
         """Derive an independent child stream; same label -> same child."""

@@ -25,11 +25,18 @@ engine is closed form (see TrialEngine).  Conditioned on the test passing,
 the reduced state on the input register is accepted with probability at
 least the configured guarantee.  A state-vector run of the same trial,
 measuring every outcome destructively, is the engine's test reference
-(tests/reference.py).
+(tests/reference.py).  An attempt is one uniform draw u, and it passes
+exactly when u reaches the engine's cut, so synthesize decides attempts on
+the stream's own draws: it skips the stream past the budget when no draw
+can reach the cut, draws in Python on an engine at the promise floor,
+which decides in a few attempts, and previews draws in numpy blocks
+otherwise.
 """
 
 from __future__ import annotations
 
+import array
+import bisect
 import functools
 import json
 import math
@@ -53,6 +60,13 @@ SPEC_QUBIT_CAP = 10
 # most trial-backend draws synthesize holds at once: 32 KB of doubles, so a
 # large t_trials costs no more memory than the derived budgets do
 DRAW_BLOCK = 4096
+# attempts synthesize makes one draw at a time before it draws in blocks,
+# on an engine that succeeds with probability >= 1/SERIAL_ATTEMPTS: the
+# floor an engine meets on a verifier that keeps the promise, so such an
+# engine expects to decide within them
+SERIAL_ATTEMPTS = 16
+# the largest double Generator.random draws
+_LAST_DRAW = 1.0 - 2.0 ** -53
 
 _T = np.diag([1.0, np.exp(1j * np.pi / 4)]).astype(np.complex128)
 _CNOT = np.array(
@@ -239,11 +253,14 @@ def acceptance_of(spec: VerifierSpec | ReducedVerifier, rho_m: DensityOp) -> flo
     return float(np.trace(spec.a @ rho_m.matrix).real)
 
 
-def max_acceptance(spec: VerifierSpec | ReducedVerifier):
-    """A's top eigenvalue, and the normalized projector onto its eigenspace."""
-    vals, vecs = _spectrum(spec)
+def _top_eigenspace(spec, vals: np.ndarray, vecs: np.ndarray):
     top = vecs[:, vals >= vals[-1] - TOP_TOL]
     return float(vals[-1]), _input_state(spec, top @ top.conj().T / top.shape[1])
+
+
+def max_acceptance(spec: VerifierSpec | ReducedVerifier):
+    """A's top eigenvalue, and the normalized projector onto its eigenspace."""
+    return _top_eigenspace(spec, *_spectrum(spec))
 
 
 @functools.lru_cache(maxsize=64)
@@ -292,8 +309,8 @@ class TrialEngine:
         self.params = params
         n_out = 2 * params.n_alternations
         self.threshold = params.threshold
-        p, self._vecs = _spectrum(spec)
-        pmf = _binomial_pmf(n_out, p)
+        self._vals, self._vecs = _spectrum(spec)
+        pmf = _binomial_pmf(n_out, self._vals)
         c = np.arange(n_out + 1)
         even = c % 2 == 0
         mean = pmf.mean(axis=0)
@@ -301,16 +318,23 @@ class TrialEngine:
         self.joint = joint / joint.sum()
         self.p_success = float(self.joint[1, self.threshold:].sum())
         # what Generator.choice(p=joint) builds on every call: the same
-        # draws from the same random stream
-        self._cdf = self.joint.reshape(-1).cumsum()
-        self._cdf /= self._cdf[-1]
+        # draws from the same random stream.  bisect reads Python floats off
+        # an array.array about as fast as off a list, at 8 B an entry, not 32
+        cdf = self.joint.reshape(-1).cumsum()
+        self._cdf = array.array("d", (cdf / cdf[-1]).tobytes())
         self._weights = pmf[:, even & (c >= self.threshold)].sum(axis=1)
         self.success_from = n_out + 1 + self.threshold  # y = 1, c = threshold
+        # the cdf is monotone, so the test passes exactly on draws u >= cut
+        self.cut = self._cdf[self.success_from - 1]
         self._rho = None
         dm = 1 << spec.m
         # the state after no success, shared by every fallback
         self.mixed = _input_state(spec, np.eye(dm, dtype=np.complex128) / dm)
         self.mixed.matrix.flags.writeable = False
+
+    def witness(self):
+        """max_acceptance(spec), read off the engine's own eigen solve."""
+        return _top_eigenspace(self.spec, self._vals, self._vecs)
 
     def rho_m(self) -> DensityOp:
         """Input-register state conditioned on the test passing, built on
@@ -324,16 +348,11 @@ class TrialEngine:
             self._rho = _input_state(self.spec, mat)
         return self._rho
 
-    def pick(self, u):
-        """The flat index y * (2N + 1) + count into joint that
-        Generator.choice(p=joint) picks with uniform draw u, or an array of
-        picks for an array of draws.  The test passes exactly on the picks
-        from success_from on."""
-        return self._cdf.searchsorted(u, side="right")
-
     def sample(self, rng):
-        """Measure (last bit, count); returns (success, y, count)."""
-        pick = int(self.pick(rng.random()))
+        """Measure (last bit, count); returns (success, y, count).  The pick
+        is the flat index y * (2N + 1) + count into joint that
+        Generator.choice(p=joint) picks with the uniform draw u."""
+        pick = bisect.bisect_right(self._cdf, rng.random())
         y, c = divmod(pick, self.joint.shape[1])
         return pick >= self.success_from, y, c
 
@@ -348,27 +367,44 @@ class SynthesisResult:
 def synthesize(engine: TrialEngine, rng) -> SynthesisResult:
     """A witness state from the trial subroutine that engine computes for
     its (spec, params).  It makes up to params.t_trials attempts, one
-    uniform draw each from the Stream rng, and returns engine.rho_m() at
-    the first success, or the maximally mixed engine.mixed after none.  It
-    previews the draws DRAW_BLOCK at a time, then rewinds the deciding
-    block and redraws it up to the deciding attempt, that one through
-    engine.sample, so exactly `attempts` draws are consumed, as a loop of
-    one draw per attempt would consume them."""
+    uniform draw u each from the Stream rng, and returns engine.rho_m() at
+    the first success, or the maximally mixed engine.mixed after none.  An
+    attempt passes exactly when u >= engine.cut, and exactly `attempts`
+    draws are consumed, as a loop of one engine.sample per attempt would
+    consume them.  The engine picks how:
+
+    - a cut above the largest draw passes nothing, so the stream skips
+      t_trials draws and no draw is made;
+    - an engine at the promise floor, p_success >= 1/SERIAL_ATTEMPTS,
+      makes its first SERIAL_ATTEMPTS attempts through engine.sample, one
+      Python draw each, and decides in a few;
+    - the remaining attempts are previewed DRAW_BLOCK at a time by numpy;
+      the block holding the first success is rewound and redrawn up to it,
+      and the deciding attempt goes through engine.sample.
+    """
     t_trials = engine.params.t_trials
-    bits = rng.gen.bit_generator
-    done = 0  # attempts before the deciding block, all failures
-    while True:
-        block = min(t_trials - done, DRAW_BLOCK)
+    if engine.cut > _LAST_DRAW:
+        rng.skip(t_trials)
+        return SynthesisResult(state=engine.mixed, fallback=True,
+                               attempts=t_trials)
+    done = 0  # attempts made, all failures
+    if engine.p_success * SERIAL_ATTEMPTS >= 1:
+        while done < min(t_trials, SERIAL_ATTEMPTS):
+            done += 1
+            if engine.sample(rng)[0]:
+                return SynthesisResult(state=engine.rho_m(), fallback=False,
+                                       attempts=done)
+    while done < t_trials:
+        bits = rng.gen.bit_generator
         saved = bits.state
-        hits = np.flatnonzero(engine.pick(rng.random(block)) >= engine.success_from)
-        if hits.size or done + block == t_trials:
-            break
-        done += block
-    bits.state = saved
-    last = int(hits[0]) + 1 if hits.size else block
-    rng.random(last - 1)
-    if engine.sample(rng)[0]:
-        return SynthesisResult(state=engine.rho_m(), fallback=False,
-                               attempts=done + last)
+        hits = np.flatnonzero(
+            rng.random(min(t_trials - done, DRAW_BLOCK)) >= engine.cut)
+        if hits.size:
+            bits.state = saved
+            rng.random(int(hits[0]))
+            engine.sample(rng)  # the success
+            return SynthesisResult(state=engine.rho_m(), fallback=False,
+                                   attempts=done + int(hits[0]) + 1)
+        done += DRAW_BLOCK
     return SynthesisResult(state=engine.mixed, fallback=True,
                            attempts=t_trials)

@@ -3,10 +3,13 @@ tests compare the library against and the CLI never runs: coherent vs
 destructive measurement, the alternating-measurement Markov law, the trial
 that synth.TrialEngine computes in closed form, the best Jordan block, the
 trial backend's attempt loop, one draw per attempt, a note's exact
-acceptance, one check at a time, and the eigen attack's exact success rate.
+acceptance, one check at a time, the top eigenvalue of a simulated
+verifier's A from its factor key, and the eigen attack's exact success rate.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -170,6 +173,17 @@ def accept_prob_by_qubit(scheme, note, world) -> float:
     for i, f in enumerate(scheme.answer_key(note.serial, world)):
         rho = embed_unitary(_FACTORS[f], [i], scheme.m, rho)
     return float(np.trace(rho).real)
+
+
+def lambda_max(key: tuple) -> float:
+    """The top eigenvalue of the A that factor key names, with no eigen
+    solve: 2^-n0 cos^2(pi/8)^n12.  A is the product of its factors, so its
+    top eigenvalue is the product of theirs: 1/2 for I/2 (id 0, counted by
+    n0), cos^2(pi/8) = (2 + sqrt 2)/4 for a mean over both bases (ids 1
+    and 2, counted by n12), and 1 for a projector (ids 3..6)."""
+    n0 = sum(f == 0 for f in key)
+    n12 = sum(f in (1, 2) for f in key)
+    return 2.0 ** -n0 * math.cos(math.pi / 8) ** (2 * n12)
 
 
 def exact_success(scheme, cfg) -> float:

@@ -4,6 +4,7 @@ import json
 import math
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import oracle_reference as ref
@@ -115,6 +116,27 @@ def test_cmd_synth_reject_all_flags_fallback(tmp_path):
     assert rep["max_acceptance"] < 1e-9
     assert rep["trial"]["fallbacks"] == 3
     assert rep["trial"]["success_rate"]["mean"] == 0.0
+
+
+@pytest.mark.parametrize("verifier", ["accept-all", "empty-D conjugate"])
+def test_cmd_synth_builds_no_generator(verifier, tmp_path, monkeypatch):
+    # an accept-all verifier passes its first attempt, one Python draw; the
+    # empty-D scheme verifier's cut of 1.0 passes no draw, so its stream
+    # jumps past the budget
+    if verifier == "accept-all":
+        path = write_spec(tmp_path, [X_GATE])
+    else:
+        path = tmp_path / "verifier.json"
+        path.write_text(make_scheme("conjugate").sim_verifier("", (3,), {}).to_json())
+    built = []
+    for ctor in ("default_rng", "Generator"):
+        def counting(*args, _real=getattr(np.random, ctor), **kwargs):
+            built.append(1)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(np.random, ctor, counting)
+    rep = cmd_synth({"verifier": str(path), "trials": 20, "seed": 3})
+    assert rep["trial"]["fallbacks"] == (0 if verifier == "accept-all" else 20)
+    assert built == []
 
 
 def test_cmd_synth_missing_inputs(tmp_path):
@@ -634,7 +656,7 @@ def test_cli_rejects_zero_trials_before_any_work(command, monkeypatch,
                                                  tmp_path, capsys):
     # names the bound, so dropping trials' least from a table fails here,
     # where the generated cases below would only lose a case
-    for name in ("max_acceptance", "TrialEngine", "_attack_trial"):
+    for name in ("TrialEngine", "_attack_trial"):
         monkeypatch.setattr(harness, name, _no_trial)
     args = {"synth": ["--verifier", write_spec(tmp_path, [X_GATE])],
             "attack": ["--scheme", "hash-tag", "--workers", "1"]}[command]

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from reference import accept_prob_by_qubit
+from reference import accept_prob_by_qubit, lambda_max
 
 from qmsep.hilbert import DensityOp, RegisterLayout, embed_unitary, haar_unitary
 from qmsep.money import (
@@ -567,6 +567,14 @@ def test_witness_is_the_eigen_solvers(m):
         assert np.abs(got.matrix - want.matrix).max() < 1e-12
         assert abs(acceptance_of(spec, got) - val) < 1e-12
         assert not got.matrix.flags.writeable
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_lambda_max_closed_form_is_the_eigen_solvers(m):
+    # the simulated verifier's best acceptance, from its factor key alone
+    for key in itertools.product(range(7), repeat=m):
+        spec = ReducedVerifier(m=m, k=1, a=_product(key))
+        assert abs(lambda_max(key) - max_acceptance(spec)[0]) < 1e-12
 
 
 @pytest.mark.parametrize("name", list(SCHEMES))

@@ -159,3 +159,40 @@ def test_handoff_mid_stream_continues_the_reference(handoff):
                 assert s.random() == ref.random()
                 assert np.array_equal(s.random(2), ref.random(2))
             assert np.array_equal(s.integers(0, 9, 4), ref.integers(0, 9, 4))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 127, 128, 4096])
+def test_skip_equals_drawing_that_many_doubles(n):
+    # on a stream in Python and on one handed to numpy, each with the kept
+    # uint32 half of a width-3 draw, which doubles leave kept
+    for seed in SEEDS:
+        for handoff in (False, True):
+            s, ref = _pair(seed)
+            if handoff:
+                s.normal()
+                ref.normal()
+            assert s.integers(0, 3) == ref.integers(0, 3)
+            s.skip(n)
+            ref.random(n)
+            assert s.integers(0, 3) == ref.integers(0, 3)
+            assert s.random() == ref.random()
+
+
+@pytest.mark.parametrize("n", [2 ** 40, 2 ** 64 - 1])
+def test_skip_equals_numpy_advance(n):
+    # PCG64.advance drops a kept half, so it is the reference only on a
+    # stream holding none; skip keeps one, as doubles would
+    for seed in SEEDS:
+        for kept in (False, True):
+            s, ref = _pair(seed)
+            s.random()
+            ref.random()
+            if kept:
+                assert s.integers(0, 3) == ref.integers(0, 3)
+                half = ref.bit_generator.state["uinteger"]
+            s.skip(n)
+            ref.bit_generator.advance(n)
+            state = s.gen.bit_generator.state
+            assert state["state"] == ref.bit_generator.state["state"]
+            assert (state["has_uint32"], state["uinteger"]) == (
+                (1, half) if kept else (0, 0))

@@ -12,6 +12,7 @@ from qmsep.money import make_scheme
 from qmsep.streams import Stream
 from qmsep.synth import (
     SPEC_QUBIT_CAP,
+    ReducedVerifier,
     SynthError,
     SynthesisParams,
     TrialEngine,
@@ -459,6 +460,51 @@ def test_synthesize_consumes_one_draw_per_attempt(block, monkeypatch):
             seen.add(res.attempts if not res.fallback else "fallback")
     # a success in each block, the last attempt's included, and a fallback
     assert {1, 7, 12, "fallback"} <= seen
+
+
+def _prepared(seed, kind):
+    """Stream(seed) after kind's draws: none; a bounded draw, which keeps
+    half a 64-bit output; or a normal, which hands the stream to numpy,
+    then a bounded draw."""
+    s = Stream(seed)
+    if kind == "handed-off":
+        s.normal()
+    if kind != "fresh":
+        s.integers(0, 7)
+    return s
+
+
+@pytest.mark.parametrize("block", [synth.DRAW_BLOCK, 5])
+def test_synthesize_matches_the_attempt_loop_on_every_path(block, monkeypatch):
+    # p >= 1/16 decides its first SERIAL_ATTEMPTS attempts one draw at a
+    # time and the rest in blocks; p < 1/16 draws in blocks from the start;
+    # a cut of 1.0 passes no draw, and the stream jumps past the budget
+    monkeypatch.setattr(synth, "DRAW_BLOCK", block)
+    promise = TrialEngine(ReducedVerifier(2, 0, 0.655 * np.eye(4)),
+                          SynthesisParams.default(2, t_trials=40))
+    low = TrialEngine(ReducedVerifier(2, 0, 0.65 * np.eye(4)),
+                      SynthesisParams.default(2, t_trials=40))
+    spec = make_scheme("conjugate").sim_verifier("", (3,), {})
+    none = TrialEngine(spec, SynthesisParams.default(spec.m))
+    assert 1 / 16 <= promise.p_success < 0.1 and 0.01 < low.p_success < 1 / 16
+    assert none.cut == 1.0 and 0 < none.p_success < 1e-30
+    serial = synth.SERIAL_ATTEMPTS
+    for engine, wanted in [(promise, {"<= serial", "> serial", "fallback"}),
+                           (low, {"<= serial", "> serial", "fallback"}),
+                           (none, {"fallback"})]:
+        seen = set()
+        for seed in range(90):
+            kind = ("fresh", "kept half", "handed-off")[seed % 3]
+            got, want = _prepared(seed, kind), _prepared(seed, kind)
+            res = synthesize(engine, got)
+            ref = synthesize_by_attempt(engine, want)
+            assert (res.attempts, res.fallback) == (ref.attempts, ref.fallback)
+            assert res.state.matrix.tobytes() == ref.state.matrix.tobytes()
+            assert got.integers(0, 7) == want.integers(0, 7)
+            assert got.random() == want.random()
+            seen.add("fallback" if res.fallback else
+                     "<= serial" if res.attempts <= serial else "> serial")
+        assert seen == wanted
 
 
 # ------------------------------------------------------------ serialization
