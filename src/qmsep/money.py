@@ -23,7 +23,8 @@ holds is a ProductState, one factor id per qubit: the minted note, each
 post-verify note (a product of the checks' outcome projectors) and the eigen
 witness against a factor key (witness).  On such a note check i hits
 independently, with probability _HIT[s_i][a_i] = Tr(F_a F_s), so verify and
-accept_prob read that table and build no 2^m x 2^m matrix; a dense note,
+accept_prob read that table and build no 2^m x 2^m matrix, and a
+verification whose table entries are all 0 or 1 draws nothing; a dense note,
 such as a trial-backend state, goes through the check frame.  The three toy
 schemes differ only in their templates, for i < m:
 
@@ -248,23 +249,31 @@ class MoneyScheme:
     def verify(self, note: Banknote, world: WorldHandle, stream):
         """Measure qubit i with check i's projector, for i = 0..m-1 in turn,
         after querying every check's positions; returns (all checks hit,
-        post-measurement note).  Draw i decides check i.
+        post-measurement note).  Draw i of m uniforms decides check i.
 
         On a ProductState the checks act on separate factors, so check i
-        hits with probability _HIT[s_i][a_i] whatever the others give.  On
-        a dense state, in the check frame U each projector is |z_i><z_i| on
-        qubit i, so the outcome probabilities are sums over the diagonal of
-        U rho U: check i hits with probability the surviving mass whose bit
-        i is z_i, over all surviving mass.  Either way the post-measurement
-        state is the product of the checks' outcome projectors.
+        hits with probability _HIT[s_i][a_i] whatever the others give; when
+        each is exactly 0 or 1, as for a valid note, no draw in [0, 1)
+        could change an outcome, so none is made.  The attack gives each
+        verification a stream that nothing draws from after it, so the
+        skipped draws change no output.  On a dense state, in the check
+        frame U each projector is |z_i><z_i| on qubit i, so the outcome
+        probabilities are sums over the diagonal of U rho U: check i hits
+        with probability the surviving mass whose bit i is z_i, over all
+        surviving mass.  Either way the post-measurement state is the
+        product of the checks' outcome projectors.
         """
         pairs = self._read_checks(note.serial, world)
-        draws = stream.random(self.m).tolist()
         state = note.state
         if isinstance(state, ProductState):
-            hits = [draw < _HIT[s][3 + 2 * b + z]
-                    for s, (b, z), draw in zip(state.ids, pairs, draws)]
+            probs = [_HIT[s][3 + 2 * b + z] for s, (b, z) in zip(state.ids, pairs)]
+            if all(p in (0.0, 1.0) for p in probs):
+                hits = [p == 1.0 for p in probs]
+            else:
+                hits = [draw < p for p, draw in
+                        zip(probs, stream.random(self.m).tolist())]
         else:
+            draws = stream.random(self.m).tolist()
             frame = _product(tuple(b for b, _ in pairs), True)
             # diag(U rho U), U symmetric: row j of U rho times row j of U
             mass = ((frame @ state.matrix) * frame).sum(axis=1).real.tolist()

@@ -15,7 +15,8 @@ computes in less than half the time Python takes.  Scalar and int-sized ``random
 2014) and scalar ``integers`` is numpy's Lemire rejection ("Fast Random
 Integer Generation in an Interval", 2019), both in Python.  ``skip(n)``
 moves a stream past n doubles by the LCG jump-ahead (Brown, "Random
-Number Generation with Arbitrary Strides", 1994) in O(log n) steps.
+Number Generation with Arbitrary Strides", 1994) in O(log n) steps; on a
+stream not yet seeded it only counts, and the first draw jumps.
 """
 
 from __future__ import annotations
@@ -136,6 +137,7 @@ class Stream:
     _pool = None  # (4 pool words, hash constant), once a draw needs it
     _state = None  # PCG64's 128-bit state, from the first draw on
     _kept = None  # the high half of the last next_uint32 output, if unused
+    _pending = 0  # doubles skipped before the stream was seeded
     _gen = None  # the numpy Generator, once a draw was handed off
 
     def __init__(self, seed: int, _path: tuple[int, ...] = (), _parent=None):
@@ -159,7 +161,8 @@ class Stream:
 
     def _seeded(self) -> int:
         if self._state is None:
-            self._state, self._inc = _pcg64_seed(self._entropy())
+            state, self._inc = _pcg64_seed(self._entropy())
+            self._state = _advance(state, self._inc, self._pending)
         return self._state
 
     def _next64(self) -> int:
@@ -205,11 +208,16 @@ class Stream:
     def skip(self, n: int) -> None:
         """Move the stream on as n scalar ``random`` draws would, in
         O(log n) steps.  Doubles never touch the kept uint32 half, so it
-        stays kept; numpy's PCG64.advance would drop it."""
+        stays kept; numpy's PCG64.advance would drop it.  On a stream not
+        yet seeded the skip waits for the first draw, which seeds the
+        stream and then jumps, so a skip no draw follows costs nothing."""
         if n < 0:
             raise ValueError("a stream cannot skip back")
+        if self._state is None:
+            self._pending += n
+            return
         if self._gen is None:
-            self._state = _advance(self._seeded(), self._inc, n)
+            self._state = _advance(self._state, self._inc, n)
             return
         bits = self._gen.bit_generator
         state = bits.state

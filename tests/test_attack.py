@@ -8,7 +8,7 @@ import pytest
 
 from reference import accept_prob_by_qubit, exact_success
 
-from qmsep import attack, hilbert, money, oracle, synth
+from qmsep import attack, hilbert, money, oracle, streams, synth
 from qmsep.attack import (
     AttackConfig,
     AttackError,
@@ -517,6 +517,33 @@ def test_eigen_trial_builds_a_generator_only_for_the_table(name, builds,
         built.clear()
         run_attack(scheme, cfg, Stream(seed))
         assert len(built) == builds
+
+
+@pytest.mark.parametrize("name", list(SCHEMES))
+def test_eigen_trial_seeds_only_streams_that_decide_something(name,
+                                                              monkeypatch):
+    # the world, mint, t and s streams draw in every trial.  A valid note
+    # passes every check with probability 1, so the test phase's
+    # verifications draw nothing, and neither does a forged note's once D_j
+    # is complete; at t = 0 the first update round verifies a witness with
+    # unknown bits, whose checks are uncertain
+    seeded = []
+
+    def counting(pool, _real=streams._pcg64_seed):
+        seeded.append(1)
+        return _real(pool)
+
+    monkeypatch.setattr(streams, "_pcg64_seed", counting)
+    scheme = make_scheme(name)
+    cfg = scaled_cfg(scheme, t_max=16, n_updates=30)
+    ts = set()
+    for seed in (19, 41, 42):
+        seeded.clear()
+        tr = run_attack(scheme, cfg, Stream(seed))
+        assert tr.j_drawn > 0
+        assert len(seeded) == (4 if tr.t_drawn else 5)
+        ts.add(tr.t_drawn > 0)
+    assert ts == {False, True}
 
 
 @pytest.mark.parametrize("name", list(SCHEMES))

@@ -10,7 +10,7 @@ import pytest
 import oracle_reference as ref
 from reference import synthesize_by_attempt
 
-from qmsep import cli, harness
+from qmsep import cli, harness, streams
 from qmsep.attack import AttackConfig, run_attack
 from qmsep.harness import (
     CSV_COLUMNS,
@@ -122,21 +122,29 @@ def test_cmd_synth_reject_all_flags_fallback(tmp_path):
 def test_cmd_synth_builds_no_generator(verifier, tmp_path, monkeypatch):
     # an accept-all verifier passes its first attempt, one Python draw; the
     # empty-D scheme verifier's cut of 1.0 passes no draw, so its stream
-    # jumps past the budget
+    # skips the budget, and since nothing draws after the skip, no trial's
+    # stream is seeded
     if verifier == "accept-all":
         path = write_spec(tmp_path, [X_GATE])
     else:
         path = tmp_path / "verifier.json"
         path.write_text(make_scheme("conjugate").sim_verifier("", (3,), {}).to_json())
-    built = []
+    built, seeded = [], []
     for ctor in ("default_rng", "Generator"):
         def counting(*args, _real=getattr(np.random, ctor), **kwargs):
             built.append(1)
             return _real(*args, **kwargs)
         monkeypatch.setattr(np.random, ctor, counting)
+
+    def seeding(pool, _real=streams._pcg64_seed):
+        seeded.append(1)
+        return _real(pool)
+
+    monkeypatch.setattr(streams, "_pcg64_seed", seeding)
     rep = cmd_synth({"verifier": str(path), "trials": 20, "seed": 3})
     assert rep["trial"]["fallbacks"] == (0 if verifier == "accept-all" else 20)
     assert built == []
+    assert len(seeded) == (20 if verifier == "accept-all" else 0)
 
 
 def test_cmd_synth_missing_inputs(tmp_path):

@@ -21,6 +21,7 @@ from qmsep.money import (
     SCHEMES,
     WorldHandle,
     _FACTORS,
+    _HIT,
     _product,
     make_scheme,
     witness,
@@ -344,6 +345,87 @@ def test_verify_matches_embedded_projector_measurements(m):
                 assert np.abs(post.state.matrix - want).max() < 1e-12
                 # basis then bit, check by check
                 assert [x for x, _ in world.dr] == scheme.verify_positions(serial)
+
+
+class _NoDraws:
+    """A stream that fails the test if anything draws from it."""
+
+    def random(self, *args):
+        raise AssertionError("a certain verification drew")
+
+
+def _verify_by_drawing(ids, checks, draws):
+    """Verification of ProductState(ids) as m uniform draws compared with
+    the checks' hit probabilities; returns (accepted, post ids)."""
+    hits = [d < _HIT[s][3 + 2 * b + z] for s, (b, z), d in zip(ids, checks, draws)]
+    return all(hits), tuple(3 + 2 * b + (z if hit else 1 - z)
+                            for (b, z), hit in zip(checks, hits))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_verify_skips_draws_only_when_no_draw_matters(m):
+    """On a ProductState a check whose hit probability is exactly 0 or 1
+    has one outcome at every draw, so verify draws only when some check is
+    uncertain, and then draws m uniforms, draw i for check i.  Every state
+    id 0..8 meets every check id 3..6 at every position, at the draws 0,
+    the largest below 1 and p -+ 1e-12 (within [0, 1))."""
+    top = np.nextafter(1.0, 0.0)
+    entries = [(s, bz) for s in range(9)
+               for bz in ((0, 0), (0, 1), (1, 0), (1, 1))]
+    if m < 3:
+        cases = list(itertools.product(entries, repeat=m))
+    else:  # each entry at each position, beside entries that vary with it,
+        # and every mix of certain hits and certain misses
+        cases = [tuple(entries[e if j == i else (5 * e + 11 * j + 1) % len(entries)]
+                       for j in range(3))
+                 for e in range(len(entries)) for i in range(3)]
+        cases += itertools.product([(3 + 2 * b + y, (b, z)) for b in (0, 1)
+                                    for z in (0, 1) for y in (0, 1)], repeat=3)
+    scheme = make_scheme("conjugate", l=6, m=m)
+    serial = (1,)
+    checks = scheme.checks(serial)
+    certain = 0
+    for case in cases:
+        ids = tuple(s for s, _ in case)
+        values = [bz for _, bz in case]
+        table = np.zeros(1 << scheme.l, dtype=np.int64)
+        for (basis, bit), (b, z) in zip(checks, values):
+            table[basis], table[bit] = b, z
+        probs = [_HIT[s][3 + 2 * b + z] for s, (b, z) in zip(ids, values)]
+        options = [sorted({0.0, top, min(max(p - 1e-12, 0.0), top),
+                           min(max(p + 1e-12, 0.0), top)}) for p in probs]
+        note = Banknote(serial, ProductState(ids))
+        for draws in itertools.product(*options):
+            want_ok, want_ids = _verify_by_drawing(ids, values, draws)
+            world = WorldHandle(scheme.l, table=table)
+            ok, post = scheme.verify(note, world, _FixedDraws(list(draws)))
+            assert (ok, post) == (want_ok, Banknote(serial, ProductState(want_ids)))
+            assert [x for x, _ in world.dr] == scheme.verify_positions(serial)
+        if all(p in (0.0, 1.0) for p in probs):
+            certain += 1
+            world = WorldHandle(scheme.l, table=table)
+            assert scheme.verify(note, world, _NoDraws()) == (want_ok, post)
+    assert 0 < certain < len(cases)
+
+
+@pytest.mark.parametrize("name", list(SCHEMES))
+def test_verify_draws_m_uniforms_or_none(name):
+    # a valid note draws nothing; one uncertain check among certain ones
+    # still takes all m draws, so the stream moves on by m doubles
+    for width in (1, 2, 3):
+        scheme = make_scheme(name, m=width)
+        m = scheme.m  # counterexample adds its hash bit
+        for seed in range(5):
+            world, note = mint_note(scheme, 900 + seed)
+            assert scheme.verify(note, world, _NoDraws()) == (True, note)
+            for i in range(m):
+                ids = list(note.state.ids)
+                ids[i] = 0  # I/2 hits either check with probability 1/2
+                half = Banknote(note.serial, ProductState(tuple(ids)))
+                stream, ref = Stream(seed).split(i), Stream(seed).split(i)
+                scheme.verify(half, world, stream)
+                ref.random(m)
+                assert stream.random() == ref.random()
 
 
 def test_conjugate_tampered_qubit_accepts_half():

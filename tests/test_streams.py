@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qmsep.harness import T_MAX_CAP
+from qmsep import streams
 from qmsep.streams import Stream, _label_key
 
 
@@ -196,3 +197,42 @@ def test_skip_equals_numpy_advance(n):
             assert state["state"] == ref.bit_generator.state["state"]
             assert (state["has_uint32"], state["uinteger"]) == (
                 (1, half) if kept else (0, 0))
+
+
+@pytest.mark.parametrize("n", [0, 1, 5, 300])
+def test_skip_before_the_first_draw_waits_for_it(n, monkeypatch):
+    # a skip on a stream not yet seeded seeds nothing; the first draw of
+    # each kind, Python or numpy, then lands where n doubles would leave it
+    seeded = []
+
+    def counting(pool, _real=streams._pcg64_seed):
+        seeded.append(1)
+        return _real(pool)
+
+    monkeypatch.setattr(streams, "_pcg64_seed", counting)
+    for seed in SEEDS:
+        for first in ("random", "integers", "normal", "gen.random"):
+            s, ref = _pair(seed)
+            s.skip(n)
+            assert seeded == []
+            ref.random(n)
+            if first == "random":
+                assert s.random() == ref.random()
+            elif first == "integers":
+                assert s.integers(0, 7) == ref.integers(0, 7)
+            elif first == "normal":
+                assert s.normal() == ref.normal()
+            else:
+                assert np.array_equal(s.gen.random(3), ref.random(3))
+            assert len(seeded) == 1
+            seeded.clear()
+            assert s.random() == ref.random()
+        # two skips before the first draw add up
+        s, ref = _pair(seed)
+        s.skip(n)
+        s.skip(3)
+        ref.random(n + 3)
+        assert s.integers(0, 7) == ref.integers(0, 7)
+        assert s.random() == ref.random()
+        assert len(seeded) == 1
+        seeded.clear()

@@ -7,6 +7,7 @@ import pytest
 from reference import alternating_sample, run_trial_destructive, synthesize_by_attempt
 
 from qmsep import synth
+from qmsep.harness import HarnessError, cmd_synth
 from qmsep.hilbert import DensityOp, Projector, QState, RegisterLayout, haar_unitary
 from qmsep.money import make_scheme
 from qmsep.streams import Stream
@@ -581,6 +582,25 @@ def test_verifier_json_rejects_non_integer_fields(field, value):
         obj[field] = value
     with pytest.raises(SynthError, match="must be an integer"):
         VerifierSpec.from_json(json.dumps(obj))
+
+
+@pytest.mark.parametrize("entry", [
+    ["1.0", 0.0], [None, 0.0], [1.0], [1.0, 0.0, 0.0], [[1.0], 0.0], "10",
+    {"re": 1, "im": 0}])
+def test_verifier_json_rejects_non_numeric_entries(entry, tmp_path):
+    # each U entry is a [re, im] pair of JSON numbers: a string, null, a
+    # pair of another length or a nested list is rejected, never read as a
+    # number (np.array(..., dtype=float) would read "1.5" as 1.5 and null
+    # as NaN), and the CLI reports it as bad input
+    entries = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], entry]
+    text = json.dumps({"m": 1, "k": 0, "ans_index": 0,
+                       "gates": [{"name": "U", "targets": [0], "matrix": entries}]})
+    with pytest.raises((TypeError, ValueError)):
+        VerifierSpec.from_json(text)
+    path = tmp_path / "verifier.json"
+    path.write_text(text)
+    with pytest.raises(HarnessError):
+        cmd_synth({"verifier": str(path), "trials": 1, "seed": 0})
 
 
 def test_verifier_json_rejects_entry_above_modulus_one():
