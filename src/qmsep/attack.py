@@ -23,8 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .money import Banknote, MoneyScheme, WorldHandle, witness
-from .oracle import sample_oracle
+from .money import Banknote, MoneyScheme, WorldHandle, drawn_bits, witness
 from .synth import (
     ReducedVerifier,
     SynthesisParams,
@@ -250,11 +249,13 @@ def synthesize_phase(scheme, serial, runs: Runs, cfg: AttackConfig, stream):
 
 
 def make_world(scheme: MoneyScheme, stream) -> WorldHandle:
-    """The oracle a run uses: a sampled table when the scheme's mint is
-    classical, and a lazy world when its mint queries quantumly."""
+    """The oracle a run uses.  A classical mint's is the table
+    sample_oracle would draw from the world stream, read only at the
+    positions the run queries; a quantum mint's draws each position in
+    query order."""
     draws = stream.split("world")
-    table = None if scheme.quantum_mint else sample_oracle(scheme.l, draws)
-    return WorldHandle(scheme.l, stream=draws, table=table)
+    return WorldHandle(scheme.l, drawn_bits(draws) if scheme.quantum_mint
+                       else draws.table_bit)
 
 
 def _mint_and_test(scheme: MoneyScheme, cfg: AttackConfig, stream):

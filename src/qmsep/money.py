@@ -63,37 +63,43 @@ class Banknote:
 
 
 class WorldHandle:
-    """Answers oracle queries from one bit map and records the classical
+    """Answers oracle queries from one bit source and records the classical
     ones in dr.
 
-    A world built from a table, the (2^l,) 0/1 array sample_oracle returns,
-    holds every bit from the start; a lazy world draws each position from
-    stream on first use, which reproduces the purified oracle's statistics
-    for the query patterns used here (the one quantum query any scheme
-    makes is immediately followed by a measurement of its input register,
-    so sampling it eagerly commutes with the rest of the run).
+    Each position is read once, on first use, as source(x), and kept in
+    bits.  A source may be a sampled table's entries (Stream.table_bit) or
+    drawn_bits, a draw in query order, which reproduces the purified
+    oracle's statistics for the query patterns used here (the one quantum
+    query any scheme makes is immediately followed by a measurement of its
+    input register, so sampling it eagerly commutes with the rest of the
+    run).
     """
 
-    def __init__(self, l: int, stream=None, table: np.ndarray | None = None):
-        if table is None and stream is None:
-            raise MoneyError("a world needs a table or a stream")
+    def __init__(self, l: int, source):
         self.l = l
-        self.bits = {} if table is None else dict(enumerate(table.tolist()))
-        self.stream = stream
+        self.source = source  # position -> its 0/1 int
+        self.bits = {}
         self.dr = []  # append-only classical query record
 
     def _bit(self, x: int) -> int:
         if not (0 <= x < (1 << self.l)):
             raise MoneyError(f"oracle position {x} out of range for l = {self.l}")
-        if x not in self.bits:
-            self.bits[x] = int(self.stream.integers(0, 2))
-        return self.bits[x]
+        z = self.bits.get(x)
+        if z is None:
+            z = self.bits[x] = self.source(x)
+        return z
 
     def query(self, x: int, quantum: bool = False) -> int:
         z = self._bit(x)
         if not quantum:
             self.dr.append((x, z))
         return z
+
+
+def drawn_bits(stream):
+    """A bit source that draws each position from stream when it is first
+    read, so a world's bits follow its query order."""
+    return lambda x: int(stream.integers(0, 2))
 
 
 # the two one-qubit check frames: row z of _FRAMES[b] is the state a check

@@ -17,6 +17,9 @@ Integer Generation in an Interval", 2019), both in Python.  ``skip(n)``
 moves a stream past n doubles by the LCG jump-ahead (Brown, "Random
 Number Generation with Arbitrary Strides", 1994) in O(log n) steps; on a
 stream not yet seeded it only counts, and the first draw jumps.
+``table_bit(x)`` reads entry x of the 0/1 table a sized ``integers(0, 2)``
+would draw next by one such jump, with the jump's constants cached, so a
+world reads the oracle bits it queries and never draws the table.
 """
 
 from __future__ import annotations
@@ -97,10 +100,14 @@ def _pcg64_seed(pool: tuple) -> tuple:
     return ((inc + (v & _M128)) * _PCG_MULT + inc) & _M128, inc
 
 
-def _advance(state: int, inc: int, n: int) -> int:
-    """PCG64's LCG state n steps on: the step s -> MULT s + inc composed
-    with itself by repeated squaring, as numpy's pcg_advance_lcg_128."""
-    mult, plus, acc_mult, acc_plus = _PCG_MULT, inc, 1, 0
+# table_bit reads entries below 2^ORACLE_L_CAP = 64 by 32 jumps, which the
+# cache holds; skip and a stream's first draw share it
+@functools.lru_cache(maxsize=32)
+def _jump(n: int) -> tuple:
+    """(A, G) such that PCG64's LCG state n steps on is A s + G inc, mod
+    2^128: the step s -> MULT s + inc composed with itself by repeated
+    squaring, as numpy's pcg_advance_lcg_128, with inc factored out."""
+    mult, plus, acc_mult, acc_plus = _PCG_MULT, 1, 1, 0
     while n:
         if n & 1:
             acc_mult = acc_mult * mult & _M128
@@ -108,7 +115,19 @@ def _advance(state: int, inc: int, n: int) -> int:
         plus = (mult + 1) * plus & _M128
         mult = mult * mult & _M128
         n >>= 1
-    return (acc_mult * state + acc_plus) & _M128
+    return acc_mult, acc_plus
+
+
+def _advance(state: int, inc: int, n: int) -> int:
+    """PCG64's LCG state n steps on."""
+    mult, plus = _jump(n)
+    return (mult * state + plus * inc) & _M128
+
+
+def _xsl_rr(s: int) -> int:
+    """PCG64's output for LCG state s: XSL-RR."""
+    x, rot = (s >> 64) ^ (s & _M64), s >> 122
+    return (x >> rot | x << (64 - rot)) & _M64
 
 
 @functools.cache
@@ -168,8 +187,7 @@ class Stream:
     def _next64(self) -> int:
         """PCG64's next output: step the state, then XSL-RR."""
         s = self._state = (self._seeded() * _PCG_MULT + self._inc) & _M128
-        x, rot = (s >> 64) ^ (s & _M64), s >> 122
-        return (x >> rot | x << (64 - rot)) & _M64
+        return _xsl_rr(s)
 
     def _next32(self) -> int:
         if self._kept is not None:
@@ -224,6 +242,27 @@ class Stream:
         pcg = state["state"]
         pcg["state"] = _advance(pcg["state"], pcg["inc"], n)
         bits.state = state
+
+    def table_bit(self, x: int) -> int:
+        """Entry x of the 0/1 table ``integers(0, 2, size=n)``, n > x, would
+        draw next, read without moving the stream.  numpy draws each entry
+        by Lemire's method on next_uint32 at a rejection floor of 0, so
+        entry x is bit 31 of uint32 output x: the kept half for x = 0 when
+        one is kept, and otherwise bit 31 (x even) or 63 (x odd) of the
+        PCG64 output x // 2 + 1 LCG steps on, read by a cached jump.  A
+        stream handed to numpy keeps its state there, and has no table_bit."""
+        if x < 0:
+            raise ValueError("table entries are numbered from 0")
+        if self._gen is not None:
+            raise ValueError("table_bit reads a stream that numpy does not serve")
+        state, kept = self._seeded(), self._kept
+        if kept is not None:
+            if not x:
+                return kept >> 31
+            x -= 1
+        mult, plus = _jump(x // 2 + 1)
+        out = _xsl_rr((mult * state + plus * self._inc) & _M128)
+        return out >> (63 if x & 1 else 31) & 1
 
     def split(self, label) -> "Stream":
         """Derive an independent child stream; same label -> same child."""

@@ -23,6 +23,7 @@ from qmsep.money import (
     _FACTORS,
     _HIT,
     _product,
+    drawn_bits,
     make_scheme,
     witness,
 )
@@ -40,12 +41,13 @@ H = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
 
 
 def sampled_world(scheme, seed):
-    return WorldHandle(scheme.l, table=sample_oracle(scheme.l, Stream(seed)))
+    return WorldHandle(scheme.l,
+                       sample_oracle(scheme.l, Stream(seed)).tolist().__getitem__)
 
 
 def mint_note(scheme, seed):
-    world = (WorldHandle(scheme.l, stream=Stream(seed)) if scheme.quantum_mint
-             else sampled_world(scheme, seed))
+    world = (WorldHandle(scheme.l, drawn_bits(Stream(seed)))
+             if scheme.quantum_mint else sampled_world(scheme, seed))
     note = scheme.mint(world, Stream(seed).split("mint"))
     return world, note
 
@@ -73,7 +75,7 @@ def test_mint_draws_exactly_the_verify_positions(name, per_qubit, extra, m):
     scheme = make_scheme(name, m=m)
     assert scheme.queries == per_qubit * m + extra
     for seed in range(20):
-        world = WorldHandle(scheme.l, stream=Stream(seed))
+        world = WorldHandle(scheme.l, drawn_bits(Stream(seed)))
         note = scheme.mint(world, Stream(seed).split("mint"))
         positions = scheme.verify_positions(note.serial)
         assert set(world.bits) == set(positions)
@@ -158,7 +160,7 @@ def test_conjugate_at_m_one_uses_one_tag_bit():
 def test_hash_tag_mint_matches_table():
     scheme = HashTagScheme(l=6, m=2)
     table = np.arange(64) % 2
-    world = WorldHandle(6, table=table)
+    world = WorldHandle(6, table.tolist().__getitem__)
     note = scheme.mint(world, Stream(5))
     (s,) = note.serial
     want = (table[2 * s] << 1) | table[2 * s + 1]  # one tag bit at m = 2
@@ -169,7 +171,7 @@ def test_hash_tag_mint_matches_table():
 def test_conjugate_mint_degenerate_bases_are_computational():
     scheme = ConjugateScheme(l=6, m=2)
     table = np.zeros(64, dtype=np.int64)  # all bases and bits zero
-    world = WorldHandle(6, table=table)
+    world = WorldHandle(6, table.tolist().__getitem__)
     note = scheme.mint(world, Stream(5))
     assert abs(note.state.matrix[0, 0] - 1.0) < 1e-12
 
@@ -179,7 +181,7 @@ def test_counterexample_serials_uniform():
     counts = np.zeros(1 << scheme.s_bits)
     stream = Stream(7)
     for i in range(1000):
-        world = WorldHandle(6, stream=stream.split(("w", i)))
+        world = WorldHandle(6, drawn_bits(stream.split(("w", i))))
         note = scheme.mint(world, stream.split(("m", i)))
         counts[note.serial[0]] += 1
     _, p = stats.chisquare(counts)
@@ -339,7 +341,7 @@ def test_verify_matches_embedded_projector_measurements(m):
             note = Banknote(serial, DensityOp(RegisterLayout((("M", m),)), rho))
             for kinds in itertools.product(["zero", "top", "below", "above"], repeat=m):
                 want_ok, want, draws = _verify_by_embedded_projectors(rho, values, kinds)
-                world = WorldHandle(scheme.l, table=table)
+                world = WorldHandle(scheme.l, table.tolist().__getitem__)
                 ok, post = scheme.verify(note, world, _FixedDraws(draws))
                 assert ok == want_ok
                 assert np.abs(post.state.matrix - want).max() < 1e-12
@@ -397,13 +399,13 @@ def test_verify_skips_draws_only_when_no_draw_matters(m):
         note = Banknote(serial, ProductState(ids))
         for draws in itertools.product(*options):
             want_ok, want_ids = _verify_by_drawing(ids, values, draws)
-            world = WorldHandle(scheme.l, table=table)
+            world = WorldHandle(scheme.l, table.tolist().__getitem__)
             ok, post = scheme.verify(note, world, _FixedDraws(list(draws)))
             assert (ok, post) == (want_ok, Banknote(serial, ProductState(want_ids)))
             assert [x for x, _ in world.dr] == scheme.verify_positions(serial)
         if all(p in (0.0, 1.0) for p in probs):
             certain += 1
-            world = WorldHandle(scheme.l, table=table)
+            world = WorldHandle(scheme.l, table.tolist().__getitem__)
             assert scheme.verify(note, world, _NoDraws()) == (want_ok, post)
     assert 0 < certain < len(cases)
 
@@ -624,7 +626,7 @@ def test_factor_key_names_the_operator(name, m):
         serial = tuple(int(rng.integers(0, 1 << scheme.s_bits))
                        for _ in range(scheme.serials))
         table = rng.integers(0, 2, 1 << scheme.l)
-        world = WorldHandle(scheme.l, table=table)
+        world = WorldHandle(scheme.l, table.tolist().__getitem__)
         pos = scheme.verify_positions(serial)
         for r in range(len(pos) + 1):
             for sub in itertools.combinations(pos, r):
@@ -719,7 +721,7 @@ def test_product_path_is_the_dense_path(name, m):
         dense = DensityOp(prod.layout, prod.matrix)
         got = []
         for state in (prod, dense):
-            world = WorldHandle(scheme.l, table=tables[k])
+            world = WorldHandle(scheme.l, tables[k].tolist().__getitem__)
             note = Banknote(serial, state)
             ok, post = scheme.verify(note, world, Stream(i))
             got.append((ok, post.state.ids, scheme.accept_prob(note, world)))
@@ -743,7 +745,7 @@ def test_answer_key_draws_a_lazy_world_in_query_order(name):
     # world's draws, and so its bits, depend on it
     scheme = make_scheme(name, m=3)
     serial = tuple(range(1, scheme.serials + 1))
-    world = WorldHandle(scheme.l, stream=Stream(3))
+    world = WorldHandle(scheme.l, drawn_bits(Stream(3)))
     scheme.answer_key(serial, world)
     assert list(world.bits) == scheme.verify_positions(serial)
     assert world.dr == []
@@ -762,7 +764,7 @@ def test_scheme_rejects_a_shared_tag():
 
 
 def test_world_handle_query_bookkeeping():
-    world = WorldHandle(3, stream=Stream(1))
+    world = WorldHandle(3, drawn_bits(Stream(1)))
     z = world.query(5)
     assert world.dr == [(5, z)]
     assert world.bits == {5: z}
@@ -773,8 +775,8 @@ def test_world_handle_query_bookkeeping():
 
 
 def test_world_handle_bounds():
-    world = WorldHandle(2, table=sample_oracle(2, Stream(1)))
+    world = WorldHandle(2, sample_oracle(2, Stream(1)).tolist().__getitem__)
     with pytest.raises(MoneyError):
         world.query(4)
-    with pytest.raises(MoneyError):
-        WorldHandle(2)  # neither a table nor a stream
+    with pytest.raises(TypeError):
+        WorldHandle(2)  # no bit source

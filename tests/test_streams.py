@@ -236,3 +236,63 @@ def test_skip_before_the_first_draw_waits_for_it(n, monkeypatch):
         assert s.random() == ref.random()
         assert len(seeded) == 1
         seeded.clear()
+
+
+# split paths of depth 0 to 2
+PATHS = ((), ("world",), (("w", 5), 2 ** 40 + 3))
+
+
+@pytest.mark.parametrize("l", range(1, 7))
+def test_table_bit_reads_the_sized_draws_table(l):
+    # entry x of integers(0, 2, size=2^l) drawn as the stream's first draw,
+    # read in any order and without moving the stream, whose first draws
+    # stay the reference's
+    for seed in SEEDS:
+        for labels in PATHS:
+            s, ref = _pair(seed, labels)
+            _, first = _pair(seed, labels)
+            want = ref.integers(0, 2, size=1 << l).tolist()
+            got = [s.table_bit(x) for x in reversed(range(1 << l))][::-1]
+            assert got == want
+            assert s.random() == first.random()
+            assert s.integers(0, 7) == first.integers(0, 7)
+
+
+@pytest.mark.parametrize("before", ["random", "kept", "skip", "skip+kept",
+                                    "kept+skip"])
+def test_table_bit_continues_a_stream_that_has_drawn(before):
+    # on a stream that has drawn or skipped, the table is the one its next
+    # sized draw would be, and a kept uint32 half is its entry 0
+    def run(g):
+        for step in before.split("+"):
+            if step == "random":
+                g.random()
+            elif step == "kept":
+                g.integers(0, 3)  # keeps the high half of a 64-bit output
+            else:
+                g.skip(5) if isinstance(g, Stream) else g.random(5)
+        return g
+
+    for seed in SEEDS:
+        s, ref = _pair(seed)
+        _, after = _pair(seed)
+        run(s)
+        want = run(ref).integers(0, 2, size=64).tolist()
+        assert [s.table_bit(x) for x in range(64)] == want
+        run(after)
+        assert s.random() == after.random()
+        assert s.integers(0, 7) == after.integers(0, 7)
+
+
+@pytest.mark.parametrize("handoff", ["normal", "gen"])
+def test_table_bit_refuses_a_stream_numpy_serves(handoff):
+    # after a hand-off numpy holds the state, so there is nothing to read
+    s = Stream(4).split("x")
+    s.normal() if handoff == "normal" else s.gen
+    with pytest.raises(ValueError, match="numpy"):
+        s.table_bit(0)
+
+
+def test_table_bit_rejects_a_negative_entry():
+    with pytest.raises(ValueError):
+        Stream(1).table_bit(-3)
