@@ -249,13 +249,11 @@ def synthesize_phase(scheme, serial, runs: Runs, cfg: AttackConfig, stream):
 
 
 def make_world(scheme: MoneyScheme, stream) -> WorldHandle:
-    """The oracle a run uses.  A classical mint's is the table
-    sample_oracle would draw from the world stream, read only at the
-    positions the run queries; a quantum mint's draws each position in
-    query order."""
-    draws = stream.split("world")
-    return WorldHandle(scheme.l, drawn_bits(draws) if scheme.quantum_mint
-                       else draws.table_bit)
+    """The oracle a run uses, for every scheme: drawn_bits on the world
+    stream, so each position is drawn when the run first queries it.  Under
+    classical queries lazy draws are exactly a uniform oracle, since a bit
+    first read is uniform and independent of every bit read before it."""
+    return WorldHandle(scheme.l, drawn_bits(stream.split("world")))
 
 
 def _mint_and_test(scheme: MoneyScheme, cfg: AttackConfig, stream):

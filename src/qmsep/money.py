@@ -67,12 +67,8 @@ class WorldHandle:
     ones in dr.
 
     Each position is read once, on first use, as source(x), and kept in
-    bits.  A source may be a sampled table's entries (Stream.table_bit) or
-    drawn_bits, a draw in query order, which reproduces the purified
-    oracle's statistics for the query patterns used here (the one quantum
-    query any scheme makes is immediately followed by a measurement of its
-    input register, so sampling it eagerly commutes with the rest of the
-    run).
+    bits.  The attack's source is drawn_bits, a draw in query order; a
+    table's entries serve as well.
     """
 
     def __init__(self, l: int, source):
@@ -98,7 +94,11 @@ class WorldHandle:
 
 def drawn_bits(stream):
     """A bit source that draws each position from stream when it is first
-    read, so a world's bits follow its query order."""
+    read, so a world's bits follow its query order.  This is lazy sampling
+    of a uniform oracle: exact under classical queries, and for the query
+    patterns used here under quantum ones too (the one quantum query any
+    scheme makes is immediately followed by a measurement of its input
+    register, so sampling it eagerly commutes with the rest of the run)."""
     return lambda x: int(stream.integers(0, 2))
 
 

@@ -31,13 +31,12 @@ from itertools import repeat
 
 import numpy as np
 
-from .hilbert import HADAMARD, embed_unitary, index_bits
+from .hilbert import HADAMARD, STRUCT_TOL, embed_unitary, index_bits
 
 ORACLE_L_CAP = 6   # sampled truth tables
 WORLD_L_CAP = 4    # OracleWorld: 2^(2^l) purified labels, 2^l-bit F masks
 KEY_BITS = 62      # (rec, fb, plain) packed into one int64 sort key
 PRUNE_TOL = 1e-14
-STRUCT_TOL = 1e-9
 
 
 class OracleError(ValueError):

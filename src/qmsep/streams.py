@@ -11,15 +11,11 @@ draw one to three numbers each, and numpy's set-up of SeedSequence, PCG64
 and Generator costs more than those draws.  SeedSequence's pool is a left
 fold over its entropy words, so a child's pool is its parent's with its
 label mixed in; a root's is numpy's SeedSequence(seed).pool, which numpy
-computes in less than half the time Python takes.  Scalar and int-sized ``random`` are PCG64 steps (O'Neill,
-2014) and scalar ``integers`` is numpy's Lemire rejection ("Fast Random
-Integer Generation in an Interval", 2019), both in Python.  ``skip(n)``
-moves a stream past n doubles by the LCG jump-ahead (Brown, "Random
-Number Generation with Arbitrary Strides", 1994) in O(log n) steps; on a
-stream not yet seeded it only counts, and the first draw jumps.
-``table_bit(x)`` reads entry x of the 0/1 table a sized ``integers(0, 2)``
-would draw next by one such jump, with the jump's constants cached, so a
-world reads the oracle bits it queries and never draws the table.
+computes in less than half the time Python takes.  Scalar and int-sized
+``random`` are PCG64 steps (O'Neill, 2014) and scalar ``integers`` is
+numpy's Lemire rejection ("Fast Random Integer Generation in an
+Interval", 2019), both in Python.  A stream only moves forward by
+drawing: it has no skip, rewind or look-ahead.
 """
 
 from __future__ import annotations
@@ -100,36 +96,6 @@ def _pcg64_seed(pool: tuple) -> tuple:
     return ((inc + (v & _M128)) * _PCG_MULT + inc) & _M128, inc
 
 
-# table_bit reads entries below 2^ORACLE_L_CAP = 64 by 32 jumps, which the
-# cache holds; skip and a stream's first draw share it
-@functools.lru_cache(maxsize=32)
-def _jump(n: int) -> tuple:
-    """(A, G) such that PCG64's LCG state n steps on is A s + G inc, mod
-    2^128: the step s -> MULT s + inc composed with itself by repeated
-    squaring, as numpy's pcg_advance_lcg_128, with inc factored out."""
-    mult, plus, acc_mult, acc_plus = _PCG_MULT, 1, 1, 0
-    while n:
-        if n & 1:
-            acc_mult = acc_mult * mult & _M128
-            acc_plus = (acc_plus * mult + plus) & _M128
-        plus = (mult + 1) * plus & _M128
-        mult = mult * mult & _M128
-        n >>= 1
-    return acc_mult, acc_plus
-
-
-def _advance(state: int, inc: int, n: int) -> int:
-    """PCG64's LCG state n steps on."""
-    mult, plus = _jump(n)
-    return (mult * state + plus * inc) & _M128
-
-
-def _xsl_rr(s: int) -> int:
-    """PCG64's output for LCG state s: XSL-RR."""
-    x, rot = (s >> 64) ^ (s & _M64), s >> 122
-    return (x >> rot | x << (64 - rot)) & _M64
-
-
 @functools.cache
 def _unseeded():
     """A stand-in SeedSequence, so that PCG64 is built without one and its
@@ -150,13 +116,13 @@ class Stream:
     never draw.  A draw that numpy alone serves (a sized ``integers``,
     ``normal``, ``choice``) or a read of ``gen`` hands the exact state, with
     the uint32 half numpy's next_uint32 keeps, to one numpy Generator, which
-    serves every later draw.
+    serves every later draw.  Whoever holds a stream owns its draws: a
+    callee handed a fresh split may leave it anywhere.
     """
 
     _pool = None  # (4 pool words, hash constant), once a draw needs it
     _state = None  # PCG64's 128-bit state, from the first draw on
     _kept = None  # the high half of the last next_uint32 output, if unused
-    _pending = 0  # doubles skipped before the stream was seeded
     _gen = None  # the numpy Generator, once a draw was handed off
 
     def __init__(self, seed: int, _path: tuple[int, ...] = (), _parent=None):
@@ -180,14 +146,14 @@ class Stream:
 
     def _seeded(self) -> int:
         if self._state is None:
-            state, self._inc = _pcg64_seed(self._entropy())
-            self._state = _advance(state, self._inc, self._pending)
+            self._state, self._inc = _pcg64_seed(self._entropy())
         return self._state
 
     def _next64(self) -> int:
         """PCG64's next output: step the state, then XSL-RR."""
         s = self._state = (self._seeded() * _PCG_MULT + self._inc) & _M128
-        return _xsl_rr(s)
+        x, rot = (s >> 64) ^ (s & _M64), s >> 122
+        return (x >> rot | x << (64 - rot)) & _M64
 
     def _next32(self) -> int:
         if self._kept is not None:
@@ -222,47 +188,6 @@ class Stream:
                           "uinteger": self._kept or 0}
             self._gen = np.random.Generator(bits)
         return self._gen
-
-    def skip(self, n: int) -> None:
-        """Move the stream on as n scalar ``random`` draws would, in
-        O(log n) steps.  Doubles never touch the kept uint32 half, so it
-        stays kept; numpy's PCG64.advance would drop it.  On a stream not
-        yet seeded the skip waits for the first draw, which seeds the
-        stream and then jumps, so a skip no draw follows costs nothing."""
-        if n < 0:
-            raise ValueError("a stream cannot skip back")
-        if self._state is None:
-            self._pending += n
-            return
-        if self._gen is None:
-            self._state = _advance(self._state, self._inc, n)
-            return
-        bits = self._gen.bit_generator
-        state = bits.state
-        pcg = state["state"]
-        pcg["state"] = _advance(pcg["state"], pcg["inc"], n)
-        bits.state = state
-
-    def table_bit(self, x: int) -> int:
-        """Entry x of the 0/1 table ``integers(0, 2, size=n)``, n > x, would
-        draw next, read without moving the stream.  numpy draws each entry
-        by Lemire's method on next_uint32 at a rejection floor of 0, so
-        entry x is bit 31 of uint32 output x: the kept half for x = 0 when
-        one is kept, and otherwise bit 31 (x even) or 63 (x odd) of the
-        PCG64 output x // 2 + 1 LCG steps on, read by a cached jump.  A
-        stream handed to numpy keeps its state there, and has no table_bit."""
-        if x < 0:
-            raise ValueError("table entries are numbered from 0")
-        if self._gen is not None:
-            raise ValueError("table_bit reads a stream that numpy does not serve")
-        state, kept = self._seeded(), self._kept
-        if kept is not None:
-            if not x:
-                return kept >> 31
-            x -= 1
-        mult, plus = _jump(x // 2 + 1)
-        out = _xsl_rr((mult * state + plus * self._inc) & _M128)
-        return out >> (63 if x & 1 else 31) & 1
 
     def split(self, label) -> "Stream":
         """Derive an independent child stream; same label -> same child."""

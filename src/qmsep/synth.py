@@ -27,10 +27,9 @@ least the configured guarantee.  A state-vector run of the same trial,
 measuring every outcome destructively, is the engine's test reference
 (tests/reference.py).  An attempt is one uniform draw u, and it passes
 exactly when u reaches the engine's cut, so synthesize decides attempts on
-the stream's own draws: it skips the stream past the budget when no draw
+the draws of a stream that belongs to the call: it makes no draw when none
 can reach the cut, draws in Python on an engine at the promise floor,
-which decides in a few attempts, and previews draws in numpy blocks
-otherwise.
+which decides in a few attempts, and draws numpy blocks otherwise.
 """
 
 from __future__ import annotations
@@ -369,22 +368,19 @@ def synthesize(engine: TrialEngine, rng) -> SynthesisResult:
     its (spec, params).  It makes up to params.t_trials attempts, one
     uniform draw u each from the Stream rng, and returns engine.rho_m() at
     the first success, or the maximally mixed engine.mixed after none.  An
-    attempt passes exactly when u >= engine.cut, and exactly `attempts`
-    draws are consumed, as a loop of one engine.sample per attempt would
-    consume them.  The engine picks how:
+    attempt passes exactly when u >= engine.cut.  rng belongs to the call,
+    so pass a stream that nothing draws from afterwards: where the call
+    leaves it is unspecified.  The engine picks how attempts are drawn:
 
-    - a cut above the largest draw passes nothing, so the stream skips
-      t_trials draws and no draw is made;
+    - a cut above the largest draw passes nothing, so no draw is made;
     - an engine at the promise floor, p_success >= 1/SERIAL_ATTEMPTS,
       makes its first SERIAL_ATTEMPTS attempts through engine.sample, one
       Python draw each, and decides in a few;
-    - the remaining attempts are previewed DRAW_BLOCK at a time by numpy;
-      the block holding the first success is rewound and redrawn up to it,
-      and the deciding attempt goes through engine.sample.
+    - the remaining attempts are drawn DRAW_BLOCK at a time by numpy, and
+      the first draw in a block that reaches the cut decides.
     """
     t_trials = engine.params.t_trials
     if engine.cut > _LAST_DRAW:
-        rng.skip(t_trials)
         return SynthesisResult(state=engine.mixed, fallback=True,
                                attempts=t_trials)
     done = 0  # attempts made, all failures
@@ -395,14 +391,9 @@ def synthesize(engine: TrialEngine, rng) -> SynthesisResult:
                 return SynthesisResult(state=engine.rho_m(), fallback=False,
                                        attempts=done)
     while done < t_trials:
-        bits = rng.gen.bit_generator
-        saved = bits.state
         hits = np.flatnonzero(
-            rng.random(min(t_trials - done, DRAW_BLOCK)) >= engine.cut)
+            rng.gen.random(min(t_trials - done, DRAW_BLOCK)) >= engine.cut)
         if hits.size:
-            bits.state = saved
-            rng.random(int(hits[0]))
-            engine.sample(rng)  # the success
             return SynthesisResult(state=engine.rho_m(), fallback=False,
                                    attempts=done + int(hits[0]) + 1)
         done += DRAW_BLOCK

@@ -141,7 +141,7 @@ def run_trial_destructive(spec: VerifierSpec, params: SynthesisParams,
 
 def synthesize_by_attempt(engine: TrialEngine, rng) -> SynthesisResult:
     """synth.synthesize as a loop of one engine.sample per attempt: the
-    result it must return and the draws it must consume."""
+    result it must return."""
     spec, params = engine.spec, engine.params
     for attempt in range(1, params.t_trials + 1):
         if engine.sample(rng)[0]:

@@ -10,7 +10,7 @@ import pytest
 import oracle_reference as ref
 from reference import synthesize_by_attempt
 
-from qmsep import cli, harness, streams
+from qmsep import attack, cli, harness, streams
 from qmsep.attack import AttackConfig, run_attack
 from qmsep.harness import (
     CSV_COLUMNS,
@@ -121,9 +121,8 @@ def test_cmd_synth_reject_all_flags_fallback(tmp_path):
 @pytest.mark.parametrize("verifier", ["accept-all", "empty-D conjugate"])
 def test_cmd_synth_builds_no_generator(verifier, tmp_path, monkeypatch):
     # an accept-all verifier passes its first attempt, one Python draw; the
-    # empty-D scheme verifier's cut of 1.0 passes no draw, so its stream
-    # skips the budget, and since nothing draws after the skip, no trial's
-    # stream is seeded
+    # empty-D scheme verifier's cut of 1.0 passes no draw, so synthesize
+    # makes none and no trial's stream is seeded
     if verifier == "accept-all":
         path = write_spec(tmp_path, [X_GATE])
     else:
@@ -145,6 +144,54 @@ def test_cmd_synth_builds_no_generator(verifier, tmp_path, monkeypatch):
     assert rep["trial"]["fallbacks"] == (0 if verifier == "accept-all" else 20)
     assert built == []
     assert len(seeded) == (20 if verifier == "accept-all" else 0)
+
+
+class _Spent(Stream):
+    """A stream a synthesize call owned: every later draw raises."""
+
+    def _drawn(self, *args, **kwargs):
+        raise AssertionError(f"{self!r} drawn from after synthesize returned")
+
+    random = integers = normal = choice = _drawn
+    gen = property(_drawn)
+
+
+@pytest.mark.parametrize("run", ["synth accept-all", "synth empty-D conjugate",
+                                 "attack hash-tag", "attack conjugate",
+                                 "attack counterexample"])
+def test_synthesize_owns_a_stream_nothing_drew_or_draws(run, tmp_path,
+                                                        monkeypatch):
+    # every caller hands synthesize a stream that has never drawn and that
+    # nothing draws from after the call, so where the call leaves it does
+    # not matter
+    calls = []
+
+    def owning(engine, rng, _real=harness.synthesize):
+        assert rng._state is None and rng._gen is None, f"{rng!r} has drawn"
+        res = _real(engine, rng)
+        rng.__class__ = _Spent
+        calls.append(1)
+        return res
+
+    monkeypatch.setattr(harness, "synthesize", owning)
+    monkeypatch.setattr(attack, "synthesize", owning)
+    command, name = run.split(" ", 1)
+    if command == "synth":
+        if name == "accept-all":
+            path = write_spec(tmp_path, [X_GATE])
+        else:
+            path = tmp_path / "verifier.json"
+            path.write_text(make_scheme("conjugate").sim_verifier(
+                "", (3,), {}).to_json())
+        cmd_synth({"verifier": str(path), "trials": 20, "seed": 3})
+    else:
+        scheme = make_scheme(name)
+        cfg = AttackConfig.default(
+            scheme, t_max=16, n_updates=30,
+            synth_params=SynthesisParams.default(scheme.m))
+        for seed in range(10):
+            run_attack(scheme, cfg, Stream(seed))
+    assert calls
 
 
 def test_cmd_synth_missing_inputs(tmp_path):
@@ -216,6 +263,26 @@ def test_attack_output_is_byte_identical(name):
                                  "workers": 1, **overrides})
     text = rows_to_csv(rows) + json.dumps(summary, indent=2, sort_keys=True)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == want
+
+
+# sha256 of each trial's learned pairs, its last database sorted, over
+# AttackConfig.default trials at seeds 0-49: the CSV and summary do not
+# depend on a classical world's bit values, and these do
+LEARNED_PAIRS_DIGESTS = {
+    "hash-tag": "9afc9e388567e37f441e6d246f23ca2ef3b5897e3d33915efb8ae492e289ab36",
+    "conjugate": "0d4d87093b95178f3e45e02546c8b23e0a970ffb216cb64c492b7f90b3597794",
+}
+
+
+@pytest.mark.parametrize("name", list(LEARNED_PAIRS_DIGESTS))
+def test_learned_pairs_are_pinned(name):
+    scheme = make_scheme(name)
+    cfg = AttackConfig.default(scheme)
+    h = hashlib.sha256()
+    for seed in range(50):
+        tr = run_attack(scheme, cfg, Stream(seed))
+        h.update(repr(sorted(tr.runs.databases[-1].items())).encode("utf-8"))
+    assert h.hexdigest() == LEARNED_PAIRS_DIGESTS[name]
 
 
 # sha256 of the stdout of `qmsep synth` and `qmsep oracle-check` at fixed

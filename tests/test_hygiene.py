@@ -60,6 +60,27 @@ def test_no_np_kron_in_src():
     assert not found, "np.kron called at: " + ", ".join(found)
 
 
+def _bit_generator_reads(tree: ast.Module) -> list:
+    """Lines that read a .bit_generator attribute."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "bit_generator"]
+
+
+def test_scan_flags_a_bit_generator_read():
+    tree = ast.parse("a = rng.gen.bit_generator\nb = bit_generator\n"
+                     "rng.bit_generator.state = s\n")
+    assert _bit_generator_reads(tree) == [1, 3]
+
+
+def test_only_streams_reads_bit_generator():
+    """A stream's generator state is streams' own: no other module saves,
+    rewinds or jumps it."""
+    found = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
+             if path.name != "streams.py"
+             for line in _bit_generator_reads(ast.parse(path.read_text(encoding="utf-8")))]
+    assert not found, ".bit_generator read at: " + ", ".join(found)
+
+
 def test_benchmark_spans_resolve_and_restore():
     """Every name perfbench/tracer.py spans exists, and uninstall puts back
     every module attribute and class method that install replaced."""

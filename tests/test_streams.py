@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from qmsep.harness import T_MAX_CAP
-from qmsep import streams
 from qmsep.streams import Stream, _label_key
 
 
@@ -160,139 +159,3 @@ def test_handoff_mid_stream_continues_the_reference(handoff):
                 assert s.random() == ref.random()
                 assert np.array_equal(s.random(2), ref.random(2))
             assert np.array_equal(s.integers(0, 9, 4), ref.integers(0, 9, 4))
-
-
-@pytest.mark.parametrize("n", [0, 1, 2, 127, 128, 4096])
-def test_skip_equals_drawing_that_many_doubles(n):
-    # on a stream in Python and on one handed to numpy, each with the kept
-    # uint32 half of a width-3 draw, which doubles leave kept
-    for seed in SEEDS:
-        for handoff in (False, True):
-            s, ref = _pair(seed)
-            if handoff:
-                s.normal()
-                ref.normal()
-            assert s.integers(0, 3) == ref.integers(0, 3)
-            s.skip(n)
-            ref.random(n)
-            assert s.integers(0, 3) == ref.integers(0, 3)
-            assert s.random() == ref.random()
-
-
-@pytest.mark.parametrize("n", [2 ** 40, 2 ** 64 - 1])
-def test_skip_equals_numpy_advance(n):
-    # PCG64.advance drops a kept half, so it is the reference only on a
-    # stream holding none; skip keeps one, as doubles would
-    for seed in SEEDS:
-        for kept in (False, True):
-            s, ref = _pair(seed)
-            s.random()
-            ref.random()
-            if kept:
-                assert s.integers(0, 3) == ref.integers(0, 3)
-                half = ref.bit_generator.state["uinteger"]
-            s.skip(n)
-            ref.bit_generator.advance(n)
-            state = s.gen.bit_generator.state
-            assert state["state"] == ref.bit_generator.state["state"]
-            assert (state["has_uint32"], state["uinteger"]) == (
-                (1, half) if kept else (0, 0))
-
-
-@pytest.mark.parametrize("n", [0, 1, 5, 300])
-def test_skip_before_the_first_draw_waits_for_it(n, monkeypatch):
-    # a skip on a stream not yet seeded seeds nothing; the first draw of
-    # each kind, Python or numpy, then lands where n doubles would leave it
-    seeded = []
-
-    def counting(pool, _real=streams._pcg64_seed):
-        seeded.append(1)
-        return _real(pool)
-
-    monkeypatch.setattr(streams, "_pcg64_seed", counting)
-    for seed in SEEDS:
-        for first in ("random", "integers", "normal", "gen.random"):
-            s, ref = _pair(seed)
-            s.skip(n)
-            assert seeded == []
-            ref.random(n)
-            if first == "random":
-                assert s.random() == ref.random()
-            elif first == "integers":
-                assert s.integers(0, 7) == ref.integers(0, 7)
-            elif first == "normal":
-                assert s.normal() == ref.normal()
-            else:
-                assert np.array_equal(s.gen.random(3), ref.random(3))
-            assert len(seeded) == 1
-            seeded.clear()
-            assert s.random() == ref.random()
-        # two skips before the first draw add up
-        s, ref = _pair(seed)
-        s.skip(n)
-        s.skip(3)
-        ref.random(n + 3)
-        assert s.integers(0, 7) == ref.integers(0, 7)
-        assert s.random() == ref.random()
-        assert len(seeded) == 1
-        seeded.clear()
-
-
-# split paths of depth 0 to 2
-PATHS = ((), ("world",), (("w", 5), 2 ** 40 + 3))
-
-
-@pytest.mark.parametrize("l", range(1, 7))
-def test_table_bit_reads_the_sized_draws_table(l):
-    # entry x of integers(0, 2, size=2^l) drawn as the stream's first draw,
-    # read in any order and without moving the stream, whose first draws
-    # stay the reference's
-    for seed in SEEDS:
-        for labels in PATHS:
-            s, ref = _pair(seed, labels)
-            _, first = _pair(seed, labels)
-            want = ref.integers(0, 2, size=1 << l).tolist()
-            got = [s.table_bit(x) for x in reversed(range(1 << l))][::-1]
-            assert got == want
-            assert s.random() == first.random()
-            assert s.integers(0, 7) == first.integers(0, 7)
-
-
-@pytest.mark.parametrize("before", ["random", "kept", "skip", "skip+kept",
-                                    "kept+skip"])
-def test_table_bit_continues_a_stream_that_has_drawn(before):
-    # on a stream that has drawn or skipped, the table is the one its next
-    # sized draw would be, and a kept uint32 half is its entry 0
-    def run(g):
-        for step in before.split("+"):
-            if step == "random":
-                g.random()
-            elif step == "kept":
-                g.integers(0, 3)  # keeps the high half of a 64-bit output
-            else:
-                g.skip(5) if isinstance(g, Stream) else g.random(5)
-        return g
-
-    for seed in SEEDS:
-        s, ref = _pair(seed)
-        _, after = _pair(seed)
-        run(s)
-        want = run(ref).integers(0, 2, size=64).tolist()
-        assert [s.table_bit(x) for x in range(64)] == want
-        run(after)
-        assert s.random() == after.random()
-        assert s.integers(0, 7) == after.integers(0, 7)
-
-
-@pytest.mark.parametrize("handoff", ["normal", "gen"])
-def test_table_bit_refuses_a_stream_numpy_serves(handoff):
-    # after a hand-off numpy holds the state, so there is nothing to read
-    s = Stream(4).split("x")
-    s.normal() if handoff == "normal" else s.gen
-    with pytest.raises(ValueError, match="numpy"):
-        s.table_bit(0)
-
-
-def test_table_bit_rejects_a_negative_entry():
-    with pytest.raises(ValueError):
-        Stream(1).table_bit(-3)
