@@ -17,9 +17,10 @@ qubit 0 most significant).  Operations group labels on masked keys with
 fixed-capacity slot registers is exactly one label, so inner products,
 reduced densities, and unitarity are preserved.  Compression is Zhandry's
 Fourier transform on each output register, for 1-bit outputs H on every
-position D_R does not pin: `decomp` and `comp` set (or clear) F's D_R
-positions and apply H to each free position axis of a (plain, D_R, D_A) ×
-2^(2^l) block.
+position D_R does not pin: `decomp` and `comp` are the full view changes,
+which set (or clear) F's D_R positions and apply H to each free position
+axis of a (plain, D_R, D_A) × 2^(2^l) block.  A compressed query acts only
+at its queried position, so neither runs on the query path.
 """
 
 from __future__ import annotations
@@ -257,7 +258,7 @@ class OracleWorld:
         rho = np.zeros((d, d), dtype=np.complex128)
         for chunk in range((len(groups) + 255) >> 8):  # 256 groups at a time bound memory
             k = row >> 8 == chunk
-            vec = np.zeros((256, d), dtype=np.complex128)
+            vec = np.zeros((min(256, len(groups) - 256 * chunk), d), dtype=np.complex128)
             vec[row[k] & 255, self.plain[k]] = self.amp[k]
             rho += vec.T @ vec.conj()
         return rho
@@ -325,8 +326,21 @@ class OracleWorld:
                             fb & ~(1 << x), 1 - 2 * ((fb >> x) & 1), 1 + 2 * record)
 
     def compressed_quantum_query(self, q_qubits, a_qubit) -> "OracleWorld":
-        """Quantum query in the compressed view via Decomp, U_Q, Comp."""
-        return self.decomp().apply_quantum_query(q_qubits, a_qubit).comp()
+        """Comp U_Q Decomp, acting only at each label's queried position x.
+        Conjugated by the Fourier transform at x, U_Q is H_y CNOT(y -> D_F
+        bit x) H_y where D_R leaves x free, and X_y^z = H_y Z_y^z H_y where
+        D_R pins x to z; y is the answer qubit.  No other position moves, so
+        no purified world is built."""
+        if self.mode != "compressed":
+            raise OracleError("compressed query requires compressed mode")
+        w = self.apply_plain_gate(HADAMARD, [a_qubit])
+        m = w.records.masks[w.rec]
+        x = index_bits(w.key, w.n_plain, q_qubits)
+        y = (w.key >> (w.n_plain - 1 - a_qubit)) & 1
+        pinned = (m[:, 0] >> x) & 1
+        flip = (y & (1 - pinned)) << (w.n_plain + x)
+        amp = np.where(y & pinned & (m[:, 1] >> x) == 1, -w.amp, w.amp)
+        return w._with(w.key ^ flip, amp, prune=False).apply_plain_gate(HADAMARD, [a_qubit])
 
     # -- view changes --------------------------------------------------------
 

@@ -7,7 +7,10 @@ pattern of the free positions.  They are slow and simple on purpose: the
 array-backed `qmsep.oracle.OracleWorld` is tested against them.  Structural
 checks (fresh answer qubits, D_F/D_R overlap) are not repeated here.
 
-keep_df_on_query seeds the fault the recording checks' mutation tests use.
+quantum_query_by_round_trip is the compressed quantum query as the full
+view changes Decomp, U_Q, Comp, which the local query must equal.
+keep_df_on_query seeds the fault the recording checks' mutation tests use,
+and faulty_local_query the faults criterion 5's equivalence check must see.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import math
 
 import numpy as np
 
-from qmsep.hilbert import index_bits
+from qmsep.hilbert import HADAMARD, index_bits
 from qmsep.oracle import PRUNE_TOL, OracleWorld
 
 
@@ -177,3 +180,27 @@ def keep_df_on_query(monkeypatch):
         return answer(self, x, a_qubit, known, z_known, self.fb, sign, flag)
 
     monkeypatch.setattr(OracleWorld, "_answer", faulty)
+
+
+def quantum_query_by_round_trip(world, q_qubits, a_qubit):
+    """Comp U_Q Decomp on a compressed world, through the purified view."""
+    return world.decomp().apply_quantum_query(q_qubits, a_qubit).comp()
+
+
+def faulty_local_query(drop: str):
+    """OracleWorld.compressed_quantum_query with one part dropped: "toggle"
+    (the D_F bit x flip where D_R leaves x free), "phase" (Z_y^z where D_R
+    pins x to z) or "second H" (the closing H on the answer qubit)."""
+
+    def query(w, q_qubits, a_qubit):
+        w = w.apply_plain_gate(HADAMARD, [a_qubit])
+        m = w.records.masks[w.rec]
+        x = index_bits(w.key, w.n_plain, q_qubits)
+        y = (w.key >> (w.n_plain - 1 - a_qubit)) & 1
+        pinned = (m[:, 0] >> x) & 1
+        flip = 0 if drop == "toggle" else (y & (1 - pinned)) << (w.n_plain + x)
+        neg = (y & pinned & (m[:, 1] >> x) == 1) & (drop != "phase")
+        w = w._with(w.key ^ flip, np.where(neg, -w.amp, w.amp), prune=False)
+        return w if drop == "second H" else w.apply_plain_gate(HADAMARD, [a_qubit])
+
+    return query

@@ -376,6 +376,46 @@ def test_trial_attack_transcripts_are_pinned(name, monkeypatch):
     assert h.hexdigest() == TRIAL_ATTACK_DIGESTS[name]
 
 
+# sha256 over every synthesize call's stream path and attempts, in call
+# order, in the runs of test_trial_attack_transcripts_are_pinned.  A
+# successful synthesis returns the engine's state whatever its deciding
+# draw, so two calls drawing on one label can leave the transcripts as they
+# are; their attempts and paths cannot
+SYNTH_CALL_DIGESTS = {
+    "hash-tag":
+        "2df3ef1d43f3650a937cffb8ac39aa4e1f26c4a957fffdbe59bc2ebe158bd95c",
+    "conjugate":
+        "2df3ef1d43f3650a937cffb8ac39aa4e1f26c4a957fffdbe59bc2ebe158bd95c",
+    "counterexample":
+        "4a4c060d70ee41d8df6dee1c02f68e973c683493fc5d5edec38f9ee59c756e16",
+}
+
+
+@pytest.mark.parametrize("name", list(SYNTH_CALL_DIGESTS))
+def test_synthesis_calls_draw_on_distinct_labels(name, monkeypatch):
+    scheme = make_scheme(name)
+    if not scheme.quantum_mint:
+        monkeypatch.setattr(attack, "make_world", _eager_world)
+    calls = []
+
+    def recording(engine, rng, _real=attack.synthesize):
+        res = _real(engine, rng)
+        calls.append((rng.path, res.attempts))
+        return res
+
+    monkeypatch.setattr(attack, "synthesize", recording)
+    cfg = scaled_cfg(scheme, t_max=16, n_updates=30,
+                     synth_params=params_for("trial", scheme.m))
+    h = hashlib.sha256()
+    for seed in range(20):
+        calls.clear()
+        run_attack(scheme, cfg, Stream(seed))
+        paths = [path for path, _ in calls]
+        assert len(set(paths)) == len(paths), f"seed {seed}: two calls share a label"
+        h.update(repr(calls).encode("utf-8"))
+    assert h.hexdigest() == SYNTH_CALL_DIGESTS[name]
+
+
 @pytest.mark.parametrize("backend", ["eigen", "trial"])
 @pytest.mark.parametrize("name", ["hash-tag", "conjugate", "counterexample"])
 def test_run_attack_at_note_cap_from_empty_database(name, backend):

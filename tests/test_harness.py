@@ -295,7 +295,7 @@ REPORT_DIGESTS = {
               "f595e2c9436cc8911f813cc6021e5b587e4054ba0331b1cad5569ed868fa247f"),
     "oracle-check": (["--l", "2", "--queries", "3", "--trials", "2", "--seed", "7",
                       "--mc-samples", "4000"],
-                     "6a871151a9f4507dc81e470030dc38143d423db0a44e5f7761cf65d736bc7153"),
+                     "b6dbb0dcda0324d031de2792b9b54d67d785fa5e948b90ff127bae4f409c12ea"),
 }
 
 

@@ -17,7 +17,7 @@ from qmsep.harness import (
     run_sampled_once,
     run_world,
 )
-from qmsep.hilbert import HADAMARD, embed_unitary, haar_unitary
+from qmsep.hilbert import HADAMARD, embed_unitary, haar_unitary, index_bits
 from qmsep.oracle import (
     OracleError,
     OracleWorld,
@@ -254,6 +254,45 @@ def test_compressed_matches_conjugated_purified_query():
         assert diff < 1e-9
 
 
+@pytest.mark.parametrize("l", [1, 2, 3])
+def test_compressed_quantum_query_matches_conjugated_purified_query(l):
+    """The local query equals Decomp, U_Q, Comp right after a classical
+    query on the same register, into that query's answer qubit (x pinned by
+    D_R on every label, y not fresh), and again after scrambling the query
+    register and another used answer qubit (x free on some labels)."""
+    q, n = list(range(l)), l + 3
+    w = run_world(OracleWorld.compressed_init(l, n), random_program(l, 2, Stream(76 + l)))
+    w = w.compressed_classical_query(q, l + 2)
+    seen = set()
+    for step, a in enumerate((l + 2, l + 1)):
+        if step:
+            for qubit in q + [a]:
+                w = w.apply_plain_gate(haar_unitary(2, Stream(77).split((l, qubit)).gen),
+                                       [qubit])
+        m, x = w.records.masks[w.rec], index_bits(w.key, n, q)
+        pinned, z = (m[:, 0] >> x) & 1, (m[:, 1] >> x) & 1
+        y = (w.plain >> (n - 1 - a)) & 1
+        seen |= set(zip(pinned.tolist(), (pinned & z).tolist(), y.tolist()))
+        got, want = w.compressed_quantum_query(q, a), ref.quantum_query_by_round_trip(w, q, a)
+        assert ref.max_label_gap(dict(got.amps), dict(want.amps)) <= 1e-12
+        w = got
+    # x pinned to 1, x free, and an answer qubit holding 1 were all queried
+    assert {p for p, _, _ in seen} == {0, 1}
+    assert any(one for _, one, _ in seen) and any(y for _, _, y in seen)
+
+
+def test_compressed_quantum_query_builds_no_purified_world(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a compressed quantum query left the compressed view")
+
+    ops = random_program(2, 6, Stream(78))
+    assert sum(kind == "quantum" for kind, *_ in ops) >= 2
+    for name in ("decomp", "comp", "apply_quantum_query"):
+        monkeypatch.setattr(OracleWorld, name, refuse)
+    w = run_world(OracleWorld.compressed_init(2, 8), ops)
+    assert w.mode == "compressed" and abs(np.sum(np.abs(w.amp) ** 2) - 1.0) < 1e-9
+
+
 def test_disjointness_preserved_by_compressed_queries():
     stream = Stream(71)
     ops = random_program(2, 4, stream)
@@ -297,6 +336,13 @@ def test_pair_count_monotone_under_classical_queries():
 @pytest.mark.parametrize("seed", range(5))
 def test_purified_compressed_equivalence(seed):
     assert equivalence_check(2, 4, Stream(200 + seed)) <= 1e-9
+
+
+@pytest.mark.parametrize("drop", ["toggle", "phase", "second H"])
+def test_equivalence_check_sees_a_faulty_local_query(drop, monkeypatch):
+    # test_purified_compressed_equivalence's check, inputs and threshold
+    monkeypatch.setattr(OracleWorld, "compressed_quantum_query", ref.faulty_local_query(drop))
+    assert max(equivalence_check(2, 4, Stream(200 + seed)) for seed in range(5)) > 1e-9
 
 
 def test_sampled_monte_carlo_matches_purified():
@@ -393,14 +439,20 @@ def test_array_world_matches_reference(l, data, seed):
             co = co.apply_plain_gate(arg, target)
             pu = pu.apply_plain_gate(arg, target)
         elif kind == "quantum":
-            dec = co.decomp()
-            _same(dec, ref.decomp(dict(co.amps), l))
-            out = dec.apply_quantum_query(arg, target)
-            _same(out, ref.apply_quantum_query(dict(dec.amps), n, arg, target))
-            _same(out.comp(), ref.comp(dict(out.amps), l))
+            # each stage of the round trip, and the local query, against
+            # the reference's round trip
+            dec = ref.decomp(dict(co.amps), l)
+            out = ref.apply_quantum_query(dec, n, arg, target)
+            trip = ref.comp(out, l)
+            w = co.decomp()
+            _same(w, dec)
+            w = w.apply_quantum_query(arg, target)
+            _same(w, out)
+            _same(w.comp(), trip)
             _same(pu.apply_quantum_query(arg, target),
                   ref.apply_quantum_query(dict(pu.amps), n, arg, target))
-            co = out.comp()
+            co = co.compressed_quantum_query(arg, target)
+            _same(co, trip)
             pu = pu.apply_quantum_query(arg, target)
         else:
             rec = i % 2 == 1
@@ -471,12 +523,12 @@ def test_aligned_needs_a_common_start():
 
 
 # sha256 of (plain, fb, rec, amp) bytes after every operation of
-# _pinned_world_runs, recorded before OracleWorld's array paths were
-# rewritten: a changed label order, record id or last amplitude bit fails it
+# _pinned_world_runs, recorded when compressed quantum queries became local:
+# a changed label order, record id or last amplitude bit fails it
 WORLD_SHA256 = {
-    1: "4daec4d470f89dad3094f161da236c8671afafd55ef2bec799a2cbee6246068a",
-    2: "883f432706b6a1340d5002e1d28d824241698598d485bff1d345d0670bf7ab11",
-    3: "a4d712fbbefb65058a5d0e3d2af25a0195d6a6565bb4f364522320dc716ff81e",
+    1: "bdbe084aa633d1dd430de237852b6f43b0b9b9cd2d7ec1349eb70bb8a7b4431c",
+    2: "1b3ca4cd895f85defbe2f6a82edb112b12c4350b8b313324ed4f2fcd013a8340",
+    3: "a39d51405297ec810d198a7df1cf98085853dc3ffac41cab5a5d10b71651705b",
 }
 
 
@@ -504,13 +556,42 @@ def _pinned_world_runs(l):
         yield w.decomp() if co else w.comp()
 
 
-@pytest.mark.parametrize("l", [1, 2, 3])
-def test_world_label_bytes_are_pinned(l):
+def _label_bytes_sha256(worlds) -> str:
     h = hashlib.sha256()
-    for w in _pinned_world_runs(l):
+    for w in worlds:
         for a in (w.plain, w.fb, w.rec, w.amp):
             h.update(a.tobytes())
-    assert h.hexdigest() == WORLD_SHA256[l]
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("l", [1, 2, 3])
+def test_world_label_bytes_are_pinned(l):
+    assert _label_bytes_sha256(_pinned_world_runs(l)) == WORLD_SHA256[l]
+
+
+# WORLD_SHA256 while compressed quantum queries ran Decomp, U_Q, Comp, as
+# recorded before OracleWorld's array paths were rewritten
+ROUND_TRIP_WORLD_SHA256 = {
+    1: "4daec4d470f89dad3094f161da236c8671afafd55ef2bec799a2cbee6246068a",
+    2: "883f432706b6a1340d5002e1d28d824241698598d485bff1d345d0670bf7ab11",
+    3: "a4d712fbbefb65058a5d0e3d2af25a0195d6a6565bb4f364522320dc716ff81e",
+}
+
+
+@pytest.mark.parametrize("l", [1, 2, 3])
+def test_local_quantum_query_keeps_the_round_trip_worlds(l, monkeypatch):
+    """With the query patched back to the round trip the pinned runs give
+    their old bytes, and every world along them equals the local query's
+    label by label."""
+    local = list(_pinned_world_runs(l))
+    monkeypatch.setattr(OracleWorld, "compressed_quantum_query",
+                        ref.quantum_query_by_round_trip)
+    trip = list(_pinned_world_runs(l))
+    assert _label_bytes_sha256(trip) == ROUND_TRIP_WORLD_SHA256[l]
+    assert len(local) == len(trip)
+    for a, b in zip(local, trip):
+        assert a.mode == b.mode
+        assert ref.max_label_gap(dict(a.amps), dict(b.amps)) <= 1e-12
 
 
 def _hadamard_by_embedding(w):
