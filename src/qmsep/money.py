@@ -16,12 +16,13 @@ the template: the serial and tag widths, the query positions of verify,
 which are mint's too, and their count q = q', mint, verify, the verifier
 simulated from a partial database D (an unknown position becomes a fresh
 |+> ancilla) as a circuit and as the 2^m x 2^m operator synthesis reads,
-the factor key that names that operator by one of seven 2x2 factors per
-check, and the exact acceptance probability of a note, Tr(Pi rho) for the
-product Pi of the true checks' projectors.  Every note the eigen attack
-holds is a ProductState, one factor id per qubit: the minted note, each
-post-verify note (a product of the checks' outcome projectors) and the eigen
-witness against a factor key (witness).  On such a note check i hits
+the factor key that names that operator by one 2x2 factor per check, each
+named by what D knows of its check's (basis, bit) (_factor), and the exact
+acceptance probability of a note, Tr(Pi rho) for the product Pi of the true
+checks' projectors.  Every note the eigen attack holds is a ProductState,
+one factor name per qubit: the minted note, named by its checks' (basis,
+bit) values, each post-verify note (its checks' outcome projectors) and the
+eigen witness against a factor key (witness).  On such a note check i hits
 independently, with probability _HIT[s_i][a_i] = Tr(F_a F_s), so verify and
 accept_prob read that table and build no 2^m x 2^m matrix, and a
 verification whose table entries are all 0 or 1 draws nothing; a dense note,
@@ -105,35 +106,41 @@ def drawn_bits(stream):
 # the two one-qubit check frames: row z of _FRAMES[b] is the state a check
 # in basis b (1 the Hadamard basis) holds for bit z
 _FRAMES = (np.eye(2, dtype=np.complex128), HADAMARD)
-# every 2x2 factor of a note operator, by factor id: 3 + 2b + z projects
-# onto row z of frame b, 1 + z is the mean over both bases at bit z, 0 is
-# I/2, the mean over both bits, and 7 + z is (I + (-1)^z H)/2, the top
-# eigenprojector of 1 + z = (I + (-1)^z H / sqrt 2)/2
-_PROJ = [np.outer(f[z], f[z].conj()) for f in _FRAMES for z in (0, 1)]
-_FACTORS = (_FRAMES[0] / 2, *((_PROJ[z] + _PROJ[2 + z]) / 2 for z in (0, 1)),
-            *_PROJ, *((_FRAMES[0] + s * HADAMARD) / 2 for s in (1, -1)))
-# the normalized projector onto each of A's factors' top eigenspace, by id:
-# I/2 is all one eigenspace, and 3..6 are projectors already
-_TOP = (0, 7, 8, 3, 4, 5, 6)
+
+
+@functools.lru_cache(maxsize=None)
+def _factor(name: tuple) -> np.ndarray:
+    """The 2x2 factor that name gives a check: (b, z) projects onto row z
+    of frame b, (None, z) is the mean over both bases at bit z, (None, None)
+    is I/2, the mean over both bits, and ("top", z) is (I + (-1)^z H)/2,
+    the top eigenprojector of (None, z) = (I + (-1)^z H / sqrt 2)/2."""
+    b, z = name
+    if b == "top":
+        return (_FRAMES[0] + (-1) ** z * HADAMARD) / 2
+    if b is None:
+        return _FRAMES[0] / 2 if z is None else (_factor((0, z)) + _factor((1, z))) / 2
+    return np.outer(_FRAMES[b][z], _FRAMES[b][z].conj())
+
+
 # _HIT[s][a] = Tr(F_a F_s): the probability that a qubit in state s (every
-# factor has trace 1) passes the check whose projector is a (ids 3..6).  Each
-# entry is one of _EXACT, and the float traces miss it by a few ulps
-# (Tr(F_5 F_5) comes out 1 - 4e-16), so each is taken as the nearest of
-# those: a valid note then passes with probability exactly 1
+# factor has trace 1) passes check a = (basis, bit), taken as the nearest of
+# _EXACT, which the float traces miss by a few ulps (1 - 4e-16 at
+# s = a = (1, 0)): a valid note then passes with probability exactly 1
+_CHECKS = ((0, 0), (0, 1), (1, 0), (1, 1))
 _EXACT = (0.0, 0.25, 0.5, 0.75, 1.0, *((2 + s * math.sqrt(2)) / 4 for s in (-1, 1)))
-_HIT = tuple(tuple(min(_EXACT, key=lambda e: abs(e - np.vdot(fa, fs).real))
-                   for fa in _FACTORS) for fs in _FACTORS)
+_HIT = {s: {a: min(_EXACT, key=lambda e: abs(e - np.vdot(_factor(a), _factor(s)).real))
+            for a in _CHECKS}
+        for s in ((None, None), (None, 0), (None, 1), *_CHECKS, ("top", 0), ("top", 1))}
 
 
 # 1 MB each at an 8-qubit note; nothing on the eigen attack path builds one
 @functools.lru_cache(maxsize=64)
-def _product(ids: tuple, frames: bool = False) -> np.ndarray:
-    """(x)_i T[ids[i]] for T = _FRAMES if frames else _FACTORS: a note, a
-    simulated verifier's A or a check frame.  Notes and verifiers share
-    it, so it is read-only."""
+def _product(names: tuple, frames: bool = False) -> np.ndarray:
+    """(x)_i _FRAMES[names[i]] if frames else _factor(names[i]): a note, a
+    simulated verifier's A or a check frame, shared, so read-only."""
     out = np.ones((1, 1), dtype=np.complex128)
-    for f in ids:
-        out = kron(out, (_FRAMES if frames else _FACTORS)[f])
+    for f in names:
+        out = kron(out, _FRAMES[f] if frames else _factor(f))
     out.flags.writeable = False
     return out
 
@@ -153,18 +160,18 @@ def _serial_checks(template: tuple, tag_bits: int, serial: tuple) -> tuple:
 
 @dataclass(frozen=True)
 class ProductState:
-    """The note (x)_i F[ids[i]], a product of one-qubit factors.  It reads
-    as a DensityOp: its matrix is the shared, read-only _product(ids),
-    built only when something reads it."""
-    ids: tuple
+    """The note (x)_i _factor(factors[i]), a product of one-qubit factors.
+    It reads as a DensityOp: its matrix is the shared, read-only
+    _product(factors), built only when something reads it."""
+    factors: tuple
 
     @property
     def layout(self):
-        return note_layout(len(self.ids))
+        return note_layout(len(self.factors))
 
     @property
     def matrix(self) -> np.ndarray:
-        return _product(self.ids)
+        return _product(self.factors)
 
     check = DensityOp.check
 
@@ -174,8 +181,10 @@ def witness(key: tuple) -> ProductState:
     """The eigen witness against the A that factor key names: the normalized
     projector onto A's top eigenspace.  A is the product of one positive
     2x2 factor per check, so that eigenspace is the product of the factors'
-    own, and the witness is the product of their normalized projectors."""
-    return ProductState(tuple(_TOP[f] for f in key))
+    own, and the witness is the product of their normalized projectors:
+    ("top", z) for a mean (None, z), and each other factor itself."""
+    return ProductState(tuple(("top", z) if b is None and z is not None else (b, z)
+                              for b, z in key))
 
 
 class MoneyScheme:
@@ -242,15 +251,15 @@ class MoneyScheme:
             quantum = quantum_first and i == 0
             z = world.query(bit, quantum=True) if quantum else read(bit)
             pairs.append((b, z))
-        return pairs
+        return tuple(pairs)
 
     def mint(self, world, stream) -> Banknote:
         serial = tuple(int(stream.integers(0, 1 << self.s_bits))
                        for _ in range(self.serials))
         # a quantum mint's query register is measured at once, so sampling
         # s first is equivalent
-        pairs = self._read_checks(serial, world, quantum_first=self.quantum_mint)
-        return Banknote(serial, ProductState(tuple(3 + 2 * b + z for b, z in pairs)))
+        return Banknote(serial, ProductState(
+            self._read_checks(serial, world, quantum_first=self.quantum_mint)))
 
     def verify(self, note: Banknote, world: WorldHandle, stream):
         """Measure qubit i with check i's projector, for i = 0..m-1 in turn,
@@ -272,12 +281,11 @@ class MoneyScheme:
         pairs = self._read_checks(note.serial, world)
         state = note.state
         if isinstance(state, ProductState):
-            probs = [_HIT[s][3 + 2 * b + z] for s, (b, z) in zip(state.ids, pairs)]
+            probs = [_HIT[s][a] for s, a in zip(state.factors, pairs)]
             if all(p in (0.0, 1.0) for p in probs):
                 hits = [p == 1.0 for p in probs]
             else:
-                hits = [draw < p for p, draw in
-                        zip(probs, stream.random(self.m).tolist())]
+                hits = [draw < p for p, draw in zip(probs, stream.random(self.m).tolist())]
         else:
             draws = stream.random(self.m).tolist()
             frame = _product(tuple(b for b, _ in pairs), True)
@@ -291,8 +299,7 @@ class MoneyScheme:
                 c = z if hit else 1 - z
                 mass = mass[half:] if c else mass[:half]
                 hits.append(hit)
-        outcome = tuple(3 + 2 * b + (z if hit else 1 - z)
-                        for (b, z), hit in zip(pairs, hits))
+        outcome = tuple((b, z if hit else 1 - z) for (b, z), hit in zip(pairs, hits))
         return all(hits), Banknote(note.serial, ProductState(outcome))
 
     def sim_verifier(self, pk, serial, d: dict) -> VerifierSpec:
@@ -327,20 +334,13 @@ class MoneyScheme:
         return VerifierSpec(m=m, k=len(anc) + 1, v_hat=v, ans_index=n - 1)
 
     def factor_key(self, serial, d: dict) -> tuple:
-        """The factor id of each check in sim_operator(serial, d)'s A: 0
-        (I/2) when d lacks the bit, 1 + z (the mean over both bases) when
-        it knows bit z but not the basis, and 3 + 2b + z (the projector)
-        when it knows both, b = 0 for the computational basis.  Equal keys
-        give byte-equal operators, whatever the serial."""
-        key = []
-        for basis, bit in self._table(serial)[0]:
-            if bit not in d:
-                key.append(0)
-            elif basis is None or basis in d:
-                key.append(3 + 2 * (0 if basis is None else d[basis]) + d[bit])
-            else:
-                key.append(1 + d[bit])
-        return tuple(key)
+        """The factor name of each check in sim_operator(serial, d)'s A, what
+        d knows of its (basis, bit): (b, z) when it knows both, b = 0 for
+        the computational basis, (None, z) when it knows bit z but not the
+        basis, and (None, None) when it lacks the bit.  Equal keys give
+        byte-equal operators, whatever the serial."""
+        return tuple([(0 if basis is None else d.get(basis), d[bit]) if bit in d
+                      else (None, None) for basis, bit in self._table(serial)[0]])
 
     def sim_operator(self, serial, d: dict) -> ReducedVerifier:
         """A = P1 Q1 P1 of sim_verifier(serial, d) on range(P1), from the
@@ -350,17 +350,16 @@ class MoneyScheme:
         mean of the checks' projector product over the unknown bits.  No two
         checks share a position (the constructor rejects a shared tag), so
         that mean factors into one 2x2 operator per check, the one its
-        factor_key id names.
+        factor_key name gives it.
         """
         a = _product(self.factor_key(serial, d))
         unknown = sum(x not in d for x in self._table(serial)[1])
         return ReducedVerifier(m=self.m, k=unknown + 1, a=a)
 
     def answer_key(self, serial, world: WorldHandle) -> tuple:
-        """The factor ids of the true verifier's checks, 3 + 2b + z for the
-        world's (basis, bit) at each, read without recording a query."""
-        return tuple(3 + 2 * b + z for b, z in
-                     self._read_checks(serial, world, record=False))
+        """The factor names of the true verifier's checks: the world's
+        (basis, bit) at each, read without recording a query."""
+        return self._read_checks(serial, world, record=False)
 
     def accept_prob(self, note: Banknote, world: WorldHandle) -> float:
         """Exact probability that verify accepts note.
@@ -374,7 +373,7 @@ class MoneyScheme:
         """
         key = self.answer_key(note.serial, world)
         if isinstance(note.state, ProductState):
-            return math.prod(_HIT[s][a] for s, a in zip(note.state.ids, key))
+            return math.prod(_HIT[s][a] for s, a in zip(note.state.factors, key))
         return float(np.vdot(_product(key), note.state.matrix).real)
 
 

@@ -114,9 +114,9 @@ class Stream:
     Nothing is computed before the first draw, because many streams (a
     root that only splits, or a stream a deterministic backend ignores)
     never draw.  A draw that numpy alone serves (a sized ``integers``,
-    ``normal``, ``choice``) or a read of ``gen`` hands the exact state, with
-    the uint32 half numpy's next_uint32 keeps, to one numpy Generator, which
-    serves every later draw.  Whoever holds a stream owns its draws: a
+    ``choice``) or a read of ``gen`` hands the exact state, with the uint32
+    half numpy's next_uint32 keeps, to one numpy Generator, which serves
+    every later draw.  Whoever holds a stream owns its draws: a
     callee handed a fresh split may leave it anywhere.
     """
 
@@ -213,9 +213,6 @@ class Stream:
             rng = high - low - 1
             return np.int64(low + self._bounded(rng) if rng else low)
         return self.gen.integers(low, high, size, **kwargs)
-
-    def normal(self, *args, **kwargs):
-        return self.gen.normal(*args, **kwargs)
 
     def choice(self, *args, **kwargs):
         return self.gen.choice(*args, **kwargs)

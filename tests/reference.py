@@ -4,7 +4,8 @@ destructive measurement, the alternating-measurement Markov law, the trial
 that synth.TrialEngine computes in closed form, the best Jordan block, the
 trial backend's attempt loop, one draw per attempt, a note's exact
 acceptance, one check at a time, the top eigenvalue of a simulated
-verifier's A from its factor key, and the eigen attack's exact success rate.
+verifier's A from its factor key, and the eigen attack's exact success rate;
+and the factor names in the one order that tests enumerate them.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from qmsep.hilbert import (
     embed_unitary,
 )
 from qmsep.jordan import JordanDecomposition, JordanError
-from qmsep.money import _FACTORS
+from qmsep.money import _factor
 from qmsep.synth import (
     SynthesisParams,
     SynthesisResult,
@@ -166,23 +167,31 @@ def max_overlap(decomp: JordanDecomposition):
     return best.p, best.v
 
 
+# every 2x2 factor's name, in the order FACTOR_SHA256 hashes them: I/2, the
+# means over both bases at bits 0 and 1, the four check projectors (basis,
+# bit) and the two top eigenprojectors; the first 7 are those a factor key
+# can hold
+FACTOR_NAMES = ((None, None), (None, 0), (None, 1), (0, 0), (0, 1), (1, 0), (1, 1),
+                ("top", 0), ("top", 1))
+
+
 def accept_prob_by_qubit(scheme, note, world) -> float:
     """scheme.accept_prob(note, world) as Tr(Pi rho), with Pi the true
     checks' projector product applied to rho one note qubit at a time."""
     rho = note.state.matrix
     for i, f in enumerate(scheme.answer_key(note.serial, world)):
-        rho = embed_unitary(_FACTORS[f], [i], scheme.m, rho)
+        rho = embed_unitary(_factor(f), [i], scheme.m, rho)
     return float(np.trace(rho).real)
 
 
 def lambda_max(key: tuple) -> float:
     """The top eigenvalue of the A that factor key names, with no eigen
     solve: 2^-n0 cos^2(pi/8)^n12.  A is the product of its factors, so its
-    top eigenvalue is the product of theirs: 1/2 for I/2 (id 0, counted by
-    n0), cos^2(pi/8) = (2 + sqrt 2)/4 for a mean over both bases (ids 1
-    and 2, counted by n12), and 1 for a projector (ids 3..6)."""
-    n0 = sum(f == 0 for f in key)
-    n12 = sum(f in (1, 2) for f in key)
+    top eigenvalue is the product of theirs: 1/2 for I/2 ((None, None),
+    counted by n0), cos^2(pi/8) = (2 + sqrt 2)/4 for a mean over both bases
+    ((None, z), counted by n12), and 1 for a projector ((b, z))."""
+    n0 = sum(f == (None, None) for f in key)
+    n12 = sum(f in ((None, 0), (None, 1)) for f in key)
     return 2.0 ** -n0 * math.cos(math.pi / 8) ** (2 * n12)
 
 

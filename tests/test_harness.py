@@ -455,7 +455,7 @@ def test_cli_attack_writes_csv(tmp_path, capsys):
 
 def test_cli_attack_runs_the_widest_hash_tag_note(capsys):
     # 32-qubit notes at derived parameters: the eigen attack holds every
-    # note as factor ids and builds nothing of size 2^m
+    # note as factor names and builds nothing of size 2^m
     rc = cli.main(["attack", "--scheme", "hash-tag", "--m", "32",
                    "--trials", "2", "--workers", "1"])
     assert rc == 0

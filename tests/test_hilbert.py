@@ -4,7 +4,13 @@ import itertools
 import numpy as np
 import pytest
 
-from reference import check_norm, max_entangled, measure_coherently, measure_projective
+from reference import (
+    FACTOR_NAMES,
+    check_norm,
+    max_entangled,
+    measure_coherently,
+    measure_projective,
+)
 
 from qmsep.hilbert import (
     DensityOp,
@@ -18,7 +24,7 @@ from qmsep.hilbert import (
     partial_trace,
 )
 from qmsep.harness import _matrix_td
-from qmsep.money import _FACTORS
+from qmsep.money import _factor
 from qmsep.streams import Stream
 
 H = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2)
@@ -47,7 +53,7 @@ def _sub(idx, n, axes):
 
 
 def random_state(layout, stream):
-    a = stream.normal(size=layout.dim) + 1j * stream.normal(size=layout.dim)
+    a = stream.gen.normal(size=layout.dim) + 1j * stream.gen.normal(size=layout.dim)
     return QState(layout, a / np.linalg.norm(a))
 
 
@@ -165,7 +171,7 @@ def test_embed_unitary_is_the_big_endian_embedding(axes):
     g = haar_unitary(1 << len(axes), stream.gen)
     e = _kron_embedding(g, axes, n)
     assert np.abs(embed_unitary(g, axes, n, np.eye(1 << n)) - e).max() < 1e-12
-    x = stream.normal(size=(1 << n, 3)) + 1j * stream.normal(size=(1 << n, 3))
+    x = stream.gen.normal(size=(1 << n, 3)) + 1j * stream.gen.normal(size=(1 << n, 3))
     assert np.abs(embed_unitary(g, axes, n, x) - e @ x).max() < 1e-12
     assert np.abs(embed_unitary(g, axes, n, x[:, 0]) - e @ x[:, 0]).max() < 1e-12
 
@@ -203,7 +209,7 @@ def test_embed_unitary_bytes_are_pinned(n):
 
 
 def test_kron_is_byte_equal_to_np_kron_on_check_projector_chains():
-    factors = _FACTORS
+    factors = [_factor(f) for f in FACTOR_NAMES]
     stream = Stream(61)
     for _ in range(20):
         ours = ref = np.ones((1, 1), dtype=np.complex128)
@@ -217,8 +223,8 @@ def test_kron_is_byte_equal_to_np_kron_on_random_shapes():
     stream = Stream(62)
     for _ in range(50):
         sa, sb = stream.integers(1, 6, 2), stream.integers(1, 6, 2)
-        a = stream.normal(size=sa) + 1j * stream.normal(size=sa)
-        b = stream.normal(size=sb) + 1j * stream.normal(size=sb)
+        a = stream.gen.normal(size=sa) + 1j * stream.gen.normal(size=sa)
+        b = stream.gen.normal(size=sb) + 1j * stream.gen.normal(size=sb)
         assert kron(a, b).tobytes() == np.kron(a, b).tobytes()
 
 
@@ -345,7 +351,7 @@ def test_measure_coherently_traced_equals_dephasing():
     stream = Stream(21)
     lay = RegisterLayout((("A", 2), ("Y", 1)))
     amps = np.zeros(lay.dim, dtype=np.complex128)
-    base = stream.normal(size=4) + 1j * stream.normal(size=4)
+    base = stream.gen.normal(size=4) + 1j * stream.gen.normal(size=4)
     base /= np.linalg.norm(base)
     amps[::2] = base  # Y fresh |0>
     psi = QState(lay, amps)
@@ -362,7 +368,7 @@ def test_measure_coherently_traced_equals_dephasing():
 def test_coherent_vs_projective_outcome_distribution():
     stream = Stream(33)
     lay = RegisterLayout((("A", 2), ("Y", 1)))
-    base = stream.normal(size=4) + 1j * stream.normal(size=4)
+    base = stream.gen.normal(size=4) + 1j * stream.gen.normal(size=4)
     base /= np.linalg.norm(base)
     amps = np.zeros(lay.dim, dtype=np.complex128)
     amps[::2] = base

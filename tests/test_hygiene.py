@@ -1,14 +1,17 @@
 """Source hygiene checks over src/qmsep."""
 
 import ast
+import collections
 import importlib
 import pathlib
+import re
 import sys
 
 from qmsep import cli, harness, money
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "qmsep"
+PERFBENCH = ROOT / "perfbench"
 
 
 def _unread_imports(tree: ast.Module) -> list:
@@ -79,6 +82,77 @@ def test_only_streams_reads_bit_generator():
              if path.name != "streams.py"
              for line in _bit_generator_reads(ast.parse(path.read_text(encoding="utf-8")))]
     assert not found, ".bit_generator read at: " + ", ".join(found)
+
+
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _reads(tree: ast.AST) -> collections.Counter:
+    """How often tree reads each identifier: as a name, an attribute, an
+    imported name, or a word of a string that is not a docstring."""
+    docs = {id(node.body[0].value) for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, *_DEFS)) and node.body
+            and isinstance(node.body[0], ast.Expr)
+            and isinstance(node.body[0].value, ast.Constant)}
+    out = collections.Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            out[node.name.split(".")[-1]] += 1
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in docs):
+            out.update(re.findall(r"[A-Za-z_]\w*", node.value))
+    return out
+
+
+def _unread_definitions(trees: dict, modules: list) -> list:
+    """The module-level functions and classes of modules that nothing in
+    trees (module name -> parsed source) reads outside their own body."""
+    reads = sum((_reads(tree) for tree in trees.values()), collections.Counter())
+    return sorted(f"{mod}.{node.name}" for mod in modules for node in trees[mod].body
+                  if isinstance(node, _DEFS)
+                  and reads[node.name] == _reads(node)[node.name])
+
+
+def test_scan_flags_a_definition_only_its_own_body_reads():
+    lib = ast.parse('"""Names documented."""\n'
+                    "def by_name(): pass\ndef by_attr(): pass\n"
+                    "def by_import(): pass\ndef by_string(): pass\n"
+                    "def recursive(n): return recursive(n - 1)\n"
+                    "def documented(): pass\nclass Unread: pass\nx = by_name\n")
+    user = ast.parse("import lib\nfrom lib import by_import\nlib.by_attr()\n"
+                     "span = 'lib.by_string'\n")
+    assert _unread_definitions({"lib": lib, "user": user}, ["lib"]) == [
+        "lib.Unread", "lib.documented", "lib.recursive"]
+
+
+# library code that only tests read, kept because it is the reference
+# implementation of a paper claim that an acceptance criterion checks
+ONLY_TESTS_READ = {
+    "attack.bad_query_probe": "criterion 8: the test phase leaves few bad "
+                              "queries, measured one verification at a time",
+    "attack.simulation_gap_probe": "criterion 9: the simulated verifier's "
+                                   "acceptance gap decays with t_max",
+}
+
+
+def test_src_holds_no_code_only_tests_read():
+    """Every module-level function and class in src/qmsep is read somewhere
+    in src/qmsep or perfbench/ besides its own definition, but for the
+    paper-claim references in ONLY_TESTS_READ."""
+    paths = {p.stem: p for p in sorted(SRC.glob("*.py"))}
+    trees = {name: ast.parse(p.read_text(encoding="utf-8")) for name, p in paths.items()}
+    trees.update({f"perfbench/{p.stem}": ast.parse(p.read_text(encoding="utf-8"))
+                  for p in sorted(PERFBENCH.glob("*.py"))})
+    found = _unread_definitions(trees, list(paths))
+    assert found == sorted(ONLY_TESTS_READ), (
+        "read only by its own definition or by tests: "
+        + ", ".join(sorted(set(found) - set(ONLY_TESTS_READ)))
+        + "; allowed but now read: "
+        + ", ".join(sorted(set(ONLY_TESTS_READ) - set(found))))
 
 
 def test_benchmark_spans_resolve_and_restore():

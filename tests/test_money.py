@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from reference import accept_prob_by_qubit, lambda_max
+from reference import FACTOR_NAMES, accept_prob_by_qubit, lambda_max
 
 from qmsep.hilbert import DensityOp, RegisterLayout, embed_unitary, haar_unitary
 from qmsep.money import (
@@ -20,8 +20,8 @@ from qmsep.money import (
     ProductState,
     SCHEMES,
     WorldHandle,
-    _FACTORS,
     _HIT,
+    _factor,
     _product,
     drawn_bits,
     make_scheme,
@@ -228,7 +228,7 @@ def test_valid_note_passes_at_the_top_draw(name, m):
     bases = set()
     for seed in range(12):
         world, note = mint_note(scheme, 500 + seed)
-        bases.update(f >= 5 for f in note.state.ids)  # ids 5, 6: Hadamard
+        bases.update(b == 1 for b, _ in note.state.factors)
         assert scheme.accept_prob(note, world) == 1.0
         ok, post = scheme.verify(note, world, _TopDraws())
         assert ok and post == note
@@ -239,7 +239,7 @@ def test_valid_note_passes_at_the_top_draw(name, m):
 @pytest.mark.parametrize("name", list(SCHEMES))
 def test_valid_note_is_the_true_verifiers_operator(name, m):
     # mint, sim_operator and verify's post note are built from the same
-    # factor ids; the reference here is np.kron and np.outer
+    # factor names; the reference here is np.kron and np.outer
     scheme = make_scheme(name, m=m)
     for seed in range(20):
         world, note = mint_note(scheme, 500 + seed)
@@ -307,7 +307,7 @@ def _verify_by_embedded_projectors(rho, checks, kinds):
     eye = np.eye(1 << m)
     ok, draws = True, []
     for i, ((b, z), kind) in enumerate(zip(checks, kinds)):
-        p_full = embed_unitary(_FACTORS[3 + 2 * b + z], [i], m, eye)
+        p_full = embed_unitary(_factor((b, z)), [i], m, eye)
         p1 = float(np.trace(p_full @ rho).real)
         draws.append(_draw(kind, p1))
         hit = draws[-1] < p1
@@ -356,11 +356,11 @@ class _NoDraws:
         raise AssertionError("a certain verification drew")
 
 
-def _verify_by_drawing(ids, checks, draws):
-    """Verification of ProductState(ids) as m uniform draws compared with
-    the checks' hit probabilities; returns (accepted, post ids)."""
-    hits = [d < _HIT[s][3 + 2 * b + z] for s, (b, z), d in zip(ids, checks, draws)]
-    return all(hits), tuple(3 + 2 * b + (z if hit else 1 - z)
+def _verify_by_drawing(factors, checks, draws):
+    """Verification of ProductState(factors) as m uniform draws compared
+    with the checks' hit probabilities; returns (accepted, post factors)."""
+    hits = [d < _HIT[s][a] for s, a, d in zip(factors, checks, draws)]
+    return all(hits), tuple((b, z if hit else 1 - z)
                             for (b, z), hit in zip(checks, hits))
 
 
@@ -369,10 +369,10 @@ def test_verify_skips_draws_only_when_no_draw_matters(m):
     """On a ProductState a check whose hit probability is exactly 0 or 1
     has one outcome at every draw, so verify draws only when some check is
     uncertain, and then draws m uniforms, draw i for check i.  Every state
-    id 0..8 meets every check id 3..6 at every position, at the draws 0,
-    the largest below 1 and p -+ 1e-12 (within [0, 1))."""
+    factor meets every check (basis, bit) at every position, at the draws
+    0, the largest below 1 and p -+ 1e-12 (within [0, 1))."""
     top = np.nextafter(1.0, 0.0)
-    entries = [(s, bz) for s in range(9)
+    entries = [(s, bz) for s in FACTOR_NAMES
                for bz in ((0, 0), (0, 1), (1, 0), (1, 1))]
     if m < 3:
         cases = list(itertools.product(entries, repeat=m))
@@ -381,27 +381,27 @@ def test_verify_skips_draws_only_when_no_draw_matters(m):
         cases = [tuple(entries[e if j == i else (5 * e + 11 * j + 1) % len(entries)]
                        for j in range(3))
                  for e in range(len(entries)) for i in range(3)]
-        cases += itertools.product([(3 + 2 * b + y, (b, z)) for b in (0, 1)
+        cases += itertools.product([((b, y), (b, z)) for b in (0, 1)
                                     for z in (0, 1) for y in (0, 1)], repeat=3)
     scheme = make_scheme("conjugate", l=6, m=m)
     serial = (1,)
     checks = scheme.checks(serial)
     certain = 0
     for case in cases:
-        ids = tuple(s for s, _ in case)
+        factors = tuple(s for s, _ in case)
         values = [bz for _, bz in case]
         table = np.zeros(1 << scheme.l, dtype=np.int64)
         for (basis, bit), (b, z) in zip(checks, values):
             table[basis], table[bit] = b, z
-        probs = [_HIT[s][3 + 2 * b + z] for s, (b, z) in zip(ids, values)]
+        probs = [_HIT[s][a] for s, a in zip(factors, values)]
         options = [sorted({0.0, top, min(max(p - 1e-12, 0.0), top),
                            min(max(p + 1e-12, 0.0), top)}) for p in probs]
-        note = Banknote(serial, ProductState(ids))
+        note = Banknote(serial, ProductState(factors))
         for draws in itertools.product(*options):
-            want_ok, want_ids = _verify_by_drawing(ids, values, draws)
+            want_ok, want = _verify_by_drawing(factors, values, draws)
             world = WorldHandle(scheme.l, table.tolist().__getitem__)
             ok, post = scheme.verify(note, world, _FixedDraws(list(draws)))
-            assert (ok, post) == (want_ok, Banknote(serial, ProductState(want_ids)))
+            assert (ok, post) == (want_ok, Banknote(serial, ProductState(want)))
             assert [x for x, _ in world.dr] == scheme.verify_positions(serial)
         if all(p in (0.0, 1.0) for p in probs):
             certain += 1
@@ -421,9 +421,10 @@ def test_verify_draws_m_uniforms_or_none(name):
             world, note = mint_note(scheme, 900 + seed)
             assert scheme.verify(note, world, _NoDraws()) == (True, note)
             for i in range(m):
-                ids = list(note.state.ids)
-                ids[i] = 0  # I/2 hits either check with probability 1/2
-                half = Banknote(note.serial, ProductState(tuple(ids)))
+                # I/2 hits either check with probability 1/2
+                factors = list(note.state.factors)
+                factors[i] = (None, None)
+                half = Banknote(note.serial, ProductState(tuple(factors)))
                 stream, ref = Stream(seed).split(i), Stream(seed).split(i)
                 scheme.verify(half, world, stream)
                 ref.random(m)
@@ -599,6 +600,22 @@ def test_sim_verifier_bytes_are_pinned(name):
     assert h.hexdigest() == SIM_VERIFIER_SHA256[name]
 
 
+# sha256 of the nine 2x2 factors' bytes, then of each one's hit entries
+# against the four checks, in FACTOR_NAMES order; recorded while factors
+# were numbered in that order
+FACTOR_SHA256 = "93da4f8e2849be5fc7f512b9db9fe9e321c1744ac5570019e0240abd2655a7b5"
+
+
+def test_factor_bytes_are_pinned():
+    h = hashlib.sha256()
+    for f in FACTOR_NAMES:
+        h.update(_factor(f).tobytes())
+    for s in FACTOR_NAMES:
+        for a in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            h.update(np.float64(_HIT[s][a]).tobytes())
+    assert h.hexdigest() == FACTOR_SHA256
+
+
 @pytest.mark.parametrize("name", ["hash-tag", "conjugate", "counterexample"])
 def test_sim_verifier_is_unitary_on_every_subset(name):
     for spec, _ in _sim_verifiers_over_subsets(name):
@@ -644,7 +661,7 @@ def test_factor_key_names_the_operator(name, m):
 def test_witness_is_the_eigen_solvers(m):
     # over every factor key: the table witness is max_acceptance's, the
     # simulated verifier accepts it with A's top eigenvalue, and it is shared
-    for key in itertools.product(range(7), repeat=m):
+    for key in itertools.product(FACTOR_NAMES[:7], repeat=m):
         spec = ReducedVerifier(m=m, k=1, a=_product(key))
         val, want = max_acceptance(spec)
         got = witness(key)
@@ -656,7 +673,7 @@ def test_witness_is_the_eigen_solvers(m):
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_lambda_max_closed_form_is_the_eigen_solvers(m):
     # the simulated verifier's best acceptance, from its factor key alone
-    for key in itertools.product(range(7), repeat=m):
+    for key in itertools.product(FACTOR_NAMES[:7], repeat=m):
         spec = ReducedVerifier(m=m, k=1, a=_product(key))
         assert abs(lambda_max(key) - max_acceptance(spec)[0]) < 1e-12
 
@@ -707,24 +724,25 @@ def _answer_tables(scheme, serial):
 def test_product_path_is_the_dense_path(name, m):
     # verify and accept_prob read the hit table on a ProductState, and the
     # check frame and the trace on the same matrix as a DensityOp: with
-    # equal draws they give the same acceptance, the same outcome ids and
-    # the same probability.  Every (answer key, state-id tuple) pair up to
-    # 2000 of them, else about 2000 at an even stride; the strides at 3
+    # equal draws they give the same acceptance, the same outcome factors
+    # and the same probability.  Every (answer key, state factors) pair up
+    # to 2000 of them, else about 2000 at an even stride; the strides at 3
     # qubits (2, 6 and 11) are coprime to 7^3, so every tuple meets some key
     scheme = make_scheme(name, m=m)
     serial = (1,) * scheme.serials
     tables = list(_answer_tables(scheme, serial))
+    states = [FACTOR_NAMES[0], *FACTOR_NAMES[3:]]  # no note holds a mean
     cases = list(itertools.product(range(len(tables)), itertools.product(
-        (0, 3, 4, 5, 6, 7, 8), repeat=scheme.m)))
-    for i, (k, ids) in enumerate(cases[::-(-len(cases) // 2000)]):
-        prod = ProductState(ids)
+        states, repeat=scheme.m)))
+    for i, (k, factors) in enumerate(cases[::-(-len(cases) // 2000)]):
+        prod = ProductState(factors)
         dense = DensityOp(prod.layout, prod.matrix)
         got = []
         for state in (prod, dense):
             world = WorldHandle(scheme.l, tables[k].tolist().__getitem__)
             note = Banknote(serial, state)
             ok, post = scheme.verify(note, world, Stream(i))
-            got.append((ok, post.state.ids, scheme.accept_prob(note, world)))
+            got.append((ok, post.state.factors, scheme.accept_prob(note, world)))
         (ok, out, p), (want_ok, want_out, want_p) = got
         assert ok == want_ok and out == want_out
         assert abs(p - want_p) < 1e-15
@@ -732,9 +750,10 @@ def test_product_path_is_the_dense_path(name, m):
 
 def test_product_state_reads_as_a_density_op():
     # the matrix is the shared read-only product, built on first read
-    state = ProductState((7, 4, 0))
+    factors = (("top", 0), (0, 1), (None, None))
+    state = ProductState(factors)
     assert state.layout == RegisterLayout((("M", 3),))
-    assert state.matrix is _product((7, 4, 0))
+    assert state.matrix is _product(factors)
     assert not state.matrix.flags.writeable
     assert state.check() is state
 

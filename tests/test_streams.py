@@ -92,7 +92,7 @@ def test_generator_is_built_on_first_draw(monkeypatch):
     assert root.split("b").integers(0, 2 ** 40) >= 0
     # the root's pool is the one SeedSequence, shared by every stream under it
     assert built == {"SeedSequence": 1, "Generator": 0}
-    assert np.array_equal(s.normal(size=2), ref.normal(size=2))
+    assert np.array_equal(s.gen.normal(size=2), ref.normal(size=2))
     assert s.integers(0, 5) == ref.integers(0, 5)
     assert np.array_equal(s.gen.random(2), ref.random(2))
     assert built == {"SeedSequence": 1, "Generator": 1}
@@ -151,7 +151,7 @@ def test_handoff_mid_stream_continues_the_reference(handoff):
             assert s.random() == ref.random()
             assert s.integers(0, width) == ref.integers(0, width)
             if handoff == "normal":
-                assert np.array_equal(s.normal(size=3), ref.normal(size=3))
+                assert np.array_equal(s.gen.normal(size=3), ref.normal(size=3))
             else:
                 assert np.array_equal(s.gen.random(3), ref.random(3))
             for _ in range(3):

@@ -118,7 +118,8 @@ def test_max_acceptance_vs_random_search():
     val, _ = max_acceptance(spec)
     _, q1 = build_pq(spec)
     dm, dk = 4, 2
-    phis = stream.normal(size=(100_000, dm)) + 1j * stream.normal(size=(100_000, dm))
+    gen = stream.gen
+    phis = gen.normal(size=(100_000, dm)) + 1j * gen.normal(size=(100_000, dm))
     phis /= np.linalg.norm(phis, axis=1, keepdims=True)
     full = np.zeros((100_000, dm * dk), dtype=np.complex128)
     full[:, ::dk] = phis
@@ -468,7 +469,7 @@ def _prepared(seed, kind):
     then a bounded draw."""
     s = Stream(seed)
     if kind == "handed-off":
-        s.normal()
+        s.gen.normal()
     if kind != "fresh":
         s.integers(0, 7)
     return s
