@@ -58,12 +58,15 @@ def derived_params(scheme: MoneyScheme, epsilon: float) -> dict:
         raise AttackError(f"epsilon must lie in (0, {DELTA_R}), got {epsilon}")
     ell = scheme.queries  # mint's q' and verify's q are one count
     g = shrink_factor(DELTA_R, epsilon)
-    if scheme.quantum_mint:
-        t_max = math.ceil(36.0 * ell * ell / epsilon ** 2)
-        n_updates = math.ceil(ell * ell / (epsilon ** 2 * g ** 4))
-    else:
-        t_max = math.ceil(ell / epsilon)
-        n_updates = math.ceil(100.0 * ell / g ** 2)
+    try:  # a tiny epsilon or g can underflow a divisor to 0 or a count to inf
+        if scheme.quantum_mint:
+            t_max = math.ceil(36.0 * ell * ell / epsilon ** 2)
+            n_updates = math.ceil(ell * ell / (epsilon ** 2 * g ** 4))
+        else:
+            t_max = math.ceil(ell / epsilon)
+            n_updates = math.ceil(100.0 * ell / g ** 2)
+    except (ZeroDivisionError, OverflowError):
+        raise AttackError(f"at epsilon = {epsilon} a derived count is infinite") from None
     return {"ell": ell, "t_max": t_max, "n_updates": n_updates,
             "success_bound": 1.8 * g ** 2 - 1.0}
 

@@ -174,6 +174,7 @@ def cmd_synth(cfg: dict) -> dict:
         params = SynthesisParams.default(
             spec.m, a=a, b=b, n_alternations=opt["n_alternations"],
             t_trials=opt["t_trials"])
+        derived_n = derived_n_alternations(spec.m, a, b)
     except SynthError as exc:
         raise HarnessError(str(exc)) from exc
     entries = (1 << spec.m) * (2 * params.n_alternations + 1)
@@ -204,7 +205,7 @@ def cmd_synth(cfg: dict) -> dict:
                    "n_alternations": params.n_alternations,
                    "t_trials": params.t_trials,
                    "threshold": params.threshold},
-        "derived_defaults": {"n_alternations": derived_n_alternations(spec.m, a, b),
+        "derived_defaults": {"n_alternations": derived_n,
                            "t_trials": derived_t_trials(spec.m)},
         "max_acceptance": max_acc,
         "eigen": {"acceptance": eigen_acc},

@@ -16,7 +16,6 @@ import numpy as np
 from .hilbert import Projector
 
 SNAP_TOL = 1e-10     # overlaps this close to 0/1 become one-dimensional blocks
-RANGE_TOL = 1e-8
 DEFAULT_DIM_CAP = 256
 
 

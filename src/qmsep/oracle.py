@@ -76,36 +76,37 @@ def _spread(n_plain: int, qubits: tuple) -> np.ndarray:
 
 class _Records:
     """(D_R, D_A) contents as a trie of appends, shared by a world and the
-    worlds derived from it.  Record 0 is ((), ()); any other record has a key
-    128 parent + 8x + 4z + flag: it appends (x, z) to the D_R (flag 1)
-    and/or D_A (flag 2) of its parent.  A world's labels share one history
-    of queries, so equal contents have equal ids.  `_ids` maps each key to
-    its id and `_keys[r]` is record r's key, 0 for record 0, which no
-    append has; one call's new keys take the next ids in increasing key
-    order.  Row r of `masks` holds D_R's known-position and known-value
-    masks, then D_A's.  A world packs record ids into the high bits of its
-    label keys, so the table's size is checked wherever ids enter a key."""
+    worlds derived from it.  Record 0 is ((), ()); record r > 0 appends
+    (x, z), any x < n_pos, to the D_R (flag 1) and/or D_A (flag 2) of its
+    parent, and row r of `steps` is (parent, x, z, flag).  A world's labels
+    share one history of queries, so equal contents have equal ids, and one
+    call's new records take the next ids in (parent, x, z) order.  Row r of
+    `masks` holds D_R's known-position and known-value masks, then D_A's.  A
+    world packs record ids into the high bits of its label keys, so the
+    table's size is checked wherever ids enter a key."""
 
-    def __init__(self):
-        self.masks = np.zeros((1, 4), dtype=np.int64)
-        self._ids, self._keys = {}, [0]
+    def __init__(self, n_pos: int):
+        self.n_pos, self._ids = n_pos, {}
+        self.masks, self.steps = np.zeros((1, 4), np.int64), np.zeros((1, 4), np.int64)
 
     def extend(self, rec, x, z, flag: int) -> np.ndarray:
         """Ids of the records that append (x, z) to rec's databases named by
-        flag.  Steps stay below 128 because x < 2^WORLD_L_CAP = 16."""
-        keys, _, inv = _group(128 * rec + 8 * x + 4 * z + flag)
+        flag.  `_ids` is keyed by a step's sort key, which is never decoded."""
+        keys, first, inv = _group(((rec * self.n_pos + x) * 2 + z) * 4 + flag)
         ids = np.fromiter(map(self._ids.get, keys.tolist(), repeat(-1)), np.int64, len(keys))
         fresh = ids < 0
         if fresh.any():
-            new = keys[fresh]
-            ids[fresh] = np.arange(len(self._keys), len(self._keys) + len(new))
-            self._keys += new.tolist()
-            self._ids.update(zip(self._keys[-len(new):], ids[fresh].tolist()))
-            parent, step = new >> 7, new & 127
-            rows, bit, z = self.masks[parent], 1 << (step >> 3), (step >> 2) & 1
-            for c, on in ((0, step & 1 == 1), (2, step & 2 == 2)):
-                rows[on, c] |= bit[on]
-                rows[on, c + 1] = (rows[on, c + 1] & ~bit[on]) | (z[on] * bit[on])
+            at = first[fresh]
+            ids[fresh] = np.arange(len(self.steps), len(self.steps) + len(at))
+            self._ids.update(zip(keys[fresh].tolist(), ids[fresh].tolist()))
+            parent, x, z = rec[at], x[at], z[at]
+            step = np.stack([parent, x, z, np.full_like(x, flag)], axis=1)
+            self.steps = np.concatenate([self.steps, step])
+            rows, bit = self.masks[parent], 1 << x
+            for c, db in ((0, 1), (2, 2)):  # D_R's two masks, then D_A's
+                if flag & db:
+                    rows[:, c] |= bit
+                    rows[:, c + 1] = (rows[:, c + 1] & ~bit) | (z * bit)
             self.masks = np.concatenate([self.masks, rows])
         return ids[inv]
 
@@ -120,10 +121,9 @@ class _Records:
         """(D_R, D_A) of record r, as tuples of (x, z) pairs."""
         steps = []
         while r:
-            r, step = divmod(self._keys[r], 128)
+            r, *step = self.steps[r].tolist()
             steps.insert(0, step)
-        return tuple(tuple((s >> 3, (s >> 2) & 1) for s in steps if s & flag)
-                     for flag in (1, 2))
+        return tuple(tuple((x, z) for x, z, f in steps if f & flag) for flag in (1, 2))
 
 
 def _hadamard_bit(x: np.ndarray, p: int) -> np.ndarray:
@@ -180,7 +180,7 @@ class OracleWorld:
             raise OracleError(f"OracleWorld needs l <= {WORLD_L_CAP} and n_plain + "
                               f"2^l <= {KEY_BITS}; got l = {l}, n_plain = {n_plain}")
         self.mode, self.l, self.n_plain, self.n_pos = mode, l, n_plain, 1 << l
-        self.records = _Records()
+        self.records = _Records(self.n_pos)
         cols = list(zip(*[(p, sum(b << i for i, b in enumerate(f)) if mode == "purified"
                            else sum(1 << i for i in f), self.records.intern(dr, da), a)
                           for (p, f, dr, da), a in amps.items()])) or [()] * 4

@@ -25,17 +25,15 @@ engine is closed form (see TrialEngine).  Conditioned on the test passing,
 the reduced state on the input register is accepted with probability at
 least the configured guarantee.  A state-vector run of the same trial,
 measuring every outcome destructively, is the engine's test reference
-(tests/reference.py).  An attempt is one uniform draw u, and it passes
-exactly when u reaches the engine's cut, so synthesize decides attempts on
-the draws of a stream that belongs to the call: it makes no draw when none
-can reach the cut, draws in Python on an engine at the promise floor,
-which decides in a few attempts, and draws numpy blocks otherwise.
+(tests/reference.py).  An attempt is one uniform draw u, which passes
+exactly when u reaches the engine's cut; no cell of joint is read off u.
+So synthesize decides attempts on the draws of a stream that belongs to
+the call: it makes no draw when none can reach the cut, draws in Python
+on an engine at the promise floor, and draws numpy blocks otherwise.
 """
 
 from __future__ import annotations
 
-import array
-import bisect
 import functools
 import json
 import math
@@ -177,9 +175,11 @@ def derived_n_alternations(m: int, a: float, b: float) -> int:
     if not 0 < a < b <= 1:
         raise SynthError("need 0 < a < b <= 1")
     gap2 = (b - a) ** 2
-    n1 = (3 * a + b) / gap2 * (m + 2 - math.log2(b - a))
-    n2 = 16 * b / gap2
-    return math.ceil(max(n1, n2))
+    try:  # a tiny b - a underflows gap2 to 0 or a count to inf
+        return math.ceil(max((3 * a + b) / gap2 * (m + 2 - math.log2(b - a)),
+                             16 * b / gap2))
+    except (ZeroDivisionError, OverflowError):
+        raise SynthError(f"at a = {a}, b = {b} the alternation count is infinite") from None
 
 
 def derived_t_trials(m: int) -> int:
@@ -287,8 +287,9 @@ class TrialEngine:
     The evolution (entangled init, N coherent Q/P alternations with a
     compact (last outcome, agreement count) record) is fixed given
     (spec, params); only the final threshold test is random.  The engine
-    exposes the joint (last bit, count) distribution and the post-success
-    state, so repeated trials reduce to draws from joint.
+    exposes the joint (last bit, count) distribution, the post-success
+    state and the cut: the test passes exactly on the uniform draws u >= cut
+    that Generator.choice(p=joint) maps to a cell with y = 1 and c >= T.
 
     The maximally entangled input splits into one term per eigenvector a_b
     of A, with weight 2^-m, and each term stays in its Jordan block.  In the
@@ -316,15 +317,10 @@ class TrialEngine:
         joint = np.stack([np.where(even, 0.0, mean), np.where(even, mean, 0.0)])
         self.joint = joint / joint.sum()
         self.p_success = float(self.joint[1, self.threshold:].sum())
-        # what Generator.choice(p=joint) builds on every call: the same
-        # draws from the same random stream.  bisect reads Python floats off
-        # an array.array about as fast as off a list, at 8 B an entry, not 32
-        cdf = self.joint.reshape(-1).cumsum()
-        self._cdf = array.array("d", (cdf / cdf[-1]).tobytes())
         self._weights = pmf[:, even & (c >= self.threshold)].sum(axis=1)
-        self.success_from = n_out + 1 + self.threshold  # y = 1, c = threshold
-        # the cdf is monotone, so the test passes exactly on draws u >= cut
-        self.cut = self._cdf[self.success_from - 1]
+        # Generator.choice(p=joint)'s normalized cdf at the cell before (y = 1, c = T)
+        cdf = self.joint.reshape(-1).cumsum()
+        self.cut = float(cdf[n_out + self.threshold] / cdf[-1])
         self._rho = None
         dm = 1 << spec.m
         # the state after no success, shared by every fallback
@@ -348,12 +344,10 @@ class TrialEngine:
         return self._rho
 
     def sample(self, rng):
-        """Measure (last bit, count); returns (success, y, count).  The pick
-        is the flat index y * (2N + 1) + count into joint that
-        Generator.choice(p=joint) picks with the uniform draw u."""
-        pick = bisect.bisect_right(self._cdf, rng.random())
-        y, c = divmod(pick, self.joint.shape[1])
-        return pick >= self.success_from, y, c
+        """One attempt: a uniform draw u from rng, and whether the threshold
+        test passes on it, u >= cut.  Returns (success, u)."""
+        u = rng.random()
+        return u >= self.cut, u
 
 
 @dataclass(frozen=True)

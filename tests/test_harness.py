@@ -482,6 +482,17 @@ def test_cli_attack_rejects_bad_input(flag, value, tmp_path, capsys):
         assert out.err == "qmsep: unknown scheme 'nope'\n"
 
 
+@pytest.mark.parametrize("scheme,eps", [
+    ("hash-tag", "1e-320"),  # ell / eps overflows to inf
+    ("counterexample", "1e-200")])  # eps ** 2 underflows to 0
+def test_cli_attack_rejects_an_infinite_derived_count(scheme, eps, capsys):
+    rc = cli.main(["attack", "--scheme", scheme, "--eps", eps, "--workers", "1"])
+    assert rc == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == (
+        f"qmsep: at epsilon = {float(eps)} a derived count is infinite\n")
+
+
 class TrialRan(Exception):
     pass
 
@@ -682,7 +693,11 @@ def test_cli_synth_rejects_negative_width(tmp_path, m, k, capsys):
                                    ["--n-alternations", "0"],
                                    ["--config", {"trails": 3}],
                                    ["--config", {"a": "x"}],
-                                   ["--config", {"workers": 2}]])
+                                   ["--config", {"workers": 2}],
+                                   # (b - a)^2 underflows to 0, so N is infinite
+                                   ["--a", "1e-200", "--b", "1e-199"],
+                                   ["--a", "1e-200", "--b", "1e-199",
+                                    "--n-alternations", "10"]])
 def test_cli_synth_rejects_bad_params(tmp_path, flags, capsys):
     rc = cli.main(["synth", "--verifier", write_spec(tmp_path, [X_GATE]),
                    *[config_file(tmp_path, f) for f in flags]])

@@ -129,6 +129,31 @@ def test_scan_flags_a_definition_only_its_own_body_reads():
         "lib.Unread", "lib.documented", "lib.recursive"]
 
 
+def _unread_constants(trees: dict, modules: list) -> list:
+    """The names that module-level assignments in modules bind and nothing
+    in trees reads outside their own assignment."""
+    reads = sum((_reads(tree) for tree in trees.values()), collections.Counter())
+    return sorted(f"{mod}.{node.id}" for mod in modules for stmt in trees[mod].body
+                  if isinstance(stmt, (ast.Assign, ast.AnnAssign))
+                  for target in (stmt.targets if isinstance(stmt, ast.Assign)
+                                 else [stmt.target])
+                  for node in ast.walk(target)
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+                  and reads[node.id] == _reads(stmt)[node.id])
+
+
+def test_scan_flags_a_constant_only_its_own_assignment_reads():
+    lib = ast.parse('"""UNREAD and PAIR are documented."""\n'
+                    "BY_NAME = 1\nBY_ATTR = 2\nBY_IMPORT = 3\nBY_STRING = 4\n"
+                    "RECURSIVE = lambda n: RECURSIVE(n - 1)\nUNREAD = 5\n"
+                    "PAIR, READ_PART = 6, 7\nANNOTATED: int = 8\n"
+                    "TABLE = {}\nTABLE[READ_PART] = BY_NAME\n")
+    user = ast.parse("import lib\nfrom lib import BY_IMPORT\nlib.BY_ATTR\n"
+                     "span = 'lib.BY_STRING'\n")
+    assert _unread_constants({"lib": lib, "user": user}, ["lib"]) == [
+        "lib.ANNOTATED", "lib.PAIR", "lib.RECURSIVE", "lib.UNREAD"]
+
+
 # library code that only tests read, kept because it is the reference
 # implementation of a paper claim that an acceptance criterion checks
 ONLY_TESTS_READ = {
@@ -140,14 +165,15 @@ ONLY_TESTS_READ = {
 
 
 def test_src_holds_no_code_only_tests_read():
-    """Every module-level function and class in src/qmsep is read somewhere
-    in src/qmsep or perfbench/ besides its own definition, but for the
-    paper-claim references in ONLY_TESTS_READ."""
+    """Every module-level function, class and assigned name in src/qmsep is
+    read somewhere in src/qmsep or perfbench/ besides its own definition or
+    assignment, but for the paper-claim references in ONLY_TESTS_READ."""
     paths = {p.stem: p for p in sorted(SRC.glob("*.py"))}
     trees = {name: ast.parse(p.read_text(encoding="utf-8")) for name, p in paths.items()}
     trees.update({f"perfbench/{p.stem}": ast.parse(p.read_text(encoding="utf-8"))
                   for p in sorted(PERFBENCH.glob("*.py"))})
-    found = _unread_definitions(trees, list(paths))
+    found = sorted(_unread_definitions(trees, list(paths))
+                   + _unread_constants(trees, list(paths)))
     assert found == sorted(ONLY_TESTS_READ), (
         "read only by its own definition or by tests: "
         + ", ".join(sorted(set(found) - set(ONLY_TESTS_READ)))

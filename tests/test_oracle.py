@@ -24,6 +24,7 @@ from qmsep.oracle import (
     SampledExecutor,
     WORLD_L_CAP,
     _group,
+    _Records,
     sample_oracle,
 )
 from qmsep.streams import Stream
@@ -489,6 +490,47 @@ def test_record_ids_that_would_overflow_the_key_raise():
     w = OracleWorld.compressed_init(2, 57)
     with pytest.raises(OracleError, match="too many database records"):
         w.compressed_classical_query([0, 1], 2)
+
+
+def _masks_of(dbs) -> list:
+    """(known, value) masks of D_R, then D_A, as unsigned 64-bit ints: a
+    later pair at x overwrites an earlier one's value bit."""
+    out = []
+    for db in dbs:
+        known = value = 0
+        for x, z in db:
+            known, value = known | 1 << x, value & ~(1 << x) | z << x
+        out += [known, value]
+    return out
+
+
+@pytest.mark.parametrize("n_pos", [32, 64])
+def test_records_hold_any_position_below_n_pos(n_pos):
+    # positions from 16 up: a step packed as 128 parent + 8x + 4z + flag
+    # would carry x = 16 into its parent field, so the first three collide
+    gen = np.random.default_rng(n_pos)
+    recs = _Records(n_pos)
+    histories = [(((0, 0),), ()), (((16, 0),), ()), (((0, 0), (0, 0)), ())]
+    histories += [tuple(tuple((int(x), int(z)) for x, z in zip(
+        gen.integers(0, n_pos, size=k), gen.integers(0, 2, size=k)))
+        for k in gen.integers(0, 4, size=2)) for _ in range(60)]
+    histories += histories[:20] + [(((n_pos - 1, 1),), ((16, 0), (n_pos - 1, 1)))]
+    ids = {}
+    for dr, da in histories:
+        r = recs.intern(dr, da)
+        assert recs.contents(r) == (dr, da)
+        assert recs.masks[r].view(np.uint64).tolist() == _masks_of((dr, da))
+        assert ids.setdefault((dr, da), r) == r  # equal histories, equal ids
+    assert len(set(ids.values())) == len(ids)
+    # one call appending to both databases at once, duplicates included
+    start = np.array(list(ids.values()) * 2, dtype=np.int64)
+    x = gen.integers(16, n_pos, size=len(start))
+    z = gen.integers(0, 2, size=len(start))
+    got = recs.extend(start, x, z, 3)
+    for r, parent, xi, zi in zip(got.tolist(), start.tolist(), x.tolist(), z.tolist()):
+        assert recs.contents(r) == tuple(db + ((xi, zi),) for db in recs.contents(parent))
+        assert recs.masks[r].view(np.uint64).tolist() == _masks_of(recs.contents(r))
+    assert len(set(got.tolist())) == len(set(zip(start.tolist(), x.tolist(), z.tolist())))
 
 
 @settings(max_examples=200, deadline=None)

@@ -352,7 +352,8 @@ def test_engine_joint_finite_at_large_alternation_count():
 
 
 def test_engine_sample_draws_as_generator_choice():
-    # sample must consume the stream exactly as Generator.choice(p=joint)
+    # sample must consume the stream exactly as Generator.choice(p=joint),
+    # and pass exactly when choice picks a success cell (y = 1, c >= T)
     stream = Stream(29)
     specs = [random_spec(2, 1, stream),
              make_scheme("conjugate").sim_verifier("", (3,), {})]
@@ -362,9 +363,10 @@ def test_engine_sample_draws_as_generator_choice():
         for seed in range(50):
             got, ref = Stream(seed), Stream(seed)
             for _ in range(32):
-                _, y, c = engine.sample(got)
-                pick = ref.choice(len(flat), p=flat)
-                assert (y, c) == divmod(int(pick), engine.joint.shape[1])
+                success = engine.sample(got)[0]
+                y, c = divmod(int(ref.choice(len(flat), p=flat)), engine.joint.shape[1])
+                assert success == (y == 1 and c >= engine.threshold)
+            assert got.random() == ref.random()  # one draw per attempt
 
 
 def test_engine_rho_m_is_built_once():
