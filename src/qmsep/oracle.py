@@ -6,7 +6,7 @@ register F in uniform superposition, or in the compressed view where F is
 replaced by the sparse database D_F of non-|0^> Fourier positions.
 Classical queries copy their answer into an append-only database register
 D_R (and optionally D_A for the recording variant); quantum queries XOR the
-oracle bit into an answer qubit.
+oracle bit into an answer qubit.  A plain gate acts on one qubit.
 
 An OracleWorld holds one entry per basis label in two arrays, `amp` and an
 int64 `key` packing `rec << (2^l + n_plain) | fb << n_plain | plain`: an
@@ -25,7 +25,6 @@ at its queried position, so neither runs on the query path.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Mapping
 from itertools import repeat
@@ -63,15 +62,6 @@ def _group(a: np.ndarray):
     inv = np.empty(len(a), dtype=np.intp)
     inv[order] = new.cumsum() - 1
     return s[new], order[new], inv
-
-
-@functools.lru_cache(maxsize=1024)
-def _spread(n_plain: int, qubits: tuple) -> np.ndarray:
-    """The plain-index bits of each of a gate's 2^t basis columns."""
-    t, sub = len(qubits), np.arange(1 << len(qubits))
-    out = sum(((sub >> (t - 1 - i)) & 1) << (n_plain - 1 - q) for i, q in enumerate(qubits))
-    out.setflags(write=False)
-    return out
 
 
 class _Records:
@@ -237,15 +227,17 @@ class OracleWorld:
     # -- plain-register circuit operations ---------------------------------
 
     def apply_plain_gate(self, u: np.ndarray, qubits) -> "OracleWorld":
-        t = len(qubits)
+        """The 2x2 gate u on the one plain qubit in `qubits`.  Labels that
+        differ only in that qubit's bit form one row of a (G, 2) block; row
+        g of block @ u.T holds base_g's new amplitudes at bit 0, then 1."""
         u = np.asarray(u, dtype=np.complex128)
-        if u.shape != (1 << t, 1 << t):
-            raise OracleError("gate dimension does not match target count")
-        spread = _spread(self.n_plain, tuple(qubits))
-        base, _, inv = _group(self.key & ~int(spread[-1]))
-        block = np.zeros((len(base), 1 << t), dtype=np.complex128)
-        block[inv, index_bits(self.key, self.n_plain, qubits)] = self.amp  # plain bits
-        return self._with((base[:, None] | spread).ravel(), (block @ u.T).ravel())
+        if len(qubits) != 1 or u.shape != (2, 2):
+            raise OracleError("a plain gate is a 2x2 matrix on one qubit")
+        shift = self.n_plain - 1 - qubits[0]
+        base, _, inv = _group(self.key & ~(1 << shift))
+        block = np.zeros((len(base), 2), dtype=np.complex128)
+        block[inv, (self.key >> shift) & 1] = self.amp
+        return self._with((base[:, None] | (0, 1 << shift)).ravel(), (block @ u.T).ravel())
 
     def plain_distribution(self) -> dict:
         values, _, inv = _group(self.plain)

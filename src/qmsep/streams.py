@@ -131,17 +131,14 @@ class Stream:
         self._parent = _parent
 
     def _entropy(self) -> tuple:
-        """The pool: the parent's with this stream's label mixed in, or the
-        seed's with the whole path for a stream built without a parent."""
+        """The pool: the seed's for a root, or for a stream `split` built,
+        the parent's with its label, path[-1], mixed in."""
         if self._pool is None:
             if self._parent is None:
-                pool, keys = _seed_pool(self.seed), self.path
+                self._pool = _seed_pool(self.seed)
             else:
-                pool, keys = self._parent._entropy(), self.path[-1:]
-            for key in keys:
-                for word in _words(key):
-                    pool = _mix_in(pool, word)
-            self._pool = pool
+                self._pool = functools.reduce(_mix_in, _words(self.path[-1]),
+                                              self._parent._entropy())
         return self._pool
 
     def _seeded(self) -> int:
@@ -193,26 +190,26 @@ class Stream:
         """Derive an independent child stream; same label -> same child."""
         return Stream(self.seed, self.path + (_label_key(label),), self)
 
-    def random(self, size=None, **kwargs):
-        """Generator.random; no size or an int size is drawn here."""
-        if self._gen is None and not kwargs:
+    def random(self, size=None):
+        """Generator.random(size); no size or an int size is drawn here."""
+        if self._gen is None:
             if size is None:
                 return (self._next64() >> 11) * 2.0 ** -53
             if type(size) is int and size >= 0:
                 return np.array([(self._next64() >> 11) * 2.0 ** -53
                                  for _ in range(size)], dtype=float)
-        return self.gen.random(size, **kwargs)
+        return self.gen.random(size)
 
-    def integers(self, low, high=None, size=None, **kwargs):
-        """Generator.integers; one int64 draw is drawn here."""
+    def integers(self, low, high=None, size=None):
+        """Generator.integers(low, high, size) for int64 draws on [low,
+        high), or on [0, low) with no high; one draw is drawn here."""
         if high is None:
             low, high = 0, low
-        if (self._gen is None and size is None and not kwargs
-                and type(low) is int and type(high) is int
-                and -(1 << 63) <= low < high <= 1 << 63):
+        if (self._gen is None and size is None and type(low) is int
+                and type(high) is int and -(1 << 63) <= low < high <= 1 << 63):
             rng = high - low - 1
             return np.int64(low + self._bounded(rng) if rng else low)
-        return self.gen.integers(low, high, size, **kwargs)
+        return self.gen.integers(low, high, size)
 
     def choice(self, *args, **kwargs):
         return self.gen.choice(*args, **kwargs)

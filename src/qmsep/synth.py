@@ -197,9 +197,6 @@ class SynthesisParams:
     def __post_init__(self):
         if not (0 < self.a < self.b <= 1):
             raise SynthError("need 0 < a < b <= 1")
-        n = self.n_alternations
-        if math.ceil(n * (self.a + self.b)) > 2 * n:
-            raise SynthError("vacuous threshold: N(a+b) exceeds the outcome count")
 
     @classmethod
     def default(cls, m: int, a: float = 0.5, b: float = 0.9,

@@ -530,7 +530,8 @@ def test_attack_rows_admits_the_caps(cfg, monkeypatch):
     (2, ["--n-alternations", "524287"], True),  # 4 (2N + 1) = 2^22 - 4
     (2, ["--n-alternations", "524288"], False),  # 2^22 + 4
     (8, [], True),  # derived N = 170: 256 x 341 entries
-    (8, ["--a", "0.5", "--b", "0.51"], False)])  # derived N = 334 544
+    (8, ["--a", "0.5", "--b", "0.51"], False),  # derived N = 334 544
+    (2, ["--n-alternations", "1" + "0" * 400], False)])  # N(a + b) is no float
 def test_cli_synth_caps_the_trial_engine_table(m, flags, admitted, tmp_path,
                                                 monkeypatch, capsys):
     # the cap stops cmd_synth before it builds an engine of 2^m (2N + 1)
@@ -668,8 +669,13 @@ def test_runs_cell_is_the_plain_join(values):
     ({"m": "2", "k": 0, "ans_index": 0}, "m must be an integer"),
     ({"m": 1, "k": 1, "ans_index": 1.0}, "ans_index must be an integer"),
     ({"m": 1, "k": 1, "ans_index": 1, "gates": [{"name": "H", "targets": [0.5]}]},
-     "gate 0 target must be an integer")],
-    ids=[f"verifier{i}" for i in range(14)])
+     "gate 0 target must be an integer"),
+    # a named gate's width is its own: H on two qubits, CNOT on one
+    ({"m": 2, "k": 1, "ans_index": 2, "gates": [{"name": "H", "targets": [0, 1]}]},
+     "cannot act on 2 qubits"),
+    ({"m": 2, "k": 1, "ans_index": 2, "gates": [{"name": "CNOT", "targets": [0]}]},
+     "cannot act on 1 qubits")],
+    ids=[f"verifier{i}" for i in range(16)])
 def test_cli_synth_rejects_bad_verifier(tmp_path, verifier, reason, capsys):
     path = tmp_path / "v.json"
     path.write_text(json.dumps(verifier))

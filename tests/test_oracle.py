@@ -479,6 +479,37 @@ def test_world_size_guard_raises_before_allocating():
         OracleWorld("purified", 5, 0, {})
 
 
+# (a view, a method of the other view, its arguments, its guard's message)
+_VIEW_GUARDS = [
+    ("compressed", "apply_quantum_query", ([0], 1), "quantum queries act on the purified"),
+    ("compressed", "apply_classical_query", ([0], 1), "classical queries here act on the"),
+    ("purified", "compressed_classical_query", ([0], 1), "compressed query requires"),
+    ("purified", "compressed_quantum_query", ([0], 1), "compressed query requires"),
+    ("purified", "decomp", (), "decomp requires compressed"),
+    ("compressed", "comp", (), "comp requires purified"),
+    ("purified", "pair_count_expectation", (), "pair count is defined on the compressed"),
+    ("purified", "bad_query_weight", ([0],), "bad-query weight is defined on the compressed"),
+]
+
+
+@pytest.mark.parametrize("call, message", [
+    *[pytest.param(lambda mode=mode, name=name, args=args:
+                   getattr(getattr(OracleWorld, f"{mode}_init")(1, 3), name)(*args),
+                   message, id=name) for mode, name, args, message in _VIEW_GUARDS],
+    pytest.param(lambda: OracleWorld.compressed_init(1, 3).apply_db_query([0], 1, db="x"),
+                 "db must be 'dr' or 'da'", id="apply_db_query"),
+    pytest.param(lambda: OracleWorld("bogus", 1, 3, {}), "unknown mode 'bogus'", id="mode"),
+    pytest.param(lambda: OracleWorld.compressed_init(1, 3).apply_plain_gate(H, [0, 1]),
+                 "a plain gate is a 2x2 matrix on one qubit", id="plain_gate_qubits"),
+    pytest.param(lambda: OracleWorld.compressed_init(1, 3).apply_plain_gate(np.eye(4), [0]),
+                 "a plain gate is a 2x2 matrix on one qubit", id="plain_gate_shape")])
+def test_world_guards_raise(call, message):
+    """Each view guard on the other view, a database that is neither D_R
+    nor D_A, an unknown view, and a plain gate not 2x2 on one qubit."""
+    with pytest.raises(OracleError, match=message):
+        call()
+
+
 def test_record_ids_that_would_overflow_the_key_raise():
     # at l = 2 a key holds n_plain + 4 label bits under its record id: at
     # n_plain = 56 there is room for 4 records, at 57 for 2
