@@ -18,9 +18,10 @@ fixed-capacity slot registers is exactly one label, so inner products,
 reduced densities, and unitarity are preserved.  Compression is Zhandry's
 Fourier transform on each output register, for 1-bit outputs H on every
 position D_R does not pin: `decomp` and `comp` are the full view changes,
-which set (or clear) F's D_R positions and apply H to each free position
-axis of a (plain, D_R, D_A) × 2^(2^l) block.  A compressed query acts only
-at its queried position, so neither runs on the query path.
+which set (or clear) F's D_R positions and apply H (hilbert.embed_unitary)
+to each free position axis of a (plain, D_R, D_A) × 2^(2^l) block.  A
+compressed query acts only at its queried position, so neither runs on the
+query path.  `_with` prunes every derived world at PRUNE_TOL.
 """
 
 from __future__ import annotations
@@ -116,18 +117,6 @@ class _Records:
         return tuple(tuple((x, z) for x, z, f in steps if f & flag) for flag in (1, 2))
 
 
-def _hadamard_bit(x: np.ndarray, p: int) -> np.ndarray:
-    """H on bit p of the column index of each row of x.  The rows'
-    (bit p = 0, bit p = 1) column pairs become the 2 rows of one 2-D
-    product, which BLAS rounds as embed_unitary's product did; numpy's own
-    loop for a batched 4-D product does not.  The temporaries die on return,
-    so a caller's loop holds one gathered copy at a time."""
-    r, c = x.shape
-    pairs = x.reshape(r, c >> (p + 1), 2, 1 << p).transpose(2, 0, 1, 3)
-    out = HADAMARD @ pairs.reshape(2, -1)
-    return out.reshape(pairs.shape).transpose(1, 2, 0, 3).reshape(r, c)
-
-
 class _Labels(Mapping):
     """Read-only {(plain, F or D_F, D_R, D_A): amp} view of a world; its
     length is the label count, and the tuples are built on first lookup."""
@@ -193,15 +182,13 @@ class OracleWorld:
     def compressed_init(cls, l: int, n_plain: int = 0) -> "OracleWorld":
         return cls("compressed", l, n_plain, {(0, (), (), ()): 1.0 + 0.0j})
 
-    def _with(self, key, amp, mode=None, prune=True) -> "OracleWorld":
+    def _with(self, key, amp, mode=None) -> "OracleWorld":
         """A world on our records with the given int64 and complex128
-        columns, less the labels `prune` finds negligible."""
-        if prune:
-            k = np.abs(amp) > PRUNE_TOL
-            key, amp = key[k], amp[k]
+        columns, less the labels with |amp| <= PRUNE_TOL: the one pruning rule."""
+        k = np.abs(amp) > PRUNE_TOL
         w = object.__new__(OracleWorld)
         w.mode, w.l, w.n_plain, w.n_pos = mode or self.mode, self.l, self.n_plain, self.n_pos
-        w.records, w.key, w.amp = self.records, key, amp
+        w.records, w.key, w.amp = self.records, key[k], amp[k]
         w.amps = _Labels(w)
         return w
 
@@ -332,26 +319,24 @@ class OracleWorld:
         pinned = (m[:, 0] >> x) & 1
         flip = (y & (1 - pinned)) << (w.n_plain + x)
         amp = np.where(y & pinned & (m[:, 1] >> x) == 1, -w.amp, w.amp)
-        return w._with(w.key ^ flip, amp, prune=False).apply_plain_gate(HADAMARD, [a_qubit])
+        return w._with(w.key ^ flip, amp).apply_plain_gate(HADAMARD, [a_qubit])
 
     # -- view changes --------------------------------------------------------
 
     def _hadamard(self, mode: str) -> "OracleWorld":
-        """XOR each label's recorded D_R values into fb, then apply H to
-        every position D_R leaves free, one (plain, rec) group per row."""
-        rec = self.rec
-        group, first, inv = _group(self.key & ~(((1 << self.n_pos) - 1) << self.n_plain))
-        block = np.zeros((len(group), 1 << self.n_pos), dtype=np.complex128)
+        """XOR each label's recorded D_R values into fb, then apply H with
+        embed_unitary on the qubit axis of every position D_R leaves free, one
+        (plain, rec) group per row; `_with` prunes the nonzero entries."""
+        rec, n = self.rec, self.n_pos
+        group, first, inv = _group(self.key & ~(((1 << n) - 1) << self.n_plain))
+        block = np.zeros((len(group), 1 << n), dtype=np.complex128)
         block[inv, self.fb ^ self.records.masks[rec, 1]] = self.amp
         pinned = self.records.masks[rec[first], 0]
-        for p in range(self.n_pos):  # column bit p holds position p
+        for p in range(n):  # column bit p holds position p, qubit axis n - 1 - p
             rows = ((pinned >> p) & 1 == 0).nonzero()[0]
-            if len(rows) == len(group):
-                block = _hadamard_bit(block, p)
-            elif len(rows):
-                block[rows] = _hadamard_bit(block[rows], p)
-        g, f = np.nonzero(np.abs(block) > PRUNE_TOL)
-        return self._with(group[g] | (f << self.n_plain), block[g, f], mode, prune=False)
+            block[rows] = embed_unitary(HADAMARD, [n - 1 - p], n, block[rows].T).T
+        g, f = np.nonzero(block)
+        return self._with(group[g] | (f << self.n_plain), block[g, f], mode)
 
     def decomp(self) -> "OracleWorld":
         """Fill the truth table register from (D_F, D_R)."""

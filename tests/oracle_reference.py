@@ -200,7 +200,7 @@ def faulty_local_query(drop: str):
         pinned = (m[:, 0] >> x) & 1
         flip = 0 if drop == "toggle" else (y & (1 - pinned)) << (w.n_plain + x)
         neg = (y & pinned & (m[:, 1] >> x) == 1) & (drop != "phase")
-        w = w._with(w.key ^ flip, np.where(neg, -w.amp, w.amp), prune=False)
+        w = w._with(w.key ^ flip, np.where(neg, -w.amp, w.amp))
         return w if drop == "second H" else w.apply_plain_gate(HADAMARD, [a_qubit])
 
     return query

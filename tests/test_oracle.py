@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import oracle_reference as ref
 
 from qmsep.harness import (
+    cmd_oracle_check,
     recording_error_check,
     recorded_query_monotone_check,
     comp_decomp_check,
@@ -19,6 +20,7 @@ from qmsep.harness import (
 )
 from qmsep.hilbert import HADAMARD, embed_unitary, haar_unitary, index_bits
 from qmsep.oracle import (
+    PRUNE_TOL,
     OracleError,
     OracleWorld,
     SampledExecutor,
@@ -689,6 +691,34 @@ def test_hadamard_is_byte_equal_to_embedding(l):
         want = _hadamard_by_embedding(w)
         for a, b in zip((got.plain, got.fb, got.rec, got.amp), want):
             assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("skip", [[3], [0], [0, 1, 2, 3]], ids=["p0", "p3", "every"])
+def test_oracle_check_sees_a_faulty_view_change(skip, monkeypatch):
+    """Criterion 5 with H left out on position 0's qubit axis (3 at l = 2),
+    position 3's (axis 0), or every axis of the view changes; with
+    mc_samples = 0, `_hadamard` is oracle's only embed_unitary caller."""
+
+    def faulty(g, axes, n, x):
+        return x if axes[0] in skip else embed_unitary(g, axes, n, x)
+
+    monkeypatch.setattr("qmsep.oracle.embed_unitary", faulty)
+    rep = cmd_oracle_check({"l": 2, "queries": 4, "trials": 10, "seed": 0})
+    assert not rep["checks"]["equivalence_td"] and not rep["ok"]
+
+
+@pytest.mark.parametrize("l", [1, 2, 3])
+def test_worlds_hold_no_negligible_label(l):
+    """`_with` prunes every derived world: no label of the pinned runs, or
+    of their view changes, has |amp| <= PRUNE_TOL.  A world answered from
+    D_R by U_D' may leave the view changes' domain, which they refuse."""
+    for w in _pinned_world_runs(l):
+        assert np.abs(w.amp).min() > PRUNE_TOL
+        try:
+            v = w.decomp() if w.mode == "compressed" else w.comp()
+        except OracleError:
+            continue
+        assert np.abs(v.amp).min() > PRUNE_TOL
 
 
 def _random_program_by_gate(l, n_queries, stream):
