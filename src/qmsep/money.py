@@ -188,9 +188,16 @@ def witness(key: tuple) -> ProductState:
 
 
 class MoneyScheme:
-    """A scheme given by its tag template; subclasses define tags(m)."""
+    """A scheme given by its tag template; subclasses define tags(m).
+    __init_subclass__ binds mint, verify and sim_verifier into each
+    subclass's own __dict__, where perfbench/tracer.py spans them."""
 
     quantum_mint = False  # mint learns the first check's bit quantumly
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        for name in ("mint", "verify", "sim_verifier"):
+            setattr(cls, name, getattr(cls, name))
 
     @staticmethod
     def tags(m: int) -> list:
@@ -384,12 +391,6 @@ class HashTagScheme(MoneyScheme):
     def tags(m: int) -> list:
         return [(0, None, i) for i in range(m)]
 
-    # bound in each class body: perfbench/tracer.py spans the methods it
-    # finds in a scheme class's own __dict__
-    mint = MoneyScheme.mint
-    verify = MoneyScheme.verify
-    sim_verifier = MoneyScheme.sim_verifier
-
 
 class ConjugateScheme(MoneyScheme):
     """Conjugate-coding banknote: oracle-derived bases and bits per qubit."""
@@ -397,10 +398,6 @@ class ConjugateScheme(MoneyScheme):
     @staticmethod
     def tags(m: int) -> list:
         return [(0, 2 * i, 2 * i + 1) for i in range(m)]
-
-    mint = MoneyScheme.mint
-    verify = MoneyScheme.verify
-    sim_verifier = MoneyScheme.sim_verifier
 
 
 class CounterexampleScheme(MoneyScheme):
@@ -412,10 +409,6 @@ class CounterexampleScheme(MoneyScheme):
     @staticmethod
     def tags(m: int) -> list:
         return [(0, None, 0)] + [(1, 1 + 2 * i, 2 + 2 * i) for i in range(m)]
-
-    mint = MoneyScheme.mint
-    verify = MoneyScheme.verify
-    sim_verifier = MoneyScheme.sim_verifier
 
 
 SCHEMES = {

@@ -84,6 +84,9 @@ def _json_int(value, what: str) -> int:
 
 @dataclass(frozen=True)
 class VerifierSpec:
+    """V on m input qubits and k ancillas, answer qubit ans_index.  Nothing
+    here checks it: from_json is the one check of a verifier file, and every
+    other builder makes V square and unitary itself."""
     m: int
     k: int
     v_hat: np.ndarray
@@ -92,14 +95,7 @@ class VerifierSpec:
     a: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.m < 1 or self.k < 0:
-            raise SynthError("need m >= 1, k >= 0")
-        if not (0 <= self.ans_index < self.m + self.k):
-            raise SynthError("ans_index out of range")
         v = np.asarray(self.v_hat, dtype=np.complex128)
-        d = 1 << (self.m + self.k)
-        if v.shape != (d, d):
-            raise SynthError(f"v_hat shape {v.shape}, expected {(d, d)}")
         object.__setattr__(self, "v_hat", v)
         n = self.m + self.k
         accept_rows = ((np.arange(1 << n) >> (n - 1 - self.ans_index)) & 1) == 1
@@ -125,6 +121,8 @@ class VerifierSpec:
             raise SynthError("need m >= 1, k >= 0")
         if n > SPEC_QUBIT_CAP:
             raise SynthError(f"m + k = {n} exceeds cap {SPEC_QUBIT_CAP}")
+        if not 0 <= ans_index < n:
+            raise SynthError("ans_index out of range")
         v = np.eye(1 << n, dtype=np.complex128)
         for i, gate in enumerate(obj.get("gates", [])):
             name = gate["name"]

@@ -674,8 +674,17 @@ def test_runs_cell_is_the_plain_join(values):
     ({"m": 2, "k": 1, "ans_index": 2, "gates": [{"name": "H", "targets": [0, 1]}]},
      "cannot act on 2 qubits"),
     ({"m": 2, "k": 1, "ans_index": 2, "gates": [{"name": "CNOT", "targets": [0]}]},
-     "cannot act on 1 qubits")],
-    ids=[f"verifier{i}" for i in range(16)])
+     "cannot act on 1 qubits"),
+    ({"m": 2, "k": 1, "ans_index": 3}, "ans_index out of range"),
+    ({"m": 2, "k": 1, "ans_index": -1}, "ans_index out of range"),
+    ({"m": 1, "k": 0, "ans_index": 0, "gates": [{"name": "U", "targets": [0],
+      "matrix": [[1.0, 0.0], [0.0, 0.0], [1.0, 0.0]]}]},
+     "U gate matrix has 3 entries, expected 4"),
+    # every entry within modulus 1, so only the check of V itself sees it
+    ({"m": 1, "k": 0, "ans_index": 0, "gates": [{"name": "U", "targets": [0],
+      "matrix": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}]},
+     "v_hat is not unitary within tolerance")],
+    ids=[f"verifier{i}" for i in range(20)])
 def test_cli_synth_rejects_bad_verifier(tmp_path, verifier, reason, capsys):
     path = tmp_path / "v.json"
     path.write_text(json.dumps(verifier))

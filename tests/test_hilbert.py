@@ -408,6 +408,18 @@ def test_density_check_rejects_bad_trace():
         DensityOp(qubits(1), np.eye(2)).check()
 
 
+def test_density_check_rejects_a_non_hermitian_matrix():
+    # trace 1 and eigenvalues 1/2, 1/2: only the Hermitian test fails
+    with pytest.raises(HilbertError, match="not Hermitian"):
+        DensityOp(qubits(1), np.array([[0.5, 0.5], [0.0, 0.5]])).check()
+
+
+def test_density_check_rejects_a_negative_eigenvalue():
+    # Hermitian with trace 1, but eigenvalues 1.5 and -0.5
+    with pytest.raises(HilbertError, match="eigenvalue -0.5"):
+        DensityOp(qubits(1), np.diag([1.5, -0.5])).check()
+
+
 def test_state_norm_check():
     with pytest.raises(HilbertError):
         check_norm(QState(qubits(1), np.array([1.0, 1.0])))

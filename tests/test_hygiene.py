@@ -263,10 +263,21 @@ def test_every_cli_flag_is_a_config_key():
 
 def test_scheme_classes_are_tag_templates():
     """A scheme class holds its tag template and no layout of its own:
-    MoneyScheme derives widths, checks and positions from tags(m).  mint,
-    verify and sim_verifier are bound in each class body only because
-    perfbench/tracer.py spans a scheme class's own methods."""
-    allowed = {"tags", "quantum_mint", "mint", "verify", "sim_verifier"}
+    MoneyScheme derives widths, checks and positions from tags(m).  Read in
+    money.py's AST, each scheme class body binds only tags and quantum_mint
+    beside its docstring; MoneyScheme.__init_subclass__ binds mint, verify
+    and sim_verifier for perfbench/tracer.py, which
+    test_benchmark_spans_resolve_and_restore checks at run time."""
+    tree = ast.parse((SRC / "money.py").read_text())
+    classes = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
     for name, cls in money.SCHEMES.items():
-        own = {k for k in vars(cls) if not (k.startswith("__") and k.endswith("__"))}
-        assert own <= allowed, f"{name} defines {sorted(own - allowed)}"
+        body = classes[cls.__name__].body
+        assert isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant)
+        bound = set()
+        for node in body[1:]:
+            if isinstance(node, ast.FunctionDef):
+                bound.add(node.name)
+            else:
+                assert isinstance(node, ast.Assign), f"{name}: {ast.dump(node)}"
+                bound.update(t.id for t in node.targets)
+        assert bound <= {"tags", "quantum_mint"}, f"{name} binds {sorted(bound)}"

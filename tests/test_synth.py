@@ -376,6 +376,15 @@ def test_engine_rho_m_is_built_once():
     assert engine.rho_m().matrix.tobytes() == first.matrix.tobytes()
 
 
+def test_engine_rho_m_refuses_a_zero_probability_branch():
+    # A = 0 never accepts, so no draw passes the threshold test
+    engine = TrialEngine(ReducedVerifier(m=1, k=1, a=np.zeros((2, 2))),
+                         SynthesisParams.default(1))
+    assert engine.p_success == 0.0 and engine.cut == 1.0
+    with pytest.raises(SynthError, match="conditioning on a zero-probability test branch"):
+        engine.rho_m()
+
+
 def test_engine_agrees_with_destructive_trial():
     stream = Stream(23)
     spec = good_spec(2, 1, stream)
@@ -546,6 +555,18 @@ def test_verifier_json_unknown_gate():
         VerifierSpec.from_json(json.dumps(
             {"m": 1, "k": 0, "ans_index": 0,
              "gates": [{"name": "ZZ", "targets": [0]}]}))
+
+
+@pytest.mark.parametrize("ans_index", [-1, 3, 100])
+def test_verifier_json_refuses_ans_index_before_building_v(ans_index, monkeypatch):
+    def no_gate(*args):
+        raise AssertionError("V was built")
+
+    monkeypatch.setattr(synth, "embed_unitary", no_gate)
+    with pytest.raises(SynthError, match="ans_index out of range"):
+        VerifierSpec.from_json(json.dumps(
+            {"m": 2, "k": 1, "ans_index": ans_index,
+             "gates": [{"name": "H", "targets": [0]}]}))
 
 
 
