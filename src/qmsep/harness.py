@@ -47,9 +47,17 @@ N_UPDATES_CAP = 10 ** 6
 # 36 B an entry in its float arrays (synth peaks near 190 MB at the cap);
 # the derived default at m = 10 is 1024 x 401
 ENGINE_TABLE_CAP = 1 << 22
-# widest plain register oracle-check accepts: reduced_density_plain returns
-# a 2^n x 2^n matrix, 16 MB at 10
+# widest plain register oracle-check builds: the recording checks'
+# _pending_query worlds carry l + queries + 1 plain qubits, one more than a
+# program's; equivalence_check reduces only the program worlds, so at the
+# cap its states are 2^9 x 2^9 (4 MB), and their eigvalsh takes 55-80 ms
 PLAIN_QUBIT_CAP = 10
+# most trials x queries, and most Monte Carlo samples, oracle-check runs.
+# The slowest runs measured at the caps took under 50 s on a shared 2-core
+# host: 166 trials at l = 3, queries = 6 (47.8 s), and 10^5 samples at
+# (l, queries) = (1, 8), (2, 7) and (3, 6) (36.9, 46.8 and 43.2 s)
+ORACLE_WORK_CAP = 1000
+MC_SAMPLES_CAP = 100_000
 
 
 class HarnessError(ValueError):
@@ -379,7 +387,10 @@ def run_sampled_once(table: np.ndarray, n_plain: int, ops, rng) -> int:
 
 
 def _matrix_td(a: np.ndarray, b: np.ndarray) -> float:
-    return float(0.5 * np.linalg.svd(a - b, compute_uv=False).sum())
+    """The trace distance (1/2) ||a - b||_1 of two Hermitian matrices: half
+    the sum of |eigenvalues| of a - b.  eigvalsh reads only the lower
+    triangle, so a and b must be Hermitian, as reduced_density_plain's are."""
+    return float(0.5 * np.abs(np.linalg.eigvalsh(a - b)).sum())
 
 
 def equivalence_check(l: int, n_queries: int, stream) -> float:
@@ -464,6 +475,12 @@ def cmd_oracle_check(cfg: dict) -> dict:
         raise HarnessError(f"oracle-check needs l + queries + 1 <= "
                            f"{PLAIN_QUBIT_CAP} (a 2^n-square plain density "
                            f"matrix)")
+    if trials * n_queries > ORACLE_WORK_CAP:
+        raise HarnessError(f"oracle-check needs trials x queries <= "
+                           f"{ORACLE_WORK_CAP}, got {trials * n_queries}")
+    if mc_samples > MC_SAMPLES_CAP:
+        raise HarnessError(f"oracle-check needs mc_samples <= {MC_SAMPLES_CAP}, "
+                           f"got {mc_samples}")
     stream = Stream(opt["seed"])
 
     worst = [0.0] * len(ORACLE_CHECKS)

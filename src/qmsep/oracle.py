@@ -21,7 +21,10 @@ position D_R does not pin: `decomp` and `comp` are the full view changes,
 which set (or clear) F's D_R positions and apply H (hilbert.embed_unitary)
 to each free position axis of a (plain, D_R, D_A) × 2^(2^l) block.  A
 compressed query acts only at its queried position, so neither runs on the
-query path.  `_with` prunes every derived world at PRUNE_TOL.
+query path.  `_with` prunes every derived world at PRUNE_TOL.  The plain
+reduced state adds one term per unordered pair of labels in a (F or D_F,
+D_R, D_A) group, so it is exactly Hermitian, and a group of s labels costs
+s (s - 1) / 2 terms.
 """
 
 from __future__ import annotations
@@ -38,6 +41,10 @@ ORACLE_L_CAP = 6   # sampled truth tables
 WORLD_L_CAP = 4    # OracleWorld: 2^(2^l) purified labels, 2^l-bit F masks
 KEY_BITS = 62      # (rec, fb, plain) packed into one int64 sort key
 PRUNE_TOL = 1e-14
+# label pairs reduced_density_plain holds at once, about 5.5 MB at 84 B a
+# pair; the largest world seen at l = 3, queries = 6 (61 440 labels, 143 360
+# pairs) takes 3 chunks
+PAIR_CHUNK = 1 << 16
 
 
 class OracleError(ValueError):
@@ -232,14 +239,37 @@ class OracleWorld:
         return dict(zip(values.tolist(), probs.tolist()))
 
     def reduced_density_plain(self) -> np.ndarray:
-        groups, _, row = _group(self.key >> self.n_plain)
+        """The plain registers' reduced state: rho[p, q] sums a_i conj(a_j)
+        over the labels i, j with plain values p, q that share F (or D_F),
+        D_R and D_A.  A group of such labels has distinct plain values, so
+        each unordered pair i < j in it adds its term to rho[p_i, p_j] and
+        the conjugate to rho[p_j, p_i], and |a_i|^2 goes to the diagonal:
+        rho is exactly Hermitian, and a group of s labels costs s (s - 1) / 2
+        terms.  The pairs are built in chunks of consecutive labels, each
+        label with the later ones of its group: at most PAIR_CHUNK pairs a
+        chunk, unless one label alone has more."""
+        order = self.key.argsort(kind="stable")  # by group, then by plain value
+        key, amp = self.key[order], self.amp[order]
+        plain, group = key & ((1 << self.n_plain) - 1), key >> self.n_plain
+        later = np.searchsorted(group, group, "right") - np.arange(len(key)) - 1  # partners after each label
+        done = np.cumsum(later)  # the pairs of the labels up to each one
+        before = done - later
         d = 1 << self.n_plain
         rho = np.zeros((d, d), dtype=np.complex128)
-        for chunk in range((len(groups) + 255) >> 8):  # 256 groups at a time bound memory
-            k = row >> 8 == chunk
-            vec = np.zeros((min(256, len(groups) - 256 * chunk), d), dtype=np.complex128)
-            vec[row[k] & 255, self.plain[k]] = self.amp[k]
-            rho += vec.T @ vec.conj()
+        flat = rho.reshape(-1)
+        lo = 0
+        while lo < len(key):
+            hi = max(int(np.searchsorted(done, before[lo] + PAIR_CHUNK, "right")), lo + 1)
+            i = np.repeat(np.arange(lo, hi), later[lo:hi])
+            j = i + 1 + np.arange(len(i)) - (before[i] - before[lo])
+            # p_i < p_j: the term goes above the diagonal, and its mirror
+            # below is rewritten by each chunk that adds to it
+            pi, pj = plain[i], plain[j]
+            at = pi * d + pj
+            np.add.at(flat, at, amp[i] * amp[j].conj())
+            flat[pj * d + pi] = flat[at].conj()
+            lo = hi
+        np.fill_diagonal(rho, np.bincount(plain, np.abs(amp) ** 2, d))
         return rho
 
     # -- query unitaries ----------------------------------------------------

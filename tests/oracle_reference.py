@@ -9,6 +9,10 @@ checks (fresh answer qubits, D_F/D_R overlap) are not repeated here.
 
 quantum_query_by_round_trip is the compressed quantum query as the full
 view changes Decomp, U_Q, Comp, which the local query must equal.
+reduced_density_by_labels is the plain reduced state as one outer product
+per (F, D_R, D_A); reduced_density_by_blocks and matrix_td_by_svd are the
+dense-block reduced state and the SVD trace distance that criterion 5 used
+before its same-group label pairs and eigvalsh.
 keep_df_on_query seeds the fault the recording checks' mutation tests use,
 and faulty_local_query the faults criterion 5's equivalence check must see.
 """
@@ -21,7 +25,7 @@ import math
 import numpy as np
 
 from qmsep.hilbert import HADAMARD, index_bits
-from qmsep.oracle import PRUNE_TOL, OracleWorld
+from qmsep.oracle import PRUNE_TOL, OracleWorld, _group
 
 
 def _pruned(amps: dict) -> dict:
@@ -163,6 +167,37 @@ def comp(amps: dict, l: int) -> dict:
             key = (plain, df, dr, da)
             out[key] = out.get(key, 0.0) + sign * scale
     return _pruned(out)
+
+
+def reduced_density_by_labels(amps: dict, n_plain: int) -> np.ndarray:
+    """The plain registers' reduced state: the sum over each (F, D_R, D_A)
+    of the outer product of its plain-register vector."""
+    vecs = {}
+    for (plain, f, dr, da), amp in amps.items():
+        vecs.setdefault((f, dr, da), np.zeros(1 << n_plain, dtype=np.complex128))[plain] = amp
+    d = 1 << n_plain
+    return sum((np.outer(v, v.conj()) for v in vecs.values()),
+               np.zeros((d, d), dtype=np.complex128))
+
+
+def reduced_density_by_blocks(world) -> np.ndarray:
+    """OracleWorld.reduced_density_plain as dense blocks of 256 (F, D_R, D_A)
+    groups x 2^n plain values, one product per block."""
+    groups, _, row = _group(world.key >> world.n_plain)
+    d = 1 << world.n_plain
+    rho = np.zeros((d, d), dtype=np.complex128)
+    for chunk in range((len(groups) + 255) >> 8):
+        k = row >> 8 == chunk
+        vec = np.zeros((min(256, len(groups) - 256 * chunk), d), dtype=np.complex128)
+        vec[row[k] & 255, world.plain[k]] = world.amp[k]
+        rho += vec.T @ vec.conj()
+    return rho
+
+
+def matrix_td_by_svd(a, b) -> float:
+    """The trace distance (1/2) ||a - b||_1 as half the sum of a - b's
+    singular values, for any square a and b."""
+    return float(0.5 * np.linalg.svd(a - b, compute_uv=False).sum())
 
 
 def max_label_gap(a, b) -> float:

@@ -17,6 +17,7 @@ from qmsep.harness import (
     CSV_HEADER,
     ENGINE_TABLE_CAP,
     N_UPDATES_CAP,
+    PLAIN_QUBIT_CAP,
     T_MAX_CAP,
     HarnessError,
     bernoulli_summary,
@@ -295,8 +296,11 @@ REPORT_DIGESTS = {
               "f595e2c9436cc8911f813cc6021e5b587e4054ba0331b1cad5569ed868fa247f"),
     "oracle-check": (["--l", "2", "--queries", "3", "--trials", "2", "--seed", "7",
                       "--mc-samples", "4000"],
-                     "b6dbb0dcda0324d031de2792b9b54d67d785fa5e948b90ff127bae4f409c12ea"),
+                     "e96df6df4bda9730e70847c20662cc362ba9b71db81adc67ce4a4b22ae7068b3"),
 }
+# the oracle-check report above with the dense-block reduced state and the
+# SVD trace distance; only worst.equivalence_td differs
+BLOCK_SVD_REPORT_DIGEST = "b6dbb0dcda0324d031de2792b9b54d67d785fa5e948b90ff127bae4f409c12ea"
 
 
 @pytest.mark.parametrize("command", list(REPORT_DIGESTS))
@@ -314,6 +318,18 @@ def test_report_output_is_byte_identical(command, tmp_path, capsys):
     text = capsys.readouterr().out
     assert out.read_text() == text
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == want
+
+
+def test_reference_kernels_keep_the_former_oracle_check_report(monkeypatch, capsys):
+    """With the dense-block reduced state and the SVD trace distance patched
+    back, the pinned oracle-check run prints its former bytes."""
+    monkeypatch.setattr(harness.OracleWorld, "reduced_density_plain",
+                        ref.reduced_density_by_blocks)
+    monkeypatch.setattr(harness, "_matrix_td", ref.matrix_td_by_svd)
+    flags, _ = REPORT_DIGESTS["oracle-check"]
+    assert cli.main(["oracle-check", *flags]) == 0
+    text = capsys.readouterr().out
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == BLOCK_SVD_REPORT_DIGEST
 
 
 def test_cmd_synth_acceptances_match_per_trial_reference(tmp_path):
@@ -381,6 +397,14 @@ def test_cmd_oracle_check_l2_with_sampling():
     assert rep["checks"]["mc_tv"]
 
 
+@pytest.mark.parametrize("l, n_queries", [(1, 8), (2, 7), (3, 6)])
+def test_cmd_oracle_check_passes_at_the_largest_sizes(l, n_queries):
+    # the most queries PLAIN_QUBIT_CAP admits at each l
+    assert l + n_queries + 1 == PLAIN_QUBIT_CAP
+    rep = cmd_oracle_check({"l": l, "queries": n_queries, "trials": 1, "seed": 0})
+    assert rep["ok"]
+
+
 def test_cmd_oracle_check_rejects_large_l():
     with pytest.raises(HarnessError):
         cmd_oracle_check({"l": 4, "queries": 2})
@@ -442,6 +466,42 @@ def test_cli_oracle_check_rejects_bad_input(flag, value, tmp_path, capsys):
     out = capsys.readouterr()
     named = next(iter(value)) if flag == "--config" else "oracle-check needs"
     assert out.out == "" and named in out.err
+
+
+@pytest.mark.parametrize("flags,admitted", [
+    (["--queries", "2", "--trials", "3"], True),  # trials x queries at the cap
+    (["--queries", "7", "--trials", "1"], False),
+    (["--queries", "1", "--trials", "7"], False),
+    (["--queries", "2", "--trials", "1" + "0" * 400], False),
+    (["--queries", "2", "--trials", "1", "--mc-samples", "50"], True),
+    (["--queries", "2", "--trials", "1", "--mc-samples", "51"], False)])
+def test_cli_oracle_check_caps_its_work(flags, admitted, monkeypatch, capsys):
+    # with the caps made small, the value at each cap runs and one past it
+    # exits 2 before any check
+    monkeypatch.setattr(harness, "ORACLE_WORK_CAP", 6)
+    monkeypatch.setattr(harness, "MC_SAMPLES_CAP", 50)
+    if not admitted:
+        monkeypatch.setattr(harness, "equivalence_check", _no_trial)
+    rc = cli.main(["oracle-check", "--l", "1", *flags])
+    out = capsys.readouterr()
+    if admitted:
+        assert rc != 2 and json.loads(out.out)["ok"] is (rc == 0)
+        return
+    assert rc == 2 and out.out == ""
+    args = dict(zip(flags[::2], map(int, flags[1::2])))
+    if "--mc-samples" in args:
+        want = f"mc_samples <= 50, got {args['--mc-samples']}"
+    else:
+        want = f"trials x queries <= 6, got {args['--queries'] * args['--trials']}"
+    assert out.err == f"qmsep: oracle-check needs {want}\n"
+
+
+def test_oracle_check_caps_admit_the_defaults_and_the_benchmark():
+    # tests/ runs its largest sizes itself; perfbench's oracle-check
+    # workload draws 12 000 Monte Carlo samples
+    opts = harness.ORACLE_OPTIONS
+    assert opts["trials"].default * opts["queries"].default <= harness.ORACLE_WORK_CAP
+    assert 12_000 <= harness.MC_SAMPLES_CAP
 
 
 def test_cli_attack_writes_csv(tmp_path, capsys):

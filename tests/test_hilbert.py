@@ -4,6 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
+import oracle_reference as ref
 from reference import (
     FACTOR_NAMES,
     check_norm,
@@ -19,6 +20,7 @@ from qmsep.hilbert import (
     QState,
     RegisterLayout,
     embed_unitary,
+    ginibre,
     haar_unitary,
     kron,
     partial_trace,
@@ -393,6 +395,16 @@ def test_trace_distance_examples():
     assert _matrix_td(z0, z0) == 0.0
     assert abs(_matrix_td(z0, z1) - 1.0) < 1e-12
     assert abs(_matrix_td(z0, plus) - 1 / np.sqrt(2)) < 1e-12
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 64, 512])
+def test_trace_distance_is_the_svd_reference(d):
+    """eigvalsh's trace distance of two random density matrices equals half
+    the singular-value sum of their difference within 1e-12."""
+    gen = np.random.default_rng(d)
+    a, b = (w @ w.conj().T for w in (ginibre(d, gen), ginibre(d, gen)))
+    a, b = a / np.trace(a).real, b / np.trace(b).real
+    assert abs(_matrix_td(a, b) - ref.matrix_td_by_svd(a, b)) <= 1e-12
 
 
 # -------------------------------------------------------------- validators

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import oracle_reference as ref
 
+from qmsep import oracle
 from qmsep.harness import (
     cmd_oracle_check,
     recording_error_check,
@@ -346,6 +347,41 @@ def test_equivalence_check_sees_a_faulty_local_query(drop, monkeypatch):
     # test_purified_compressed_equivalence's check, inputs and threshold
     monkeypatch.setattr(OracleWorld, "compressed_quantum_query", ref.faulty_local_query(drop))
     assert max(equivalence_check(2, 4, Stream(200 + seed)) for seed in range(5)) > 1e-9
+
+
+def _program_worlds(l, n_queries, seed):
+    """Both views after one random program."""
+    ops = random_program(l, n_queries, Stream(seed))
+    return [run_world(w, ops) for w in (OracleWorld.purified_init(l, l + n_queries),
+                                        OracleWorld.compressed_init(l, l + n_queries))]
+
+
+@pytest.mark.parametrize("l, n_queries", [(1, 5), (2, 4), (3, 3)])
+@pytest.mark.parametrize("seed", range(4))
+def test_reduced_density_is_the_label_by_label_state(l, n_queries, seed):
+    """Within 1e-14 entrywise of one outer product per (F, D_R, D_A), in
+    both views, and exactly Hermitian."""
+    for w in _program_worlds(l, n_queries, 300 + seed):
+        rho = w.reduced_density_plain()
+        want = ref.reduced_density_by_labels(dict(w.amps), w.n_plain)
+        assert np.abs(rho - want).max() <= 1e-14
+        assert (rho == rho.conj().T).all()
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 50])
+def test_reduced_density_does_not_depend_on_its_chunks(chunk, monkeypatch):
+    """A budget of a few pairs splits a world of 1128 pairs into more than
+    20 chunks, at 1 and 3 pairs some of them one label with more partners
+    than the budget; rho moves only by rounding, and stays exactly
+    Hermitian."""
+    w = _program_worlds(2, 4, 304)[1]
+    size = np.bincount(_group(w.key >> w.n_plain)[2])
+    assert (size * (size - 1) // 2).sum() > 20 * chunk and size.max() - 1 > 3
+    whole = w.reduced_density_plain()
+    monkeypatch.setattr(oracle, "PAIR_CHUNK", chunk)
+    rho = w.reduced_density_plain()
+    assert np.abs(rho - whole).max() <= 1e-15
+    assert (rho == rho.conj().T).all()
 
 
 def test_sampled_monte_carlo_matches_purified():
