@@ -1,11 +1,12 @@
-"""Dense state-vector simulation over named qubit registers.
+"""Dense matrices and gates on qubit axes.
 
-Index arithmetic is big-endian over the declared register order: the first
-register holds the most significant bits of the computational-basis index,
-and the first qubit inside a register is that register's most significant
-bit.  This ordering is the single source of truth: RegisterLayout.axes
-turns register names into qubit axes, and embed_unitary and partial_trace
-act on those axes.  Measurements on QState live in tests/reference.py.
+A state on n qubits is a 2^n amplitude vector or a 2^n x 2^n density
+matrix, DensityOp.  Index arithmetic is big-endian: qubit axis 0 holds the
+most significant bit of the computational-basis index.  This ordering is
+the single source of truth: embed_unitary applies a gate to listed axes,
+index_bits reads listed axes of an index, and partial_trace keeps listed
+axes.  Named registers, and measurements on state vectors over them, serve
+only the test references and live in tests/reference.py.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-QUBIT_CAP = 22       # widest register layout a dense state may have
 STRUCT_TOL = 1e-9    # structural invariants: norms, hermiticity, idempotence
 UNITARY_TOL = 1e-6   # admission threshold for user-supplied unitaries
 
@@ -27,71 +27,11 @@ class HilbertError(ValueError):
 
 
 @dataclass(frozen=True)
-class RegisterLayout:
-    registers: tuple
-
-    def __post_init__(self):
-        regs = tuple((str(n), int(w)) for n, w in self.registers)
-        object.__setattr__(self, "registers", regs)
-        names = [n for n, _ in regs]
-        if len(set(names)) != len(names):
-            raise HilbertError(f"duplicate register names in {names}")
-        if any(w < 1 for _, w in regs):
-            raise HilbertError("register widths must be >= 1")
-        if self.total_qubits > QUBIT_CAP:
-            raise HilbertError(
-                f"layout needs {self.total_qubits} qubits, cap is {QUBIT_CAP}")
-
-    @property
-    def total_qubits(self) -> int:
-        return sum(w for _, w in self.registers)
-
-    @property
-    def dim(self) -> int:
-        return 1 << self.total_qubits
-
-    def axes(self, names) -> list:
-        """Global qubit axes occupied by the named registers, in order."""
-        if isinstance(names, str):
-            names = [names]
-        offsets = {}
-        pos = 0
-        for n, w in self.registers:
-            offsets[n] = (pos, w)
-            pos += w
-        out = []
-        for name in names:
-            if name not in offsets:
-                raise HilbertError(f"unknown register {name!r}")
-            o, w = offsets[name]
-            out.extend(range(o, o + w))
-        return out
-
-
-@dataclass(frozen=True)
-class QState:
-    layout: RegisterLayout
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=np.complex128)
-        if amps.shape != (self.layout.dim,):
-            raise HilbertError(
-                f"amplitude vector has shape {amps.shape}, layout dim {self.layout.dim}")
-        object.__setattr__(self, "amplitudes", amps)
-
-
-@dataclass(frozen=True)
 class DensityOp:
-    layout: RegisterLayout
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.complex128)
-        d = self.layout.dim
-        if m.shape != (d, d):
-            raise HilbertError(f"density matrix shape {m.shape}, expected {(d, d)}")
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=np.complex128))
 
     def check(self) -> "DensityOp":
         m = self.matrix
@@ -175,29 +115,25 @@ def _front_perms(axes: tuple, ndim: int) -> tuple:
     return front, tuple(np.argsort(front).tolist())
 
 
-def partial_trace(state, keep) -> DensityOp:
-    if isinstance(keep, str):
-        keep = [keep]
-    layout = state.layout
-    keep_axes = layout.axes(keep)
-    n = layout.total_qubits
+def partial_trace(x: np.ndarray, keep_axes, n: int) -> DensityOp:
+    """The reduced state on keep_axes, in the listed order, of x: a 2^n
+    vector or a 2^n x 2^n density matrix, its other qubits traced out."""
+    keep_axes = list(keep_axes)
     other_axes = [a for a in range(n) if a not in keep_axes]
     dk = 1 << len(keep_axes)
     dt = 1 << len(other_axes)
-    widths = dict(layout.registers)
-    sub = RegisterLayout(tuple((nm, widths[nm]) for nm in keep))
-    if isinstance(state, QState):
-        tensor = state.amplitudes.reshape((2,) * n)
+    if x.ndim == 1:
+        tensor = x.reshape((2,) * n)
         tensor = np.moveaxis(tensor, keep_axes, range(len(keep_axes)))
         mat = tensor.reshape(dk, dt)
         rho = mat @ mat.conj().T
     else:
         perm = keep_axes + other_axes
-        tensor = state.matrix.reshape((2,) * (2 * n))
+        tensor = x.reshape((2,) * (2 * n))
         tensor = tensor.transpose(perm + [n + p for p in perm])
         tensor = tensor.reshape(dk, dt, dk, dt)
         rho = np.einsum("itjt->ij", tensor)
-    return DensityOp(sub, rho)
+    return DensityOp(rho)
 
 
 def ginibre(dim: int, rng) -> np.ndarray:

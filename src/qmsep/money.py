@@ -19,15 +19,17 @@ simulated from a partial database D (an unknown position becomes a fresh
 the factor key that names that operator by one 2x2 factor per check, each
 named by what D knows of its check's (basis, bit) (_factor), and the exact
 acceptance probability of a note, Tr(Pi rho) for the product Pi of the true
-checks' projectors.  Every note the eigen attack holds is a ProductState,
-one factor name per qubit: the minted note, named by its checks' (basis,
-bit) values, each post-verify note (its checks' outcome projectors) and the
-eigen witness against a factor key (witness).  On such a note check i hits
-independently, with probability _HIT[s_i][a_i] = Tr(F_a F_s), so verify and
-accept_prob read that table and build no 2^m x 2^m matrix, and a
-verification whose table entries are all 0 or 1 draws nothing; a dense note,
-such as a trial-backend state, goes through the check frame.  The three toy
-schemes differ only in their templates, for i < m:
+checks' projectors.  A note's state is a 2^m x 2^m matrix on its m
+qubits, qubit 0 the most significant.  Every note the eigen attack holds is
+a ProductState, one factor name per qubit: the minted note, named by its
+checks' (basis, bit) values, each post-verify note (its checks' outcome
+projectors) and the eigen witness against a factor key (witness).  On such
+a note check i hits independently, with probability _HIT[s_i][a_i] =
+Tr(F_a F_s), so verify and accept_prob read that table and build no
+2^m x 2^m matrix, and a verification whose table entries are all 0 or 1
+draws nothing; a dense note, such as a trial-backend state, goes through
+the check frame.  The three toy schemes differ only in their templates,
+for i < m:
 
 hash-tag        [(0, None, i)]
 conjugate       [(0, 2i, 2i+1)]
@@ -47,7 +49,7 @@ import numpy as np
 
 from .hilbert import HADAMARD, DensityOp, embed_unitary, index_bits, kron
 from .oracle import ORACLE_L_CAP
-from .synth import ReducedVerifier, VerifierSpec, note_layout
+from .synth import ReducedVerifier, VerifierSpec
 
 _CH = np.eye(4, dtype=np.complex128)
 _CH[2:, 2:] = HADAMARD  # controlled-H, control qubit first
@@ -164,10 +166,6 @@ class ProductState:
     It reads as a DensityOp: its matrix is the shared, read-only
     _product(factors), built only when something reads it."""
     factors: tuple
-
-    @property
-    def layout(self):
-        return note_layout(len(self.factors))
 
     @property
     def matrix(self) -> np.ndarray:

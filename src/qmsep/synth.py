@@ -10,11 +10,13 @@ trial engine read its eigendecomposition.  A verifier is either the circuit
 (VerifierSpec, which computes A from V once, as its field a) or a
 ReducedVerifier that carries A itself, as the attack's simulated verifier does.
 
-max_acceptance returns the best acceptance, A's top eigenvalue, and as
-witness the normalized projector onto A's top eigenspace, so the witness
-does not depend on which degenerate eigenvectors the eigen solver returns.
-It is the eigen witness; the attack, whose A is a product of 2x2 factors,
-reads the same witness off money's factor table.
+Every state synthesis returns is a DensityOp, a 2^m x 2^m matrix on the
+input register.  max_acceptance returns the best acceptance, A's top
+eigenvalue, and as witness the normalized projector onto A's top
+eigenspace, so the witness does not depend on which degenerate
+eigenvectors the eigen solver returns.  It is the eigen witness; the
+attack, whose A is a product of 2x2 factors, reads the same witness off
+money's factor table.
 
 synthesize is the trial subroutine.  It prepares a maximally entangled
 input, alternates coherent Q/P measurements N times while tracking (last
@@ -41,14 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hilbert import (
-    HADAMARD,
-    UNITARY_TOL,
-    DensityOp,
-    Projector,
-    RegisterLayout,
-    embed_unitary,
-)
+from .hilbert import HADAMARD, UNITARY_TOL, DensityOp, Projector, embed_unitary
 
 # eigenvalues of A this close to the top one span the eigen witness
 TOP_TOL = 1e-9
@@ -231,30 +226,19 @@ def _spectrum(spec: VerifierSpec | ReducedVerifier):
     return np.clip(vals, 0.0, 1.0), vecs
 
 
-@functools.lru_cache(maxsize=None)  # a layout has at most QUBIT_CAP qubits
-def note_layout(m: int) -> RegisterLayout:
-    """The layout of an m-qubit input register, "M": of a note, and of the
-    states synthesis returns."""
-    return RegisterLayout((("M", m),))
-
-
-def _input_state(spec: VerifierSpec | ReducedVerifier, mat: np.ndarray) -> DensityOp:
-    return DensityOp(note_layout(spec.m), mat)
-
-
 def acceptance_of(spec: VerifierSpec | ReducedVerifier, rho_m: DensityOp) -> float:
     """Tr(Q1 (rho (x) |0^k><0^k|)) = Tr(A rho) for a state on the input register."""
     return float(np.trace(spec.a @ rho_m.matrix).real)
 
 
-def _top_eigenspace(spec, vals: np.ndarray, vecs: np.ndarray):
+def _top_eigenspace(vals: np.ndarray, vecs: np.ndarray):
     top = vecs[:, vals >= vals[-1] - TOP_TOL]
-    return float(vals[-1]), _input_state(spec, top @ top.conj().T / top.shape[1])
+    return float(vals[-1]), DensityOp(top @ top.conj().T / top.shape[1])
 
 
 def max_acceptance(spec: VerifierSpec | ReducedVerifier):
     """A's top eigenvalue, and the normalized projector onto its eigenspace."""
-    return _top_eigenspace(spec, *_spectrum(spec))
+    return _top_eigenspace(*_spectrum(spec))
 
 
 @functools.lru_cache(maxsize=64)
@@ -319,12 +303,12 @@ class TrialEngine:
         self._rho = None
         dm = 1 << spec.m
         # the state after no success, shared by every fallback
-        self.mixed = _input_state(spec, np.eye(dm, dtype=np.complex128) / dm)
+        self.mixed = DensityOp(np.eye(dm, dtype=np.complex128) / dm)
         self.mixed.matrix.flags.writeable = False
 
     def witness(self):
         """max_acceptance(spec), read off the engine's own eigen solve."""
-        return _top_eigenspace(self.spec, self._vals, self._vecs)
+        return _top_eigenspace(self._vals, self._vecs)
 
     def rho_m(self) -> DensityOp:
         """Input-register state conditioned on the test passing, built on
@@ -335,7 +319,7 @@ class TrialEngine:
             w = self._weights
             mat = (self._vecs * w) @ self._vecs.conj().T / w.sum()
             mat.flags.writeable = False
-            self._rho = _input_state(self.spec, mat)
+            self._rho = DensityOp(mat)
         return self._rho
 
     def sample(self, rng):

@@ -1,5 +1,7 @@
 """State-vector references behind the paper's measurement claims, which
-tests compare the library against and the CLI never runs: coherent vs
+tests compare the library against and the CLI never runs: named qubit
+registers (RegisterLayout) and state vectors over them (QState), which
+hold the trial's M, Aux and K registers at once; coherent vs
 destructive measurement, the alternating-measurement Markov law, the trial
 that synth.TrialEngine computes in closed form, the best Jordan block, the
 trial backend's attempt loop, one draw per attempt, a note's exact
@@ -11,18 +13,11 @@ and the factor names in the one order that tests enumerate them.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from qmsep.hilbert import (
-    STRUCT_TOL,
-    DensityOp,
-    HilbertError,
-    Projector,
-    QState,
-    RegisterLayout,
-    embed_unitary,
-)
+from qmsep.hilbert import STRUCT_TOL, DensityOp, HilbertError, Projector, embed_unitary
 from qmsep.jordan import JordanDecomposition, JordanError
 from qmsep.money import _factor
 from qmsep.synth import (
@@ -32,6 +27,64 @@ from qmsep.synth import (
     VerifierSpec,
     build_pq,
 )
+
+
+QUBIT_CAP = 22       # widest register layout a dense state may have
+
+
+@dataclass(frozen=True)
+class RegisterLayout:
+    registers: tuple
+
+    def __post_init__(self):
+        regs = tuple((str(n), int(w)) for n, w in self.registers)
+        object.__setattr__(self, "registers", regs)
+        names = [n for n, _ in regs]
+        if len(set(names)) != len(names):
+            raise HilbertError(f"duplicate register names in {names}")
+        if any(w < 1 for _, w in regs):
+            raise HilbertError("register widths must be >= 1")
+        if self.total_qubits > QUBIT_CAP:
+            raise HilbertError(
+                f"layout needs {self.total_qubits} qubits, cap is {QUBIT_CAP}")
+
+    @property
+    def total_qubits(self) -> int:
+        return sum(w for _, w in self.registers)
+
+    @property
+    def dim(self) -> int:
+        return 1 << self.total_qubits
+
+    def axes(self, names) -> list:
+        """Global qubit axes occupied by the named registers, in order."""
+        if isinstance(names, str):
+            names = [names]
+        offsets = {}
+        pos = 0
+        for n, w in self.registers:
+            offsets[n] = (pos, w)
+            pos += w
+        out = []
+        for name in names:
+            if name not in offsets:
+                raise HilbertError(f"unknown register {name!r}")
+            o, w = offsets[name]
+            out.extend(range(o, o + w))
+        return out
+
+
+@dataclass(frozen=True)
+class QState:
+    layout: RegisterLayout
+    amplitudes: np.ndarray
+
+    def __post_init__(self):
+        amps = np.asarray(self.amplitudes, dtype=np.complex128)
+        if amps.shape != (self.layout.dim,):
+            raise HilbertError(
+                f"amplitude vector has shape {amps.shape}, layout dim {self.layout.dim}")
+        object.__setattr__(self, "amplitudes", amps)
 
 
 def check_norm(state: QState) -> QState:
@@ -150,7 +203,7 @@ def synthesize_by_attempt(engine: TrialEngine, rng) -> SynthesisResult:
                                    attempts=attempt)
     dm = 1 << spec.m
     mixed = np.eye(dm, dtype=np.complex128) / dm
-    return SynthesisResult(state=DensityOp(RegisterLayout((("M", spec.m),)), mixed),
+    return SynthesisResult(state=DensityOp(mixed),
                            fallback=True, attempts=params.t_trials)
 
 

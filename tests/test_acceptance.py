@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from reference import alternating_sample
+from reference import QState, RegisterLayout, alternating_sample
 
 from qmsep import cli
 from qmsep.attack import (
@@ -30,7 +30,7 @@ from qmsep.harness import (
     comp_decomp_check,
     equivalence_check,
 )
-from qmsep.hilbert import Projector, QState, RegisterLayout, haar_unitary
+from qmsep.hilbert import Projector, haar_unitary
 from qmsep.jordan import jordan_decompose
 from qmsep.money import make_scheme
 from qmsep.streams import Stream

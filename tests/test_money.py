@@ -10,7 +10,7 @@ from scipy import stats
 
 from reference import FACTOR_NAMES, accept_prob_by_qubit, lambda_max
 
-from qmsep.hilbert import DensityOp, RegisterLayout, embed_unitary, haar_unitary
+from qmsep.hilbert import DensityOp, embed_unitary, haar_unitary
 from qmsep.money import (
     Banknote,
     ConjugateScheme,
@@ -253,8 +253,7 @@ def test_valid_note_is_the_true_verifiers_operator(name, m):
         for basis, _ in scheme.checks(note.serial):
             frame = np.kron(frame, H if basis is not None and d[basis] else np.eye(2))
         # the valid note, and the mixed note, whose outcomes vary
-        mixed = Banknote(note.serial, DensityOp(note.state.layout,
-                                                np.eye(1 << scheme.m) / (1 << scheme.m)))
+        mixed = Banknote(note.serial, DensityOp(np.eye(1 << scheme.m) / (1 << scheme.m)))
         for n in (note, mixed):
             _, post = scheme.verify(n, world, Stream(seed).split("verify"))
             j = int(np.argmax(np.diag(frame @ post.state.matrix @ frame).real))
@@ -338,7 +337,7 @@ def test_verify_matches_embedded_projector_measurements(m):
                 table[bit] = z
             a = gen.normal(size=(dm, dm)) + 1j * gen.normal(size=(dm, dm))
             rho = a @ a.conj().T / np.trace(a @ a.conj().T).real
-            note = Banknote(serial, DensityOp(RegisterLayout((("M", m),)), rho))
+            note = Banknote(serial, DensityOp(rho))
             for kinds in itertools.product(["zero", "top", "below", "above"], repeat=m):
                 want_ok, want, draws = _verify_by_embedded_projectors(rho, values, kinds)
                 world = WorldHandle(scheme.l, table.tolist().__getitem__)
@@ -442,7 +441,7 @@ def test_conjugate_tampered_qubit_accepts_half():
         rho = note.state.matrix.reshape(2, 2, 2, 2)
         reduced = np.einsum("iaib->ab", rho)
         tampered = np.kron(np.eye(2) / 2, reduced)
-        bad = Banknote(note.serial, DensityOp(note.state.layout, tampered))
+        bad = Banknote(note.serial, DensityOp(tampered))
         ok, _ = scheme.verify(bad, world, stream)
         hits += int(ok)
     # first qubit passes with probability 1/2, second always
@@ -458,8 +457,7 @@ def test_counterexample_wrong_hash_bit_rejects():
         world, note = mint_note(scheme, 7000 + i)
         mat = note.state.matrix
         x = np.kron(np.array([[0, 1], [1, 0]]), np.eye(mat.shape[0] // 2))
-        flipped = Banknote(note.serial,
-                           DensityOp(note.state.layout, x @ mat @ x))
+        flipped = Banknote(note.serial, DensityOp(x @ mat @ x))
         ok, _ = scheme.verify(flipped, world, stream)
         assert not ok
 
@@ -522,7 +520,7 @@ def test_sim_verifier_full_database_matches_true_acceptance(name):
         # a Haar-random mixed state: a Haar pure state on note (x) copy,
         # with the copy traced out
         a = haar_unitary(dm * dm, Stream(seed).gen)[:, 0].reshape(dm, dm)
-        rho = DensityOp(note.state.layout, a @ a.conj().T)
+        rho = DensityOp(a @ a.conj().T)
         want = scheme.accept_prob(Banknote(note.serial, rho), world)
         assert abs(acceptance_of(spec, rho) - want) < 1e-9
 
@@ -736,7 +734,7 @@ def test_product_path_is_the_dense_path(name, m):
         states, repeat=scheme.m)))
     for i, (k, factors) in enumerate(cases[::-(-len(cases) // 2000)]):
         prod = ProductState(factors)
-        dense = DensityOp(prod.layout, prod.matrix)
+        dense = DensityOp(prod.matrix)
         got = []
         for state in (prod, dense):
             world = WorldHandle(scheme.l, tables[k].tolist().__getitem__)
@@ -745,14 +743,14 @@ def test_product_path_is_the_dense_path(name, m):
             got.append((ok, post.state.factors, scheme.accept_prob(note, world)))
         (ok, out, p), (want_ok, want_out, want_p) = got
         assert ok == want_ok and out == want_out
-        assert abs(p - want_p) < 1e-15
+        assert abs(p - want_p) <= 8 * 2**-52
 
 
 def test_product_state_reads_as_a_density_op():
     # the matrix is the shared read-only product, built on first read
     factors = (("top", 0), (0, 1), (None, None))
     state = ProductState(factors)
-    assert state.layout == RegisterLayout((("M", 3),))
+    assert state.matrix.shape == (8, 8)
     assert state.matrix is _product(factors)
     assert not state.matrix.flags.writeable
     assert state.check() is state

@@ -4,11 +4,17 @@ import math
 import numpy as np
 import pytest
 
-from reference import alternating_sample, run_trial_destructive, synthesize_by_attempt
+from reference import (
+    QState,
+    RegisterLayout,
+    alternating_sample,
+    run_trial_destructive,
+    synthesize_by_attempt,
+)
 
 from qmsep import synth
 from qmsep.harness import HarnessError, cmd_synth
-from qmsep.hilbert import DensityOp, Projector, QState, RegisterLayout, haar_unitary
+from qmsep.hilbert import DensityOp, Projector, haar_unitary
 from qmsep.money import make_scheme
 from qmsep.streams import Stream
 from qmsep.synth import (
@@ -539,8 +545,7 @@ def test_verifier_json_gate_list():
     want = cnot @ np.kron(H, np.eye(2))
     assert np.abs(spec.v_hat - want).max() < 1e-12
     # |0> input: Bell state, accepts with probability 1/2
-    assert abs(acceptance_of(spec, DensityOp(
-        RegisterLayout((("M", 1),)), np.diag([1.0, 0]))) - 0.5) < 1e-12
+    assert abs(acceptance_of(spec, DensityOp(np.diag([1.0, 0]))) - 0.5) < 1e-12
 
 
 @pytest.mark.parametrize("m,k", [(20, 20), (1, SPEC_QUBIT_CAP)])
@@ -548,6 +553,24 @@ def test_verifier_json_rejects_width_above_cap(m, k):
     # raised before the 2^(m+k)-square identity is allocated
     with pytest.raises(SynthError, match="exceeds cap"):
         VerifierSpec.from_json(json.dumps({"m": m, "k": k, "ans_index": 0}))
+
+
+@pytest.mark.parametrize("m,k", [(5, 5), (1, 9)])
+def test_cmd_synth_runs_at_the_widest_verifier(m, k, tmp_path):
+    # m + k = SPEC_QUBIT_CAP, the widest file from_json accepts, runs end to
+    # end; (10, 0) also runs, in about 2 s, so it is left out here.  H then
+    # a measurement of qubit 0 makes A = |-><-| (x) I, so the best
+    # acceptance is 1, and the trial reaches it
+    assert m + k == SPEC_QUBIT_CAP
+    path = tmp_path / "verifier.json"
+    path.write_text(json.dumps({"m": m, "k": k, "ans_index": 0,
+                                "gates": [{"name": "H", "targets": [0]}]}))
+    rep = cmd_synth({"verifier": str(path), "trials": 1, "seed": 0})
+    assert rep["verifier"] == {"m": m, "k": k}
+    assert abs(rep["max_acceptance"] - 1.0) < 1e-9
+    assert abs(rep["eigen"]["acceptance"] - 1.0) < 1e-9
+    assert rep["trial"]["fallbacks"] == 0
+    assert abs(rep["trial"]["mean_acceptance"] - 1.0) < 1e-9
 
 
 def test_verifier_json_unknown_gate():
